@@ -219,7 +219,8 @@ class PandasNode:
     def _defense(self, kind: str, amount: float = 1.0, slot: int = -1) -> None:
         """Count one defense action in the metrics and the trace."""
         self.ctx.metrics.record_defense(kind, amount)
-        self._trace("defense", slot=slot, defense=kind, amount=amount)
+        if self.ctx.tracer is not None:
+            self._trace("defense", slot=slot, defense=kind, amount=amount)
 
     # ------------------------------------------------------------------
     # message dispatch (validation layer)
@@ -329,10 +330,11 @@ class PandasNode:
         if msg.cells:
             state.fetcher.add_inbound(msg.cells)
             new, reconstructed = state.cells.add_cells(msg.cells)
-            self._trace(
-                "cells_ingest", slot=slot, source="seed",
-                count=len(msg.cells), new=new, reconstructed=reconstructed,
-            )
+            if self.ctx.tracer is not None:
+                self._trace(
+                    "cells_ingest", slot=slot, source="seed",
+                    count=len(msg.cells), new=new, reconstructed=reconstructed,
+                )
             state.fetcher.note_external_cells(reconstructed)
         if state.seed_messages_seen >= msg.total_messages:
             # full seed set received: start consolidation + sampling on
@@ -513,10 +515,11 @@ class PandasNode:
             return
         self.reputation.record_valid(src, len(good))
         new, reconstructed = state.fetcher.on_response(src, good)
-        self._trace(
-            "cells_ingest", slot=slot, source="response", peer=src,
-            count=len(good), new=new, reconstructed=reconstructed,
-        )
+        if self.ctx.tracer is not None:
+            self._trace(
+                "cells_ingest", slot=slot, source="response", peer=src,
+                count=len(good), new=new, reconstructed=reconstructed,
+            )
         self._after_cells_changed(slot, state)
 
     # ------------------------------------------------------------------
@@ -603,6 +606,7 @@ class PandasNode:
             quarantine_threshold=params.quarantine_threshold,
         )
         self._buckets.clear()
+        self._retrieval_bucket = None
 
     def restart(self, slot: int) -> None:
         """Recover with empty storage and immediately re-fetch ``slot``.

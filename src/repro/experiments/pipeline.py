@@ -43,6 +43,7 @@ from repro.analysis.stats import percentile
 from repro.core.retrieval import AggregateRetrievalLoad, RetrievalClient, RetrievalResult
 from repro.experiments.churn import ChurnScenario
 from repro.experiments.scenario import ScenarioConfig
+from repro.sim.engine import collector_paused
 
 __all__ = ["PROBE_BASE_ADDRESS", "PipelineReport", "PipelineScenario"]
 
@@ -195,6 +196,9 @@ class PipelineScenario(ChurnScenario):
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
+    # churn, retirement and seeding between the sim.run() calls allocate
+    # as much as the slots themselves: the pause spans the whole method
+    @collector_paused()
     def run(self, slots: int | None = None) -> PipelineScenario:
         """Run the continuous pipeline: one slot begins every
         ``slot_duration`` seconds regardless of what is still in

@@ -25,6 +25,7 @@ from repro.crypto.randao import RandaoBeacon
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import AdversarySpec, FaultPlan
+from repro.gossip.pubsub import GossipMessage, GossipOverlay
 from repro.net.latency import ClusteredWanModel, LatencyModel
 from repro.net.topology import DEFAULT_BUILDER_PROFILE, DEFAULT_NODE_PROFILE, NodeProfile, Topology
 from repro.net.transport import DEFAULT_LOSS_RATE, Datagram, Network
@@ -32,7 +33,7 @@ from repro.obs.events import TraceRecorder
 from repro.obs.profiler import CallbackProfiler
 from repro.obs.telemetry import Telemetry
 from repro.params import PandasParams
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, collector_paused
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.rng import RngRegistry
 
@@ -491,6 +492,10 @@ class BaseScenario:
         self.sim.run(until=start + self.config.slot_window)
         self._end_slot(slot)
 
+    # the pause spans slot set-up and retirement too: seed_slot and
+    # drop_slot churn tens of thousands of containers between the
+    # sim.run() calls, on the largest heap of the run
+    @collector_paused()
     def run(self, slots: int | None = None) -> BaseScenario:
         for slot in range(slots if slots is not None else self.config.slots):
             self.run_slot(slot)
@@ -587,8 +592,6 @@ class Scenario(BaseScenario):
         self.builder = Builder(self.ctx, self.builder_id, self.config.policy)
         self.block_overlay: GossipOverlay | None = None
         if self.config.include_block_gossip:
-            from repro.gossip.pubsub import GossipOverlay
-
             self.block_overlay = GossipOverlay(
                 self.network, self.rngs.stream("block-mesh")
             )
@@ -603,8 +606,6 @@ class Scenario(BaseScenario):
 
     def _node_handler(self, node_id: int) -> Callable[[Datagram], None]:
         def handler(dgram: Datagram) -> None:
-            from repro.gossip.pubsub import GossipMessage
-
             if isinstance(dgram.payload, GossipMessage):
                 if self.block_overlay is not None:
                     self.block_overlay.on_datagram(node_id, dgram)

@@ -28,12 +28,15 @@ sequence, which the scale-regression suite pins with a property test.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from typing import Protocol
 
 __all__ = [
+    "collector_paused",
     "Event",
     "SimProfiler",
     "Simulator",
@@ -49,6 +52,32 @@ TICKS_PER_SECOND = 1024
 # A queue entry is (time, seq, event); comparisons never reach the
 # Event because seq is unique.
 _Entry = tuple[float, int, "Event"]
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off while a run executes.
+
+    A run creates no reference cycles (DESIGN.md, "Memory and the
+    collector"): per-slot state is freed by reference counting at
+    ``drop_slot``, so every collection inside a run walks a heap of
+    ~10^5 live containers per node to find nothing. The drivers that
+    own a run end to end enter this around the whole of it, slot
+    set-up and retirement included.
+
+    The collector's prior state is restored on exit, also when the run
+    raises: nested use is fine, and a caller who had already disabled
+    the collector finds it still disabled. Nothing is collected on
+    exit — the scenario's own cyclic object graph is reclaimed by the
+    restored collector once the caller drops it.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class SimProfiler(Protocol):

@@ -182,6 +182,28 @@ class TestRateLimiting:
         assert not node._buckets
         assert node.reputation.weight(9) == 1.0
 
+    def test_crash_resets_retrieval_admission_bucket(self):
+        world = make_world(
+            params=small_params(retrieval_admit_rate=1.0, retrieval_admit_burst=2.0)
+        )
+        node = world.nodes[0]
+        req = CellRequest(
+            slot=0, epoch=0, cells=frozenset({1}), priority=PRIORITY_RETRIEVAL
+        )
+
+        def offer_burst(sources) -> None:
+            for src in sources:
+                world.network.send(src, 0, req, req.wire_size(world.params))
+            world.sim.run(until=world.sim.now + 0.1)
+
+        offer_burst((4, 5, 6))  # drains the bucket: two admitted, one shed
+        assert world.ctx.metrics.shed_counts["retrieval_admission"] == 1
+        node.crash()
+        # rate-limit memory is volatile: the restarted node admits a
+        # full burst again instead of resuming at the drained level
+        offer_burst((7, 8))
+        assert world.ctx.metrics.shed_counts["retrieval_admission"] == 1
+
 
 class TestPendingExpiry:
     """A one-node world: no peers to cascade fetch traffic into, so the
