@@ -10,6 +10,7 @@ from repro.core.adaptive_policy import AdaptiveRedundancyController
 from repro.core.node import PandasNode
 from repro.core.retrieval import RetrievalClient, RetrievalResult
 from repro.core.seeding import (
+    LineBoost,
     MinimalSeeding,
     RedundantSeeding,
     SeedParcel,
@@ -40,6 +41,7 @@ __all__ = [
     "RetrievalClient",
     "RetrievalResult",
     "WithholdingSeeding",
+    "LineBoost",
     "MinimalSeeding",
     "RedundantSeeding",
     "SeedParcel",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from collections.abc import Iterable
+from functools import lru_cache
 
 from repro.crypto.randao import RandaoBeacon
 from repro.params import PandasParams
@@ -36,13 +37,18 @@ def lines_of_cell(cid: int, ext_rows: int, ext_cols: int) -> tuple[int, int]:
     return row, ext_rows + col
 
 
-def cells_of_line(line: int, ext_rows: int, ext_cols: int) -> list[int]:
-    """All cell ids on ``line``, in natural order."""
+@lru_cache(maxsize=None)  # one entry per grid line
+def cells_of_line(line: int, ext_rows: int, ext_cols: int) -> tuple[int, ...]:
+    """All cell ids on ``line``, in natural order.
+
+    Memoized: every node that reconstructs the line stores these very
+    ``int`` objects instead of its own copies of them.
+    """
     if line < ext_rows:
         base = line * ext_cols
-        return list(range(base, base + ext_cols))
+        return tuple(range(base, base + ext_cols))
     col = line - ext_rows
-    return list(range(col, ext_rows * ext_cols, ext_cols))
+    return tuple(range(col, ext_rows * ext_cols, ext_cols))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.core.context import ProtocolContext
 from repro.core.messages import SeedMessage
-from repro.core.seeding import SeedingPolicy, boost_map_for_line
+from repro.core.seeding import LineBoost, SeedingPolicy, boost_map_for_line
 from repro.net.transport import Datagram
 
 __all__ = ["Builder"]
@@ -49,7 +49,7 @@ class Builder:
 
         # per (node, line): merged cells; per line: boost map
         merged: dict[tuple[int, int], set[int]] = {}
-        boost_by_line: dict[int, dict[int, tuple[int, ...]]] = {}
+        boost_by_line: dict[int, LineBoost] = {}
         num_lines = params.ext_rows + params.ext_cols
         for line in range(num_lines):
             custodians = index.custodians(line, self.view)
@@ -81,7 +81,9 @@ class Builder:
         # consolidation-boost map for all the node's lines — including
         # the node's own parcels, so it knows which cells are already
         # inbound and never re-requests them (Table 1's zero round-1
-        # duplicates). Subsequent datagrams carry cells only.
+        # duplicates). Subsequent datagrams carry cells only. Each
+        # line's map is one object, referenced by every custodian's
+        # first datagram.
         boost_sent: set[int] = set()
         node_lines: dict[int, list[int]] = {}
         for node_id, line in merged:
@@ -90,9 +92,7 @@ class Builder:
             if node_id not in boost_sent:
                 boost_sent.add(node_id)
                 boost = tuple(
-                    (peer, peer_cells)
-                    for node_line in node_lines[node_id]
-                    for peer, peer_cells in boost_by_line[node_line].items()
+                    boost_by_line[node_line] for node_line in node_lines[node_id]
                 )
             else:
                 boost = ()

@@ -36,7 +36,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping, Set
 
 try:  # vectorized candidate scan; the pure-python path covers absence
     import numpy as _np
@@ -44,6 +44,7 @@ except ImportError:  # pragma: no cover
     _np = None  # type: ignore[assignment]
 
 from repro.core.custody import SlotCellState
+from repro.core.seeding import LineBoost
 from repro.obs.events import TraceRecorder
 from repro.params import FetchSchedule, RetryPolicy
 from repro.sim.engine import Event, Simulator
@@ -81,13 +82,15 @@ class FetchPlan:
 
 
 def score_peers(
-    targets: set[int],
-    candidate_cells: dict[int, set[int]],
-    boost: dict[int, set[int]],
+    candidate_cells: Mapping[int, Set[int]],
+    boost: Mapping[int, Set[int]],
     cb_boost: float,
     weights: dict[int, float] | None = None,
 ) -> dict[int, float]:
     """Algorithm 1 lines 4-9: cells-of-interest count plus boost.
+
+    ``boost`` maps a peer to the round's targets the builder seeded to
+    it (the consolidation-boost map already intersected with F).
 
     ``weights`` (peer -> multiplier in ``(0, 1]``, default 1.0) folds
     per-peer reputation into the score: a peer that served corrupt
@@ -100,7 +103,7 @@ def score_peers(
         score = float(len(cells))
         boosted = boost.get(peer)
         if boosted:
-            score += len(boosted & targets) * cb_boost
+            score += len(boosted) * cb_boost
         if weights is not None:
             score *= weights.get(peer, 1.0)
         scores[peer] = score
@@ -110,7 +113,7 @@ def score_peers(
 def plan_queries(
     targets: set[int],
     ordered_peers: list[int],
-    candidate_cells: dict[int, set[int]],
+    candidate_cells: Mapping[int, Set[int]],
     redundancy: int,
     max_cells_per_query: int | None = None,
 ) -> FetchPlan:
@@ -270,7 +273,10 @@ class AdaptiveFetcher:
         self.observe_latency = observe_latency
         self._open_queries: dict[int, tuple[int, int]] = {}  # peer -> (req, round)
 
-        self.boost: dict[int, set[int]] = {}
+        # CB(f) of our lines, by line: the builder's own objects, held
+        # by reference and never copied (DESIGN.md 4.1)
+        self.boost: dict[int, LineBoost] = {}
+        # every cell some custodian was seeded, over all held maps
         self._boost_cells: set[int] = set()
         self.inbound: set[int] = set()
         self.max_cells_per_query = max_cells_per_query
@@ -287,14 +293,15 @@ class AdaptiveFetcher:
     # ------------------------------------------------------------------
     # boost map
     # ------------------------------------------------------------------
-    def add_boost(self, peer: int, cells: Iterable[int]) -> None:
-        """Merge consolidation-boost info arriving with seed parcels."""
-        bucket = self.boost.get(peer)
-        if bucket is None:
-            self.boost[peer] = set(cells)
-        else:
-            bucket.update(cells)
-        self._boost_cells.update(cells)
+    def add_boost(self, line_boost: LineBoost) -> None:
+        """Keep the builder's CB(f) of one of our lines (idempotent).
+
+        Our own entry stays in the map: we are never our own candidate,
+        and the node declares those cells inbound, which
+        ``round_targets`` checks before ``_boost_cells``.
+        """
+        self.boost[line_boost.line] = line_boost
+        self._boost_cells.update(line_boost.cells)
 
     def add_inbound(self, cells: Iterable[int]) -> None:
         """Cells the builder declared (or delivered) as seeded to us.
@@ -456,7 +463,7 @@ class AdaptiveFetcher:
         targets = self.round_targets(index)
         stats.targets = len(targets)
         settle = self.schedule.settle_round
-        candidate_cells = self._candidate_cells(targets)
+        candidate_cells, boosted = self._candidate_cells(targets)
         if (
             not candidate_cells
             and targets
@@ -487,7 +494,7 @@ class AdaptiveFetcher:
                 recycled = self._recycle_unresponsive()
                 if recycled:
                     self._trace("query_recycle", pool="unresponsive", count=recycled)
-                    candidate_cells = self._candidate_cells(targets)
+                    candidate_cells, boosted = self._candidate_cells(targets)
                 if not candidate_cells:
                     # Still nothing: the remaining targets' custodians all
                     # *answered*, yet the cells never materialized — corrupt
@@ -498,7 +505,7 @@ class AdaptiveFetcher:
                     recycled = self._recycle_responded()
                     if recycled:
                         self._trace("query_recycle", pool="responded", count=recycled)
-                        candidate_cells = self._candidate_cells(targets)
+                        candidate_cells, boosted = self._candidate_cells(targets)
                 if candidate_cells and policy is not None:
                     # back off before re-querying: the recycled peers go
                     # back in the pool now, but the wave itself runs
@@ -548,7 +555,7 @@ class AdaptiveFetcher:
         weights = None
         if self.peer_weight is not None:
             weights = {peer: self.peer_weight(peer) for peer in candidate_cells}
-        scores = score_peers(targets, candidate_cells, self.boost, self.cb_boost, weights)
+        scores = score_peers(candidate_cells, boosted, self.cb_boost, weights)
         peers = list(candidate_cells)
         self.rng.shuffle(peers)  # unbiased tie-break among equal scores
         peers.sort(key=lambda p: scores[p], reverse=True)
@@ -592,7 +599,9 @@ class AdaptiveFetcher:
             self.schedule.timeout(index), self._run_round, index + 1
         )
 
-    def _candidate_cells(self, targets: set[int]) -> dict[int, set[int]]:
+    def _candidate_cells(
+        self, targets: set[int]
+    ) -> tuple[dict[int, Set[int]], dict[int, frozenset[int]]]:
         """Queryable peers mapped to the cells to ask them for.
 
         Peers in the consolidation-boost map are offered only the
@@ -600,6 +609,9 @@ class AdaptiveFetcher:
         servable *immediately*; their other custody cells would only
         arrive after the peer's own consolidation. Unboosted peers
         are fallback holders for anything on their lines.
+
+        Also returns those boosted peers' offers on their own (peer ->
+        seeded cells among ``targets``): ``score_peers``' boost input.
         """
         missing_by_line: dict[int, set[int]] = {}
         params = self.state.params
@@ -623,16 +635,24 @@ class AdaptiveFetcher:
             candidates = self._scan_candidates_np(missing_by_line)
         else:
             candidates = self._scan_candidates_py(missing_by_line)
-        for peer, boosted in self.boost.items():
-            if peer in candidates:
-                seeded_targets = boosted & targets
-                if seeded_targets:
-                    candidates[peer] = seeded_targets
-        return candidates
+        boosted: dict[int, frozenset[int]] = {}
+        for line_boost in self.boost.values():
+            for peer, seeded in line_boost.seeded.items():
+                if peer in candidates:
+                    seeded_targets = seeded & targets
+                    if seeded_targets:
+                        # a peer sharing two lines with us: union the
+                        # (small) intersections, never the seeded sets
+                        prior = boosted.get(peer)
+                        boosted[peer] = (
+                            seeded_targets if prior is None else prior | seeded_targets
+                        )
+        candidates.update(boosted)
+        return candidates, boosted
 
     def _scan_candidates_py(
         self, missing_by_line: dict[int, set[int]]
-    ) -> dict[int, set[int]]:
+    ) -> dict[int, Set[int]]:
         """Pure-python candidate scan (reference path, small inputs).
 
         Gathers each peer's missing lines first (first-encounter order),
@@ -662,7 +682,7 @@ class AdaptiveFetcher:
                     peer_lines[peer] = [line]
                 else:
                     lines.append(line)
-        candidates: dict[int, set[int]] = {}
+        candidates: dict[int, Set[int]] = {}
         union_cache: dict[tuple[int, ...], set[int]] = {}
         for peer, lines in peer_lines.items():
             candidates[peer] = self._peer_cells(lines, missing_by_line, union_cache)
@@ -670,7 +690,7 @@ class AdaptiveFetcher:
 
     def _scan_candidates_np(
         self, missing_by_line: dict[int, set[int]]
-    ) -> dict[int, set[int]]:
+    ) -> dict[int, Set[int]]:
         """Vectorized candidate scan, equivalent to the python path.
 
         At scale the (missing line, custodian) pair stream is tens of
@@ -730,7 +750,7 @@ class AdaptiveFetcher:
         for i, peer in enumerate(span_peers):
             spans[peer] = (starts_list[i], ends_list[i])
         exclude = self.exclude_peer
-        candidates: dict[int, set[int]] = {}
+        candidates: dict[int, Set[int]] = {}
         union_cache: dict[tuple[int, ...], set[int]] = {}
         for peer in encounter.tolist():
             if exclude is not None and exclude(peer):

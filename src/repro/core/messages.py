@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.seeding import LineBoost
 from repro.params import PandasParams
 
 __all__ = [
     "SeedMessage",
     "CellRequest",
     "CellResponse",
-    "BoostMap",
     "PRIORITY_SAMPLING",
     "PRIORITY_RETRIEVAL",
 ]
@@ -31,24 +31,24 @@ CELL_ID_BYTES = 4
 NODE_REF_BYTES = 8
 BOOST_ENTRY_BYTES = NODE_REF_BYTES + 2 * CELL_ID_BYTES  # node + cell range
 
-# A boost map entry: cells seeded to one peer, encoded as a range.
-BoostMap = dict[int, tuple[int, ...]]  # peer node id -> seeded cell ids
-
 
 @dataclass(frozen=True)
 class SeedMessage:
     """One parcel of seed cells for one line, builder -> node.
 
-    ``boost`` carries the consolidation-boost entries for the same
-    line: which cells of this line were seeded to which other peers
-    (Section 6.2, Figure 7).
+    ``boost`` is empty except on the first datagram of the node's
+    burst, which carries the consolidation-boost maps of *all* the
+    node's lines: per line, which of its cells were seeded to which
+    custodian — the addressee included (Section 6.2, Figure 7). The
+    maps are the builder's own immutable per-line objects, shared by
+    every message that carries them.
     """
 
     slot: int
     epoch: int
     line: int
     cells: tuple[int, ...]
-    boost: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    boost: tuple[LineBoost, ...] = ()
     builder_id: int = 0
     # how many seed datagrams the builder addresses to this node in
     # this slot; lets the node detect seed completion (consolidation
@@ -58,10 +58,11 @@ class SeedMessage:
 
     def wire_size(self, params: PandasParams) -> int:
         # Boost entries are (peer, contiguous-parcel range): 16 B each.
+        entries = sum(len(line_boost.seeded) for line_boost in self.boost)
         return (
             params.message_overhead_bytes
             + len(self.cells) * params.cell_bytes
-            + len(self.boost) * BOOST_ENTRY_BYTES
+            + entries * BOOST_ENTRY_BYTES
         )
 
 

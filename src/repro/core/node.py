@@ -4,9 +4,9 @@ A node custodies its assigned rows/columns, consolidates the cells it
 was not directly seeded, samples 73 random cells, and serves incoming
 queries. All behaviour is reactive:
 
-- a **seed parcel** from the builder stores cells, merges the
-  consolidation-boost entries, and starts fetching (consolidation +
-  sampling share one adaptive fetcher);
+- a **seed parcel** from the builder stores cells, hands the
+  consolidation-boost maps it carries to the fetcher, and starts
+  fetching (consolidation + sampling share one adaptive fetcher);
 - a **cell request** is answered immediately with the requested cells
   already held; the remainder is buffered and answered in one deferred
   reply once all of it is available (no NACK; if the cells never
@@ -101,8 +101,9 @@ class _SlotState:
     # instead of accumulating for the rest of the run
     expiry_timer: Event | None = None
     seed_received: bool = False
-    seed_messages_seen: int = 0
-    seed_messages_expected: int | None = None
+    # lines whose seed datagram arrived (the builder sends one per
+    # line); a set, so a duplicated datagram is not counted twice
+    seed_lines_seen: set[int] = field(default_factory=set)
     fallback_timer: Event | None = None
     consolidation_marked: bool = False
     sampling_marked: bool = False
@@ -317,18 +318,16 @@ class PandasNode:
             self.ctx.metrics.mark_seeding(slot, self.node_id, at)
             self._trace("seed_recv", slot=slot, at=at)
             self._trace("phase", slot=slot, phase="seeding", at=at)
-        state.seed_messages_seen += 1
-        state.seed_messages_expected = msg.total_messages
-        for peer, cells in msg.boost:
-            if peer == self.node_id:
-                # the builder's own-parcel declarations: these cells are
-                # already inbound through this burst, so the fetcher
-                # must never request them from peers
-                state.fetcher.add_inbound(cells)
-            else:
-                state.fetcher.add_boost(peer, cells)
+        state.seed_lines_seen.add(msg.line)
+        for line_boost in msg.boost:
+            state.fetcher.add_boost(line_boost)
+            # the builder's own-parcel declarations: these cells are
+            # already inbound through this burst, so the fetcher must
+            # never request them from peers
+            own = line_boost.seeded.get(self.node_id)
+            if own:
+                state.fetcher.add_inbound(own)
         if msg.cells:
-            state.fetcher.add_inbound(msg.cells)
             new, reconstructed = state.cells.add_cells(msg.cells)
             if self.ctx.tracer is not None:
                 self._trace(
@@ -336,7 +335,7 @@ class PandasNode:
                     count=len(msg.cells), new=new, reconstructed=reconstructed,
                 )
             state.fetcher.note_external_cells(reconstructed)
-        if state.seed_messages_seen >= msg.total_messages:
+        if len(state.seed_lines_seen) >= msg.total_messages:
             # full seed set received: start consolidation + sampling on
             # the real deficits (Figure 5's trigger)
             if state.fallback_timer is not None:

@@ -23,18 +23,22 @@ from both populations.
   1,120 MB.
 
 The policy also yields the per-line consolidation-boost map CB: which
-cells of ``f`` were seeded to which custodians of ``f``.
+cells of ``f`` were seeded to which custodians of ``f``
+(:class:`LineBoost`, built once per line and shared by reference by
+every message and fetcher that needs it).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
+from types import MappingProxyType
 
 from repro.params import PandasParams
 
 __all__ = [
+    "LineBoost",
     "SeedParcel",
     "SeedingPolicy",
     "MinimalSeeding",
@@ -53,6 +57,23 @@ class SeedParcel:
     node_id: int
     line: int
     cells: tuple[int, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class LineBoost:
+    """CB(f) of one line: which of its cells were seeded to whom.
+
+    Built once per line by the builder and shipped *by reference* to
+    every custodian of the line, whose fetchers keep that reference for
+    the slot — so nothing reachable from it is mutable: ``seeded`` is a
+    read-only view and every cell set is a ``frozenset``.
+    """
+
+    line: int
+    # custodian -> the line's cells seeded to it (its merged parcels)
+    seeded: Mapping[int, frozenset[int]]
+    # every seeded cell of the line: the union of ``seeded``'s values
+    cells: frozenset[int]
 
 
 def owned_cells_of_line(line: int, params: PandasParams) -> list[int]:
@@ -187,9 +208,14 @@ def policy_by_name(name: str, r: int = 8) -> SeedingPolicy:
     raise ValueError(f"unknown seeding policy {name!r}")
 
 
-def boost_map_for_line(parcels: Sequence[SeedParcel]) -> dict[int, tuple[int, ...]]:
-    """CB(f): node -> cells of this line seeded to it (merged parcels)."""
+def boost_map_for_line(parcels: Sequence[SeedParcel]) -> LineBoost:
+    """CB(f) of the line ``parcels`` (non-empty, one line) scatter."""
     merged: dict[int, list[int]] = {}
     for parcel in parcels:
         merged.setdefault(parcel.node_id, []).extend(parcel.cells)
-    return {node: tuple(sorted(set(cells))) for node, cells in merged.items()}
+    seeded = {node: frozenset(cells) for node, cells in merged.items()}
+    return LineBoost(
+        line=parcels[0].line,
+        seeded=MappingProxyType(seeded),
+        cells=frozenset().union(*seeded.values()),
+    )

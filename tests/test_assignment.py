@@ -23,12 +23,12 @@ def test_lines_of_cell_geometry():
 
 def test_cells_of_line_row():
     cells = cells_of_line(2, 8, 8)
-    assert cells == list(range(16, 24))
+    assert cells == tuple(range(16, 24))
 
 
 def test_cells_of_line_column():
     cells = cells_of_line(8 + 3, 8, 8)
-    assert cells == [3, 11, 19, 27, 35, 43, 51, 59]
+    assert cells == (3, 11, 19, 27, 35, 43, 51, 59)
 
 
 def test_custody_has_correct_shape(assignment, tiny_params):

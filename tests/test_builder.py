@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 
+from repro.core.assignment import lines_of_cell
 from repro.core.messages import SeedMessage
 from repro.core.seeding import MinimalSeeding, RedundantSeeding, SingleSeeding
 from tests.helpers import make_world
@@ -84,19 +85,30 @@ def test_boost_map_includes_own_inbound_entries():
     seeds = collect_seeds(world)
     with_own = 0
     for dgram in seeds:
-        if any(peer == dgram.dst for peer, _cells in dgram.payload.boost):
+        boost = dgram.payload.boost
+        if boost:
+            # one map per line of the addressee, its own entry in each
+            assert all(dgram.dst in line_boost.seeded for line_boost in boost)
             with_own += 1
-    assert with_own > 0
+    assert with_own == len({dgram.dst for dgram in seeds})
 
 
 def test_boost_map_entries_are_custodians_of_their_cells_lines():
     world = make_world(num_nodes=30, policy=RedundantSeeding(3))
     seeds = collect_seeds(world)
     assignment = world.ctx.assignment
-    for dgram in seeds[:20]:
-        for peer, cells in dgram.payload.boost:
-            for cid in list(cells)[:3]:
-                assert assignment.is_custodian(peer, 0, cid)
+    checked = 0
+    for dgram in seeds:
+        for line_boost in dgram.payload.boost:
+            for peer, cells in line_boost.seeded.items():
+                assert line_boost.line in assignment.lines(peer, 0)
+                for cid in sorted(cells)[:3]:
+                    assert line_boost.line in lines_of_cell(
+                        cid, world.params.ext_rows, world.params.ext_cols
+                    )
+                    assert assignment.is_custodian(peer, 0, cid)
+                    checked += 1
+    assert checked > 0
 
 
 def test_builder_accounting():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core.assignment import Custody, cells_of_line
 from repro.core.custody import SlotCellState
 from repro.core.fetching import AdaptiveFetcher, plan_queries, score_peers
+from repro.core.seeding import SeedParcel, boost_map_for_line
 from repro.params import FetchSchedule, PandasParams, RetryPolicy
 from repro.sim.engine import Simulator
 
@@ -18,7 +19,6 @@ from repro.sim.engine import Simulator
 class TestScoring:
     def test_score_counts_cells_of_interest(self):
         scores = score_peers(
-            targets={1, 2, 3},
             candidate_cells={10: {1, 2}, 11: {3}},
             boost={},
             cb_boost=10_000,
@@ -28,7 +28,6 @@ class TestScoring:
     def test_boost_dominates(self):
         """cb_boost gives an overwhelming advantage (Section 7)."""
         scores = score_peers(
-            targets={1, 2, 3, 4, 5},
             candidate_cells={10: {1, 2, 3, 4, 5}, 11: {1}},
             boost={11: {1}},
             cb_boost=10_000,
@@ -36,13 +35,13 @@ class TestScoring:
         assert scores[11] > scores[10]
 
     def test_boost_only_counts_missing_cells(self):
-        scores = score_peers(
-            targets={2},
-            candidate_cells={11: {2}},
-            boost={11: {1, 3}},  # boost cells already held
-            cb_boost=10_000,
-        )
-        assert scores[11] == 1.0
+        fetcher, state, _sim, _sent = make_fetcher(custodians={0: [11]})
+        fetcher.add_boost(boost_map_for_line([SeedParcel(11, 0, (1, 3))]))
+        state.add_cells([1, 3])  # boost cells already held
+        candidates, boosted = fetcher._candidate_cells(fetcher.round_targets())
+        assert 11 not in boosted
+        scores = score_peers(candidates, boosted, cb_boost=10_000)
+        assert scores[11] == float(len(candidates[11]))
 
 
 class TestPlanning:
@@ -130,8 +129,8 @@ class TestRoundTargets:
 
     def test_targets_prefer_boosted_cells(self):
         fetcher, state, _sim, _sent = make_fetcher()
-        boosted = [4, 5, 6]
-        fetcher.add_boost(77, boosted)
+        boosted = (4, 5, 6)
+        fetcher.add_boost(boost_map_for_line([SeedParcel(77, 0, boosted)]))
         targets = fetcher.round_targets()
         assert set(boosted) <= targets
 

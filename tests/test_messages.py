@@ -9,6 +9,7 @@ from repro.core.messages import (
     CellResponse,
     SeedMessage,
 )
+from repro.core.seeding import SeedParcel, boost_map_for_line
 from repro.params import PandasParams
 
 
@@ -19,15 +20,20 @@ def test_seed_message_size():
         epoch=0,
         line=3,
         cells=(1, 2, 3),
-        boost=((7, (4, 5)), (8, (6,))),
+        # two lines' maps, three (line, custodian) entries in all
+        boost=(
+            boost_map_for_line([SeedParcel(7, 3, (4, 5)), SeedParcel(8, 3, (6,))]),
+            boost_map_for_line([SeedParcel(7, 9, (20,))]),
+        ),
     )
-    expected = params.message_overhead_bytes + 3 * params.cell_bytes + 2 * BOOST_ENTRY_BYTES
+    expected = params.message_overhead_bytes + 3 * params.cell_bytes + 3 * BOOST_ENTRY_BYTES
     assert msg.wire_size(params) == expected
 
 
 def test_seed_message_empty_parcel_costs_overhead_and_boost():
     params = PandasParams.full()
-    msg = SeedMessage(slot=0, epoch=0, line=1, cells=(), boost=((7, (1,)),))
+    boost = (boost_map_for_line([SeedParcel(7, 1, (1,))]),)
+    msg = SeedMessage(slot=0, epoch=0, line=1, cells=(), boost=boost)
     assert msg.wire_size(params) == params.message_overhead_bytes + BOOST_ENTRY_BYTES
 
 

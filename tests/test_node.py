@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 
+from repro.core.assignment import cells_of_line
 from repro.core.messages import CellRequest, CellResponse, SeedMessage
+from repro.core.seeding import SeedParcel, boost_map_for_line
 from tests.helpers import make_world
 
 
@@ -55,6 +57,28 @@ def test_fetch_starts_when_seed_stream_completes():
     assert node.slot_fetcher(0).started
 
 
+def test_duplicated_seed_datagram_is_not_counted_as_a_second_parcel():
+    """Seed completion counts parcels (lines), not datagrams: a `dup`
+    fault must not start fetching while a real parcel is in flight."""
+    for second_line_arrives in (True, False):
+        world = make_world(num_nodes=20)
+        node = world.nodes[0]
+        world.ctx.begin_slot(0)
+        msg = SeedMessage(slot=0, epoch=0, line=0, cells=(1,), total_messages=2)
+        node._on_seed(21, msg)
+        node._on_seed(21, msg)
+        assert not node.slot_fetcher(0).started
+        if second_line_arrives:
+            node._on_seed(
+                21, SeedMessage(slot=0, epoch=0, line=1, cells=(2,), total_messages=2)
+            )
+        else:
+            world.sim.run(until=world.params.consolidation_timer - 0.01)
+            assert not node.slot_fetcher(0).started
+            world.sim.run(until=world.params.consolidation_timer + 0.01)
+        assert node.slot_fetcher(0).started
+
+
 def test_quiescence_timer_covers_lost_seed_messages():
     world = make_world(num_nodes=20)
     node = world.nodes[0]
@@ -76,8 +100,6 @@ def test_inbound_cells_excluded_from_targets():
     world.ctx.begin_slot(0)
     custody = world.ctx.assignment.custody(0, 0)
     row = custody.rows[0]
-    from repro.core.assignment import cells_of_line
-
     row_cells = cells_of_line(row, world.params.ext_rows, world.params.ext_cols)
     inbound_declared = tuple(row_cells[:4])
     msg = SeedMessage(
@@ -85,7 +107,8 @@ def test_inbound_cells_excluded_from_targets():
         epoch=0,
         line=row,
         cells=(row_cells[0],),
-        boost=((0, inbound_declared),),  # own entry -> inbound knowledge
+        # own entry -> inbound knowledge
+        boost=(boost_map_for_line([SeedParcel(0, row, inbound_declared)]),),
         total_messages=2,
     )
     node._on_seed(21, msg)
@@ -154,17 +177,31 @@ def test_request_fully_served_immediately():
 
 
 def test_boost_excludes_own_entries():
+    """Our own entry of a line's map is inbound knowledge, never a peer
+    to query; the other custodians' entries are the servable offers."""
     world = make_world(num_nodes=20)
     node = world.nodes[0]
     world.ctx.begin_slot(0)
+    row = world.ctx.assignment.custody(0, 0).rows[0]
+    peer = next(p for p in world.ctx.index_for_epoch(0).custodians(row) if p != 0)
+    delivered, own, theirs = cells_of_line(
+        row, world.params.ext_rows, world.params.ext_cols
+    )[:3]
+    line_boost = boost_map_for_line(
+        [SeedParcel(0, row, (own,)), SeedParcel(peer, row, (theirs,))]
+    )
     msg = SeedMessage(
-        slot=0, epoch=0, line=0, cells=(1,),
-        boost=((0, (9,)), (4, (10,))), total_messages=1,
+        slot=0, epoch=0, line=row, cells=(delivered,),
+        boost=(line_boost,), total_messages=2,
     )
     node._on_seed(21, msg)
     fetcher = node.slot_fetcher(0)
-    assert 0 not in fetcher.boost
-    assert fetcher.boost[4] == {10}
+    assert fetcher.boost == {row: line_boost}
+    assert fetcher.inbound == {own}
+    candidates, boosted = fetcher._candidate_cells({own, theirs})
+    assert 0 not in candidates
+    assert boosted == {peer: {theirs}}
+    assert candidates[peer] == {theirs}
 
 
 def test_drop_slot_releases_state():

@@ -1,14 +1,16 @@
 """Property-based tests (hypothesis) for the codec and the assignment.
 
 These complement the example-based suites with randomized coverage of
-the two components whose correctness the whole protocol leans on:
+the components whose correctness the whole protocol leans on:
 
 - ``ReedSolomon``: any >= k surviving symbols reconstruct the exact
   codeword; any < k symbols are rejected (the information-theoretic
   threshold behind the withholding analysis);
 - ``CellAssignment``: ``S(node, epoch)`` is a pure function of
   ``(epoch_seed, node_id)`` — view-independent, distinct, in-range —
-  and a realistic node population covers every line of the grid.
+  and a realistic node population covers every line of the grid;
+- ``AdaptiveFetcher`` on the builder's shared per-line boost maps
+  targets, offers and scores exactly as on a private flat copy.
 
 Kept in its own file so CI can run it as a separate (non-blocking)
 job: hypothesis shrinks aggressively on failure and example-based
@@ -158,6 +160,21 @@ class TestAssignmentProperties:
         row_line, col_line = lines_of_cell(cid, params.ext_rows, params.ext_cols)
         assert cid in cells_of_line(row_line, params.ext_rows, params.ext_cols)
         assert cid in cells_of_line(col_line, params.ext_rows, params.ext_cols)
+
+
+# ----------------------------------------------------------------------
+# shared per-line boost maps vs the old per-node dict[peer, set]
+# ----------------------------------------------------------------------
+class TestSharedBoostMapEquivalence:
+    @FAST
+    @given(st.randoms(use_true_random=False), st.integers(min_value=1, max_value=6))
+    def test_fetcher_matches_the_flat_dict_reference(self, rnd, round_index):
+        """Targets, candidates and scores equal the flat-dict oracle's
+        (the generator and the oracle live beside the fixed seeded
+        cases the blocking tier-1 job runs)."""
+        from tests.test_seed_sharing import check_boost_equivalence, random_boost_case
+
+        check_boost_equivalence(random_boost_case(rnd), round_index)
 
 
 # ----------------------------------------------------------------------

@@ -100,7 +100,6 @@ class TestQuarantineRedirectsTraffic:
         ledger.record_invalid(13, 4)
         weights = {peer: ledger.weight(peer) for peer in (12, 13)}
         scores = score_peers(
-            targets={1, 2, 3},
             candidate_cells={12: {1, 2, 3}, 13: {1, 2, 3}},
             boost={},
             cb_boost=10_000,

@@ -140,19 +140,20 @@ class TestBoostMap:
         rng = random.Random(5)
         parcels = RedundantSeeding(3).line_parcels(0, params, list(range(4)), rng)
         boost = boost_map_for_line(parcels)
-        for node, cells in boost.items():
-            expected = sorted(
-                {cid for p in parcels if p.node_id == node for cid in p.cells}
-            )
-            assert list(cells) == expected
+        assert boost.line == 0
+        assert set(boost.seeded) == {p.node_id for p in parcels}
+        for node, cells in boost.seeded.items():
+            expected = {cid for p in parcels if p.node_id == node for cid in p.cells}
+            assert cells == expected
 
     def test_covers_all_seeded_cells(self, params):
         rng = random.Random(6)
         parcels = SingleSeeding().line_parcels(2, params, list(range(5)), rng)
         boost = boost_map_for_line(parcels)
         seeded = {cid for p in parcels for cid in p.cells}
-        mapped = {cid for cells in boost.values() for cid in cells}
+        mapped = {cid for cells in boost.seeded.values() for cid in cells}
         assert mapped == seeded
+        assert boost.cells == seeded
 
 
 def test_policy_by_name():
