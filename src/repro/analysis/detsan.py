@@ -8,11 +8,10 @@ fingerprint:
 - **hash-seed sweep** — each run in a fresh subprocess with a
   different ``PYTHONHASHSEED``, the exact perturbation that turns any
   surviving set-order dependence into observable divergence;
-- **scheduler swap** — ``queue="heap"`` vs ``queue="calendar"``: both
-  event-queue backends are contractually bit-identical;
-- **delivery swap** — ``delivery="per-datagram"`` vs ``"batched"``:
-  transport delivery scheduling must not be protocol behaviour;
 - **telemetry toggle** — observation must never perturb the observed.
+
+The default matrix is therefore four runs per scenario: three hash
+seeds, then telemetry on under the first of them.
 
 Every run also records a structured trace
 (:class:`repro.obs.events.TraceRecorder` → JSONL), so a fingerprint
@@ -64,7 +63,7 @@ DEFAULT_HASH_SEEDS = (0, 1, 2)
 # ----------------------------------------------------------------------
 # scenario registry
 # ----------------------------------------------------------------------
-def _run_pandas_100(queue: str, delivery: str, telemetry: bool, trace_path: str | None):
+def _run_pandas_100(telemetry: bool, trace_path: str | None):
     """The PR-5 acceptance scenario: 100 nodes, loss + crashes + a partition."""
     from repro.core.seeding import RedundantSeeding
     from repro.experiments.scenario import Scenario, ScenarioConfig
@@ -87,8 +86,6 @@ def _run_pandas_100(queue: str, delivery: str, telemetry: bool, trace_path: str 
             partitions=(PartitionWindow(start=1.0, duration=0.5, fraction=0.2),),
         ),
         check_invariants=True,
-        queue=queue,
-        delivery=delivery,
         telemetry=_make_telemetry(telemetry),
         tracer=tracer,
     )
@@ -97,7 +94,7 @@ def _run_pandas_100(queue: str, delivery: str, telemetry: bool, trace_path: str 
     return scenario.metrics.fingerprint(), scenario.sim.events_processed
 
 
-def _run_pipeline_3(queue: str, delivery: str, telemetry: bool, trace_path: str | None):
+def _run_pipeline_3(telemetry: bool, trace_path: str | None):
     """A 3-slot sustained pipeline with churn (the PR-7 subsystem)."""
     from repro.core.seeding import RedundantSeeding
     from repro.experiments.pipeline import PipelineScenario
@@ -112,8 +109,6 @@ def _run_pipeline_3(queue: str, delivery: str, telemetry: bool, trace_path: str 
         seed=7,
         slots=3,
         num_vertices=600,
-        queue=queue,
-        delivery=delivery,
         telemetry=_make_telemetry(telemetry),
         tracer=tracer,
     )
@@ -161,8 +156,6 @@ class Variant:
     """One perturbed-but-contract-legal run configuration."""
 
     name: str
-    queue: str = "calendar"
-    delivery: str = "batched"
     telemetry: bool = False
     hash_seed: int = 0
 
@@ -172,15 +165,10 @@ class Variant:
 
 
 def default_variants(hash_seeds: tuple[int, ...] = DEFAULT_HASH_SEEDS) -> list[Variant]:
-    """Hash-seed sweep of the baseline, plus one swap per knob."""
+    """Hash-seed sweep of the baseline, plus one telemetry-on run."""
     seeds = hash_seeds or DEFAULT_HASH_SEEDS
     variants = [Variant(name="baseline", hash_seed=s) for s in seeds]
-    first = seeds[0]
-    variants += [
-        Variant(name="heap-queue", queue="heap", hash_seed=first),
-        Variant(name="per-datagram", delivery="per-datagram", hash_seed=first),
-        Variant(name="telemetry-on", telemetry=True, hash_seed=first),
-    ]
+    variants.append(Variant(name="telemetry-on", telemetry=True, hash_seed=seeds[0]))
     return variants
 
 
@@ -289,8 +277,6 @@ def _worker_main(args: argparse.Namespace) -> int:
     """Child-process entry: run one variant, print a JSON result line."""
     runner = SCENARIOS[args.scenario]
     fingerprint, events = runner(
-        queue=args.queue,
-        delivery=args.delivery,
         telemetry=bool(args.telemetry),
         trace_path=args.trace_out or None,
     )
@@ -316,10 +302,6 @@ def _spawn(scenario: str, variant: Variant, trace_path: str) -> RunResult:
         "--worker",
         "--scenario",
         scenario,
-        "--queue",
-        variant.queue,
-        "--delivery",
-        variant.delivery,
         "--telemetry",
         "1" if variant.telemetry else "0",
         "--trace-out",
@@ -395,8 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro detsan",
         description=(
             "Run scenarios under perturbed-but-contract-legal conditions "
-            "(PYTHONHASHSEED sweep, heap-vs-calendar scheduler, batched-vs-"
-            "per-datagram delivery, telemetry on/off) and fail with a "
+            "(PYTHONHASHSEED sweep, telemetry on/off) and fail with a "
             "first-divergence event diff if any metrics fingerprint moves."
         ),
     )
@@ -422,8 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     # worker protocol (internal)
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--queue", default="calendar", help=argparse.SUPPRESS)
-    parser.add_argument("--delivery", default="batched", help=argparse.SUPPRESS)
     parser.add_argument("--telemetry", type=int, default=0, help=argparse.SUPPRESS)
     parser.add_argument("--trace-out", default=None, help=argparse.SUPPRESS)
     return parser

@@ -38,11 +38,6 @@ import random
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Mapping, Set
 
-try:  # vectorized candidate scan; the pure-python path covers absence
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
-
 from repro.core.custody import SlotCellState
 from repro.core.seeding import LineBoost
 from repro.obs.events import TraceRecorder
@@ -190,7 +185,6 @@ class AdaptiveFetcher:
         "max_cells_per_query",
         "queried",
         "query_round",
-        "_cust_arrays",
         "rounds",
         "started",
         "finished",
@@ -282,8 +276,6 @@ class AdaptiveFetcher:
         self.max_cells_per_query = max_cells_per_query
         self.queried: set[int] = set()
         self.query_round: dict[int, int] = {}
-        # per-line custodian lists as int64 arrays (vectorized scan)
-        self._cust_arrays: dict[int, object] = {}
         self.rounds: list[RoundStats] = []
         self.started = False
         self.finished = False
@@ -631,10 +623,7 @@ class AdaptiveFetcher:
                 missing_by_line[col_line] = {cid}
             else:
                 bucket.add(cid)
-        if _np is not None and len(missing_by_line) > 8:
-            candidates = self._scan_candidates_np(missing_by_line)
-        else:
-            candidates = self._scan_candidates_py(missing_by_line)
+        candidates = self._scan_candidates(missing_by_line)
         boosted: dict[int, frozenset[int]] = {}
         for line_boost in self.boost.values():
             for peer, seeded in line_boost.seeded.items():
@@ -650,10 +639,13 @@ class AdaptiveFetcher:
         candidates.update(boosted)
         return candidates, boosted
 
-    def _scan_candidates_py(
+    def _scan_candidates(
         self, missing_by_line: dict[int, set[int]]
     ) -> dict[int, Set[int]]:
-        """Pure-python candidate scan (reference path, small inputs).
+        """Queryable custodians of the missing lines, with their cells.
+
+        Skips ourselves, peers already queried and peers ``exclude_peer``
+        rejects (asked at most once per peer per scan).
 
         Gathers each peer's missing lines first (first-encounter order),
         then materializes cell sets once per peer: most custodians share
@@ -686,79 +678,6 @@ class AdaptiveFetcher:
         union_cache: dict[tuple[int, ...], set[int]] = {}
         for peer, lines in peer_lines.items():
             candidates[peer] = self._peer_cells(lines, missing_by_line, union_cache)
-        return candidates
-
-    def _scan_candidates_np(
-        self, missing_by_line: dict[int, set[int]]
-    ) -> dict[int, Set[int]]:
-        """Vectorized candidate scan, equivalent to the python path.
-
-        At scale the (missing line, custodian) pair stream is tens of
-        thousands of entries per round; the dedup into first-encounter
-        peer order is done with array ops instead of a python loop.
-        ``np.unique(..., return_index=True)`` yields each peer's first
-        pair index, so sorting unique peers by that index reproduces
-        the exact insertion order of the reference scan.
-        """
-        np = _np
-        arrays = self._cust_arrays
-        line_custodians = self.line_custodians
-        per_line = []
-        lines_used = []
-        for line in missing_by_line:
-            arr = arrays.get(line)
-            if arr is None:
-                arr = arrays[line] = np.asarray(line_custodians(line), dtype=np.int64)
-            if arr.shape[0]:
-                per_line.append(arr)
-                lines_used.append(line)
-        if not per_line:
-            return {}
-        peers = np.concatenate(per_line)
-        counts = np.fromiter(
-            (a.shape[0] for a in per_line), dtype=np.int64, count=len(per_line)
-        )
-        line_ids = np.repeat(
-            np.fromiter(lines_used, dtype=np.int64, count=len(lines_used)), counts
-        )
-        bound = int(peers.max()) + 1
-        skipmask = np.zeros(bound, dtype=bool)
-        queried = self.queried
-        if queried:
-            qa = np.fromiter(queried, dtype=np.int64, count=len(queried))
-            skipmask[qa[qa < bound]] = True
-        if self.self_id < bound:
-            skipmask[self.self_id] = True
-        keep = ~skipmask[peers]
-        peers = peers[keep]
-        if not peers.shape[0]:
-            return {}
-        line_ids = line_ids[keep]
-        uniq, first_idx = np.unique(peers, return_index=True)
-        encounter = uniq[np.argsort(first_idx)]
-        order = np.argsort(peers, kind="stable")
-        sorted_peers = peers[order]
-        sorted_lines = line_ids[order].tolist()
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_peers[1:] != sorted_peers[:-1]))
-        )
-        ends = np.concatenate((starts[1:], [sorted_peers.shape[0]]))
-        spans: dict[int, tuple[int, int]] = {}
-        span_peers = sorted_peers[starts].tolist()
-        starts_list = starts.tolist()
-        ends_list = ends.tolist()
-        for i, peer in enumerate(span_peers):
-            spans[peer] = (starts_list[i], ends_list[i])
-        exclude = self.exclude_peer
-        candidates: dict[int, Set[int]] = {}
-        union_cache: dict[tuple[int, ...], set[int]] = {}
-        for peer in encounter.tolist():
-            if exclude is not None and exclude(peer):
-                continue
-            start, end = spans[peer]
-            candidates[peer] = self._peer_cells(
-                sorted_lines[start:end], missing_by_line, union_cache
-            )
         return candidates
 
     @staticmethod

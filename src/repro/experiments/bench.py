@@ -47,8 +47,10 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 # The last measurement of the engine before the scale-up refactors
-# (calendar queue, batched transport, slotted node state, vectorized
-# candidate scan): one full-parameter 1,000-node PANDAS slot, seed 7.
+# (slotted node state, shared candidate sets, hot-path fixes): one
+# full-parameter 1,000-node PANDAS slot, seed 7. The calendar queue,
+# batched transport and numpy candidate scan that the same refactors
+# added were later deleted as within noise or slower (DESIGN.md §4).
 # Kept here so every snapshot reports its speedup against a fixed,
 # documented origin rather than a moving target.
 PRE_SCALE_UP_BASELINE: dict[str, float] = {

@@ -83,13 +83,6 @@ class ScenarioConfig:
     # neutrality contract as the tracer — fingerprints are pinned
     # bit-identical with telemetry on or off
     telemetry: Telemetry | None = None
-    # event-queue backend ("calendar" or "heap") and transport delivery
-    # scheduling ("batched" or "per-datagram"): both pairs execute
-    # bit-identically — the scale-regression and transport-conformance
-    # suites pin it — and exist so those suites (and A/B perf runs) can
-    # select either side from config
-    queue: str = "calendar"
-    delivery: str = "batched"
     # bounded per-endpoint transport queues (None = legacy unbounded);
     # overflowing datagrams are tail-dropped with reason "overflow" and
     # the I5 backlog invariant enforces the bound when check_invariants
@@ -117,7 +110,7 @@ class BaseScenario:
 
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
-        self.sim = Simulator(queue=config.queue)
+        self.sim = Simulator()
         self.rngs = RngRegistry(config.seed)
         self.latency = config.make_latency()
         self.network = Network(
@@ -125,7 +118,6 @@ class BaseScenario:
             self.latency,
             config.loss_rate,
             self.rngs.stream("loss"),
-            delivery=config.delivery,
             max_inbox=config.max_inbox,
         )
         self.metrics = MetricsRecorder()

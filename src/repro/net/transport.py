@@ -12,54 +12,27 @@ The transport reproduces exactly that contract:
 - datagrams to unregistered/destroyed addresses vanish silently, which
   models departed nodes that are still present in stale views.
 
-Delivery scheduling has two modes (``delivery=`` constructor knob):
-
-- ``"batched"`` (default): each endpoint keeps one sorted pending
-  queue (inbox) of in-flight datagrams and at most **one** scheduled
-  simulator event per link, armed at the queue head. During a seeding
-  burst a receiver's downlink backlog is hundreds of datagrams;
-  batching keeps the simulator queue small instead of holding one
-  event per in-flight datagram.
-- ``"per-datagram"``: the original one-event-per-datagram scheduling,
-  kept as the conformance oracle — the batched-transport test suite
-  pins that both modes produce identical metrics snapshots under
-  loss, duplication, jitter and partition faults.
-
-Batched mode is *bit-identical* to per-datagram mode, including tie
-order against unrelated simulator events: every datagram copy reserves
-its engine sequence number at send time (``Simulator.reserve_seq``),
-exactly when per-datagram mode would have scheduled its delivery
-event, and the armed event replays the head's reserved ``(time, seq)``
-key. One fired event delivers a run of consecutive entries only when
-nothing can sort between them — same timestamp and adjacent sequence
-numbers — so handler interleaving is provably unchanged at any scale.
+Every datagram copy that survives send-time resolution is one
+simulator event at its delivery instant (``Network._deliver``), so
+deliveries interleave with every other event by the engine's
+``(time, seq)`` order and the transport keeps no reference to a
+datagram once it is delivered.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable
 from typing import Any
 
 from repro.net.latency import LatencyModel
 from repro.net.link import AccessLink
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 
-__all__ = ["Datagram", "Endpoint", "Network", "DEFAULT_LOSS_RATE", "DELIVERY_MODES"]
+__all__ = ["Datagram", "Endpoint", "Network", "DEFAULT_LOSS_RATE"]
 
 DEFAULT_LOSS_RATE = 0.03  # observed UDP loss in the paper's cluster
-
-DELIVERY_MODES = ("batched", "per-datagram")
-
-# One in-flight datagram on a link queue: (delivered_at, reserved
-# engine seq, dgram). Inbox order IS global pop order for these keys.
-_Pending = tuple[float, int, "Datagram"]
-
-# Compact the consumed prefix of an inbox once it grows past this many
-# entries (amortized O(1); avoids O(n) list surgery per delivery).
-_COMPACT_THRESHOLD = 256
 
 
 @dataclass(slots=True)
@@ -88,16 +61,9 @@ class Endpoint:
     link: AccessLink
     handler: Callable[[Datagram], None]
     alive: bool = True
-    # batched delivery state: the sorted pending queue (valid from
-    # inbox_head on) and the single armed delivery event, if any
-    inbox: list[_Pending] = field(default_factory=list)
-    inbox_head: int = 0
-    inbox_event: Event | None = None
     # in-flight datagram count toward this endpoint — the live queue
-    # depth. Maintained identically in both delivery modes (batched
-    # mode's live inbox length equals it by construction), so the
-    # ``max_inbox`` overflow policy drops the very same datagrams in
-    # both modes and the mode-equivalence fingerprint pins still hold.
+    # depth that the ``max_inbox`` overflow policy and the I5 backlog
+    # gauge read
     in_flight: int = 0
     # datagrams this endpoint rejected because its queue was full
     overflowed: int = 0
@@ -117,22 +83,16 @@ class Network:
         latency: LatencyModel,
         loss_rate: float = DEFAULT_LOSS_RATE,
         rng: random.Random | None = None,
-        delivery: str = "batched",
         max_inbox: int | None = None,
     ) -> None:
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
-        if delivery not in DELIVERY_MODES:
-            raise ValueError(
-                f"unknown delivery mode {delivery!r}; choose from {DELIVERY_MODES}"
-            )
         if max_inbox is not None and max_inbox <= 0:
             raise ValueError(f"max_inbox must be positive or None, got {max_inbox}")
         self.sim = sim
         self.latency = latency
         self.loss_rate = loss_rate
         self.rng = rng if rng is not None else random.Random(0)
-        self.delivery = delivery
         # Bound on in-flight datagrams per endpoint. ``None`` is the
         # legacy unbounded queue; with a limit, a datagram arriving at
         # a full queue is dropped at send-resolution time with reason
@@ -216,8 +176,8 @@ class Network:
     def queue_depth(self, address: int) -> int:
         """Live in-flight datagram count toward ``address`` (0 if unknown).
 
-        Identical in both delivery modes; this is the gauge the I5
-        backlog invariant and the overload metrics sample.
+        This is the gauge the I5 backlog invariant and the overload
+        metrics sample.
         """
         endpoint = self._endpoints.get(address)
         return 0 if endpoint is None else endpoint.in_flight
@@ -270,7 +230,6 @@ class Network:
                 self._drop(dgram, "fault")
                 return
         arrival = departure + self.latency.one_way(sender.vertex, receiver.vertex)
-        batched = self.delivery == "batched"
         max_inbox = self.max_inbox
         for copy_index, extra in enumerate(extra_delays):
             if max_inbox is not None and receiver.in_flight >= max_inbox:
@@ -285,10 +244,7 @@ class Network:
                 self.datagrams_duplicated += 1
             receiver.in_flight += 1
             delivered_at = receiver.link.reserve_downlink(arrival + extra, size)
-            if batched:
-                self._enqueue(receiver, delivered_at, dgram)
-            else:
-                self.sim.call_at(delivered_at, self._deliver, receiver, dgram)
+            self.sim.call_at(delivered_at, self._deliver, receiver, dgram)
 
     def _drop(self, dgram: Datagram, reason: str) -> None:
         """Account one lost datagram and notify drop observers."""
@@ -305,98 +261,3 @@ class Network:
         for observer in self.on_deliver:
             observer(dgram)
         receiver.handler(dgram)
-
-    # ------------------------------------------------------------------
-    # batched delivery
-    # ------------------------------------------------------------------
-    def _enqueue(self, receiver: Endpoint, delivered_at: float, dgram: Datagram) -> None:
-        """Queue one in-flight datagram on the receiver's link.
-
-        The entry's tie-break is an engine seq reserved *now* — the
-        instant per-datagram mode would have scheduled the delivery —
-        so inbox order equals global pop order. Shaped links hand out
-        monotone delivery times, so the common case is a plain append;
-        unshaped links (unit harnesses) and jittered duplicates may
-        interleave, handled by an insort into the live suffix. The
-        single armed event always replays the head's (time, seq) key.
-        """
-        inbox = receiver.inbox
-        entry = (delivered_at, self.sim.reserve_seq(), dgram)
-        if inbox and entry < inbox[-1]:
-            insort(inbox, entry, lo=receiver.inbox_head)
-        else:
-            inbox.append(entry)
-        armed = receiver.inbox_event
-        head_time, head_seq, _ = inbox[receiver.inbox_head]
-        if armed is None:
-            receiver.inbox_event = self.sim.call_at(
-                head_time, self._deliver_batch, receiver, seq=head_seq
-            )
-        elif (head_time, head_seq) < (armed.time, armed.seq):
-            # a faster copy (jitter, unshaped link) now leads the queue
-            armed.cancel()
-            receiver.inbox_event = self.sim.call_at(
-                head_time, self._deliver_batch, receiver, seq=head_seq
-            )
-
-    def _deliver_batch(self, receiver: Endpoint) -> None:
-        """Deliver the inbox head, plus any provably adjacent entries.
-
-        A trailing entry joins the batch only if it shares the head's
-        timestamp and the sequence numbers are consecutive — then no
-        other simulator event can sort between the two deliveries, so
-        merging them into one callback is unobservable. Anything else
-        is re-armed under its own reserved (time, seq) key, preserving
-        exact interleaving with unrelated same-instant events.
-        """
-        receiver.inbox_event = None
-        inbox = receiver.inbox
-        head = receiver.inbox_head
-        now = self.sim.now
-        size = len(inbox)
-        batch_start = head
-        last_seq = inbox[head][1]
-        head += 1
-        while head < size:
-            when, seq, _ = inbox[head]
-            # Exact equality is the merge correctness condition: only a
-            # bit-identical instant with adjacent seqs can share one
-            # event without reordering against other same-time events.
-            # reprolint: disable=RL005 -- intentional exact-tie match, see above
-            if when != now or seq != last_seq + 1:
-                break
-            last_seq = seq
-            head += 1
-        batch = [inbox[i][2] for i in range(batch_start, head)]
-        if head >= size:
-            inbox.clear()
-            receiver.inbox_head = 0
-        elif head >= _COMPACT_THRESHOLD:
-            del inbox[:head]
-            receiver.inbox_head = 0
-        else:
-            receiver.inbox_head = head
-        for dgram in batch:
-            # handlers run with the same per-datagram semantics as the
-            # one-event-per-datagram mode, including late-death drops
-            # and the one-at-a-time in_flight decrement (a handler that
-            # sends back to this endpoint must see the same queue depth
-            # in both modes, or max_inbox would drop different copies)
-            receiver.in_flight -= 1
-            if not receiver.alive:
-                self._drop(dgram, "dead_late")
-                continue
-            self.datagrams_delivered += 1
-            for observer in self.on_deliver:
-                observer(dgram)
-            receiver.handler(dgram)
-        # a handler may have sent to this same endpoint and re-armed the
-        # delivery event; only arm here if the queue is idle with backlog
-        if receiver.inbox_event is None:
-            inbox = receiver.inbox
-            head = receiver.inbox_head
-            if head < len(inbox):
-                when, seq, _ = inbox[head]
-                receiver.inbox_event = self.sim.call_at(
-                    when, self._deliver_batch, receiver, seq=seq
-                )

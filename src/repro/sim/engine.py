@@ -1,29 +1,16 @@
 """Discrete-event simulation engine.
 
 The engine is the base substrate for every experiment in this
-reproduction: it provides a virtual clock (in seconds, float), a
-calendar event queue and cancellable timers. Protocol logic is written
-as plain callbacks, mirroring the one-way, connectionless (UDP) style
-of PANDAS: nothing blocks, everything is timer- or message-driven.
+reproduction: it provides a virtual clock (in seconds, float), an
+event queue and cancellable timers. Protocol logic is written as plain
+callbacks, mirroring the one-way, connectionless (UDP) style of
+PANDAS: nothing blocks, everything is timer- or message-driven.
 
 Determinism: two runs with the same seeds execute events in the same
-order. Ties on the timestamp are broken by a monotonically increasing
-sequence number assigned at scheduling time — the pop order is the
-total order on ``(time, seq)`` regardless of the queue backend.
-
-Queue backends
---------------
-
-``queue="calendar"`` (default) buckets events by integer tick
-(``int(time * TICKS_PER_SECOND)``) and keeps a heap of non-empty tick
-ids plus a small per-bucket heap. Pushes and pops then cost
-``O(log bucket)`` instead of ``O(log total)``, and the per-entry
-comparisons are C-level tuple compares — the difference between ~10k
-and >100k events/sec at multi-thousand-node scale.
-
-``queue="heap"`` is the original single binary heap, kept as an
-equivalence oracle: both backends pop the exact same ``(time, seq)``
-sequence, which the scale-regression suite pins with a property test.
+order. Pending events live in one binary heap of ``(time, seq, event)``
+entries; ties on the timestamp are broken by a monotonically
+increasing sequence number assigned at scheduling time, so the pop
+order is the total order on ``(time, seq)``.
 """
 
 from __future__ import annotations
@@ -41,13 +28,7 @@ __all__ = [
     "SimProfiler",
     "Simulator",
     "SimulationError",
-    "TICKS_PER_SECOND",
 ]
-
-# Bucket granularity of the calendar queue. ~1 ms buckets: fine enough
-# that a busy slot spreads over thousands of buckets, coarse enough
-# that bucket bookkeeping stays negligible.
-TICKS_PER_SECOND = 1024
 
 # A queue entry is (time, seq, event); comparisons never reach the
 # Event because seq is unique.
@@ -136,92 +117,6 @@ class Event:
         return f"Event(t={self.time:.6f}, seq={self.seq}{state})"
 
 
-class _HeapQueue:
-    """The original single binary heap over ``(time, seq, event)``."""
-
-    __slots__ = ("_entries",)
-
-    def __init__(self) -> None:
-        self._entries: list[_Entry] = []
-
-    def push(self, entry: _Entry) -> None:
-        heapq.heappush(self._entries, entry)
-
-    def pop(self) -> _Entry | None:
-        if self._entries:
-            return heapq.heappop(self._entries)
-        return None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[Event]:
-        for entry in self._entries:
-            yield entry[2]
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-class _CalendarQueue:
-    """Calendar queue: per-tick buckets plus a heap of non-empty ticks.
-
-    Correctness: tick ids are monotone in time, so draining the
-    smallest tick's bucket (itself a heap over ``(time, seq, event)``)
-    before advancing yields the globally smallest entry — the pop
-    sequence is identical to a single heap over all entries.
-    """
-
-    __slots__ = ("_buckets", "_ticks", "_len")
-
-    def __init__(self) -> None:
-        self._buckets: dict[int, list[_Entry]] = {}
-        self._ticks: list[int] = []
-        self._len = 0
-
-    def push(self, entry: _Entry) -> None:
-        tick = int(entry[0] * TICKS_PER_SECOND)
-        bucket = self._buckets.get(tick)
-        if bucket is None:
-            self._buckets[tick] = [entry]
-            heapq.heappush(self._ticks, tick)
-        else:
-            heapq.heappush(bucket, entry)
-        self._len += 1
-
-    def pop(self) -> _Entry | None:
-        ticks = self._ticks
-        buckets = self._buckets
-        while ticks:
-            bucket = buckets[ticks[0]]
-            if bucket:
-                self._len -= 1
-                if len(bucket) == 1:
-                    return bucket.pop()
-                return heapq.heappop(bucket)
-            del buckets[heapq.heappop(ticks)]
-        return None
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __iter__(self) -> Iterator[Event]:
-        for bucket in self._buckets.values():
-            for entry in bucket:
-                yield entry[2]
-
-    def clear(self) -> None:
-        self._buckets.clear()
-        self._ticks.clear()
-        self._len = 0
-
-
-_QUEUES: dict[str, type[_HeapQueue] | type[_CalendarQueue]] = {
-    "heap": _HeapQueue,
-    "calendar": _CalendarQueue,
-}
-
-
 class Simulator:
     """A minimal, fast discrete-event simulator.
 
@@ -233,22 +128,10 @@ class Simulator:
 
     The clock unit is the second; all PANDAS timings in the paper
     (400 ms rounds, 4 s deadline, 12 s slots) map naturally.
-
-    ``queue`` selects the event-queue backend: ``"calendar"``
-    (default) or ``"heap"`` (the pre-scale-up binary heap, kept as an
-    equivalence oracle for testing). Both execute events in the exact
-    same order.
     """
 
-    def __init__(self, queue: str = "calendar") -> None:
-        try:
-            queue_cls = _QUEUES[queue]
-        except KeyError:
-            raise SimulationError(
-                f"unknown queue backend {queue!r}; choose from {sorted(_QUEUES)}"
-            ) from None
-        self._queue_kind = queue
-        self._queue: _HeapQueue | _CalendarQueue = queue_cls()
+    def __init__(self) -> None:
+        self._queue: list[_Entry] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
@@ -276,18 +159,13 @@ class Simulator:
         """Number of events still queued (including cancelled)."""
         return len(self._queue)
 
-    @property
-    def queue_kind(self) -> str:
-        """Name of the active queue backend (``calendar`` or ``heap``)."""
-        return self._queue_kind
-
     def iter_pending(self) -> Iterator[Event]:
         """Iterate over queued events (including cancelled ones).
 
         Order is unspecified — this is an inspection hook for
         invariant checkers, not an execution preview.
         """
-        return iter(self._queue)
+        return (entry[2] for entry in self._queue)
 
     # ------------------------------------------------------------------
     # profiling
@@ -308,45 +186,21 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def reserve_seq(self) -> int:
-        """Allocate the next tie-break sequence number without scheduling.
-
-        Fixes an event's position in the ``(time, seq)`` total order at
-        decision time so it can be scheduled later via
-        ``call_at(..., seq=...)``. The batched transport reserves pop
-        order for every in-flight datagram at *send* time while keeping
-        a single armed event per endpoint — making its delivery
-        interleaving bit-identical to one-event-per-datagram
-        scheduling, including exact-time ties against unrelated events.
-
-        Each reserved number must be used for at most one scheduled
-        event; reuse would forge duplicate ``(time, seq)`` keys.
-        """
-        return next(self._seq)
-
     def call_at(
-        self,
-        when: float,
-        callback: Callable[..., object],
-        *args: object,
-        seq: int | None = None,
+        self, when: float, callback: Callable[..., object], *args: object
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute time ``when``.
 
         Scheduling in the past raises ``SimulationError``: silent
         time-travel is a classic source of non-reproducible runs.
-
-        ``seq`` replays a number from :meth:`reserve_seq`; by default a
-        fresh one is allocated here.
         """
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule event at {when:.6f}, now is {self._now:.6f}"
             )
-        if seq is None:
-            seq = next(self._seq)
+        seq = next(self._seq)
         event = Event(when, seq, callback, args)
-        self._queue.push((when, seq, event))
+        heapq.heappush(self._queue, (when, seq, event))
         return event
 
     def call_after(
@@ -363,10 +217,8 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next active event. Returns False when idle."""
         queue = self._queue
-        while True:
-            entry = queue.pop()
-            if entry is None:
-                return False
+        while queue:
+            entry = heapq.heappop(queue)
             event = entry[2]
             if event.cancelled:
                 continue
@@ -377,6 +229,7 @@ class Simulator:
             else:
                 self._profiler.run(event.callback, *event.args)
             return True
+        return False
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run until the queue drains, ``until`` is reached, or
@@ -391,11 +244,10 @@ class Simulator:
         self._running = True
         executed = 0
         queue = self._queue
+        heappop = heapq.heappop
         try:
-            while True:
-                entry = queue.pop()
-                if entry is None:
-                    break
+            while queue:
+                entry = heappop(queue)
                 event = entry[2]
                 # Single cancelled-discard path: a popped cancelled
                 # event is dropped no matter where the run stops, so
@@ -407,7 +259,7 @@ class Simulator:
                 ):
                     # Re-queue under the same (time, seq): order of the
                     # remaining events is untouched.
-                    queue.push(entry)
+                    heapq.heappush(queue, entry)
                     break
                 self._now = entry[0]
                 self._events_processed += 1

@@ -43,16 +43,13 @@ class TestVariantMatrix:
             "baseline",
             "baseline",
             "baseline",
-            "heap-queue",
-            "per-datagram",
             "telemetry-on",
         ]
         assert [v.hash_seed for v in variants[:3]] == [0, 1, 2]
-        # perturbation variants all run under the first hash seed
-        assert {v.hash_seed for v in variants[3:]} == {0}
-        assert variants[3].queue == "heap"
-        assert variants[4].delivery == "per-datagram"
-        assert variants[5].telemetry
+        assert not any(v.telemetry for v in variants[:3])
+        # the telemetry toggle runs under the first hash seed
+        assert variants[3].hash_seed == 0
+        assert variants[3].telemetry
 
     def test_scenarios_registered(self):
         assert set(detsan.SCENARIOS) == {"pandas-100", "pipeline-3"}
@@ -89,7 +86,7 @@ class TestDivergenceReporting:
         write_trace(a, [EV1, EV2])
         write_trace(b, [EV1, EV2_DIVERGED])
         base = RunResult(Variant("baseline"), "aaaa", 100, str(a))
-        dev = RunResult(Variant("heap-queue", queue="heap"), "bbbb", 100, str(b))
+        dev = RunResult(Variant("telemetry-on", telemetry=True), "bbbb", 100, str(b))
         return base, dev
 
     def test_check_scenario_reports_divergence(self, tmp_path, monkeypatch):
@@ -112,7 +109,7 @@ class TestDivergenceReporting:
         [divergence] = report.divergences
         assert divergence.event_index == 1
         text = divergence.describe()
-        assert "fingerprint diverged under heap-queue" in text
+        assert "fingerprint diverged under telemetry-on" in text
         assert "first divergence at trace event #1" in text
         assert '"node": 4' in text
 
@@ -163,8 +160,8 @@ class TestCli:
 @pytest.mark.slow
 class TestEndToEnd:
     def test_pipeline_smoke_single_seed(self, tmp_path, capsys):
-        """One real subprocess sweep: baseline + the three perturbation
-        variants of the cheap scenario under one hash seed."""
+        """One real subprocess sweep: baseline + the telemetry-on
+        variant of the cheap scenario under one hash seed."""
         code = detsan.run(
             [
                 "--scenario",
@@ -180,11 +177,11 @@ class TestEndToEnd:
         assert code == 0
         assert payload["ok"] is True
         runs = payload["scenarios"]["pipeline-3"]
-        assert len(runs) == 4
+        assert len(runs) == 2
         assert len({r["fingerprint"] for r in runs}) == 1
         # the traces back the fingerprints: all runs recorded events
         traces = list((tmp_path / "traces").glob("*.jsonl"))
-        assert len(traces) == 4
+        assert len(traces) == 2
         assert all(t.stat().st_size > 0 for t in traces)
 
     def test_worker_protocol(self, capsys):
@@ -193,10 +190,8 @@ class TestEndToEnd:
                 "--worker",
                 "--scenario",
                 "pipeline-3",
-                "--queue",
-                "calendar",
-                "--delivery",
-                "batched",
+                "--telemetry",
+                "1",
             ]
         )
         payload = json.loads(capsys.readouterr().out)

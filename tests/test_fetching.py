@@ -152,6 +152,50 @@ class TestRoundTargets:
         assert fetcher.round_targets() == {40}
 
 
+class TestScanCandidates:
+    """``_scan_candidates``: which custodians are offered which cells."""
+
+    def test_peers_in_first_encounter_order(self):
+        custodians = {5: [30, 10, 20], 7: [40, 10, 50]}
+        fetcher, _state, _sim, _sent = make_fetcher(custodians=custodians)
+        candidates = fetcher._scan_candidates({5: {1, 2}, 7: {3}})
+        assert list(candidates) == [30, 10, 20, 40, 50]
+
+    def test_self_queried_and_excluded_peers_skipped(self):
+        asked = []
+
+        def exclude(peer):
+            asked.append(peer)
+            return peer == 20
+
+        custodians = {5: [999, 10, 20, 30], 7: [20, 30, 999, 10, 40]}
+        fetcher, _state, _sim, _sent = make_fetcher(
+            custodians=custodians, exclude_peer=exclude
+        )
+        fetcher.queried.add(10)
+        candidates = fetcher._scan_candidates({5: {1}, 7: {2}})
+        assert list(candidates) == [30, 40]
+        # self (999) and queried (10) never reach the filter; the rest
+        # are asked once each, however many lines they share with us
+        assert asked == [20, 30, 40]
+
+    def test_single_line_peer_gets_the_line_set_itself(self):
+        fetcher, _state, _sim, _sent = make_fetcher(custodians={5: [10], 7: [11]})
+        missing_by_line = {5: {1, 2}, 7: {3}}
+        candidates = fetcher._scan_candidates(missing_by_line)
+        assert candidates[10] is missing_by_line[5]
+        assert candidates[11] is missing_by_line[7]
+
+    def test_peers_on_the_same_lines_share_one_union(self):
+        custodians = {5: [10, 11, 12], 7: [10, 11]}
+        fetcher, _state, _sim, _sent = make_fetcher(custodians=custodians)
+        missing_by_line = {5: {1, 2}, 7: {3}}
+        candidates = fetcher._scan_candidates(missing_by_line)
+        assert candidates[10] == {1, 2, 3}
+        assert candidates[10] is candidates[11]
+        assert candidates[12] is missing_by_line[5]
+
+
 class TestRounds:
     def test_round_schedule_timing(self):
         custodians = {line: [1, 2, 3, 4, 5, 6, 7, 8] for line in range(32)}

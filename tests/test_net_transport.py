@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import weakref
 
 import pytest
 
@@ -176,24 +177,90 @@ def test_counters(sim, lossless_network):
 
 
 # ----------------------------------------------------------------------
+# delivery events: one per datagram copy, in (time, seq) order
+# ----------------------------------------------------------------------
+def _logged_pair(sim, net):
+    """Endpoints 1 and 2 on unshaped links, logging (now, address, payload)."""
+    log = []
+    for addr in (1, 2):
+        net.register(addr, addr, lambda d, a=addr: log.append((sim.now, a, d.payload)), None, None)
+    return log
+
+
+def test_unshaped_same_instant_ties_preserve_send_order(sim, lossless_network):
+    net = lossless_network
+    log = _logged_pair(sim, net)
+    # identical latency and no shaping: all four arrive at the same instant
+    for i in range(4):
+        net.send(1, 2, f"m{i}", 100)
+    sim.run()
+    assert [p for (_, _, p) in log] == ["m0", "m1", "m2", "m3"]
+    assert net.datagrams_delivered == 4
+
+
+def test_tie_interleaves_with_unrelated_timer(sim, lossless_network):
+    """A timer scheduled between two same-instant sends fires between
+    their deliveries: each delivery is ordered by the seq it got at send."""
+    net = lossless_network
+    log = _logged_pair(sim, net)
+    net.send(1, 2, "first", 100)
+    sim.call_at(0.01, lambda: log.append((sim.now, "timer", None)))
+    net.send(1, 2, "second", 100)
+    sim.run()
+    assert [entry[1] for entry in log] == [2, "timer", 2]
+    assert [p for (_, _, p) in log] == ["first", None, "second"]
+
+
+def test_receiver_dying_in_flight_drops_dead_late(sim, lossless_network):
+    net = lossless_network
+    log = _logged_pair(sim, net)
+    drops = []
+    net.on_drop.append(lambda d, reason: drops.append((d.payload, reason)))
+    net.send(1, 2, "doomed", 100)
+    sim.call_at(0.005, net.kill, 2)  # dies while the datagram is in flight
+    sim.run()
+    assert log == []
+    assert drops == [("doomed", "dead_late")]
+    assert (net.datagrams_lost, net.datagrams_delivered) == (1, 0)
+
+
+class _Payload:
+    """A payload a weak reference can observe."""
+
+
+def test_delivered_datagram_is_released(sim, lossless_network):
+    """Once delivered, a datagram is not kept alive by the transport
+    while later datagrams to the same endpoint are still in flight."""
+    net = lossless_network
+    for addr in (1, 2):
+        net.register(addr, addr, lambda d: None, None, None)
+    payloads = [_Payload() for _ in range(3)]
+    first = weakref.ref(payloads[0])
+    for i, payload in enumerate(payloads):
+        sim.call_at(i * 0.001, net.send, 1, 2, payload, 100)
+    del payload, payloads
+    sim.run(until=0.0105)
+    assert net.datagrams_delivered == 1
+    assert first() is None
+
+
+# ----------------------------------------------------------------------
 # bounded inbox (max_inbox) — the transport half of invariant I5
 # ----------------------------------------------------------------------
 
-def _bounded_network(sim, max_inbox, delivery="batched", loss=0.0, seed=7):
+def _bounded_network(sim, max_inbox, loss=0.0, seed=7):
     return Network(
         sim,
         ConstantLatency(0.01, 16),
         loss_rate=loss,
         rng=random.Random(seed),
-        delivery=delivery,
         max_inbox=max_inbox,
     )
 
 
 class TestBoundedInbox:
-    @pytest.mark.parametrize("delivery", ["batched", "per-datagram"])
-    def test_excess_concurrent_sends_tail_drop(self, sim, delivery):
-        net = _bounded_network(sim, max_inbox=3, delivery=delivery)
+    def test_excess_concurrent_sends_tail_drop(self, sim):
+        net = _bounded_network(sim, max_inbox=3)
         inbox = _register_sink(net, 1)
         _register_sink(net, 2)
         for i in range(8):
@@ -242,27 +309,19 @@ class TestBoundedInbox:
         assert net.datagrams_overflowed == 1
         assert net.datagrams_duplicated == 0  # the dropped copy is not counted
 
-    def test_modes_drop_identical_datagrams(self, sim):
-        from repro.sim.engine import Simulator
-
-        outcomes = []
-        for delivery in ("batched", "per-datagram"):
-            local = Simulator()
-            net = _bounded_network(local, max_inbox=4, delivery=delivery, loss=0.2)
-            inbox = _register_sink(net, 1)
-            _register_sink(net, 2)
-            for i in range(40):
-                net.send(2, 1, i, 10)
-            local.run()
-            outcomes.append(
-                (
-                    [d.payload for d in inbox],
-                    net.datagrams_overflowed,
-                    net.datagrams_delivered,
-                    net.datagrams_lost,
-                )
-            )
-        assert outcomes[0] == outcomes[1]
+    def test_lossy_burst_overflows_expected_datagrams(self, sim):
+        # seeded loss thins the burst before the queue bound is checked:
+        # the first four survivors fit, every later survivor overflows
+        net = _bounded_network(sim, max_inbox=4, loss=0.2)
+        inbox = _register_sink(net, 1)
+        _register_sink(net, 2)
+        for i in range(40):
+            net.send(2, 1, i, 10)
+        sim.run()
+        assert [d.payload for d in inbox] == [0, 2, 4, 5]
+        assert net.datagrams_overflowed == 23
+        assert net.datagrams_delivered == 4
+        assert net.datagrams_lost == 36
 
     def test_max_queue_depth_tracks_live_peak(self, sim):
         net = _bounded_network(sim, max_inbox=None)

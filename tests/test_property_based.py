@@ -184,7 +184,7 @@ class TestSharedBoostMapEquivalence:
 def event_schedule(draw):
     """A batch of event times with deliberate tie mass, plus a subset
     to cancel. Times are snapped to a coarse grid so exact-equality
-    ties (the hard case for any bucketed queue) occur constantly."""
+    ties, which only the seq tie-break orders, occur constantly."""
     times = draw(
         st.lists(
             st.integers(min_value=0, max_value=5000).map(lambda t: t / 1000.0),
@@ -198,38 +198,25 @@ def event_schedule(draw):
     return times, cancel_mask
 
 
-class TestQueueBackendEquivalence:
+class TestQueuePopOrder:
     @FAST
     @given(event_schedule())
-    def test_calendar_matches_heap_pop_order(self, schedule):
+    def test_pop_order_is_sorted_schedule(self, schedule):
+        """The engine fires exactly the uncancelled events, in sorted
+        ``(time, seq)`` order: ties fire in scheduling order."""
         from repro.sim.engine import Simulator
 
         times, cancel_mask = schedule
-        orders = {}
-        for backend in ("calendar", "heap"):
-            sim = Simulator(queue=backend)
-            popped: list[tuple[float, int]] = []
-            events = []
-            for index, t in enumerate(times):
-                events.append(
-                    sim.call_at(t, lambda t=t, i=index: popped.append((t, i)))
-                )
-            for event, cancel in zip(events, cancel_mask):
-                if cancel:
-                    event.cancel()
-            sim.run()
-            orders[backend] = popped
-        assert orders["calendar"] == orders["heap"]
-        live = [t for t, cancel in zip(times, cancel_mask) if not cancel]
-        assert [t for t, _ in orders["calendar"]] == sorted(live)
-        # ties must fire in scheduling order
-        fired_ids = [i for _, i in orders["calendar"]]
-        by_time: dict[float, list[int]] = {}
-        for t, i in orders["calendar"]:
-            by_time.setdefault(t, []).append(i)
-        for ids in by_time.values():
-            assert ids == sorted(ids)
-        assert len(fired_ids) == len(live)
+        sim = Simulator()
+        popped: list[int] = []
+        events = [sim.call_at(t, lambda i=i: popped.append(i)) for i, t in enumerate(times)]
+        for event, cancel in zip(events, cancel_mask):
+            if cancel:
+                event.cancel()
+        sim.run()
+        fired = [(events[i].time, events[i].seq) for i in popped]
+        live = [(e.time, e.seq) for e, cancel in zip(events, cancel_mask) if not cancel]
+        assert fired == sorted(live)
 
 
 # ----------------------------------------------------------------------

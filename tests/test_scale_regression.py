@@ -1,15 +1,13 @@
 """Scale-regression suite: the engine's determinism contract at scale.
 
-Three pins protect the scale-up work (calendar queue, batched
-transport, slotted node state, vectorized planners):
+Three pins protect the engine, the transport and the fetcher at scale:
 
 1. cross-run determinism — the same configuration executed twice is
    bit-identical, at a population large enough to exercise the
-   vectorized candidate scan and the inbox machinery under load;
-2. backend equivalence — the calendar queue, the legacy binary heap,
-   batched delivery and per-datagram delivery all produce the same
-   metrics fingerprint (they are four implementations of one total
-   order);
+   candidate scan and the transport under load;
+2. pop order — the event queue fires exactly the uncancelled events
+   in sorted ``(time, seq)`` order, ties and lazy cancellation
+   included;
 3. an absolute replay anchor — a pinned fingerprint for a small dense
    scenario. If a change moves it, the change altered protocol
    behaviour, not just performance; either fix the change or update
@@ -24,8 +22,6 @@ from __future__ import annotations
 
 import os
 import random
-
-import pytest
 
 from repro.core.seeding import RedundantSeeding
 from repro.experiments.scenario import Scenario, ScenarioConfig
@@ -60,7 +56,7 @@ def reduced_scale_config(**overrides):
 
     The 4x-reduced grid keeps per-node work light so the test is
     dominated by population-scaling code paths (candidate scan over
-    hundreds of custodians, transport inboxes, calendar buckets).
+    hundreds of custodians, in-flight datagrams, the event queue).
     """
     defaults = dict(
         num_nodes=scale_nodes(),
@@ -84,47 +80,25 @@ def test_cross_run_determinism_at_scale():
 
 
 # ----------------------------------------------------------------------
-# 2. backend equivalence (queue x delivery)
+# 2. pop order
 # ----------------------------------------------------------------------
-def test_calendar_and_heap_agree_on_scenario():
-    calendar = Scenario(dense_config(queue="calendar")).run()
-    heap = Scenario(dense_config(queue="heap")).run()
-    assert calendar.metrics.fingerprint() == heap.metrics.fingerprint()
-    assert calendar.sim.events_processed == heap.sim.events_processed
-
-
-def test_all_backend_combinations_agree():
-    fingerprints = {
-        (queue, delivery): Scenario(dense_config(queue=queue, delivery=delivery))
-        .run()
-        .metrics.fingerprint()
-        for queue in ("calendar", "heap")
-        for delivery in ("batched", "per-datagram")
-    }
-    assert len(set(fingerprints.values())) == 1, fingerprints
-
-
-def test_queue_backends_pop_identically_randomized():
-    """Deterministic random schedule: both backends pop the exact same
-    (time, seq) sequence, including timestamp ties, sub-tick clusters
-    and lazily cancelled events."""
+def test_queue_pops_sorted_schedule_randomized():
+    """Deterministic random schedule: the queue pops the uncancelled
+    events in sorted (time, seq) order, including timestamp ties,
+    sub-millisecond clusters and lazily cancelled events."""
     rng = random.Random(1234)
     times = [round(rng.uniform(0.0, 2.0), rng.choice([1, 2, 3, 6])) for _ in range(600)]
-    times += [0.5] * 25 + [1.0 / 1024] * 25  # heavy ties, bucket-edge times
-    orders = {}
-    for backend in ("calendar", "heap"):
-        sim = Simulator(queue=backend)
-        popped: list[tuple[float, int]] = []
-        events = []
-        for t in times:
-            events.append(sim.call_at(t, lambda t=t: popped.append((t, sim.events_processed))))
-        cancel_rng = random.Random(99)
-        for event in cancel_rng.sample(events, 100):
-            event.cancel()
-        sim.run()
-        orders[backend] = popped
-    assert orders["calendar"] == orders["heap"]
-    assert len(orders["calendar"]) == len(times) - 100
+    times += [0.5] * 25 + [1.0 / 1024] * 25  # heavy ties
+    sim = Simulator()
+    popped: list[int] = []
+    events = [sim.call_at(t, lambda i=i: popped.append(i)) for i, t in enumerate(times)]
+    for event in random.Random(99).sample(events, 100):
+        event.cancel()
+    sim.run()
+    fired = [(events[i].time, events[i].seq) for i in popped]
+    live = [(e.time, e.seq) for e in events if not e.cancelled]
+    assert len(live) == len(times) - 100
+    assert fired == sorted(live)
 
 
 # ----------------------------------------------------------------------
@@ -132,10 +106,4 @@ def test_queue_backends_pop_identically_randomized():
 # ----------------------------------------------------------------------
 def test_dense_scenario_replay_pin():
     scenario = Scenario(dense_config()).run()
-    assert scenario.metrics.fingerprint() == DENSE_PIN
-
-
-@pytest.mark.parametrize("queue", ["calendar", "heap"])
-def test_replay_pin_is_backend_independent(queue):
-    scenario = Scenario(dense_config(queue=queue, delivery="per-datagram")).run()
     assert scenario.metrics.fingerprint() == DENSE_PIN

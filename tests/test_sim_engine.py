@@ -194,13 +194,11 @@ def test_determinism_across_instances():
 # ----------------------------------------------------------------------
 # cancellation at run boundaries
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("queue", ["calendar", "heap"])
-def test_cancelled_event_at_until_boundary_is_discarded(queue):
+def test_cancelled_event_at_until_boundary_is_discarded(sim):
     """A cancelled event popped exactly when ``until`` stops the run
     must be dropped, not re-queued: resuming the run later must not
     resurrect it. Regression test for the formerly duplicated
     cancelled-pop paths (one per stop condition)."""
-    sim = Simulator(queue=queue)
     fired = []
     doomed = sim.call_at(1.0, lambda: fired.append("doomed"))
     sim.call_at(1.0, lambda: fired.append("kept"))
@@ -212,9 +210,7 @@ def test_cancelled_event_at_until_boundary_is_discarded(queue):
     assert fired == ["kept", "late"]
 
 
-@pytest.mark.parametrize("queue", ["calendar", "heap"])
-def test_cancelled_event_at_max_events_boundary(queue):
-    sim = Simulator(queue=queue)
+def test_cancelled_event_at_max_events_boundary(sim):
     fired = []
     doomed = sim.call_at(0.5, lambda: fired.append("doomed"))
     doomed.cancel()
@@ -225,32 +221,3 @@ def test_cancelled_event_at_max_events_boundary(queue):
     assert sim.events_processed == 1
     sim.run()
     assert fired == ["a", "b"]
-
-
-# ----------------------------------------------------------------------
-# reserved sequence numbers
-# ----------------------------------------------------------------------
-def test_reserve_seq_fixes_tie_order(sim):
-    """An event scheduled late under a reserved seq sorts exactly where
-    a call_at at reservation time would have."""
-    fired = []
-    reserved = sim.reserve_seq()
-    sim.call_at(1.0, lambda: fired.append("second"))
-    sim.call_at(1.0, lambda: fired.append("reserved"), seq=reserved)
-    sim.run()
-    assert fired == ["reserved", "second"]
-
-
-def test_reserve_seq_advances_shared_counter(sim):
-    reserved = sim.reserve_seq()
-    event = sim.call_at(1.0, lambda: None)
-    assert event.seq == reserved + 1
-
-
-def test_reserved_seq_event_cancellable(sim):
-    fired = []
-    reserved = sim.reserve_seq()
-    event = sim.call_at(1.0, lambda: fired.append("x"), seq=reserved)
-    event.cancel()
-    sim.run()
-    assert fired == []
