@@ -9,12 +9,15 @@ of it.
 
 The example exercises the real byte-level pipeline:
 
-1. pack rollup batches into a blob and commit to it (KZG stand-in);
+1. pack rollup batches into a blob;
 2. erasure-extend the blob 2D (each line recovers from any half);
 3. scatter cells to simulated custodians, with a fraction lost;
-4. a rollup full node retrieves and verifies its batch from the
-   network's cells, reconstructing around the losses;
+4. a rollup full node retrieves its batch from the network's cells,
+   reconstructing around the losses;
 5. a withholding attack on the same blob is *detected* by sampling.
+
+Per-cell proof verification is not computed here: the simulator models
+it only as a per-cell delay (``PandasParams.cell_verify_seconds``).
 
 Run:  python examples/rollup_data_availability.py
 """
@@ -22,7 +25,6 @@ Run:  python examples/rollup_data_availability.py
 import json
 import random
 
-from repro.crypto.kzg import commit_blob, prove_cell, verify_cell
 from repro.das import false_positive_probability, required_samples
 from repro.erasure.blob import Blob, BlobReconstructionError, ExtendedBlob
 
@@ -52,13 +54,9 @@ def main() -> None:
     blob = Blob.from_bytes(payload, base_rows, base_cols, cell_bytes)
     print(f"rollup payload: {len(payload)} B in a {base_rows}x{base_cols} blob")
 
-    # -- 2. commitment + extension ------------------------------------
+    # -- 2. extension ---------------------------------------------------
     extended = blob.extend()
-    commitment = commit_blob(extended)
-    print(
-        f"extended to {extended.ext_rows}x{extended.ext_cols}; "
-        f"commitment {commitment.digest.hex()[:16]}..."
-    )
+    print(f"extended to {extended.ext_rows}x{extended.ext_cols}")
 
     # -- 3. scatter cells; the network loses 30% of them --------------
     surviving = {}
@@ -69,14 +67,6 @@ def main() -> None:
         f"network holds {len(surviving)} of "
         f"{extended.ext_rows * extended.ext_cols} cells after losses"
     )
-
-    # each surviving cell is individually verifiable against the
-    # commitment before a node accepts it (no corrupted data spreads)
-    sample_cid = next(iter(surviving))
-    proof = prove_cell(commitment, sample_cid, surviving[sample_cid])
-    assert verify_cell(commitment, sample_cid, surviving[sample_cid], proof)
-    assert not verify_cell(commitment, sample_cid, b"\x00" * cell_bytes, proof)
-    print("per-cell KZG proofs verify; corrupted cells are rejected")
 
     # -- 4. a rollup participant reconstructs the batch data ----------
     rebuilt = ExtendedBlob.reconstruct(surviving, base_rows, base_cols, cell_bytes)

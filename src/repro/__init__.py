@@ -9,9 +9,10 @@ Public API tour:
 - :mod:`repro.experiments` — scenario drivers and per-figure runners;
 - :mod:`repro.baselines` — GossipSub and Kademlia DAS baselines;
 - :mod:`repro.das` — sampling security math;
-- :mod:`repro.erasure`, :mod:`repro.crypto`, :mod:`repro.net`,
-  :mod:`repro.gossip`, :mod:`repro.dht`, :mod:`repro.consensus`,
-  :mod:`repro.sim` — the substrates everything runs on.
+- :mod:`repro.crypto`, :mod:`repro.net`, :mod:`repro.gossip`,
+  :mod:`repro.dht`, :mod:`repro.sim` — the substrates everything runs on;
+- :mod:`repro.erasure` — the byte-level Reed-Solomon codec, the oracle
+  the tests check the simulator's reconstruction shortcut against.
 """
 
 from repro.params import DEADLINE_SECONDS, SLOT_SECONDS, FetchSchedule, PandasParams

@@ -172,13 +172,11 @@ DEFAULT_ALLOWLISTS: dict[str, tuple[str, ...]] = {
     # The registry itself must touch ``random`` to build its streams.
     "RL001": ("sim/rng.py",),
     # Wall-clock profiling is the profiler's whole job; it never feeds
-    # simulated state (enforced by the behavior-neutrality tests). The
-    # bench runner likewise only *measures* wall time around whole
-    # runs; its fingerprints prove the timed behaviour is unchanged.
+    # simulated state (enforced by the behavior-neutrality tests).
     # The heartbeat progress line is the telemetry stack's only wall
     # clock use — isolated in its own module precisely so telemetry.py
     # itself stays RL002-clean (the sampler runs on sim time only).
-    "RL002": ("obs/profiler.py", "experiments/bench.py", "obs/progress.py"),
+    "RL002": ("obs/profiler.py", "obs/progress.py"),
     # The linter's own rule registry is module-level by design: it is
     # written exactly once per process, at import time, by the
     # @register decorators — it never carries simulation state.

@@ -11,7 +11,6 @@ original system's reproducibility material drives its simulator:
 - ``security``   the Section 3 sampling math for a given grid;
 - ``trace``      run with structured tracing and write/analyze a trace;
 - ``profile``    run with callback profiling and print hot sites;
-- ``bench``      measure full slots at several scales, write BENCH_<n>.json;
 - ``pipeline``   sustained multi-slot pipeline with churn and overload control;
 - ``health``     analyze a telemetry series against run-health SLOs.
 
@@ -27,8 +26,6 @@ Examples::
     python -m repro trace --nodes 200 --slots 1 --out trace.jsonl
     python -m repro trace --nodes 100 --chrome trace.json --report
     python -m repro profile --nodes 200 --top 15
-    python -m repro bench --scales 100,1000
-    python -m repro bench --scales 100 --check BENCH_1.json
     python -m repro pipeline --nodes 60 --reduced 32 --slots 4 --churn 0.1
     python -m repro pipeline --nodes 60 --reduced 32 --check-invariants --json
     python -m repro pipeline --nodes 60 --reduced 32 --telemetry series.jsonl
@@ -164,46 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--redundancy", type=int, default=8)
     profile.add_argument("--slots", type=int, default=1)
     profile.add_argument("--top", type=int, default=12, help="rows of the hot-site table")
-
-    bench = sub.add_parser(
-        "bench", help="measure full slots at several scales; write BENCH_<n>.json"
-    )
-    bench.add_argument(
-        "--scales", default="100,1000",
-        help="comma-separated node counts to benchmark (default 100,1000)",
-    )
-    bench.add_argument("--seed", type=int, default=7)
-    bench.add_argument(
-        "--reduced", type=int, default=0,
-        help="grid reduction factor (0 = full Danksharding parameters)",
-    )
-    bench.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="output path (default: next unused BENCH_<n>.json in the cwd)",
-    )
-    bench.add_argument(
-        "--check", default=None, metavar="BASELINE",
-        help="compare against a committed BENCH_*.json; exit 1 on a >25%% "
-        "events/sec regression or a changed fingerprint at the same scale",
-    )
-    bench.add_argument(
-        "--max-regression", type=float, default=0.25,
-        help="allowed events/sec drop vs the --check baseline (default 0.25)",
-    )
-    bench.add_argument(
-        "--no-trace-overhead", action="store_true",
-        help="skip the tracing-overhead measurement",
-    )
-    bench.add_argument(
-        "--no-telemetry-overhead", action="store_true",
-        help="skip the telemetry-overhead measurement",
-    )
-    bench.add_argument(
-        "--max-obs-overhead", type=float, default=1.25,
-        help="with --check: fail if the fresh telemetry overhead ratio "
-        "exceeds this bound (default 1.25; trace overhead is recorded "
-        "but not gated)",
-    )
 
     pipeline = sub.add_parser(
         "pipeline",
@@ -848,63 +805,6 @@ def _cmd_detsan(args) -> int:
     return run(args.detsan_args)
 
 
-def _cmd_bench(args) -> int:
-    from pathlib import Path
-
-    from repro.experiments.bench import (
-        check_against_baseline,
-        next_bench_path,
-        run_bench,
-    )
-
-    scales = [int(part) for part in args.scales.split(",") if part.strip()]
-    if not scales:
-        print("no scales given", file=sys.stderr)
-        return 2
-    report = run_bench(
-        scales,
-        seed=args.seed,
-        reduced=args.reduced,
-        trace_overhead=not args.no_trace_overhead,
-        telemetry_overhead=not args.no_telemetry_overhead,
-    )
-    for row in report["scales"]:
-        speedup = row.get("speedup_vs_pre_scale_up")
-        extra = f"  ({speedup}x vs pre-scale-up)" if speedup else ""
-        print(
-            f"{row['nodes']:>6} nodes: {row['wall_s']:>9.2f}s wall, "
-            f"{row['events']:>10} events, {row['events_per_sec']:>10.0f} ev/s{extra}"
-        )
-    overhead = report.get("trace_overhead")
-    if overhead:
-        print(
-            f"trace overhead @{overhead['nodes']} nodes: "
-            f"{overhead['overhead_ratio']:.2f}x"
-        )
-    overhead = report.get("telemetry_overhead")
-    if overhead:
-        print(
-            f"telemetry overhead @{overhead['nodes']} nodes: "
-            f"{overhead['overhead_ratio']:.2f}x"
-        )
-    out = Path(args.out) if args.out else next_bench_path(Path.cwd())
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out}")
-    if args.check:
-        failures = check_against_baseline(
-            report,
-            Path(args.check),
-            max_regression=args.max_regression,
-            max_obs_overhead=args.max_obs_overhead,
-        )
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"no regression vs {args.check}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -929,7 +829,6 @@ def main(argv: list[str] | None = None) -> int:
         "security": _cmd_security,
         "trace": _cmd_trace,
         "profile": _cmd_profile,
-        "bench": _cmd_bench,
         "pipeline": _cmd_pipeline,
         "health": _cmd_health,
         "lint": _cmd_lint,

@@ -6,7 +6,6 @@ from repro.core.context import ProtocolContext
 from repro.core.custody import SlotCellState
 from repro.core.fetching import AdaptiveFetcher, FetchPlan, RoundStats, plan_queries, score_peers
 from repro.core.messages import CellRequest, CellResponse, SeedMessage
-from repro.core.adaptive_policy import AdaptiveRedundancyController
 from repro.core.node import PandasNode
 from repro.core.retrieval import RetrievalClient, RetrievalResult
 from repro.core.seeding import (
@@ -37,7 +36,6 @@ __all__ = [
     "CellResponse",
     "SeedMessage",
     "PandasNode",
-    "AdaptiveRedundancyController",
     "RetrievalClient",
     "RetrievalResult",
     "WithholdingSeeding",

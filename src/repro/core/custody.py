@@ -5,8 +5,10 @@ random samples) are currently held, and applies Reed-Solomon
 reconstruction at the line level: as soon as a custody line holds at
 least half of its cells, the remaining half is recovered locally
 (Algorithm 1, lines 25-27). The simulation tracks cell *identity*,
-not bytes — the byte-level codec in :mod:`repro.erasure.blob` is
-validated separately, so here reconstruction is an occupancy fill.
+not bytes, so here reconstruction is an occupancy fill. The byte-level
+codec in :mod:`repro.erasure` is its oracle: ``tests/test_erasure_oracle.py``
+checks that this fill holds exactly the cells ``ReedSolomon.decode``
+recovers from the same offered cells, over real bytes.
 
 Consolidation is *deficit-driven*: a line needs only ``len/2 - held``
 more cells to be reconstructable, so that is what the fetcher requests

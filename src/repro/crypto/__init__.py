@@ -1,31 +1,5 @@
-"""Simulated cryptographic substrate (identities, KZG, RANDAO)."""
+"""Simulated cryptographic substrate: the RANDAO epoch beacon."""
 
-from repro.crypto.keys import SIGNATURE_BYTES, KeyPair, NodeId, Signature, node_id_from_pubkey
-from repro.crypto.kzg import (
-    CELL_VERIFY_SECONDS,
-    COMMITMENT_BYTES,
-    PROOF_BYTES,
-    KzgCommitment,
-    KzgProof,
-    commit_blob,
-    prove_cell,
-    verify_cell,
-)
 from repro.crypto.randao import RandaoBeacon
 
-__all__ = [
-    "SIGNATURE_BYTES",
-    "KeyPair",
-    "NodeId",
-    "Signature",
-    "node_id_from_pubkey",
-    "CELL_VERIFY_SECONDS",
-    "COMMITMENT_BYTES",
-    "PROOF_BYTES",
-    "KzgCommitment",
-    "KzgProof",
-    "commit_blob",
-    "prove_cell",
-    "verify_cell",
-    "RandaoBeacon",
-]
+__all__ = ["RandaoBeacon"]

@@ -164,7 +164,8 @@ class PandasParams:
     # CPU time to verify one cell's KZG proof on ingest; every peer- or
     # builder-supplied cell is checked before storage and the cost is
     # charged to the receiving node's clock (order of magnitude of a
-    # real pairing check; see repro.crypto.kzg.CELL_VERIFY_SECONDS).
+    # real pairing check on commodity hardware). Verification enters the
+    # model only as this delay; no proof bytes are computed.
     cell_verify_seconds: float = 0.0002
     # Per-peer token bucket on inbound request/response datagrams. An
     # honest peer sends a handful of messages per slot (one query, the

@@ -1,99 +1,10 @@
-"""Simulated crypto substrate: identities, KZG commitments, RANDAO."""
+"""Simulated crypto substrate: the RANDAO epoch beacon."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.crypto.keys import SIGNATURE_BYTES, KeyPair, node_id_from_pubkey
-from repro.crypto.kzg import (
-    COMMITMENT_BYTES,
-    PROOF_BYTES,
-    KzgProof,
-    commit_blob,
-    prove_cell,
-    verify_cell,
-)
 from repro.crypto.randao import RandaoBeacon
-from repro.erasure.blob import Blob
-
-
-class TestKeys:
-    def test_deterministic_from_seed(self):
-        assert KeyPair(7).public == KeyPair(7).public
-
-    def test_distinct_seeds_distinct_keys(self):
-        assert KeyPair(1).public != KeyPair(2).public
-
-    def test_node_id_is_pubkey_hash(self):
-        kp = KeyPair(3)
-        assert kp.node_id == node_id_from_pubkey(kp.public)
-        assert 0 <= kp.node_id < 2**256
-
-    def test_sign_verify_roundtrip(self):
-        kp = KeyPair(4)
-        sig = kp.sign(b"seed message")
-        assert sig.size == SIGNATURE_BYTES
-        assert KeyPair.verify(kp.public, b"seed message", sig)
-
-    def test_tampered_message_fails(self):
-        kp = KeyPair(5)
-        sig = kp.sign(b"original")
-        assert not KeyPair.verify(kp.public, b"tampered", sig)
-
-    def test_wrong_key_fails(self):
-        a, b = KeyPair(6), KeyPair(7)
-        sig = a.sign(b"msg")
-        assert not KeyPair.verify(b.public, b"msg", sig)
-
-    def test_truncated_signature_fails(self):
-        kp = KeyPair(8)
-        sig = kp.sign(b"msg")
-        from repro.crypto.keys import Signature
-
-        assert not KeyPair.verify(kp.public, b"msg", Signature(sig.tag[:10]))
-
-
-class TestKzg:
-    @pytest.fixture(scope="class")
-    def ext_blob(self):
-        rng = np.random.default_rng(1)
-        cells = rng.integers(0, 256, size=(2, 2, 4), dtype=np.uint8)
-        return Blob(cells).extend()
-
-    def test_commitment_size(self, ext_blob):
-        assert commit_blob(ext_blob).size == COMMITMENT_BYTES
-
-    def test_commitment_binds_content(self, ext_blob):
-        rng = np.random.default_rng(2)
-        other = Blob(rng.integers(0, 256, size=(2, 2, 4), dtype=np.uint8)).extend()
-        assert commit_blob(ext_blob).digest != commit_blob(other).digest
-
-    def test_proof_verifies(self, ext_blob):
-        commitment = commit_blob(ext_blob)
-        cell = ext_blob.cell_by_id(5)
-        proof = prove_cell(commitment, 5, cell)
-        assert proof.size == PROOF_BYTES
-        assert verify_cell(commitment, 5, cell, proof)
-
-    def test_proof_position_bound(self, ext_blob):
-        commitment = commit_blob(ext_blob)
-        cell = ext_blob.cell_by_id(5)
-        proof = prove_cell(commitment, 5, cell)
-        assert not verify_cell(commitment, 6, cell, proof)
-
-    def test_corrupted_cell_rejected(self, ext_blob):
-        commitment = commit_blob(ext_blob)
-        cell = ext_blob.cell_by_id(5)
-        proof = prove_cell(commitment, 5, cell)
-        assert not verify_cell(commitment, 5, b"\x00" * len(cell), proof)
-
-    def test_missing_proof_rejected(self, ext_blob):
-        commitment = commit_blob(ext_blob)
-        assert not verify_cell(commitment, 5, ext_blob.cell_by_id(5), None)
-        assert not verify_cell(
-            commitment, 5, ext_blob.cell_by_id(5), KzgProof(b"short")
-        )
 
 
 class TestRandao:

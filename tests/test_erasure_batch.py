@@ -16,13 +16,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.crypto.kzg import (
-    KzgProof,
-    commit_blob,
-    prove_cell,
-    verify_cell,
-    verify_cells,
-)
 from repro.erasure.blob import Blob, _SymbolCodec
 from repro.erasure.gf import GF256, GF65536
 from repro.erasure.reed_solomon import ReedSolomon
@@ -168,27 +161,6 @@ def test_blob_extend_round_trip_after_vectorization():
     codec = _SymbolCodec(4, 8, 32)
     known = {c: ext.cells[1, c] for c in range(0, 8, 2)}
     assert np.array_equal(codec.decode_line(known), ext.cells[1])
-
-
-# ----------------------------------------------------------------------
-# batched KZG verification
-# ----------------------------------------------------------------------
-def test_verify_cells_matches_scalar():
-    blob = Blob.from_bytes(b"pandas" * 100, 2, 2, 256)
-    ext = blob.extend()
-    commitment = commit_blob(ext)
-    items = []
-    for cid in range(8):
-        cell = ext.cell_by_id(cid)
-        proof = prove_cell(commitment, cid, cell)
-        items.append((cid, cell, proof))
-    # corrupt one proof, drop another
-    items[3] = (items[3][0], items[3][1], KzgProof(b"\x00" * 48))
-    items[5] = (items[5][0], items[5][1], None)
-    batch = verify_cells(commitment, items)
-    scalar = [verify_cell(commitment, cid, cell, proof) for cid, cell, proof in items]
-    assert batch == scalar
-    assert batch == [True, True, True, False, True, False, True, True]
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,9 @@ the components whose correctness the whole protocol leans on:
   ``(epoch_seed, node_id)`` — view-independent, distinct, in-range —
   and a realistic node population covers every line of the grid;
 - ``AdaptiveFetcher`` on the builder's shared per-line boost maps
-  targets, offers and scores exactly as on a private flat copy.
+  targets, offers and scores exactly as on a private flat copy;
+- ``SlotCellState`` reconstructs exactly the cells the byte-level
+  Reed-Solomon codec can decode from the same offered cells.
 
 Kept in its own file so CI can run it as a separate (non-blocking)
 job: hypothesis shrinks aggressively on failure and example-based
@@ -175,6 +177,21 @@ class TestSharedBoostMapEquivalence:
         from tests.test_seed_sharing import check_boost_equivalence, random_boost_case
 
         check_boost_equivalence(random_boost_case(rnd), round_index)
+
+
+# ----------------------------------------------------------------------
+# custody reconstruction vs the byte-level codec
+# ----------------------------------------------------------------------
+class TestCustodyMatchesTheCodec:
+    @FAST
+    @given(st.randoms(use_true_random=False))
+    def test_custody_reconstruction_matches_the_codec(self, rnd):
+        """``SlotCellState`` holds exactly what ``ReedSolomon`` can
+        decode from the offered cells, and the bytes are the original's
+        (the fixed seeded cases run in the blocking tier-1 job)."""
+        from tests.test_erasure_oracle import check_against_codec, random_oracle_case
+
+        check_against_codec(random_oracle_case(rnd))
 
 
 # ----------------------------------------------------------------------

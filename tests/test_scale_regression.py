@@ -11,7 +11,7 @@ Three pins protect the engine, the transport and the fetcher at scale:
 3. an absolute replay anchor — a pinned fingerprint for a small dense
    scenario. If a change moves it, the change altered protocol
    behaviour, not just performance; either fix the change or update
-   the pin *deliberately* alongside BENCH_* evidence.
+   the pin *deliberately* alongside `benchmarks/perf` evidence.
 
 ``REPRO_SCALE_NODES`` scales the cross-run population (default 250 —
 large enough for every fast path, small enough for tier-1); the CI
