@@ -7,7 +7,7 @@ contract (tests/README.md "The determinism contract"):
 RL001     all randomness flows through ``RngRegistry`` streams
 RL002     no wall clock inside simulation logic
 RL003     no hash-ordered iteration feeding RNG draws or sends
-RL004     every trace event kind is in the ``obs/events.py`` catalog
+RL004     every emitted event kind is in the ``obs/events.py`` catalog
 RL005     no float equality on simulated-time values
 RL006     no silently swallowed exceptions in sim code
 RL008     RNG streams are drawn only by their registered owner module
@@ -185,6 +185,7 @@ _EMIT_NAMES = {
     "call_after",
     "call_at",
     "emit",
+    "_emit",
     "enqueue",
     "publish",
     "push",
@@ -193,8 +194,6 @@ _EMIT_NAMES = {
     "send",
     "send_query",
     "send_to",
-    "trace",
-    "_trace",
 }
 
 
@@ -330,15 +329,16 @@ def load_trace_catalog(path: Path | None = None) -> frozenset[str]:
 
 @register
 class UnknownTraceKind(Rule):
-    """Trace emission with a kind missing from the catalog.
+    """Event emission with a kind missing from the catalog.
 
     The ``obs/events.py`` ``KINDS`` mapping is the contract between
-    emitters and consumers (timeline analysis, lifecycle tests, CI
-    schema checks). The recorder deliberately accepts unknown kinds at
-    runtime, so a typo'd kind produces no error — just events that
-    every consumer silently ignores. This rule closes that gap at lint
-    time: any literal first argument to ``.emit(...)`` / ``.trace(...)``
-    / ``._trace(...)`` must be cataloged.
+    emitters and consumers (the recorder, telemetry, timeline analysis,
+    lifecycle tests, CI schema checks). The bus deliberately carries
+    unknown kinds at runtime, so a typo'd kind produces no error — just
+    events that every subscriber silently ignores. This rule closes
+    that gap at lint time: any literal first argument to ``.emit(...)``
+    (``ProtocolContext.emit``, the bus, a subscriber) or the fetcher's
+    ``._emit(...)`` must be cataloged.
     """
 
     code = "RL004"
@@ -346,7 +346,7 @@ class UnknownTraceKind(Rule):
     rationale = "uncataloged event kinds are invisible to every trace consumer"
     node_types = (ast.Call,)
 
-    _EMITTERS = {"emit", "trace", "_trace"}
+    _EMITTERS = {"emit", "_emit"}
 
     def __init__(self) -> None:
         self._catalog: frozenset[str] | None = None

@@ -125,8 +125,9 @@ class DhtDasScenario(BaseScenario):
                 state.fetched_parcels.add(parcel)
                 if state.fetched_parcels >= state.wanted_parcels:
                     state.done = True
-                    self.metrics.mark_sampling(
-                        state.slot, node_id, self.ctx.since_slot_start(state.slot)
+                    self.ctx.emit(
+                        "phase", slot=state.slot, node=node_id, phase="sampling",
+                        at=self.ctx.since_slot_start(state.slot),
                     )
                 return
             # parcel not stored yet (or holders unresponsive): retry

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Callable
 
-from repro.core.assignment import Custody, cells_of_line
+from repro.core.assignment import Custody
 from repro.core.custody import SlotCellState
 from repro.core.fetching import AdaptiveFetcher
 from repro.core.messages import CellRequest, CellResponse
@@ -68,9 +68,6 @@ class _GossipSlotState:
     cells: SlotCellState
     fetcher: AdaptiveFetcher
     waiting_by_cell: dict[int, list[_PendingRequest]] = field(default_factory=dict)
-    started: bool = False
-    consolidation_marked: bool = False
-    sampling_marked: bool = False
 
 
 class GossipDasNode:
@@ -127,13 +124,13 @@ class GossipDasNode:
             self._on_response(dgram.src, payload)
 
     def on_channel_cells(self, slot: int, cells: tuple[int, ...]) -> None:
-        """Cells delivered by the unit channel's gossip."""
+        """Cells delivered by the unit channel's gossip (the first
+        delivery completes seeding and starts sampling)."""
         state = self._slot_state(slot)
         ctx = self.scenario.ctx
-        if not state.started:
-            state.started = True
-            ctx.metrics.mark_seeding(slot, self.node_id, ctx.since_slot_start(slot))
-            state.fetcher.start()
+        at = ctx.since_slot_start(slot)
+        ctx.emit("phase", slot=slot, node=self.node_id, phase="seeding", at=at)
+        state.fetcher.start()
         state.cells.add_cells(cells)
         self._after_cells_changed(slot, state)
 
@@ -179,12 +176,13 @@ class GossipDasNode:
     def _after_cells_changed(self, slot: int, state: _GossipSlotState) -> None:
         ctx = self.scenario.ctx
         now_rel = ctx.since_slot_start(slot)
-        if not state.consolidation_marked and state.cells.consolidation_complete:
-            state.consolidation_marked = True
-            ctx.metrics.mark_consolidation(slot, self.node_id, now_rel)
-        if not state.sampling_marked and state.cells.sampling_complete:
-            state.sampling_marked = True
-            ctx.metrics.mark_sampling(slot, self.node_id, now_rel)
+        # repeats are dropped by the bus: a phase completes once per node
+        if state.cells.consolidation_complete:
+            ctx.emit(
+                "phase", slot=slot, node=self.node_id, phase="consolidation", at=now_rel
+            )
+        if state.cells.sampling_complete:
+            ctx.emit("phase", slot=slot, node=self.node_id, phase="sampling", at=now_rel)
 
 
     def drop_slot(self, slot: int) -> None:

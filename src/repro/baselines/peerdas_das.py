@@ -159,9 +159,6 @@ class DataColumnsByRootResponse:
 class _PeerDasSlotState:
     cells: SlotCellState
     sampled_columns: tuple[int, ...]
-    started: bool = False
-    consolidation_marked: bool = False
-    sampling_marked: bool = False
     fallback_wave: int = 0
     # (column, peer) pairs already asked, so waves prefer fresh custodians
     queried: set[tuple[int, int]] = field(default_factory=set)
@@ -220,9 +217,8 @@ class PeerDasNode:
             return  # straggler from a retired slot; don't resurrect state
         state = self._slot_state(slot)
         ctx = self.scenario.ctx
-        if not state.started:
-            state.started = True
-            ctx.metrics.mark_seeding(slot, self.node_id, ctx.since_slot_start(slot))
+        at = ctx.since_slot_start(slot)
+        ctx.emit("phase", slot=slot, node=self.node_id, phase="seeding", at=at)
         params = ctx.params
         state.cells.add_cells(
             cells_of_line(params.ext_rows + column, params.ext_rows, params.ext_cols)
@@ -258,9 +254,8 @@ class PeerDasNode:
             return
         ctx = self.scenario.ctx
         params = ctx.params
-        if not state.started:
-            state.started = True
-            ctx.metrics.mark_seeding(msg.slot, self.node_id, ctx.since_slot_start(msg.slot))
+        at = ctx.since_slot_start(msg.slot)
+        ctx.emit("phase", slot=msg.slot, node=self.node_id, phase="seeding", at=at)
         for col in msg.columns:
             state.cells.add_cells(
                 cells_of_line(params.ext_rows + col, params.ext_rows, params.ext_cols)
@@ -270,14 +265,15 @@ class PeerDasNode:
     def _after_cells_changed(self, slot: int, state: _PeerDasSlotState) -> None:
         ctx = self.scenario.ctx
         now_rel = ctx.since_slot_start(slot)
-        if not state.consolidation_marked and state.cells.consolidation_complete:
-            state.consolidation_marked = True
-            ctx.metrics.mark_consolidation(slot, self.node_id, now_rel)
+        # repeats are dropped by the bus: a phase completes once per node
+        if state.cells.consolidation_complete:
+            ctx.emit(
+                "phase", slot=slot, node=self.node_id, phase="consolidation", at=now_rel
+            )
         # "sampling done" is block acceptance: every sampled subnet's
         # columns held (custody included), not just the extra samples
-        if not state.sampling_marked and state.cells.complete:
-            state.sampling_marked = True
-            ctx.metrics.mark_sampling(slot, self.node_id, now_rel)
+        if state.cells.complete:
+            ctx.emit("phase", slot=slot, node=self.node_id, phase="sampling", at=now_rel)
 
     # ------------------------------------------------------------------
     # ByRoot fallback waves

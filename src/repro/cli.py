@@ -636,7 +636,7 @@ def _cmd_trace(args) -> int:
         import os
 
         print_trace_report(events, slot=0)
-        # _emit prints immediately outside pytest; under pytest the
+        # report lines print immediately outside pytest; under pytest the
         # lines only land in the buffer, so replay them for capsys
         lines = drain_buffer()
         if "PYTEST_CURRENT_TEST" in os.environ:

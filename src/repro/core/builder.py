@@ -109,7 +109,7 @@ class Builder:
             ctx.network.send(self.builder_id, node_id, msg, size)
             self.last_seed_messages += 1
             self.last_seed_bytes += size
-        ctx.trace(
+        ctx.emit(
             "seed_slot",
             slot=slot,
             node=self.builder_id,

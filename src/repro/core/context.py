@@ -1,21 +1,21 @@
 """Shared per-run protocol context.
 
 Bundles the simulation engine, network, parameters, assignment
-function, metrics sink and RNG registry that every PANDAS participant
-needs, plus slot bookkeeping (start times, epoch mapping) maintained
-by the experiment driver.
+function, metrics sink, event bus and RNG registry that every PANDAS
+participant needs, plus slot bookkeeping (start times, epoch mapping)
+maintained by the experiment driver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Callable
+from typing import Any
 
 from repro.core.assignment import AssignmentIndex, CellAssignment
 from repro.net.transport import Network
-from repro.obs.events import TraceRecorder
-from repro.obs.telemetry import Telemetry
 from repro.params import PandasParams
+from repro.sim.bus import EventBus
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.rng import RngRegistry
@@ -39,23 +39,17 @@ class ProtocolContext:
     # signature binds it — Section 6.1). Nodes reject seed parcels from
     # any other source; ``None`` disables the check (unit harnesses).
     builder_id: int | None = None
-    # Structured event tracing (repro.obs). ``None`` — the default —
-    # disables tracing with zero per-event overhead; participants guard
-    # every emission on it. A recorder here is pure observation and
-    # never changes simulation behavior.
-    tracer: TraceRecorder | None = None
-    # Dimensional run-health telemetry (repro.obs.telemetry). Same
-    # contract as the tracer: pure observation, behavior-neutral, and
-    # ``None`` by default so instrumented call sites cost one attribute
-    # read when telemetry is off.
-    telemetry: Telemetry | None = None
+    # The run's event bus (repro.sim.bus), with ``metrics`` as its first
+    # subscriber; the scenario subscribes the optional observers
+    # (invariant checker, telemetry, tracer) after it.
+    events: EventBus = field(init=False, repr=False)
 
-    def trace(self, kind: str, *, slot: int = -1, node: int = -1, **data) -> None:
-        """Emit one trace event at the current simulated time (no-op
-        when tracing is off or ``kind`` is filtered out)."""
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled(kind):
-            tracer.emit(kind, t=self.sim.now, slot=slot, node=node, **data)
+    def __post_init__(self) -> None:
+        self.events = EventBus(self.sim, (self.metrics,))
+
+    def emit(self, kind: str, *, slot: int = -1, node: int = -1, **data: Any) -> None:
+        """Publish one protocol event at the current simulated time."""
+        self.events.emit(kind, slot=slot, node=node, **data)
 
     def epoch_of(self, slot: int) -> int:
         return slot // self.params.slots_per_epoch

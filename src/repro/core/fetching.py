@@ -37,11 +37,12 @@ import heapq
 import random
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Mapping, Set
+from typing import Any
 
 from repro.core.custody import SlotCellState
 from repro.core.seeding import LineBoost
-from repro.obs.events import TraceRecorder
 from repro.params import FetchSchedule, RetryPolicy
+from repro.sim.bus import EventBus
 from repro.sim.engine import Event, Simulator
 
 __all__ = ["AdaptiveFetcher", "RoundStats", "FetchPlan", "plan_queries", "score_peers"]
@@ -149,7 +150,9 @@ class AdaptiveFetcher:
 
     - ``line_custodians(line)``: view-filtered custodians of a line;
     - ``send_query(peer, cells)``: emit one QUERYCELLS datagram;
-    - ``on_round(stats)`` / ``on_done(success)``: telemetry sinks.
+    - ``on_done(success)``: called once when the fetcher finishes;
+    - ``events``: the run's bus, for round, query-lifecycle and reply
+      events tagged with ``slot`` and ``self_id`` (None: publish nothing).
     """
 
     __slots__ = (
@@ -161,7 +164,6 @@ class AdaptiveFetcher:
         "rng",
         "cb_boost",
         "self_id",
-        "on_round",
         "on_done",
         "fetch_custody",
         "_is_complete",
@@ -175,9 +177,10 @@ class AdaptiveFetcher:
         "retry_abandoned",
         "responded",
         "_timeouts_reported",
-        "tracer",
-        "trace_slot",
-        "observe_latency",
+        "events",
+        "slot",
+        "_lifecycle",
+        "_reply_latency",
         "_open_queries",
         "boost",
         "_boost_cells",
@@ -202,7 +205,6 @@ class AdaptiveFetcher:
         rng: random.Random,
         cb_boost: float,
         self_id: int,
-        on_round: Callable[[RoundStats], None] | None = None,
         on_done: Callable[[bool], None] | None = None,
         fetch_custody: bool = True,
         is_complete: Callable[[], bool] | None = None,
@@ -213,9 +215,8 @@ class AdaptiveFetcher:
         retry_unresponsive: bool = False,
         retry_policy: RetryPolicy | None = None,
         deadline_at: float | None = None,
-        tracer: TraceRecorder | None = None,
+        events: EventBus | None = None,
         slot: int = -1,
-        observe_latency: Callable[[int, float], None] | None = None,
     ) -> None:
         self.sim = sim
         self.state = state
@@ -225,7 +226,6 @@ class AdaptiveFetcher:
         self.rng = rng
         self.cb_boost = cb_boost
         self.self_id = self_id
-        self.on_round = on_round
         self.on_done = on_done
         # baselines disable consolidation: fetch samples only and
         # consider the slot done once sampling completes
@@ -254,17 +254,16 @@ class AdaptiveFetcher:
         self.retry_abandoned = False
         self.responded: set[int] = set()
         self._timeouts_reported: set[int] = set()
-        # Query-lifecycle tracing (repro.obs): every query gets a
-        # request id at issue time and terminates in exactly one of
-        # response/timeout/cancel. All of it is maintained only when a
-        # tracer is attached — pure observation, no RNG, no scheduling,
-        # so traced and untraced runs are behaviorally identical.
-        self.tracer = tracer
-        self.trace_slot = slot
-        # telemetry sink for per-round reply latency (repro.obs.
-        # telemetry); like the tracer, a pure observer — no RNG, no
-        # scheduling — so attaching one never changes fetch behavior
-        self.observe_latency = observe_latency
+        # Protocol events. The query lifecycle gives every query a
+        # request id at issue time and closes it in exactly one of
+        # response/timeout/cancel; it and the per-reply latency are
+        # kept only while some subscriber consumes them (the lifecycle
+        # opens at query_issue) — pure observation, no RNG, no
+        # scheduling, so observed and bare runs behave identically.
+        self.events = events
+        self.slot = slot
+        self._lifecycle = events is not None and events.wants("query_issue")
+        self._reply_latency = events is not None and events.wants("fetch_reply")
         self._open_queries: dict[int, tuple[int, int]] = {}  # peer -> (req, round)
 
         # CB(f) of our lines, by line: the builder's own objects, held
@@ -305,16 +304,14 @@ class AdaptiveFetcher:
         self.inbound.update(cells)
 
     # ------------------------------------------------------------------
-    # tracing (no-ops unless a tracer is attached)
+    # protocol events (no-ops without a bus)
     # ------------------------------------------------------------------
-    def _trace(self, kind: str, **data) -> None:
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled(kind):
-            tracer.emit(
-                kind, t=self.sim.now, slot=self.trace_slot, node=self.self_id, **data
-            )
+    def _emit(self, kind: str, **data: Any) -> None:
+        events = self.events
+        if events is not None:
+            events.emit(kind, slot=self.slot, node=self.self_id, **data)
 
-    def _trace_expire_queries(self) -> None:
+    def _expire_queries(self) -> None:
         """Close open queries whose round deadline has passed.
 
         A silent peer's query closes as ``query_timeout``; a peer that
@@ -322,7 +319,7 @@ class AdaptiveFetcher:
         failed validation) closes as an unusable ``query_response`` so
         it is never double-reported as a timeout.
         """
-        if self.tracer is None or not self._open_queries:
+        if not self._lifecycle or not self._open_queries:
             return
         now = self.sim.now
         for peer in list(self._open_queries):
@@ -331,31 +328,31 @@ class AdaptiveFetcher:
                 continue
             del self._open_queries[peer]
             if peer in self.responded:
-                self._trace(
+                self._emit(
                     "query_response", req=req, peer=peer, round=rnd,
                     cells=0, new=0, reconstructed=0, late=True, usable=False,
                 )
             else:
-                self._trace("query_timeout", req=req, peer=peer, round=rnd)
+                self._emit("query_timeout", req=req, peer=peer, round=rnd)
 
-    def _trace_close_open(self) -> None:
+    def _close_queries(self) -> None:
         """Terminate every still-open query when the fetcher ends.
 
         Expired ones close as timeout/unusable-response first; the rest
         close as ``query_cancel`` (the fetcher finished or was stopped
         before their round expired).
         """
-        if self.tracer is None:
+        if not self._lifecycle:
             return
-        self._trace_expire_queries()
+        self._expire_queries()
         for peer, (req, rnd) in list(self._open_queries.items()):
             if peer in self.responded:
-                self._trace(
+                self._emit(
                     "query_response", req=req, peer=peer, round=rnd,
                     cells=0, new=0, reconstructed=0, late=False, usable=False,
                 )
             else:
-                self._trace("query_cancel", req=req, peer=peer, round=rnd)
+                self._emit("query_cancel", req=req, peer=peer, round=rnd)
         self._open_queries.clear()
 
     # ------------------------------------------------------------------
@@ -366,7 +363,7 @@ class AdaptiveFetcher:
         if self.started:
             return
         self.started = True
-        self._trace("fetch_start", custody=self.fetch_custody)
+        self._emit("fetch_start", custody=self.fetch_custody)
         if self.complete:
             self._complete()
             return
@@ -377,9 +374,9 @@ class AdaptiveFetcher:
             self._timer.cancel()
             self._timer = None
         if not self.finished:
-            self._trace_close_open()
+            self._close_queries()
             if self.started:
-                self._trace("fetch_done", success=False, reason="stopped")
+                self._emit("fetch_done", success=False, reason="stopped")
         self.finished = True
 
     # ------------------------------------------------------------------
@@ -436,9 +433,9 @@ class AdaptiveFetcher:
         self._timer = None
         if self.finished:
             return
-        # trace bookkeeping first so queries that expired at this tick
+        # lifecycle bookkeeping first so queries that expired at this tick
         # close as timeouts even if the fetcher completes or gives up now
-        self._trace_expire_queries()
+        self._expire_queries()
         if self.complete:
             self._complete()
             return
@@ -476,7 +473,7 @@ class AdaptiveFetcher:
                 # wave budget is spent), so the work is abandoned rather
                 # than retried into a slot it already missed
                 self.retry_abandoned = True
-                self._trace(
+                self._emit(
                     "retry_abandoned",
                     round=index,
                     waves=self.retry_waves,
@@ -485,7 +482,7 @@ class AdaptiveFetcher:
             else:
                 recycled = self._recycle_unresponsive()
                 if recycled:
-                    self._trace("query_recycle", pool="unresponsive", count=recycled)
+                    self._emit("query_recycle", pool="unresponsive", count=recycled)
                     candidate_cells, boosted = self._candidate_cells(targets)
                 if not candidate_cells:
                     # Still nothing: the remaining targets' custodians all
@@ -496,7 +493,7 @@ class AdaptiveFetcher:
                     # retry toward whoever served honestly.
                     recycled = self._recycle_responded()
                     if recycled:
-                        self._trace("query_recycle", pool="responded", count=recycled)
+                        self._emit("query_recycle", pool="responded", count=recycled)
                         candidate_cells, boosted = self._candidate_cells(targets)
                 if candidate_cells and policy is not None:
                     # back off before re-querying: the recycled peers go
@@ -504,15 +501,13 @@ class AdaptiveFetcher:
                     # after a seeded jittered exponential delay instead
                     # of re-hammering them on the round tick
                     delay = self._next_backoff(policy)
-                    self._trace(
+                    self._emit(
                         "retry_backoff",
                         round=index,
                         wave=self.retry_waves,
                         delay=delay,
                     )
-                    if self.on_round is not None:
-                        self.on_round(stats)
-                    self._trace(
+                    self._emit(
                         "fetch_round",
                         round=index,
                         targets=stats.targets,
@@ -524,9 +519,7 @@ class AdaptiveFetcher:
                     )
                     return
         if not candidate_cells:
-            if self.on_round is not None:
-                self.on_round(stats)
-            self._trace(
+            self._emit(
                 "fetch_round", round=index, targets=stats.targets, queries=0, cells=0
             )
             if index >= settle:
@@ -558,18 +551,18 @@ class AdaptiveFetcher:
             self.schedule.redundancy_for(index),
             max_cells_per_query=self.max_cells_per_query,
         )
-        tracer = self.tracer
+        events = self.events if self._lifecycle else None
         for peer, cells in plan.queries:
-            if tracer is not None:
-                req = tracer.next_request_id()
+            if events is not None:
+                req = events.next_request_id()
                 stale = self._open_queries.pop(peer, None)
                 if stale is not None:
                     # re-query of a recycled peer whose prior query never
                     # closed through sweep/response: close it explicitly
                     # so every req terminates exactly once
-                    self._trace("query_cancel", req=stale[0], peer=peer, round=stale[1])
+                    self._emit("query_cancel", req=stale[0], peer=peer, round=stale[1])
                 self._open_queries[peer] = (req, index)
-                self._trace(
+                self._emit(
                     "query_issue", req=req, peer=peer, round=index, cells=len(cells)
                 )
             self.send_query(peer, cells)
@@ -578,9 +571,7 @@ class AdaptiveFetcher:
         stats.messages_sent = len(plan.queries)
         stats.cells_requested = plan.cells_requested
 
-        if self.on_round is not None:
-            self.on_round(stats)
-        self._trace(
+        self._emit(
             "fetch_round",
             round=index,
             targets=stats.targets,
@@ -810,8 +801,12 @@ class AdaptiveFetcher:
         round_index = self.query_round.get(peer)
         if round_index is not None and round_index <= len(self.rounds):
             stats = self.rounds[round_index - 1]
-            if self.observe_latency is not None:
-                self.observe_latency(round_index, self.sim.now - stats.started_at)
+            if self._reply_latency:
+                self._emit(
+                    "fetch_reply",
+                    round=round_index,
+                    latency=self.sim.now - stats.started_at,
+                )
             if self.sim.now <= stats.deadline:
                 stats.replies_in_round += 1
                 stats.cells_in_round += new_count
@@ -820,7 +815,7 @@ class AdaptiveFetcher:
                 stats.cells_after_round += new_count
             stats.duplicates += len(cells) - new_count
             stats.reconstructed += reconstructed
-        if self.tracer is not None:
+        if self._lifecycle:
             entry = self._open_queries.pop(peer, None)
             if entry is not None:
                 req, rnd = entry
@@ -828,7 +823,7 @@ class AdaptiveFetcher:
                     rnd <= len(self.rounds)
                     and self.sim.now > self.rounds[rnd - 1].deadline
                 )
-                self._trace(
+                self._emit(
                     "query_response", req=req, peer=peer, round=rnd,
                     cells=len(cells), new=new_count,
                     reconstructed=reconstructed, late=late, usable=True,
@@ -836,7 +831,7 @@ class AdaptiveFetcher:
             else:
                 # the query already closed (timeout sweep or recycle);
                 # a legitimate deferred reply, recorded but non-terminal
-                self._trace("query_late_reply", peer=peer, cells=len(cells), new=new_count)
+                self._emit("query_late_reply", peer=peer, cells=len(cells), new=new_count)
         if self.complete:
             self._complete()
         return new_count, reconstructed
@@ -866,8 +861,8 @@ class AdaptiveFetcher:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        self._trace_close_open()
-        self._trace("fetch_done", success=True, reason="complete")
+        self._close_queries()
+        self._emit("fetch_done", success=True, reason="complete")
         if self.on_done is not None:
             self.on_done(True)
 
@@ -875,7 +870,7 @@ class AdaptiveFetcher:
         if self.finished:
             return
         self.finished = True
-        self._trace_close_open()
-        self._trace("fetch_done", success=False, reason="exhausted")
+        self._close_queries()
+        self._emit("fetch_done", success=False, reason="exhausted")
         if self.on_done is not None:
             self.on_done(False)

@@ -203,25 +203,21 @@ class PandasNode:
                 if params.fetch_retry is not None
                 else None
             ),
-            tracer=ctx.tracer,
+            events=ctx.events,
             slot=slot,
-            observe_latency=(
-                ctx.telemetry.on_round_latency if ctx.telemetry is not None else None
-            ),
         )
         return _SlotState(cells=cells, fetcher=fetcher, store_sink=store_sink)
 
     # ------------------------------------------------------------------
-    # observability (repro.obs) — all no-ops without a tracer
+    # protocol events (repro.sim.bus)
     # ------------------------------------------------------------------
-    def _trace(self, kind: str, slot: int = -1, **data) -> None:
-        self.ctx.trace(kind, slot=slot, node=self.node_id, **data)
-
     def _defense(self, kind: str, amount: float = 1.0, slot: int = -1) -> None:
-        """Count one defense action in the metrics and the trace."""
-        self.ctx.metrics.record_defense(kind, amount)
-        if self.ctx.tracer is not None:
-            self._trace("defense", slot=slot, defense=kind, amount=amount)
+        """Publish one defense action."""
+        self.ctx.emit("defense", slot=slot, node=self.node_id, defense=kind, amount=amount)
+
+    def _shed(self, kind: str, amount: float = 1.0, slot: int = -1) -> None:
+        """Publish one load-shedding action."""
+        self.ctx.emit("load_shed", slot=slot, node=self.node_id, shed=kind, amount=amount)
 
     # ------------------------------------------------------------------
     # message dispatch (validation layer)
@@ -279,11 +275,6 @@ class PandasNode:
             self._retrieval_bucket = bucket
         return bucket.allow(self.ctx.sim.now)
 
-    def _shed(self, kind: str, amount: float = 1.0, slot: int = -1) -> None:
-        """Count one load-shedding action in the metrics and the trace."""
-        self.ctx.metrics.record_shed(kind, amount)
-        self._trace("load_shed", slot=slot, shed=kind, amount=amount)
-
     def _dispatch_verified(self, src: int, msg, cell_count: int, handler) -> None:
         """Charge KZG verification time, then deliver to ``handler``.
 
@@ -312,12 +303,12 @@ class PandasNode:
     def _on_seed(self, _src: int, msg: SeedMessage) -> None:
         slot = msg.slot
         state = self._slot_state(slot)
+        ctx = self.ctx
         if msg.cells and not state.seed_received:
             state.seed_received = True
-            at = self.ctx.since_slot_start(slot)
-            self.ctx.metrics.mark_seeding(slot, self.node_id, at)
-            self._trace("seed_recv", slot=slot, at=at)
-            self._trace("phase", slot=slot, phase="seeding", at=at)
+            at = ctx.since_slot_start(slot)
+            ctx.emit("seed_recv", slot=slot, node=self.node_id, at=at)
+            ctx.emit("phase", slot=slot, node=self.node_id, phase="seeding", at=at)
         state.seed_lines_seen.add(msg.line)
         for line_boost in msg.boost:
             state.fetcher.add_boost(line_boost)
@@ -329,9 +320,9 @@ class PandasNode:
                 state.fetcher.add_inbound(own)
         if msg.cells:
             new, reconstructed = state.cells.add_cells(msg.cells)
-            if self.ctx.tracer is not None:
-                self._trace(
-                    "cells_ingest", slot=slot, source="seed",
+            if ctx.events.wants("cells_ingest"):
+                ctx.emit(
+                    "cells_ingest", slot=slot, node=self.node_id, source="seed",
                     count=len(msg.cells), new=new, reconstructed=reconstructed,
                 )
             state.fetcher.note_external_cells(reconstructed)
@@ -348,8 +339,8 @@ class PandasNode:
             # after the seed stream has gone quiet
             if state.fallback_timer is not None:
                 state.fallback_timer.cancel()
-            state.fallback_timer = self.ctx.sim.call_after(
-                self.ctx.params.consolidation_timer,
+            state.fallback_timer = ctx.sim.call_after(
+                ctx.params.consolidation_timer,
                 lambda: self._fallback_start(slot),
             )
         self._after_cells_changed(slot, state)
@@ -394,8 +385,9 @@ class PandasNode:
             if limit is not None:
                 # gauge only under overload control so legacy runs keep
                 # their exact historical metrics snapshot
-                self.ctx.metrics.observe_queue_depth(
-                    "pending_requests", state.pending_count
+                self.ctx.emit(
+                    "queue_depth", slot=slot, node=self.node_id,
+                    queue="pending_requests", depth=state.pending_count,
                 )
             if msg.priority == PRIORITY_RETRIEVAL:
                 state.pending_retrieval.append(record)
@@ -514,10 +506,10 @@ class PandasNode:
             return
         self.reputation.record_valid(src, len(good))
         new, reconstructed = state.fetcher.on_response(src, good)
-        if self.ctx.tracer is not None:
-            self._trace(
-                "cells_ingest", slot=slot, source="response", peer=src,
-                count=len(good), new=new, reconstructed=reconstructed,
+        if self.ctx.events.wants("cells_ingest"):
+            self.ctx.emit(
+                "cells_ingest", slot=slot, node=self.node_id, source="response",
+                peer=src, count=len(good), new=new, reconstructed=reconstructed,
             )
         self._after_cells_changed(slot, state)
 
@@ -562,15 +554,16 @@ class PandasNode:
             state.cells.on_store = None
 
     def _after_cells_changed(self, slot: int, state: _SlotState) -> None:
-        now_rel = self.ctx.since_slot_start(slot)
+        ctx = self.ctx
+        now_rel = ctx.since_slot_start(slot)
         if not state.consolidation_marked and state.cells.consolidation_complete:
             state.consolidation_marked = True
-            self.ctx.metrics.mark_consolidation(slot, self.node_id, now_rel)
-            self._trace("phase", slot=slot, phase="consolidation", at=now_rel)
+            ctx.emit(
+                "phase", slot=slot, node=self.node_id, phase="consolidation", at=now_rel
+            )
         if not state.sampling_marked and state.cells.sampling_complete:
             state.sampling_marked = True
-            self.ctx.metrics.mark_sampling(slot, self.node_id, now_rel)
-            self._trace("phase", slot=slot, phase="sampling", at=now_rel)
+            ctx.emit("phase", slot=slot, node=self.node_id, phase="sampling", at=now_rel)
 
     def _epoch(self, slot: int) -> int:
         return self.ctx.epoch_of(slot)
@@ -644,18 +637,19 @@ class PandasNode:
     def drop_slot(self, slot: int) -> None:
         """Free per-slot state (old blob data is discarded after expiry).
 
-        Flushes the fetcher's per-round telemetry into the metrics
-        recorder first — reply/duplicate counters keep accumulating
-        until the end of the slot (Table 1's in/after-round split).
+        Publishes the fetcher's per-round totals first — reply/duplicate
+        counters keep accumulating until the end of the slot (Table 1's
+        in/after-round split).
         """
         state = self._slots.pop(slot, None)
         self._retired.add(slot)
         if state is not None:
             for stats in state.fetcher.rounds:
-                self.ctx.metrics.record_round(
-                    slot,
-                    self.node_id,
-                    stats.index,
+                self.ctx.emit(
+                    "round_stats",
+                    slot=slot,
+                    node=self.node_id,
+                    round=stats.index,
                     messages_sent=stats.messages_sent,
                     cells_requested=stats.cells_requested,
                     replies_in_round=stats.replies_in_round,

@@ -100,8 +100,6 @@ class RetrievalClient:
         # of the I5 backlog bound).
         self.max_concurrent = max_concurrent
         self.defer_limit = defer_limit
-        self.shed_count = 0
-        self.deferred_peak = 0
         self._running = 0
         self._deferred: list[tuple[RetrievalResult, Callable[[RetrievalResult], None]]] = []
         self._active: dict[int, list[_Retrieval]] = {}
@@ -131,15 +129,16 @@ class RetrievalClient:
             self._start(result, callback)
         elif len(self._deferred) < self.defer_limit:
             self._deferred.append((result, callback))
-            if len(self._deferred) > self.deferred_peak:
-                self.deferred_peak = len(self._deferred)
-            self.ctx.metrics.observe_queue_depth(
-                "retrieval_deferred", len(self._deferred)
+            self.ctx.emit(
+                "queue_depth", slot=slot, node=self.client_id,
+                queue="retrieval_deferred", depth=len(self._deferred),
             )
         else:
             result.shed = True
-            self.shed_count += 1
-            self.ctx.metrics.record_shed("retrieval_client")
+            self.ctx.emit(
+                "load_shed", slot=slot, node=self.client_id,
+                shed="retrieval_client", amount=1.0,
+            )
             callback(result)
         return result
 

@@ -322,7 +322,7 @@ class PipelineScenario(ChurnScenario):
             row["aggregate_backlog"] = self.aggregate.backlog
             row["aggregate_shed"] = self.aggregate.shed_total
         self._slot_rows.append(row)
-        self.ctx.trace(
+        self.ctx.emit(
             "pipeline_slot",
             slot=slot,
             live=row["live_nodes"],
@@ -361,8 +361,8 @@ class PipelineScenario(ChurnScenario):
             "issued": issued,
             "completed": len(completed),
             "shed": shed,
-            "client_shed": sum(c.shed_count for c in self.probes),
-            "deferred_peak": max((c.deferred_peak for c in self.probes), default=0),
+            "client_shed": int(self.metrics.shed_counts.get("retrieval_client", 0)),
+            "deferred_peak": int(self.metrics.queue_depth_peaks.get("retrieval_deferred", 0)),
         }
         if completed:
             summary["latency_p50"] = percentile(completed, 50.0)

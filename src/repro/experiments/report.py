@@ -9,7 +9,6 @@ policies/systems, deadline hit-rates, and crossover directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable
 
 from repro.analysis.stats import Distribution
@@ -115,7 +114,7 @@ def drain_buffer() -> list:
     return lines
 
 
-def _emit(text: str) -> None:
+def _print_line(text: str) -> None:
     import os
     import sys
 
@@ -126,20 +125,20 @@ def _emit(text: str) -> None:
 
 
 def print_header(title: str) -> None:
-    _emit("")
-    _emit("=" * 78)
-    _emit(title)
-    _emit("=" * 78)
+    _print_line("")
+    _print_line("=" * 78)
+    _print_line(title)
+    _print_line("=" * 78)
 
 
 def print_row(text: str) -> None:
-    _emit("  " + text)
+    _print_line("  " + text)
 
 
 def print_block(text: str) -> None:
     """Emit a multi-line block (e.g. an ASCII CDF) indented."""
     for line in text.splitlines():
-        _emit("  " + line)
+        _print_line("  " + line)
 
 
 def shape_checks(checks: Iterable[tuple]) -> None:

@@ -141,7 +141,6 @@ class BaseScenario:
             rngs=self.rngs,
             index_for_epoch=self._index_for_epoch,
             builder_id=self.builder_id,
-            tracer=self.tracer,
         )
 
         self._place_participants()
@@ -149,12 +148,12 @@ class BaseScenario:
         self.byzantine = self._pick_adversaries()
         self._build_participants()
         self._wire_metrics()
-        self._wire_tracing()
         self._wire_telemetry()
         for dead in self.dead_nodes:
             self.network.kill(dead)
         self.fault_injector = self._install_faults()
         self.invariants = self._install_invariants()
+        self._wire_bus()
 
     # ------------------------------------------------------------------
     # hooks for protocol-specific subclasses
@@ -264,11 +263,10 @@ class BaseScenario:
             sim=self.sim,
             network=self.network,
             rngs=self.rngs,
-            metrics=self.metrics,
+            emit=self.ctx.emit,
             candidates=candidates,
             node_lookup=lambda nid: getattr(self, "nodes", {}).get(nid),
             slot_duration=self.params.slot_duration,
-            tracer=self.tracer,
         )
         return injector.install()
 
@@ -329,96 +327,14 @@ class BaseScenario:
         self.network.on_deliver.append(on_deliver)
         self.network.on_drop.append(on_drop)
 
-    def _wire_tracing(self) -> None:
-        """Mirror the transport's send/deliver/drop flow into the trace.
-
-        Observers are only attached for kinds the recorder accepts, so
-        a kind-filtered recorder (say, queries only) costs nothing on
-        the datagram path. Tracing a 1,000-node run stays bounded: the
-        recorder ring-buffers and streaming sinks write flat records.
-        """
-        tracer = self.tracer
-        if tracer is None:
-            return
-
-        def payload_slot(dgram: Datagram) -> int:
-            slot = getattr(dgram.payload, "slot", None)
-            return slot if isinstance(slot, int) else -1
-
-        def payload_kind(dgram: Datagram) -> str:
-            return type(dgram.payload).__name__
-
-        if tracer.enabled("net_send"):
-
-            def on_send(dgram: Datagram) -> None:
-                tracer.emit(
-                    "net_send",
-                    t=self.sim.now,
-                    slot=payload_slot(dgram),
-                    node=dgram.src,
-                    dst=dgram.dst,
-                    size=dgram.size,
-                    payload=payload_kind(dgram),
-                )
-
-            self.network.on_send.append(on_send)
-
-        if tracer.enabled("net_deliver"):
-
-            def on_deliver(dgram: Datagram) -> None:
-                tracer.emit(
-                    "net_deliver",
-                    t=self.sim.now,
-                    slot=payload_slot(dgram),
-                    node=dgram.dst,
-                    src=dgram.src,
-                    size=dgram.size,
-                    payload=payload_kind(dgram),
-                )
-
-            self.network.on_deliver.append(on_deliver)
-
-        if tracer.enabled("net_drop"):
-
-            def on_drop(dgram: Datagram, reason: str) -> None:
-                tracer.emit(
-                    "net_drop",
-                    t=self.sim.now,
-                    slot=payload_slot(dgram),
-                    node=dgram.dst,
-                    src=dgram.src,
-                    size=dgram.size,
-                    payload=payload_kind(dgram),
-                    reason=reason,
-                )
-
-            self.network.on_drop.append(on_drop)
-
-        if tracer.enabled("queue_overflow"):
-
-            def on_overflow(dgram: Datagram, reason: str) -> None:
-                if reason != "overflow":
-                    return
-                tracer.emit(
-                    "queue_overflow",
-                    t=self.sim.now,
-                    slot=payload_slot(dgram),
-                    node=dgram.dst,
-                    src=dgram.src,
-                    size=dgram.size,
-                )
-
-            self.network.on_drop.append(on_overflow)
-
     def _wire_telemetry(self) -> None:
-        """Attach the dimensional telemetry registry, if configured.
+        """Configure the dimensional telemetry registry, if any.
 
-        Everything here is read-only observation: the metrics tap
-        mirrors writes that already happen, the transport observer
-        looks at datagrams already sent, and the gauge collector only
-        reads state. The sampler's cadence ticks are extra simulator
-        events, but they schedule nothing and draw no RNG, so the
-        fingerprint-equality tests hold.
+        Everything here is read-only observation: the gauge collector
+        only reads state, and events arrive through the bus
+        (:meth:`_wire_bus`). The sampler's cadence ticks are extra
+        simulator events, but they schedule nothing and draw no RNG, so
+        the fingerprint-equality tests hold.
         """
         tel = self.config.telemetry
         self.telemetry = tel
@@ -434,14 +350,6 @@ class BaseScenario:
             seed=config.seed,
         )
         tel.expected_end = config.slots * self.params.slot_duration
-        self.ctx.telemetry = tel
-        self.metrics.tap = tel
-
-        def on_send(dgram: Datagram) -> None:
-            tel.observe_send(dgram.src, dgram.dst, dgram.size, dgram.payload)
-
-        self.network.on_send.append(on_send)
-
         network = self.network
 
         def collect() -> None:
@@ -470,6 +378,49 @@ class BaseScenario:
 
         tel.add_collector(collect)
         tel.install(self.sim)
+
+    def _wire_bus(self) -> None:
+        """Subscribe the optional observers to the event bus, in its fixed
+        order after the recorder (invariant checker, telemetry, tracer),
+        and bridge the datagram flow to them.
+
+        Each bridge observer is attached only when some subscriber
+        consumes its kinds, so a bare run keeps exactly
+        :meth:`_wire_metrics`'s three observers.
+        """
+        events = self.ctx.events
+        optional = (self.invariants, self.telemetry, self.tracer)
+        events.subscribe(*(observer for observer in optional if observer is not None))
+        emit = events.emit
+        network = self.network
+
+        def slot_of(dgram: Datagram) -> int:
+            slot = getattr(dgram.payload, "slot", None)
+            return slot if isinstance(slot, int) else -1
+
+        def on_send(d: Datagram) -> None:
+            name = type(d.payload).__name__
+            emit("net_send", slot=slot_of(d), node=d.src, dst=d.dst, size=d.size, payload=name)
+
+        def on_deliver(d: Datagram) -> None:
+            name = type(d.payload).__name__
+            emit("net_deliver", slot=slot_of(d), node=d.dst, src=d.src, size=d.size, payload=name)
+
+        def on_drop(d: Datagram, reason: str) -> None:
+            slot, name = slot_of(d), type(d.payload).__name__
+            emit(
+                "net_drop", slot=slot, node=d.dst, src=d.src, size=d.size, payload=name,
+                reason=reason,
+            )
+            if reason == "overflow":
+                emit("queue_overflow", slot=slot, node=d.dst, src=d.src, size=d.size)
+
+        if events.wants("net_send"):
+            network.on_send.append(on_send)
+        if events.wants("net_deliver"):
+            network.on_deliver.append(on_deliver)
+        if events.wants("net_drop") or events.wants("queue_overflow"):
+            network.on_drop.append(on_drop)
 
     # ------------------------------------------------------------------
     # execution
@@ -592,8 +543,9 @@ class Scenario(BaseScenario):
             )
 
     def _on_block(self, member: int, message) -> None:
-        self.metrics.mark_block(
-            message.slot, member, self.ctx.since_slot_start(message.slot)
+        self.ctx.emit(
+            "phase", slot=message.slot, node=member, phase="block",
+            at=self.ctx.since_slot_start(message.slot),
         )
 
     def _node_handler(self, node_id: int) -> Callable[[Datagram], None]:
@@ -611,7 +563,7 @@ class Scenario(BaseScenario):
             # a randomly chosen node acts as the proposer and gossips
             # the block, concurrently with the builder's seeding
             proposer = self.rngs.stream("proposer").choice(self.node_ids)
-            self.metrics.mark_block(slot, proposer, 0.0)
+            self.ctx.emit("phase", slot=slot, node=proposer, phase="block", at=0.0)
             self.block_overlay.publish(
                 publisher=proposer,
                 topic="blocks",

@@ -109,6 +109,12 @@ class ByzantineNode(PandasNode):
         self._served_requesters: dict[int, set[int]] = {}
         self._withheld_cache: dict[int, set[int]] = {}
 
+    def _misbehaved(self, fault: str, slot: int, amount: float = 1.0) -> None:
+        """Publish one realized Byzantine action (counted with faults)."""
+        self.ctx.emit(
+            "adversary", slot=slot, node=self.node_id, fault=fault, amount=amount
+        )
+
     # ------------------------------------------------------------------
     # scenario hook
     # ------------------------------------------------------------------
@@ -142,7 +148,7 @@ class ByzantineNode(PandasNode):
         self.ctx.network.send(
             self.node_id, victim, response, response.wire_size(params)
         )
-        self.ctx.metrics.record_fault("byz_flood")
+        self._misbehaved("byz_flood", slot)
         self._flood_timer = sim.call_after(
             1.0 / self.spec.rate, lambda: self._flood_tick(slot, end)
         )
@@ -155,14 +161,14 @@ class ByzantineNode(PandasNode):
         if behavior == "equivocate":
             served = self._served_requesters.setdefault(msg.slot, set())
             if src not in served and len(served) >= self.spec.first_k:
-                self.ctx.metrics.record_fault("byz_equivocate_drop")
+                self._misbehaved("byz_equivocate_drop", msg.slot)
                 return
             served.add(src)
         elif behavior == "withhold":
             withheld = self._withheld_cells(msg.epoch)
             starved = msg.cells & withheld
             if starved:
-                self.ctx.metrics.record_fault("byz_withhold_cells", len(starved))
+                self._misbehaved("byz_withhold_cells", msg.slot, len(starved))
                 remaining = msg.cells - withheld
                 if not remaining:
                     return
@@ -176,13 +182,13 @@ class ByzantineNode(PandasNode):
             response = CellResponse(
                 slot=slot, epoch=epoch, cells=cells, invalid=frozenset(cells)
             )
-            ctx.metrics.record_fault("byz_corrupt_cells", len(cells))
+            self._misbehaved("byz_corrupt_cells", slot, len(cells))
             ctx.network.send(
                 self.node_id, dst, response, response.wire_size(ctx.params)
             )
             return
         if behavior == "stall":
-            ctx.metrics.record_fault("byz_stall")
+            self._misbehaved("byz_stall", slot)
             send = PandasNode._respond
             ctx.sim.call_after(
                 self.spec.delay, lambda: send(self, slot, epoch, dst, cells)

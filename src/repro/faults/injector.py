@@ -15,25 +15,22 @@ of extra delivery delays, one per delivered copy of the datagram:
 duplicate. Node-level faults (crash/restart) are plain simulator
 events that toggle endpoint liveness and reset node state.
 
-Every injected fault increments a named counter in
-``MetricsRecorder.fault_counts`` so experiment reports can state the
-realized fault load, not just the configured probabilities.
+Every injected fault is published as one ``fault`` event on the run's
+bus, which counts it in ``MetricsRecorder.fault_counts`` so experiment
+reports can state the realized fault load, not just the configured
+probabilities.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.faults.plan import FaultPlan
 from repro.net.transport import Datagram, Network
 from repro.sim.engine import Simulator
-from repro.sim.metrics import MetricsRecorder
 from repro.sim.rng import RngRegistry
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.obs.events import TraceRecorder
 
 __all__ = ["FaultInjector"]
 
@@ -47,7 +44,8 @@ class FaultInjector:
     protocol node object, if any; objects exposing ``crash()`` /
     ``restart(slot)`` get their volatile state handled on those
     transitions (duck-typed so baselines without those methods still
-    lose connectivity, just not state).
+    lose connectivity, just not state). ``emit`` publishes on the run's
+    event bus (``ProtocolContext.emit``).
     """
 
     def __init__(
@@ -57,17 +55,16 @@ class FaultInjector:
         sim: Simulator,
         network: Network,
         rngs: RngRegistry,
-        metrics: MetricsRecorder,
+        emit: Callable[..., None],
         candidates: Sequence[int],
         node_lookup: Callable[[int], Any] | None = None,
         slot_duration: float = 12.0,
-        tracer: TraceRecorder | None = None,
     ) -> None:
         self.plan = plan
         self.sim = sim
         self.network = network
         self.rngs = rngs
-        self.metrics = metrics
+        self.emit = emit
         self.candidates = list(candidates)
         self.node_lookup = node_lookup
         self.slot_duration = slot_duration
@@ -78,22 +75,10 @@ class FaultInjector:
         self._active_partitions: list[set[int]] = []
         self._link_rng = rngs.stream("faults", "link")
         self._installed = False
-        # structured tracing (repro.obs): pure observation, never
-        # consulted for any fault decision
-        self.tracer = tracer
 
     def _record(self, kind: str, **data: int) -> None:
-        """Count one realized fault and mirror it into the trace."""
-        self.metrics.record_fault(kind)
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled("fault"):
-            tracer.emit(
-                "fault",
-                t=self.sim.now,
-                node=data.pop("node", -1),
-                fault=kind,
-                **data,
-            )
+        """Publish one realized fault."""
+        self.emit("fault", node=data.pop("node", -1), fault=kind, **data)
 
     # ------------------------------------------------------------------
     # installation

@@ -24,6 +24,9 @@ enforces, *while the run executes and under any fault mix*:
   over every endpoint/node — a leak that only shows up between
   deliveries still fails at :meth:`InvariantChecker.check_final`.
 
+I1 and I5 watch the ``Network`` observer lists; I3 and I4 watch the
+``phase`` events of the run's event bus (:mod:`repro.sim.bus`), on
+which the checker is subscribed right after the metrics recorder.
 Violations raise :class:`InvariantViolation` (an ``AssertionError``
 subclass, so plain pytest runs fail loudly) at the moment the bad
 transition happens, which keeps the offending event on the stack.
@@ -32,7 +35,7 @@ transition happens, which keeps the offending event on the stack.
 from __future__ import annotations
 
 from collections.abc import Hashable
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, ClassVar
 
 from repro.net.transport import Datagram
 
@@ -57,6 +60,9 @@ class InvariantChecker:
     target).
     """
 
+    # the bus events I3/I4 check (consolidation and sampling marks)
+    kinds: ClassVar[frozenset[str]] = frozenset({"phase"})
+
     def __init__(self, scenario: BaseScenario, fetch_bound_factor: float = 1.0) -> None:
         self.scenario = scenario
         self.fetch_bound_factor = fetch_bound_factor
@@ -66,18 +72,14 @@ class InvariantChecker:
 
     # ------------------------------------------------------------------
     def install(self) -> InvariantChecker:
-        """Hook transport observers and wrap the metrics marks."""
+        """Hook the transport observers (the scenario subscribes the
+        checker to its event bus)."""
         if self._installed:
             raise RuntimeError("invariant checker already installed")
         self._installed = True
         network = self.scenario.network
         network.on_send.append(self._on_send)
         network.on_deliver.append(self._on_deliver)
-        metrics = self.scenario.metrics
-        self._orig_mark_consolidation = metrics.mark_consolidation
-        self._orig_mark_sampling = metrics.mark_sampling
-        metrics.mark_consolidation = self._checked_consolidation  # type: ignore[method-assign]
-        metrics.mark_sampling = self._checked_sampling  # type: ignore[method-assign]
         return self
 
     # ------------------------------------------------------------------
@@ -161,14 +163,21 @@ class InvariantChecker:
             return None
         return node_obj.slot_cells(slot)
 
-    def _checked_consolidation(self, slot: Hashable, node: Hashable, t: float) -> None:
+    def emit(
+        self, kind: str, *, t: float, slot: int = -1, node: int = -1, **data: Any
+    ) -> None:
+        """Bus entry point: check one consolidation (I3) or sampling (I4)
+        completion against the node's cell state."""
+        phase, at = data["phase"], data["at"]
+        if phase not in ("consolidation", "sampling"):
+            return
         self.checks_run += 1
-        if t < -_TIME_EPS:
-            raise InvariantViolation(
-                f"node {node} consolidation marked at negative time {t:.6f}"
-            )
+        if at < -_TIME_EPS:
+            raise InvariantViolation(f"node {node} {phase} marked at negative time {at:.6f}")
         state = self._node_cells(slot, node)
-        if state is not None:
+        if state is None:
+            return
+        if phase == "consolidation":
             for line in state.custody_lines:
                 if not state.line_complete(line):
                     raise InvariantViolation(
@@ -176,16 +185,7 @@ class InvariantChecker:
                         f"with custody line {line} at {state.line_count(line)} cells "
                         "(not reconstructable)"
                     )
-        self._orig_mark_consolidation(slot, node, t)
-
-    def _checked_sampling(self, slot: Hashable, node: Hashable, t: float) -> None:
-        self.checks_run += 1
-        if t < -_TIME_EPS:
-            raise InvariantViolation(
-                f"node {node} sampling marked at negative time {t:.6f}"
-            )
-        state = self._node_cells(slot, node)
-        if state is not None:
+        else:
             if len(state.samples) != self.scenario.params.samples:
                 raise InvariantViolation(
                     f"node {node} sampled {len(state.samples)} cells, protocol "
@@ -197,7 +197,6 @@ class InvariantChecker:
                     f"node {node} marked sampling-complete for slot {slot} with "
                     f"{len(missing)} sample cells unverified"
                 )
-        self._orig_mark_sampling(slot, node, t)
 
     # ------------------------------------------------------------------
     # end-of-run checks (I1 tail + I2)

@@ -8,8 +8,8 @@ peer was quarantined, which cell arrived via reconstruction. This
 package provides that layer:
 
 - :mod:`repro.obs.events` — ``TraceRecorder``, a ring-buffered,
-  zero-RNG structured event log fed by hooks in the transport, node,
-  fetcher, builder and fault injector;
+  zero-RNG structured event log, and ``KINDS``, the catalog of every
+  event the run's bus (:mod:`repro.sim.bus`) carries;
 - :mod:`repro.obs.sinks` — pluggable sinks (in-memory, JSONL files,
   Chrome ``trace_event`` JSON for about://tracing timelines);
 - :mod:`repro.obs.timeline` — per-node slot timelines and the
@@ -26,8 +26,9 @@ package provides that layer:
 - :mod:`repro.obs.progress` — the wall-clock heartbeat progress line
   for long runs (RL002-allowlisted, like the profiler).
 
-Tracing and telemetry are strictly behavior-neutral: recorders never
-consume protocol RNG streams, and telemetry's sampler events are
+Tracer and telemetry subscribe to the run's event bus after the
+metrics recorder and the invariant checker, and are strictly
+behavior-neutral: recorders never consume protocol RNG streams, and telemetry's sampler events are
 read-only, so ``MetricsRecorder.fingerprint()`` is bit-identical with
 observation on or off (enforced by tests/test_obs_trace.py and
 tests/test_obs_telemetry.py).

@@ -1,18 +1,21 @@
 """Structured trace events and the ring-buffered recorder.
 
 A trace is an append-only sequence of :class:`TraceEvent` records —
-``(t, slot, node, kind, data)`` — emitted by hooks in the transport,
-node, fetcher, builder and fault injector. The recorder is pure
-observation: it never consumes an RNG stream, never schedules a
-simulator event and never mutates protocol state, which is what makes
-tracing behavior-neutral (the fingerprint-equality guarantee).
+``(t, slot, node, kind, data)``. The recorder is the last subscriber of
+the run's event bus (:mod:`repro.sim.bus`), so it sees every protocol
+event the node, fetcher, builder, baselines, fault injector,
+adversaries and pipeline publish, plus the datagram flow the scenario
+bridges from the transport. It is pure observation: it never consumes
+an RNG stream, never schedules a simulator event and never mutates
+protocol state, which is what makes tracing behavior-neutral (the
+fingerprint-equality guarantee).
 
 Volume control is two-layered so tracing a 1,000-node run stays
 bounded:
 
-- **per-kind filtering**, fixed at construction: disabled kinds are
-  rejected before any event object is built (``enabled()`` lets hot
-  call sites skip argument marshalling entirely);
+- **per-kind filtering**, fixed at construction: the bus routes only
+  the ``kinds`` the recorder accepts, and hot call sites ask the bus
+  first, so disabled kinds cost no argument marshalling;
 - a **ring buffer** (``capacity`` events) for the in-memory tail;
   streaming sinks (JSONL, Chrome) still see every accepted event, so a
   file trace is complete even when the ring has evicted the start.
@@ -20,7 +23,6 @@ bounded:
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
@@ -35,22 +37,24 @@ __all__ = [
 ]
 
 
-# The documented event catalog (EXPERIMENTS.md "Observability"). The
-# recorder accepts unknown kinds — the catalog is a contract for
-# consumers (timeline, tests), not a straitjacket for emitters.
+# The documented catalog of every kind the event bus carries
+# (EXPERIMENTS.md "Observability"; reprolint RL004 checks emitters
+# against it). The recorder accepts unknown kinds — the catalog is a
+# contract for consumers (timeline, tests), not a straitjacket.
 KINDS: Mapping[str, str] = {
-    # transport (repro.net.transport observers)
+    # transport (bridged from the Network observer lists by the scenario)
     "net_send": "datagram left a sender's NIC (src=node, dst, size, payload)",
     "net_deliver": "datagram handed to the receiver (node=dst, src, size, payload)",
     "net_drop": "datagram lost (reason: loss|dead|dead_late|fault)",
-    # fault injection (repro.faults.injector)
+    # fault injection (repro.faults.injector) and adversaries
     "fault": "injected fault realized (fault kind, victim where known)",
+    "adversary": "a Byzantine node misbehaved (fault: byz_* action, amount)",
     # builder (repro.core.builder)
     "seed_slot": "builder finished pushing one slot's seed burst (messages, bytes)",
-    # node (repro.core.node)
+    # node (repro.core.node); phase also from the baselines and block gossip
     "seed_recv": "first seed parcel with cells arrived at a node",
     "cells_ingest": "cells stored (source: seed|response; new, reconstructed)",
-    "phase": "a phase completed (phase: seeding|consolidation|sampling; at)",
+    "phase": "first completion of a phase (phase: seeding|consolidation|sampling|block; at)",
     "defense": "validation layer dropped/limited something (defense kind, amount)",
     # fetcher (repro.core.fetching) — the query lifecycle
     "fetch_start": "Algorithm 1 started for one (node, slot)",
@@ -64,9 +68,12 @@ KINDS: Mapping[str, str] = {
     "retry_backoff": "exhausted-pool retry wave backed off (round, wave, delay)",
     "retry_abandoned": "retry dropped — deadline/wave budget spent (round, waves)",
     "fetch_done": "Algorithm 1 finished (success, reason)",
+    "fetch_reply": "a queried peer's reply was accounted (round, latency since round start)",
+    "round_stats": "one round's Table-1 totals, published when the slot is retired",
     # overload control (net.transport bounds, node admission, retrieval)
     "queue_overflow": "bounded transport inbox dropped a datagram (node, src, size)",
     "load_shed": "admission control shed work (node, shed, amount)",
+    "queue_depth": "a bounded queue's depth observed (queue, depth)",
     # experiment layer
     "sweep_point": "sweep moved to the next configuration (label)",
     "pipeline_slot": "sustained pipeline finished one slot (slot, live, depth, shed)",
@@ -125,10 +132,10 @@ class TraceRecorder:
         if capacity is not None and capacity <= 0:
             raise ValueError(f"capacity must be positive or None, got {capacity}")
         self.capacity = capacity
-        self._kinds: frozenset | None = frozenset(kinds) if kinds is not None else None
+        # the bus routes only these kinds here (None: every kind)
+        self.kinds: frozenset[str] | None = frozenset(kinds) if kinds is not None else None
         self._buffer: deque[TraceEvent] = deque(maxlen=capacity)
         self._sinks: list[Any] = list(sinks)
-        self._req_ids = itertools.count(1)
         self.accepted = 0
         self.filtered = 0
         self.counts: Counter = Counter()
@@ -137,12 +144,8 @@ class TraceRecorder:
     # emission
     # ------------------------------------------------------------------
     def enabled(self, kind: str) -> bool:
-        """True when events of ``kind`` would be recorded.
-
-        Hot call sites check this first so that disabled kinds cost one
-        set lookup, not a dict construction.
-        """
-        return self._kinds is None or kind in self._kinds
+        """True when events of ``kind`` would be recorded."""
+        return self.kinds is None or kind in self.kinds
 
     def emit(
         self, kind: str, *, t: float, slot: int = -1, node: int = -1, **data: Any
@@ -161,10 +164,6 @@ class TraceRecorder:
             sink.handle(event)
         return event
 
-    def next_request_id(self) -> int:
-        """Monotonic id for the query lifecycle (deterministic, no RNG)."""
-        return next(self._req_ids)
-
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------
@@ -177,9 +176,6 @@ class TraceRecorder:
     def evicted(self) -> int:
         """Accepted events no longer in the ring buffer."""
         return self.accepted - len(self._buffer)
-
-    def add_sink(self, sink: Any) -> None:
-        self._sinks.append(sink)
 
     def close(self) -> None:
         """Flush and close every sink (idempotent per sink contract)."""

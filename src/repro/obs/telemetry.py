@@ -20,6 +20,8 @@ are actually made of:
   giving the backlog/shed/queue-depth time series the sustained
   pipeline reports on.
 
+Events arrive as a subscriber of the run's event bus (:mod:`repro.sim.bus`).
+
 Behavior neutrality is the contract: a ``Telemetry`` instance draws no
 RNG, reads no wall clock, and mutates no protocol state. Its sampler
 tick is a simulator event, but a read-only one — scheduling it shifts
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Mapping
-from typing import Any
+from typing import Any, ClassVar
 
 __all__ = [
     "DEFAULT_CADENCE",
@@ -265,11 +267,18 @@ class Metric:
 class Telemetry:
     """The run-health registry plus its sim-time cadence sampler.
 
-    Implements the :class:`repro.sim.metrics.MetricsTap` protocol, so a
-    scenario can hand it to the recorder and have every phase mark,
-    shed, queue drop, fault and defense mirrored into dimensional
-    metrics with no per-call-site instrumentation.
+    A subscriber of the run's event bus: every phase completion, shed,
+    queue drop, fault and defense lands in dimensional metrics through
+    :meth:`emit`, with no per-call-site instrumentation.
     """
+
+    # the bus events this registry consumes
+    kinds: ClassVar[frozenset[str]] = frozenset(
+        {
+            "net_send", "phase", "fetch_reply", "fault", "adversary", "defense",
+            "load_shed", "queue_depth", "queue_overflow",
+        }
+    )
 
     def __init__(
         self,
@@ -497,55 +506,52 @@ class Telemetry:
         self.finalized = True
 
     # ------------------------------------------------------------------
-    # MetricsTap protocol (called by MetricsRecorder) + transport hooks
+    # the event bus
     # ------------------------------------------------------------------
-    def on_phase(self, phase: str, slot: Any, node: Any, t: float) -> None:
-        self.observe("phase_latency_seconds", t, phase=phase)
-        self.inc("phase_completions_total", phase=phase)
-        deadline = self.deadline
-        if deadline is not None and t <= deadline:
-            self.inc("phase_deadline_hits_total", phase=phase)
+    def emit(
+        self, kind: str, *, t: float, slot: int = -1, node: int = -1, **data: Any
+    ) -> None:
+        """Bus entry point: fold one event into the registry."""
+        if kind == "net_send":
+            layer = self._layer(node, data["dst"], data["payload"])
+            self.inc("messages_sent_total", 1.0, layer=layer)
+            self.inc("bytes_sent_total", float(data["size"]), layer=layer)
+        elif kind == "phase":
+            phase, at = data["phase"], data["at"]
+            self.observe("phase_latency_seconds", at, phase=phase)
+            self.inc("phase_completions_total", phase=phase)
+            deadline = self.deadline
+            if deadline is not None and at <= deadline:
+                self.inc("phase_deadline_hits_total", phase=phase)
+        elif kind == "fetch_reply":
+            rnd = data["round"]
+            label = str(rnd) if rnd <= 4 else "5+"
+            self.observe("fetch_round_latency_seconds", data["latency"], round=label)
+        elif kind in ("fault", "adversary"):
+            self.inc("fault_total", data.get("amount", 1.0), kind=data["fault"])
+        elif kind == "defense":
+            self.inc("defense_total", data["amount"], kind=data["defense"])
+        elif kind == "load_shed":
+            self.inc("shed_total", data["amount"], kind=data["shed"])
+        elif kind == "queue_depth":
+            self.observe("queue_depth", data["depth"], queue=data["queue"])
+        elif kind == "queue_overflow":
+            self.inc("queue_drops_total", 1.0, reason="inbox_overflow")
 
-    def on_shed(self, kind: str, amount: float) -> None:
-        self.inc("shed_total", amount, kind=kind)
+    def _layer(self, src: int, dst: int, payload: str) -> str:
+        """The traffic layer of one datagram.
 
-    def on_queue_drop(self, reason: str, amount: float) -> None:
-        self.inc("queue_drops_total", amount, reason=reason)
-
-    def on_queue_depth(self, gauge: str, depth: float) -> None:
-        self.observe("queue_depth", depth, queue=gauge)
-
-    def on_fault(self, kind: str, amount: float) -> None:
-        self.inc("fault_total", amount, kind=kind)
-
-    def on_defense(self, kind: str, amount: float) -> None:
-        self.inc("defense_total", amount, kind=kind)
-
-    def on_round_latency(self, round_index: int, latency: float) -> None:
-        label = str(round_index) if round_index <= 4 else "5+"
-        self.observe("fetch_round_latency_seconds", latency, round=label)
-
-    def observe_send(self, src: int, dst: int, size: int, payload: Any) -> None:
-        """Classify one datagram into a traffic layer and count it.
-
-        Classification is by payload type *name* (plus the retrieval
-        priority/address floor), deliberately avoiding imports from
+        Classification is by payload type *name* and the run's
+        addresses (the builder; the retrieval-client floor, below which
+        no client lives), deliberately avoiding imports from
         ``repro.core`` so this module stays dependency-free.
         """
-        layer = self._layer(src, dst, payload)
-        self.inc("messages_sent_total", 1.0, layer=layer)
-        self.inc("bytes_sent_total", float(size), layer=layer)
-
-    def _layer(self, src: int, dst: int, payload: Any) -> str:
-        name = type(payload).__name__
-        if src == self._builder_id or name == "SeedMessage":
+        if src == self._builder_id or payload == "SeedMessage":
             return "seed"
-        if name == "GossipMessage":
+        if payload == "GossipMessage":
             return "gossip"
-        if name == "CellRequest":
-            if getattr(payload, "priority", 0) != 0 or src >= self._retrieval_floor:
-                return "retrieval"
-            return "fetch"
-        if name == "CellResponse":
+        if payload == "CellRequest":
+            return "retrieval" if src >= self._retrieval_floor else "fetch"
+        if payload == "CellResponse":
             return "retrieval" if dst >= self._retrieval_floor else "fetch"
         return "other"

@@ -5,6 +5,10 @@ seeding / consolidation / sampling, message counts, and traffic volume
 (both directions). ``MetricsRecorder`` collects these as flat
 counters and event marks keyed by ``(slot, node_id)``; the analysis
 layer turns them into CDFs, percentiles and the rows of Table 1.
+
+Protocol events reach it as the first subscriber of the run's event
+bus (:mod:`repro.sim.bus`); datagram traffic through the ``Network``
+observers that ``BaseScenario._wire_metrics`` installs.
 """
 
 from __future__ import annotations
@@ -13,34 +17,10 @@ import hashlib
 from collections import defaultdict
 from dataclasses import dataclass, field
 from statistics import mean, pstdev
-from collections.abc import Hashable, Iterable, Iterator
-from typing import Protocol, runtime_checkable
+from collections.abc import Hashable, Iterator
+from typing import Any, ClassVar
 
-__all__ = ["Counter2D", "MetricsRecorder", "MetricsTap", "PhaseTimes"]
-
-
-@runtime_checkable
-class MetricsTap(Protocol):
-    """Live observer of recorder writes (duck-typed; see
-    :class:`repro.obs.telemetry.Telemetry`).
-
-    A tap is *pure observation*: implementations must not mutate
-    protocol state, draw RNG or schedule simulator events — the
-    recorder's snapshot/fingerprint never includes the tap, and the
-    behavior-neutrality tests pin fingerprints with and without one.
-    """
-
-    def on_phase(self, phase: str, slot: Hashable, node: Hashable, t: float) -> None: ...
-
-    def on_shed(self, kind: str, amount: float) -> None: ...
-
-    def on_queue_drop(self, reason: str, amount: float) -> None: ...
-
-    def on_queue_depth(self, gauge: str, depth: float) -> None: ...
-
-    def on_fault(self, kind: str, amount: float) -> None: ...
-
-    def on_defense(self, kind: str, amount: float) -> None: ...
+__all__ = ["Counter2D", "MetricsRecorder", "PhaseTimes"]
 
 
 class Counter2D:
@@ -94,14 +74,6 @@ class Counter2D:
 
     def __len__(self) -> int:
         return self._size
-
-    @property
-    def _data(self) -> dict[tuple[Hashable, Hashable], float]:
-        """Flat ``(slot, node) -> value`` view (pre-index compatibility).
-
-        Read-only: mutations to the returned dict are not written back.
-        """
-        return dict(self.items())
 
 
 @dataclass
@@ -162,49 +134,45 @@ class MetricsRecorder:
     shed_counts: dict[str, float] = field(default_factory=lambda: defaultdict(float))
     queue_drop_counts: dict[str, float] = field(default_factory=lambda: defaultdict(float))
     queue_depth_peaks: dict[str, float] = field(default_factory=dict)
-    # Optional live observer (repro.obs.telemetry). Excluded from
-    # snapshot()/fingerprint() and from dataclass comparison: a tap is
-    # a read-only mirror of writes, never part of recorded behavior.
-    tap: MetricsTap | None = field(default=None, repr=False, compare=False)
+
+    # the protocol events the bus (repro.sim.bus) delivers here; the
+    # datagram counters above are fed by Network observers instead
+    kinds: ClassVar[frozenset[str]] = frozenset(
+        {"phase", "fault", "adversary", "defense", "load_shed", "queue_depth", "round_stats"}
+    )
+
+    def emit(
+        self, kind: str, *, t: float, slot: Hashable = -1, node: Hashable = -1, **data: Any
+    ) -> None:
+        """Bus entry point: store one protocol event with its writer.
+
+        ``t`` is not stored: phase marks are relative to the slot start
+        and arrive as ``at``.
+        """
+        if kind == "phase":
+            self.mark_phase(data["phase"], slot, node, data["at"])
+        elif kind in ("fault", "adversary"):
+            self.record_fault(data["fault"], data.get("amount", 1.0))
+        elif kind == "defense":
+            self.record_defense(data["defense"], data["amount"])
+        elif kind == "load_shed":
+            self.record_shed(data["shed"], data["amount"])
+        elif kind == "queue_depth":
+            self.observe_queue_depth(data["queue"], data["depth"])
+        elif kind == "round_stats":
+            self.record_round(slot, node, data.pop("round"), **data)
 
     # ------------------------------------------------------------------
     # phase completion marks
     # ------------------------------------------------------------------
-    def _times(self, slot: Hashable, node: Hashable) -> PhaseTimes:
-        key = (slot, node)
-        times = self.phase_times.get(key)
+    def mark_phase(self, phase: str, slot: Hashable, node: Hashable, t: float) -> None:
+        """Record ``phase`` (a :class:`PhaseTimes` field) as completed at
+        ``t``; the first mark wins."""
+        times = self.phase_times.get((slot, node))
         if times is None:
-            times = PhaseTimes()
-            self.phase_times[key] = times
-        return times
-
-    def mark_seeding(self, slot: Hashable, node: Hashable, t: float) -> None:
-        times = self._times(slot, node)
-        if times.seeding is None:
-            times.seeding = t
-            if self.tap is not None:
-                self.tap.on_phase("seeding", slot, node, t)
-
-    def mark_consolidation(self, slot: Hashable, node: Hashable, t: float) -> None:
-        times = self._times(slot, node)
-        if times.consolidation is None:
-            times.consolidation = t
-            if self.tap is not None:
-                self.tap.on_phase("consolidation", slot, node, t)
-
-    def mark_sampling(self, slot: Hashable, node: Hashable, t: float) -> None:
-        times = self._times(slot, node)
-        if times.sampling is None:
-            times.sampling = t
-            if self.tap is not None:
-                self.tap.on_phase("sampling", slot, node, t)
-
-    def mark_block(self, slot: Hashable, node: Hashable, t: float) -> None:
-        times = self._times(slot, node)
-        if times.block is None:
-            times.block = t
-            if self.tap is not None:
-                self.tap.on_phase("block", slot, node, t)
+            times = self.phase_times[(slot, node)] = PhaseTimes()
+        if getattr(times, phase) is None:
+            setattr(times, phase, t)
 
     # ------------------------------------------------------------------
     # traffic
@@ -222,16 +190,12 @@ class MetricsRecorder:
         self.builder_bytes_sent[slot] += size
 
     def record_fault(self, kind: str, amount: float = 1.0) -> None:
-        """Count one injected fault event of ``kind``."""
+        """Count one injected fault or Byzantine action of ``kind``."""
         self.fault_counts[kind] += amount
-        if self.tap is not None:
-            self.tap.on_fault(kind, amount)
 
     def record_defense(self, kind: str, amount: float = 1.0) -> None:
         """Count one node-side defense event of ``kind``."""
         self.defense_counts[kind] += amount
-        if self.tap is not None:
-            self.tap.on_defense(kind, amount)
 
     # ------------------------------------------------------------------
     # overload control (bounded queues, admission, backlog gauges)
@@ -239,22 +203,16 @@ class MetricsRecorder:
     def record_shed(self, kind: str, amount: float = 1.0) -> None:
         """Count load shed by admission control (``kind`` = what/why)."""
         self.shed_counts[kind] += amount
-        if self.tap is not None:
-            self.tap.on_shed(kind, amount)
 
     def record_queue_drop(self, reason: str, amount: float = 1.0) -> None:
         """Count one bounded-queue rejection (e.g. transport overflow)."""
         self.queue_drop_counts[reason] += amount
-        if self.tap is not None:
-            self.tap.on_queue_drop(reason, amount)
 
     def observe_queue_depth(self, gauge: str, depth: float) -> None:
         """Track the high-water mark of a named queue-depth gauge."""
         prev = self.queue_depth_peaks.get(gauge)
         if prev is None or depth > prev:
             self.queue_depth_peaks[gauge] = depth
-        if self.tap is not None:
-            self.tap.on_queue_depth(gauge, depth)
 
     # ------------------------------------------------------------------
     # fetching round telemetry (Table 1)
@@ -270,23 +228,6 @@ class MetricsRecorder:
     # ------------------------------------------------------------------
     # extraction helpers
     # ------------------------------------------------------------------
-    def phase_series(
-        self, phase: str, slots: Iterable[Hashable] | None = None
-    ) -> list[float | None]:
-        """All completion times for ``phase`` across (slot, node) pairs.
-
-        Missing completions are returned as ``None`` so callers can
-        compute deadline-miss fractions honestly rather than silently
-        dropping the slowest nodes.
-        """
-        wanted = set(slots) if slots is not None else None
-        series: list[float | None] = []
-        for (slot, _node), times in self.phase_times.items():
-            if wanted is not None and slot not in wanted:
-                continue
-            series.append(getattr(times, phase))
-        return series
-
     def snapshot(self) -> tuple[object, ...]:
         """Canonical, order-independent form of everything recorded.
 

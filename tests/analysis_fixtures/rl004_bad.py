@@ -1,4 +1,4 @@
-"""RL004 positive fixture: trace kinds missing from the catalog."""
+"""RL004 positive fixture: event kinds missing from the catalog."""
 
 
 def report(tracer, sim, node: int) -> None:
@@ -6,11 +6,11 @@ def report(tracer, sim, node: int) -> None:
 
 
 class Fetcher:
-    def __init__(self, ctx) -> None:
-        self.ctx = ctx
+    def __init__(self, events) -> None:
+        self.events = events
 
-    def _trace(self, kind: str, **data) -> None:
-        self.ctx.trace(kind, **data)
+    def _emit(self, kind: str, **data) -> None:
+        self.events.emit(kind, **data)
 
     def run(self) -> None:
-        self._trace("rounds_exhausted")  # uncataloged kind: finding
+        self._emit("rounds_exhausted")  # uncataloged kind: finding

@@ -7,6 +7,6 @@ def report(tracer, sim, node: int) -> None:
 
 
 def relay(tracer, kind: str, **data) -> None:
-    # non-literal kinds are the wrapper pattern (ctx.trace); the rule
-    # checks the literal call sites that feed them instead
+    # non-literal kinds are the wrapper pattern (the bus, a fetcher's
+    # _emit); the rule checks the literal call sites that feed them
     tracer.emit(kind, **data)

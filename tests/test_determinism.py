@@ -38,7 +38,7 @@ def fingerprint(scenario):
         (slot, node, t.seeding, t.consolidation, t.sampling)
         for (slot, node), t in scenario.metrics.phase_times.items()
     )
-    traffic = sorted(scenario.metrics.fetch_bytes._data.items())
+    traffic = sorted(dict(scenario.metrics.fetch_bytes.items()).items())
     return (
         times,
         traffic,

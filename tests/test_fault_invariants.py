@@ -59,7 +59,7 @@ class TestInvariantsHold:
     def test_fetch_bound_is_generous_but_finite(self):
         scenario = Scenario(make_config()).run()
         bound = scenario.invariants.fetch_bytes_bound()
-        observed = max(scenario.metrics.fetch_bytes._data.values())
+        observed = max(dict(scenario.metrics.fetch_bytes.items()).values())
         assert observed < bound
 
 
@@ -69,18 +69,18 @@ class TestViolationsCaught:
         node = scenario.nodes[0]
         node._slot_state(0)  # creates empty cell state: nothing verified
         with pytest.raises(InvariantViolation):
-            scenario.metrics.mark_sampling(0, 0, 0.1)
+            scenario.ctx.emit("phase", slot=0, node=0, phase="sampling", at=0.1)
 
     def test_consolidation_mark_without_lines_raises(self):
         scenario = Scenario(make_config())
         scenario.nodes[1]._slot_state(0)
         with pytest.raises(InvariantViolation):
-            scenario.metrics.mark_consolidation(0, 1, 0.1)
+            scenario.ctx.emit("phase", slot=0, node=1, phase="consolidation", at=0.1)
 
     def test_negative_completion_time_raises(self):
         scenario = Scenario(make_config())
         with pytest.raises(InvariantViolation):
-            scenario.metrics.mark_sampling(0, 0, -0.5)
+            scenario.ctx.emit("phase", slot=0, node=0, phase="sampling", at=-0.5)
 
     def test_delivery_before_send_raises(self):
         scenario = Scenario(make_config())
@@ -97,12 +97,12 @@ class TestViolationsCaught:
             scenario.invariants.check_final()
 
     def test_wrapped_marks_still_record(self):
-        """The checker wraps the metrics marks; legitimate completions
-        must flow through to the recorder unchanged."""
+        """The checker subscribes to the same phase events as the
+        recorder; legitimate completions reach the recorder unchanged."""
         scenario = Scenario(make_config()).run()
         sampled = [
             t.sampling
             for t in scenario.metrics.phase_times.values()
             if t.sampling is not None
         ]
-        assert sampled  # marks were recorded despite the wrapper
+        assert sampled  # marks were recorded beside the checks

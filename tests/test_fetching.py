@@ -12,7 +12,9 @@ from repro.core.assignment import Custody, cells_of_line
 from repro.core.custody import SlotCellState
 from repro.core.fetching import AdaptiveFetcher, plan_queries, score_peers
 from repro.core.seeding import SeedParcel, boost_map_for_line
+from repro.obs import TraceRecorder
 from repro.params import FetchSchedule, PandasParams, RetryPolicy
+from repro.sim.bus import EventBus
 from repro.sim.engine import Simulator
 
 
@@ -256,15 +258,23 @@ class TestRounds:
         assert done == [False]
 
     def test_round_stats_recorded(self):
-        rounds = []
         custodians = {line: list(range(8)) for line in range(32)}
-        fetcher, state, sim, sent = make_fetcher(custodians=custodians)
-        fetcher.on_round = lambda stats: rounds.append(stats)
+        sim = Simulator()
+        tracer = TraceRecorder(kinds=["fetch_round"])
+        fetcher, state, sim, sent = make_fetcher(
+            custodians=custodians, sim=sim, events=EventBus(sim, [tracer]), slot=0
+        )
         fetcher.start()
         sim.run(until=0.5)
+        rounds = fetcher.rounds
         assert rounds[0].index == 1
         assert rounds[0].messages_sent == len([s for s in sent if s[0] == 0.0])
         assert rounds[0].cells_requested > 0
+        # each planned round is also published on the bus
+        first = tracer.events[0]
+        assert (first.slot, first.node) == (0, 999)
+        assert first.data["round"] == 1
+        assert first.data["queries"] == rounds[0].messages_sent
 
     def test_reply_in_vs_after_round_attribution(self):
         custodians = {line: list(range(8)) for line in range(32)}

@@ -29,7 +29,6 @@ def test_channel_cells_start_sampling():
     scenario.ctx.begin_slot(0)
     node.on_channel_cells(0, (1, 2, 3))
     state = node._slots[0]
-    assert state.started
     assert state.fetcher.started
     assert state.cells.has_cell(2)
 

@@ -42,17 +42,19 @@ def synthetic_telemetry() -> Telemetry:
     tel = Telemetry(cadence=0.5)
     tel.set_run_info(nodes=3, slots=1, slot_duration=12.0, deadline=4.0, seed=1)
     tel.configure_layers(builder_id=3, retrieval_floor=100)
-    tel.on_phase("seeding", 0, 0, 0.25)
-    tel.on_phase("sampling", 0, 0, 1.5)
-    tel.on_phase("sampling", 0, 1, 3.0)
-    tel.on_phase("sampling", 0, 2, 9.0)  # past the 4 s deadline
-    tel.on_round_latency(1, 0.125)
-    tel.on_round_latency(7, 2.0)
-    tel.on_shed("retrieval_admission", 5.0)
-    tel.on_queue_drop("inbox_overflow", 2.0)
-    tel.on_queue_depth("pending_requests", 12.0)
-    tel.on_fault("crash", 1.0)
-    tel.on_defense("quarantine", 2.0)
+    tel.emit("phase", t=0.25, slot=0, node=0, phase="seeding", at=0.25)
+    tel.emit("phase", t=1.5, slot=0, node=0, phase="sampling", at=1.5)
+    tel.emit("phase", t=3.0, slot=0, node=1, phase="sampling", at=3.0)
+    # past the 4 s deadline
+    tel.emit("phase", t=9.0, slot=0, node=2, phase="sampling", at=9.0)
+    tel.emit("fetch_reply", t=0.5, round=1, latency=0.125)
+    tel.emit("fetch_reply", t=4.0, round=7, latency=2.0)
+    tel.emit("load_shed", t=1.0, shed="retrieval_admission", amount=5.0)
+    tel.emit("queue_overflow", t=1.0, src=0, size=100)
+    tel.emit("queue_overflow", t=1.0, src=0, size=100)
+    tel.emit("queue_depth", t=1.0, queue="pending_requests", depth=12.0)
+    tel.emit("fault", t=1.0, node=1, fault="crash")
+    tel.emit("defense", t=1.0, defense="quarantine", amount=2.0)
     tel.set_gauge("live_nodes", 3.0)
     tel.set_gauge("inbox_depth_max", 7.0)
     # one hand-fed sample row (no simulator is attached)
@@ -234,7 +236,7 @@ def test_health_expected_samples_denominator():
 def test_health_overload_onset_slot():
     tel = Telemetry()
     tel.set_run_info(slot_duration=12.0, deadline=4.0)
-    tel.on_phase("sampling", 0, 0, 1.0)
+    tel.emit("phase", t=1.0, slot=0, node=0, phase="sampling", at=1.0)
     # fabricate sample rows: clean during slot 0, shed appears in slot 2
     records = series_records(tel)
     records.insert(1, {"type": "sample", "t": 3.0, "values": {}})

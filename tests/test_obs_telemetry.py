@@ -213,25 +213,27 @@ def test_invalid_cadence_and_names_rejected():
 # ----------------------------------------------------------------------
 # traffic-layer classification
 # ----------------------------------------------------------------------
-def _Payload(name, priority=0):
-    """A payload whose type *name* drives the classifier."""
-    obj = type(name, (), {})()
-    obj.priority = priority
-    return obj
-
-
 def test_layer_classification():
     tel = Telemetry()
     tel.configure_layers(builder_id=100, retrieval_floor=10_000_000)
-    assert tel._layer(100, 1, _Payload("CellRequest")) == "seed"
-    assert tel._layer(1, 2, _Payload("SeedMessage")) == "seed"
-    assert tel._layer(1, 2, _Payload("GossipMessage")) == "gossip"
-    assert tel._layer(1, 2, _Payload("CellRequest")) == "fetch"
-    assert tel._layer(1, 2, _Payload("CellRequest", priority=1)) == "retrieval"
-    assert tel._layer(10_000_001, 2, _Payload("CellRequest")) == "retrieval"
-    assert tel._layer(2, 10_000_001, _Payload("CellResponse")) == "retrieval"
-    assert tel._layer(2, 3, _Payload("CellResponse")) == "fetch"
-    assert tel._layer(1, 2, _Payload("Unknown")) == "other"
+    assert tel._layer(100, 1, "CellRequest") == "seed"
+    assert tel._layer(1, 2, "SeedMessage") == "seed"
+    assert tel._layer(1, 2, "GossipMessage") == "gossip"
+    assert tel._layer(1, 2, "CellRequest") == "fetch"
+    assert tel._layer(10_000_001, 2, "CellRequest") == "retrieval"
+    assert tel._layer(2, 10_000_001, "CellResponse") == "retrieval"
+    assert tel._layer(2, 3, "CellResponse") == "fetch"
+    assert tel._layer(1, 2, "Unknown") == "other"
+
+
+def test_net_send_events_count_by_layer():
+    tel = Telemetry()
+    tel.configure_layers(builder_id=100)
+    tel.emit("net_send", t=0.0, slot=0, node=100, dst=1, size=40, payload="SeedMessage")
+    tel.emit("net_send", t=0.1, slot=0, node=1, dst=2, size=10, payload="CellRequest")
+    assert tel.metrics["messages_sent_total"].value(layer="seed") == 1.0
+    assert tel.metrics["bytes_sent_total"].value(layer="seed") == 40.0
+    assert tel.metrics["bytes_sent_total"].value(layer="fetch") == 10.0
 
 
 # ----------------------------------------------------------------------

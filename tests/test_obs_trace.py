@@ -26,6 +26,8 @@ from repro.obs import (
     TraceRecorder,
 )
 from repro.params import PandasParams
+from repro.sim.bus import EventBus
+from repro.sim.engine import Simulator
 
 
 def dense_config(seed=9, **overrides):
@@ -82,8 +84,8 @@ def test_invalid_capacity_rejected():
 
 
 def test_request_ids_are_monotonic():
-    rec = TraceRecorder()
-    assert [rec.next_request_id() for _ in range(3)] == [1, 2, 3]
+    bus = EventBus(Simulator())
+    assert [bus.next_request_id() for _ in range(3)] == [1, 2, 3]
 
 
 def test_kind_table_orders_by_frequency():

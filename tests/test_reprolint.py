@@ -30,6 +30,10 @@ from repro.analysis.reprolint import (
     rule_code_span,
 )
 from repro.analysis.reprolint.cli import run as reprolint_run
+from repro.analysis.reprolint.rules import _EMIT_NAMES, UnknownTraceKind
+from repro.core.context import ProtocolContext
+from repro.core.fetching import AdaptiveFetcher
+from repro.sim.bus import EventBus
 
 TESTS_DIR = Path(__file__).parent
 FIXTURES = TESTS_DIR / "analysis_fixtures"
@@ -70,6 +74,7 @@ POSITIVE_EXPECTATIONS = {
     "rl002_telemetry_bad.py": ("RL002", 3),
     "rl003_bad.py": ("RL003", 4),
     "rl004_bad.py": ("RL004", 2),
+    "rl004_bus_bad.py": ("RL004", 1),
     "rl005_bad.py": ("RL005", 3),
     "rl006_bad.py": ("RL006", 2),
     "rl007_bad.py": ("RL007", 4),
@@ -168,6 +173,24 @@ class TestRuleDetails:
             "        transport.send(p, None)\n"
         )
         assert codes(Linter().lint_source(source, "s.py")) == ["RL003"]
+
+    def test_rl004_follows_the_bus(self):
+        """A kind published on the bus is checked like any other: an
+        uncataloged one is flagged, a cataloged one is not. The emitter
+        vocabulary names exactly the bus's emission methods."""
+        found = active(lint_fixture("rl004_bus_bad.py"))
+        assert codes(found) == ["RL004"]
+        assert "'uncataloged'" in found[0].message
+        assert codes(lint_fixture("rl004_bus_good.py")) == []
+        assert UnknownTraceKind._EMITTERS == {"emit", "_emit"}
+        assert UnknownTraceKind._EMITTERS <= _EMIT_NAMES
+        assert not {"trace", "_trace"} & _EMIT_NAMES
+        for owner, name in (
+            (ProtocolContext, "emit"),
+            (EventBus, "emit"),
+            (AdaptiveFetcher, "_emit"),
+        ):
+            assert callable(getattr(owner, name))
 
     def test_rl004_catalog_matches_ast_and_import(self):
         static = load_trace_catalog(SRC / "repro" / "obs" / "events.py")

@@ -27,7 +27,7 @@ def make_config(**overrides):
 def test_fetch_distributions_exclude_dead_nodes():
     scenario = Scenario(make_config(dead_fraction=0.25)).run()
     assert scenario.fetch_message_distribution().count <= 30
-    for (slot, node), _v in scenario.metrics.fetch_messages._data.items():
+    for (slot, node), _v in dict(scenario.metrics.fetch_messages.items()).items():
         assert node not in scenario.dead_nodes or True  # dead send nothing anyway
 
 

@@ -33,16 +33,16 @@ class TestCounter2D:
 class TestPhaseMarks:
     def test_marks_are_first_write_wins(self):
         metrics = MetricsRecorder()
-        metrics.mark_seeding(0, "n", 1.0)
-        metrics.mark_seeding(0, "n", 9.0)
+        metrics.mark_phase("seeding", 0, "n", 1.0)
+        metrics.mark_phase("seeding", 0, "n", 9.0)
         assert metrics.phase_times[(0, "n")].seeding == 1.0
 
     def test_all_phases_recorded_independently(self):
         metrics = MetricsRecorder()
-        metrics.mark_seeding(0, "n", 1.0)
-        metrics.mark_consolidation(0, "n", 2.0)
-        metrics.mark_sampling(0, "n", 3.0)
-        metrics.mark_block(0, "n", 0.5)
+        metrics.mark_phase("seeding", 0, "n", 1.0)
+        metrics.mark_phase("consolidation", 0, "n", 2.0)
+        metrics.mark_phase("sampling", 0, "n", 3.0)
+        metrics.mark_phase("block", 0, "n", 0.5)
         times = metrics.phase_times[(0, "n")]
         assert (times.seeding, times.consolidation, times.sampling, times.block) == (
             1.0,
@@ -50,20 +50,6 @@ class TestPhaseMarks:
             3.0,
             0.5,
         )
-
-    def test_phase_series_includes_misses(self):
-        metrics = MetricsRecorder()
-        metrics.mark_seeding(0, "a", 1.0)
-        metrics.mark_sampling(0, "a", 2.0)
-        metrics.mark_seeding(0, "b", 1.5)  # b never samples
-        series = metrics.phase_series("sampling")
-        assert sorted(str(v) for v in series) == ["2.0", "None"]
-
-    def test_phase_series_slot_filter(self):
-        metrics = MetricsRecorder()
-        metrics.mark_sampling(0, "a", 1.0)
-        metrics.mark_sampling(1, "a", 2.0)
-        assert metrics.phase_series("sampling", slots=[1]) == [2.0]
 
 
 class TestTraffic:
