@@ -41,8 +41,9 @@ def lines_of_cell(cid: int, ext_rows: int, ext_cols: int) -> tuple[int, int]:
 def cells_of_line(line: int, ext_rows: int, ext_cols: int) -> tuple[int, ...]:
     """All cell ids on ``line``, in natural order.
 
-    Memoized: every node that reconstructs the line stores these very
-    ``int`` objects instead of its own copies of them.
+    Memoized: the cell ids custody state hands out for a line (its
+    missing cells, its reconstructed cells) are these very ``int``
+    objects, not per-node copies of them.
     """
     if line < ext_rows:
         base = line * ext_cols

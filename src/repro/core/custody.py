@@ -15,16 +15,25 @@ more cells to be reconstructable, so that is what the fetcher requests
 (fetching all 512 cells of every line would cost ~4.5 MB per node per
 slot instead of the ~1-2 MB the paper reports in Figure 10).
 
+Representation: one ``bytearray`` per custody line, one byte per
+position (column index for a row, row index for a column), 1 = held.
+A cell where two custody lines cross is marked in both maps, and the
+two always agree. Held cells on no custody line (samples, at most 73
+at full scale) go in one small set. At full scale that is ~8 KB per
+node and slot; a ``set`` of the ~8k held cell ids would take ~430 KB.
+
 Performance: this is the hottest data structure in the simulator — a
 full-parameter node stores ~8k cells per slot, so a thousand-node run
-crosses :meth:`SlotCellState.add_cells` millions of times. State is
-therefore kept as flat per-line occupancy counters (O(1) deficit /
-completeness checks instead of bitmask popcounts), the ingest loop is
-a single inlined pass with locals bound once per batch, and the
-reconstruction closure only runs when a counter actually moved. The
-externally observable behaviour — stored-cell order, ``on_store``
-callback order, reconstruction order — is bit-identical to the
-original bitmask implementation; the determinism suite pins it.
+crosses :meth:`SlotCellState.add_cells` millions of times. Beside the
+maps, state is flat per-line occupancy counters (O(1) deficit and
+completeness checks), the ingest loop is a single inlined pass with
+locals bound once per batch, and the reconstruction closure only runs
+when a counter actually moved. Reconstruction without an ``on_store``
+sink is one slice assignment per line; with a sink it stores cell by
+cell in natural line order, so the sink sees exactly the order the
+determinism suite pins. ``tests/test_cell_state_equivalence.py`` keeps
+the earlier set-based implementation as the reference for every
+observable result.
 """
 
 from __future__ import annotations
@@ -46,12 +55,12 @@ class SlotCellState:
         "on_store",
         "custody_lines",
         "samples",
-        "have",
         "cells_reconstructed",
         "duplicates_received",
         "_ext_rows",
         "_ext_cols",
-        "_line_set",
+        "_held",
+        "_off_lines",
         "_counts",
         "_line_len",
         "_half",
@@ -77,36 +86,30 @@ class SlotCellState:
         self.custody_lines: tuple[int, ...] = custody.lines(params.ext_rows)
         self._ext_rows = params.ext_rows
         self._ext_cols = params.ext_cols
-        self._line_set = frozenset(self.custody_lines)
-        # per-line occupancy count over positions within the line
-        self._counts: dict[int, int] = dict.fromkeys(self.custody_lines, 0)
         self._line_len: dict[int, int] = {
             line: params.ext_cols if line < params.ext_rows else params.ext_rows
             for line in self.custody_lines
         }
+        # per custody line: one byte per position, 1 = held
+        self._held: dict[int, bytearray] = {
+            line: bytearray(length) for line, length in self._line_len.items()
+        }
+        # held cells that lie on no custody line
+        self._off_lines: set[int] = set()
+        # per-line occupancy count over positions within the line
+        self._counts: dict[int, int] = dict.fromkeys(self.custody_lines, 0)
         self._half: dict[int, int] = {
             line: length // 2 for line, length in self._line_len.items()
         }
         self._incomplete_lines = len(self.custody_lines)
         self.samples: set[int] = set(samples)
         self._samples_missing = len(self.samples)
-        self.have: set[int] = set()
         self.cells_reconstructed = 0
         self.duplicates_received = 0
 
     # ------------------------------------------------------------------
     # geometry helpers
     # ------------------------------------------------------------------
-    def _position(self, line: int, cid: int) -> int:
-        """Index of ``cid`` within ``line`` (column for rows, row for cols)."""
-        row, col = divmod(cid, self._ext_cols)
-        return col if line < self._ext_rows else row
-
-    def _cell_at(self, line: int, position: int) -> int:
-        if line < self._ext_rows:
-            return line * self._ext_cols + position
-        return position * self._ext_cols + (line - self._ext_rows)
-
     def lines_of(self, cid: int) -> tuple[int, int]:
         return lines_of_cell(cid, self._ext_rows, self._ext_cols)
 
@@ -121,9 +124,9 @@ class SlotCellState:
         further custody lines at their intersections, so the closure
         loops to fixpoint (cheap: at most 16 lines).
         """
-        have = self.have
+        held = self._held
+        off_lines = self._off_lines
         samples = self.samples
-        line_set = self._line_set
         counts = self._counts
         line_len = self._line_len
         on_store = self.on_store
@@ -133,27 +136,45 @@ class SlotCellState:
         dup_count = 0
         touched = False
         for cid in cells:
-            if cid in have:
+            row = cid // ext_cols
+            col = cid - row * ext_cols
+            col_line = ext_rows + col
+            row_map = held.get(row)
+            col_map = held.get(col_line)
+            if row_map is not None:
+                if row_map[col]:
+                    dup_count += 1
+                    continue
+                row_map[col] = 1
+                count = counts[row] + 1
+                counts[row] = count
+                if count == line_len[row]:
+                    self._incomplete_lines -= 1
+                if col_map is not None:
+                    col_map[row] = 1
+                    count = counts[col_line] + 1
+                    counts[col_line] = count
+                    if count == line_len[col_line]:
+                        self._incomplete_lines -= 1
+                touched = True
+            elif col_map is not None:
+                if col_map[row]:
+                    dup_count += 1
+                    continue
+                col_map[row] = 1
+                count = counts[col_line] + 1
+                counts[col_line] = count
+                if count == line_len[col_line]:
+                    self._incomplete_lines -= 1
+                touched = True
+            elif cid in off_lines:
                 dup_count += 1
                 continue
-            have.add(cid)
+            else:
+                off_lines.add(cid)
             new_count += 1
             if cid in samples:
                 self._samples_missing -= 1
-            row = cid // ext_cols
-            if row in line_set:
-                count = counts[row] + 1
-                counts[row] = count
-                touched = True
-                if count == line_len[row]:
-                    self._incomplete_lines -= 1
-            col_line = ext_rows + cid - row * ext_cols
-            if col_line in line_set:
-                count = counts[col_line] + 1
-                counts[col_line] = count
-                touched = True
-                if count == line_len[col_line]:
-                    self._incomplete_lines -= 1
             if on_store is not None:
                 on_store(cid)
         if dup_count:
@@ -165,94 +186,126 @@ class SlotCellState:
         return new_count, reconstructed
 
     def _store(self, cid: int) -> None:
-        """Store one cell (reconstruction path; ingest inlines this)."""
-        self.have.add(cid)
-        if cid in self.samples:
-            self._samples_missing -= 1
+        """Store one missing cell of a custody line (per-cell fill).
+
+        Reads ``self.on_store`` afresh: the sink may detach itself from
+        inside its own call.
+        """
+        held = self._held
         counts = self._counts
         line_len = self._line_len
         row = cid // self._ext_cols
-        if row in self._line_set:
+        col = cid - row * self._ext_cols
+        row_map = held.get(row)
+        if row_map is not None:
+            row_map[col] = 1
             count = counts[row] + 1
             counts[row] = count
             if count == line_len[row]:
                 self._incomplete_lines -= 1
-        col_line = self._ext_rows + cid - row * self._ext_cols
-        if col_line in self._line_set:
+        col_line = self._ext_rows + col
+        col_map = held.get(col_line)
+        if col_map is not None:
+            col_map[row] = 1
             count = counts[col_line] + 1
             counts[col_line] = count
             if count == line_len[col_line]:
                 self._incomplete_lines -= 1
+        if cid in self.samples:
+            self._samples_missing -= 1
         if self.on_store is not None:
             self.on_store(cid)
 
     def _reconstruct_closure(self) -> int:
         reconstructed = 0
+        held = self._held
         counts = self._counts
         line_len = self._line_len
         half = self._half
-        have = self.have
         ext_rows = self._ext_rows
         ext_cols = self._ext_cols
         custody_lines = self.custody_lines
-        store = self._store
         progress = True
         while progress:
             progress = False
             for line in custody_lines:
                 count = counts[line]
-                if count != line_len[line] and count >= half[line]:
-                    if self.on_store is None:
-                        # Bulk fill: complete the line with set arithmetic
-                        # instead of per-cell stores. The filled line
-                        # crosses every other custody line at exactly one
-                        # cell, so crossing counters need at most one
-                        # point check each. Equivalent to the per-cell
-                        # path — `have` is membership-only, so insertion
-                        # order is unobservable.
-                        missing = set(cells_of_line(line, ext_rows, ext_cols))
-                        missing -= have
-                        have |= missing
-                        reconstructed += len(missing)
-                        self._samples_missing -= len(self.samples & missing)
-                        counts[line] = line_len[line]
-                        self._incomplete_lines -= 1
-                        is_row = line < ext_rows
-                        for other in custody_lines:
-                            if is_row:
-                                if other < ext_rows:
-                                    continue
-                                cid = line * ext_cols + (other - ext_rows)
-                            else:
-                                if other >= ext_rows:
-                                    continue
-                                cid = other * ext_cols + (line - ext_rows)
-                            if cid in missing:
-                                crossing = counts[other] + 1
-                                counts[other] = crossing
-                                if crossing == line_len[other]:
-                                    self._incomplete_lines -= 1
-                    else:
-                        # A pending-query sink is attached: keep the
-                        # per-cell path so on_store fires once per cell
-                        # in natural line order, exactly as before.
-                        for cid in cells_of_line(line, ext_rows, ext_cols):
-                            if cid not in have:
-                                store(cid)
-                                reconstructed += 1
-                    progress = True
+                length = line_len[line]
+                if count == length or count < half[line]:
+                    continue
+                line_map = held[line]
+                if self.on_store is None:
+                    # Bulk fill: one slice assignment. The counters that
+                    # move besides this line's are the samples on it and
+                    # the custody lines crossing it (one cell each), so
+                    # both are read off their few positions first.
+                    reconstructed += length - count
+                    if self._samples_missing:
+                        self._samples_missing -= self._missing_samples_on(line)
+                    is_row = line < ext_rows
+                    # where the filled line sits within a crossing line
+                    position = line if is_row else line - ext_rows
+                    for other in custody_lines:
+                        if (other < ext_rows) == is_row:
+                            continue  # parallel to the filled line
+                        other_map = held[other]
+                        if not other_map[position]:
+                            other_map[position] = 1
+                            crossing = counts[other] + 1
+                            counts[other] = crossing
+                            if crossing == line_len[other]:
+                                self._incomplete_lines -= 1
+                    line_map[:] = b"\x01" * length
+                    counts[line] = length
+                    self._incomplete_lines -= 1
+                else:
+                    # A pending-query sink is attached: store cell by
+                    # cell so on_store fires once per cell in natural
+                    # line order.
+                    store = self._store
+                    for position, cid in enumerate(cells_of_line(line, ext_rows, ext_cols)):
+                        if not line_map[position]:
+                            store(cid)
+                            reconstructed += 1
+                progress = True
         self.cells_reconstructed += reconstructed
         return reconstructed
+
+    def _missing_samples_on(self, line: int) -> int:
+        """Samples on custody line ``line`` that it does not hold yet."""
+        line_map = self._held[line]
+        ext_rows = self._ext_rows
+        ext_cols = self._ext_cols
+        missing = 0
+        for cid in self.samples:
+            row = cid // ext_cols
+            col = cid - row * ext_cols
+            if line < ext_rows:
+                on_line, position = row == line, col
+            else:
+                on_line, position = col == line - ext_rows, row
+            if on_line and not line_map[position]:
+                missing += 1
+        return missing
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def has_cell(self, cid: int) -> bool:
-        return cid in self.have
+        row = cid // self._ext_cols
+        col = cid - row * self._ext_cols
+        held = self._held
+        row_map = held.get(row)
+        if row_map is not None:
+            return row_map[col] == 1
+        col_map = held.get(self._ext_rows + col)
+        if col_map is not None:
+            return col_map[row] == 1
+        return cid in self._off_lines
 
     def has_all(self, cells: Iterable[int]) -> bool:
-        have = self.have
-        return all(cid in have for cid in cells)
+        has_cell = self.has_cell
+        return all(has_cell(cid) for cid in cells)
 
     def line_count(self, line: int) -> int:
         return self._counts[line]
@@ -267,20 +320,10 @@ class SlotCellState:
 
     def missing_in_line(self, line: int) -> list[int]:
         """Missing cell ids of a custody line, in position order."""
-        length = self._line_len[line]
-        if self._counts[line] == length:
+        if self._counts[line] == self._line_len[line]:
             return []
-        have = self.have
-        if line < self._ext_rows:
-            base = line * self._ext_cols
-            return [base + pos for pos in range(length) if base + pos not in have]
-        col = line - self._ext_rows
-        ext_cols = self._ext_cols
-        return [
-            pos * ext_cols + col
-            for pos in range(length)
-            if pos * ext_cols + col not in have
-        ]
+        cells = cells_of_line(line, self._ext_rows, self._ext_cols)
+        return [cid for cid, held in zip(cells, self._held[line]) if not held]
 
     @property
     def consolidation_complete(self) -> bool:
@@ -297,5 +340,5 @@ class SlotCellState:
         return self._incomplete_lines == 0 and self._samples_missing == 0
 
     def missing_samples(self) -> set[int]:
-        have = self.have
-        return {cid for cid in self.samples if cid not in have}
+        has_cell = self.has_cell
+        return {cid for cid in self.samples if not has_cell(cid)}

@@ -47,6 +47,8 @@ from repro.sim.engine import Event, Simulator
 
 __all__ = ["AdaptiveFetcher", "RoundStats", "FetchPlan", "plan_queries", "score_peers"]
 
+_NO_CELLS: frozenset[int] = frozenset()
+
 
 @dataclass(slots=True)
 class RoundStats:
@@ -183,7 +185,6 @@ class AdaptiveFetcher:
         "_reply_latency",
         "_open_queries",
         "boost",
-        "_boost_cells",
         "inbound",
         "max_cells_per_query",
         "queried",
@@ -266,12 +267,11 @@ class AdaptiveFetcher:
         self._reply_latency = events is not None and events.wants("fetch_reply")
         self._open_queries: dict[int, tuple[int, int]] = {}  # peer -> (req, round)
 
-        # CB(f) of our lines, by line: the builder's own objects, held
-        # by reference and never copied (DESIGN.md 4.1)
+        # CB(f) of our lines, and per line the cells it seeded to us:
+        # the builder's own objects, held by reference and never copied
+        # (DESIGN.md 4.1)
         self.boost: dict[int, LineBoost] = {}
-        # every cell some custodian was seeded, over all held maps
-        self._boost_cells: set[int] = set()
-        self.inbound: set[int] = set()
+        self.inbound: dict[int, frozenset[int]] = {}
         self.max_cells_per_query = max_cells_per_query
         self.queried: set[int] = set()
         self.query_round: dict[int, int] = {}
@@ -289,19 +289,20 @@ class AdaptiveFetcher:
 
         Our own entry stays in the map: we are never our own candidate,
         and the node declares those cells inbound, which
-        ``round_targets`` checks before ``_boost_cells``.
+        ``round_targets`` checks before the boost cells.
         """
         self.boost[line_boost.line] = line_boost
-        self._boost_cells.update(line_boost.cells)
 
-    def add_inbound(self, cells: Iterable[int]) -> None:
-        """Cells the builder declared (or delivered) as seeded to us.
+    def add_inbound(self, line: int, cells: frozenset[int]) -> None:
+        """The cells of ``line`` the builder declared as seeded to us.
 
-        Excluded from fetch targets: re-requesting data already in
-        flight from the builder would only manufacture duplicates
-        (Table 1 reports zero round-1 duplicates).
+        Kept by reference (the node passes its own entry of the line's
+        CB(f)); every cell must lie on ``line``. Excluded from fetch
+        targets: re-requesting data already in flight from the builder
+        would only manufacture duplicates (Table 1 reports zero round-1
+        duplicates).
         """
-        self.inbound.update(cells)
+        self.inbound[line] = cells
 
     # ------------------------------------------------------------------
     # protocol events (no-ops without a bus)
@@ -396,25 +397,35 @@ class AdaptiveFetcher:
         hatch — and become fetchable again.
 
         Within a line, prefer boost-located cells (retrievable *now*),
-        then other non-inbound cells, then stale inbound.
+        then other non-inbound cells, then stale inbound. A missing cell
+        of line L counts as inbound (or boost-located) when the inbound
+        entry (or CB(f)) of L, or of the line crossing L at that cell,
+        names it.
         """
-        targets = set(self.state.missing_samples())
+        state = self.state
+        targets = set(state.missing_samples())
         if not self.fetch_custody:
             return targets
         trust_inbound = round_index < self.schedule.settle_round
         inbound = self.inbound
-        for line in self.state.custody_lines:
-            deficit = self.state.line_deficit(line)
+        boost = self.boost
+        boost_cells = {line: line_boost.cells for line, line_boost in boost.items()}
+        for line in state.custody_lines:
+            deficit = state.line_deficit(line)
             if deficit <= 0:
                 continue
-            missing = self.state.missing_in_line(line)
+            missing = state.missing_in_line(line)
+            own = inbound.get(line, _NO_CELLS)
+            own_crossing = self._crossing_cells(line, inbound)
+            located = boost_cells.get(line, _NO_CELLS)
+            located_crossing = self._crossing_cells(line, boost_cells)
             boosted_out = []
             plain_out = []
             inbound_cells = []
             for cid in missing:
-                if cid in inbound:
+                if cid in own or cid in own_crossing:
                     inbound_cells.append(cid)
-                elif cid in self._boost_cells:
+                elif cid in located or cid in located_crossing:
                     boosted_out.append(cid)
                 else:
                     plain_out.append(cid)
@@ -425,6 +436,28 @@ class AdaptiveFetcher:
                 picked = (boosted_out + plain_out + inbound_cells)[:deficit]
             targets.update(picked)
         return targets
+
+    def _crossing_cells(self, line: int, by_line: Mapping[int, Set[int]]) -> set[int]:
+        """Cells of ``line`` named by the entries of the lines crossing it.
+
+        Every entry's cells lie on its own line (``SeedingPolicy``
+        parcels one line at a time), so a crossing line's entry can name
+        only the one cell where the two lines meet.
+        """
+        ext_rows = self.state.params.ext_rows
+        ext_cols = self.state.params.ext_cols
+        is_row = line < ext_rows
+        found: set[int] = set()
+        for other, cells in by_line.items():
+            if (other < ext_rows) == is_row:
+                continue  # parallel to ``line``
+            if is_row:
+                cid = line * ext_cols + other - ext_rows
+            else:
+                cid = other * ext_cols + line - ext_rows
+            if cid in cells:
+                found.add(cid)
+        return found
 
     # ------------------------------------------------------------------
     # rounds

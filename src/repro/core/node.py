@@ -93,9 +93,10 @@ class _SlotState:
     # live retrieval-class records in admission order; the eviction
     # queue when a sampling-class request needs room under the limit
     pending_retrieval: list[_PendingRequest] = field(default_factory=list)
-    # peer -> cells we asked it for this slot; a CellResponse is only
+    # peer -> cells we asked it for this slot (one query's cells, the
+    # next query's appended on a re-query); a CellResponse is only
     # accepted when its source and cells match an entry here
-    outstanding: dict[int, set[int]] = field(default_factory=dict)
+    outstanding: dict[int, tuple[int, ...]] = field(default_factory=dict)
     # fires at the sampling deadline: buffered request remainders for
     # this slot can no longer be answered usefully, so they are dropped
     # instead of accumulating for the rest of the run
@@ -317,7 +318,7 @@ class PandasNode:
             # never request them from peers
             own = line_boost.seeded.get(self.node_id)
             if own:
-                state.fetcher.add_inbound(own)
+                state.fetcher.add_inbound(line_boost.line, own)
         if msg.cells:
             new, reconstructed = state.cells.add_cells(msg.cells)
             if ctx.events.wants("cells_ingest"):
@@ -358,7 +359,8 @@ class PandasNode:
                 self.ctx.params.consolidation_timer,
                 lambda: self._fallback_start(slot),
             )
-        held = msg.cells & state.cells.have
+        has_cell = state.cells.has_cell
+        held = frozenset(cid for cid in msg.cells if has_cell(cid))
         if held:
             self._respond(slot, msg.epoch, src, tuple(sorted(held)))
         remainder = msg.cells - held
@@ -519,7 +521,9 @@ class PandasNode:
     def _send_query(self, slot: int, epoch: int, peer: int, cells: frozenset[int]) -> None:
         state = self._slots.get(slot)
         if state is not None:
-            state.outstanding.setdefault(peer, set()).update(cells)
+            prior = state.outstanding.get(peer)
+            asked = tuple(cells)
+            state.outstanding[peer] = asked if prior is None else prior + asked
         request = CellRequest(slot=slot, epoch=epoch, cells=cells)
         self.ctx.network.send(
             self.node_id, peer, request, request.wire_size(self.ctx.params)

@@ -45,7 +45,7 @@ UNREQUESTED_WEIGHT = 2.0
 TIMEOUT_WEIGHT = 1.0
 
 
-@dataclass
+@dataclass(slots=True)
 class PeerStats:
     """Decaying evidence counters for one peer."""
 
@@ -189,7 +189,12 @@ class TokenBucket:
     ``rate`` tokens accrue per second up to ``burst``; each admitted
     message spends ``cost``. Refill happens lazily on :meth:`allow`, so
     the bucket needs no timers and is exactly reproducible.
+
+    Every node keeps one per peer that sent it a request or response,
+    so there are O(N^2) of them in a run; ``__slots__`` keeps each small.
     """
+
+    __slots__ = ("rate", "burst", "tokens", "_last")
 
     def __init__(self, rate: float, burst: float) -> None:
         if rate <= 0.0 or burst <= 0.0:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from repro.core.assignment import AssignmentIndex, CellAssignment
 from repro.core.builder import Builder
 from repro.core.context import ProtocolContext
+from repro.core.custody import SlotCellState
 from repro.core.node import PandasNode
 from repro.core.seeding import RedundantSeeding, SeedingPolicy
 from repro.crypto.randao import RandaoBeacon
@@ -22,6 +23,11 @@ from repro.params import PandasParams
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.rng import RngRegistry
+
+
+def held_cells(state: SlotCellState) -> set[int]:
+    """Every cell id ``state`` holds, read through ``has_cell``."""
+    return {cid for cid in range(state.params.total_cells) if state.has_cell(cid)}
 
 
 @dataclass

@@ -66,7 +66,7 @@ class TestInboundHandling:
     def test_inbound_cells_deferred_until_round3(self):
         fetcher, state, _sim, _sent = make_fetcher()
         row_cells = cells_of_line(0, 16, 16)
-        fetcher.add_inbound(row_cells[:8])
+        fetcher.add_inbound(0, frozenset(row_cells[:8]))
         early = fetcher.round_targets(1)
         assert not (set(row_cells[:8]) & early)
         # trusted inbound covers the whole row deficit: row contributes
@@ -80,7 +80,7 @@ class TestInboundHandling:
     def test_delivered_inbound_no_longer_missing(self):
         fetcher, state, _sim, _sent = make_fetcher()
         row_cells = cells_of_line(0, 16, 16)
-        fetcher.add_inbound(row_cells[:8])
+        fetcher.add_inbound(0, frozenset(row_cells[:8]))
         state.add_cells(row_cells[:8])  # reconstructs the row
         assert state.line_deficit(0) == 0
         assert not (set(row_cells) & fetcher.round_targets(1))

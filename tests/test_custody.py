@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.assignment import Custody, cells_of_line
 from repro.core.custody import SlotCellState
 from repro.params import PandasParams
+from tests.helpers import held_cells
 
 
 @pytest.fixture
@@ -26,7 +27,7 @@ def state(params):
 def test_initial_state_empty(state):
     assert not state.consolidation_complete
     assert not state.sampling_complete
-    assert len(state.have) == 0
+    assert held_cells(state) == set()
     assert state.missing_samples() == {200, 201, 202, 203}
 
 

@@ -11,11 +11,10 @@ Reed-Solomon decoding. Each case
 3. runs a custody-line decoder built on ``ReedSolomon.decode``, looping
    to a fixpoint over the same custody lines.
 
-After every batch, the decoder must recover exactly the cells in
-``SlotCellState.have``, and every recovered cell must equal the
-original bytes. Every extended
-dimension is at most 255, so each byte of a cell is one GF(2^8) symbol
-lane. The hypothesis twin lives in ``test_property_based.py``.
+After every batch, the decoder must recover exactly the cells
+``SlotCellState.has_cell`` reports held, and every recovered cell must
+equal the original bytes. Every extended dimension is at most 255, so
+each byte of a cell is one GF(2^8) symbol lane. The hypothesis twin lives in ``test_property_based.py``.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from repro.core.custody import SlotCellState
 from repro.erasure.blob import Blob
 from repro.erasure.reed_solomon import ReedSolomon
 from repro.params import PandasParams
+from tests.helpers import held_cells
 
 MAX_BASE = 24  # extended dimension <= 48, well inside GF(2^8)
 
@@ -136,16 +136,17 @@ def check_against_codec(case) -> tuple[int, bool]:
         decoded, passes = decode_custody(params, custody, offered)
         most_passes = max(most_passes, passes)
 
-        assert set(decoded) == state.have
+        held = held_cells(state)
+        assert set(decoded) == held
         for cid, cell in decoded.items():
             assert cell == extended.cell_by_id(cid), f"cell {cid} decoded to wrong bytes"
         # a cell offered after its line was filled counts as a duplicate
         assert state.cells_reconstructed == reconstructed == len(decoded) - received
         if with_sink:
-            assert sorted(stored) == sorted(state.have)
+            assert sorted(stored) == sorted(held)
         assert state.consolidation_complete == (custody_cells <= decoded.keys())
         assert state.sampling_complete == all(cid in decoded for cid in samples)
-    return most_passes, not custody_cells <= state.have
+    return most_passes, not custody_cells <= held_cells(state)
 
 
 @pytest.mark.parametrize("case_seed", range(12))

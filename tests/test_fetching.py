@@ -121,6 +121,18 @@ def make_fetcher(params=None, custody=None, samples=(), custodians=None,
     return fetcher, state, sim, sent
 
 
+def declare_inbound(fetcher, cells):
+    """Declare ``cells`` inbound, each under the first custody line it
+    lies on (a cell where two custody lines cross under the row)."""
+    state = fetcher.state
+    by_line: dict[int, set[int]] = {}
+    for cid in cells:
+        line = next(line for line in state.lines_of(cid) if line in state.custody_lines)
+        by_line.setdefault(line, set()).add(cid)
+    for line, group in by_line.items():
+        fetcher.add_inbound(line, frozenset(group))
+
+
 class TestRoundTargets:
     def test_targets_are_deficits_plus_samples(self):
         fetcher, state, _sim, _sent = make_fetcher(samples=[100, 101])
@@ -135,6 +147,25 @@ class TestRoundTargets:
         fetcher.add_boost(boost_map_for_line([SeedParcel(77, 0, boosted)]))
         targets = fetcher.round_targets()
         assert set(boosted) <= targets
+
+    def test_crossing_line_entries_reach_the_intersection(self):
+        """A row's inbound / boost entry naming the cell where it meets a
+        custody column counts for that column's deficit too."""
+        row, col_line = 15, 16 + 3
+        crossing = row * 16 + 3  # position 15 of column 3: never picked in order
+        fetcher, _state, _sim, _sent = make_fetcher(custody=Custody(rows=(row,), cols=(3,)))
+        fetcher.add_inbound(row, frozenset({crossing}))
+        # both lines count the declared cell against their deficit of 8
+        row_picks = [cid for cid in cells_of_line(row, 16, 16) if cid != crossing][:7]
+        col_picks = list(cells_of_line(col_line, 16, 16)[:7])
+        assert fetcher.round_targets(1) == set(row_picks + col_picks)
+
+        fetcher, _state, _sim, _sent = make_fetcher(custody=Custody(rows=(row,), cols=(3,)))
+        fetcher.add_boost(boost_map_for_line([SeedParcel(77, row, (crossing,))]))
+        # the located cell goes first on both lines
+        row_picks = [crossing] + [c for c in cells_of_line(row, 16, 16) if c != crossing][:7]
+        col_picks = [crossing] + list(cells_of_line(col_line, 16, 16)[:7])
+        assert fetcher.round_targets(1) == set(row_picks + col_picks)
 
     def test_targets_shrink_with_held_cells(self):
         fetcher, state, _sim, _sent = make_fetcher()
@@ -457,11 +488,11 @@ class TestSettleRoundGate:
         settle round of whatever schedule is configured."""
         constant = FetchSchedule.constant(0.4, 1)  # settle_round == 1
         fetcher, _state, _sim, _sent = make_fetcher(schedule=constant)
-        fetcher.add_inbound(fetcher.round_targets(1))
+        declare_inbound(fetcher, fetcher.round_targets(1))
         # settle round already reached: lost inbound is fetchable at once
         assert fetcher.round_targets(1)
         default_fetcher, _s, _si, _se = make_fetcher()
-        default_fetcher.add_inbound(default_fetcher.round_targets(1))
+        declare_inbound(default_fetcher, default_fetcher.round_targets(1))
         # default schedule trusts inbound until round 3
         assert not default_fetcher.round_targets(2)
         assert default_fetcher.round_targets(3)

@@ -113,7 +113,8 @@ def test_inbound_cells_excluded_from_targets():
     )
     node._on_seed(21, msg)
     fetcher = node.slot_fetcher(0)
-    assert set(inbound_declared) <= fetcher.inbound
+    assert fetcher.inbound == {row: frozenset(inbound_declared)}
+    assert fetcher.inbound[row] is msg.boost[0].seeded[0]
     # inbound cells that are not wanted for other reasons (samples, a
     # second custody line crossing them) must not be targeted: the
     # row's deficit is fully coverable by non-inbound cells
@@ -197,11 +198,29 @@ def test_boost_excludes_own_entries():
     node._on_seed(21, msg)
     fetcher = node.slot_fetcher(0)
     assert fetcher.boost == {row: line_boost}
-    assert fetcher.inbound == {own}
+    assert fetcher.inbound == {row: {own}}
+    assert fetcher.inbound[row] is line_boost.seeded[0]
     candidates, boosted = fetcher._candidate_cells({own, theirs})
     assert 0 not in candidates
     assert boosted == {peer: {theirs}}
     assert candidates[peer] == {theirs}
+
+
+def test_requery_appends_to_the_outstanding_tuple():
+    """One tuple per queried peer: a re-query's cells are appended, and
+    a reply may carry cells of either query."""
+    world = make_world(num_nodes=20)
+    node = world.nodes[0]
+    world.ctx.begin_slot(0)
+    state = node._slot_state(0)
+    node._send_query(0, 0, 5, frozenset({1, 2}))
+    assert state.outstanding == {5: (1, 2)}
+    node._send_query(0, 0, 5, frozenset({3}))
+    assert state.outstanding == {5: (1, 2, 3)}
+    node._on_response(5, CellResponse(slot=0, epoch=0, cells=(1, 3, 4)))
+    assert state.cells.has_cell(1) and state.cells.has_cell(3)
+    assert not state.cells.has_cell(4)  # never asked for: discarded
+    assert world.ctx.metrics.defense_counts["cells_unrequested"] == 1
 
 
 def test_drop_slot_releases_state():

@@ -12,7 +12,9 @@ the components whose correctness the whole protocol leans on:
 - ``AdaptiveFetcher`` on the builder's shared per-line boost maps
   targets, offers and scores exactly as on a private flat copy;
 - ``SlotCellState`` reconstructs exactly the cells the byte-level
-  Reed-Solomon codec can decode from the same offered cells.
+  Reed-Solomon codec can decode from the same offered cells, and its
+  per-line byte maps behave exactly like the set-based state they
+  replaced.
 
 Kept in its own file so CI can run it as a separate (non-blocking)
 job: hypothesis shrinks aggressively on failure and example-based
@@ -192,6 +194,21 @@ class TestCustodyMatchesTheCodec:
         from tests.test_erasure_oracle import check_against_codec, random_oracle_case
 
         check_against_codec(random_oracle_case(rnd))
+
+
+# ----------------------------------------------------------------------
+# byte-map cell state vs the set-based reference
+# ----------------------------------------------------------------------
+class TestCellStateMatchesTheSetReference:
+    @FAST
+    @given(st.randoms(use_true_random=False))
+    def test_byte_maps_match_the_set_reference(self, rnd):
+        """Every result and every ``on_store`` call equal the set-based
+        implementation's (the fixed seeded cases run in the blocking
+        tier-1 job)."""
+        from tests.test_cell_state_equivalence import check_equivalence, random_case
+
+        check_equivalence(random_case(rnd))
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.core.messages import BOOST_ENTRY_BYTES, SeedMessage
 from repro.core.seeding import LineBoost, SeedParcel, boost_map_for_line
 from repro.params import FetchSchedule, PandasParams
 from repro.sim.engine import Simulator
-from tests.helpers import make_world
+from tests.helpers import held_cells, make_world
 
 NODES = 60
 WORLD_SEED = 5
@@ -93,18 +93,24 @@ def test_fetchers_reference_the_sent_maps_and_own_no_copy(seeded_world):
             assert isinstance(cells, frozenset)
             assert id(cells) in sent_ids
 
-        # apart from the flat membership set (and the node's own
-        # declared cells), a fetcher owns no container of boost cells
+        # the node's own declared cells are its entry of each line's
+        # map, the very object the message carried
+        assert fetcher.inbound.keys() == fetcher.boost.keys()
+        for line, own in fetcher.inbound.items():
+            assert own is fetcher.boost[line].seeded[node.node_id]
+
+        # a fetcher owns no container of boost cells: every cell set
+        # reachable from it is one the builder built
         owning = set()
         for name in AdaptiveFetcher.__slots__:
-            if name in ("boost", "state"):
+            if name == "state":
                 continue
-            if any(cells & boosted_cells for cells in cell_sets(getattr(fetcher, name))):
+            if any(
+                cells & boosted_cells and id(cells) not in sent_ids
+                for cells in cell_sets(getattr(fetcher, name))
+            ):
                 owning.add(name)
-        assert owning == {"_boost_cells", "inbound"}
-        assert fetcher._boost_cells == set().union(
-            *(line_boost.cells for line_boost in fetcher.boost.values())
-        )
+        assert owning == set()
 
     # one object per line, shared by all its custodians
     by_line: dict[int, LineBoost] = {}
@@ -197,7 +203,7 @@ def check_boost_equivalence(case, round_index: int) -> None:
         fetcher.add_boost(line_boost)
         own = line_boost.seeded.get(SELF_ID)
         if own:
-            fetcher.add_inbound(own)
+            fetcher.add_inbound(line_boost.line, own)
 
     # the old representation: one private dict[peer, set] per node,
     # own entries split off as inbound
@@ -211,6 +217,17 @@ def check_boost_equivalence(case, round_index: int) -> None:
             else:
                 flat.setdefault(peer, set()).update(cells)
                 flat_cells.update(cells)
+
+    # membership derived from the per-line entries of a cell's two
+    # lines == the old flat sets (inbound, and the `_boost_cells` union)
+    for cid in range(PARAMS.total_cells):
+        lines = lines_of_cell(cid, PARAMS.ext_rows, PARAMS.ext_cols)
+        assert any(cid in fetcher.inbound.get(line, ()) for line in lines) == (
+            cid in inbound
+        )
+        assert any(
+            line in fetcher.boost and cid in fetcher.boost[line].cells for line in lines
+        ) == (cid in flat_cells or cid in inbound)
 
     # round_targets on the flat membership set
     schedule = fetcher.schedule
@@ -308,19 +325,20 @@ def test_first_datagram_delivered_twice_changes_nothing():
         targets = fetcher.round_targets()
         return (
             dict(fetcher.boost),
-            set(fetcher._boost_cells),
-            set(fetcher.inbound),
+            dict(fetcher.inbound),
             targets,
             fetcher._candidate_cells(targets),
             fetcher.started,
-            set(node.slot_cells(0).have),
+            held_cells(node.slot_cells(0)),
         )
 
     node._on_seed(world.builder.builder_id, first)
     once = snapshot()
     node._on_seed(world.builder.builder_id, first)
-    assert snapshot() == once
-    assert all(a is b for a, b in zip(once[0].values(), snapshot()[0].values(), strict=True))
+    twice = snapshot()
+    assert twice == once
+    for before, after in ((once[0], twice[0]), (once[1], twice[1])):
+        assert all(a is b for a, b in zip(before.values(), after.values(), strict=True))
 
 
 # ----------------------------------------------------------------------
