@@ -64,21 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--root", default=None, metavar="DIR",
         help="base directory for reported paths (default: cwd)",
     )
-    parser.add_argument(
-        "--catalog", default=None, metavar="FILE",
-        help="obs/events.py-style file to read the RL004 kind catalog from "
-        "(default: the installed repro.obs.events)",
-    )
-    parser.add_argument(
-        "--stream-owners", default=None, metavar="FILE",
-        help="sim/rng.py-style file to read the RL008 STREAM_OWNERS registry "
-        "from (default: the installed repro.sim.rng)",
-    )
-    parser.add_argument(
-        "--cache", default=None, metavar="FILE",
-        help="content-hash-keyed result cache: only re-analyze files whose "
-        "content changed (created on first use)",
-    )
     return parser
 
 
@@ -97,8 +82,6 @@ def run(argv: list[str] | None = None) -> int:
         select=_codes(args.select),
         ignore=_codes(args.ignore) or (),
         require_justification=not args.allow_undocumented,
-        trace_catalog_path=Path(args.catalog) if args.catalog else None,
-        stream_owners_path=Path(args.stream_owners) if args.stream_owners else None,
     )
     paths = [Path(p) for p in args.paths]
     missing = [p for p in paths if not p.exists()]
@@ -109,22 +92,8 @@ def run(argv: list[str] | None = None) -> int:
         )
         return 2
     files = list(iter_python_files(paths))
-    linter = Linter(config)
     root = Path(args.root) if args.root else None
-    cache = None
-    if args.cache:
-        from repro.analysis.reprolint.cache import LintCache
-
-        cache = LintCache(Path(args.cache), config)
-    findings = linter.lint_paths(paths, root=root, cache=cache)
-    if cache is not None:
-        cache.save()
-        print(
-            f"reprolint: cache {cache.file_hits} hit(s), "
-            f"{cache.file_misses} miss(es), program "
-            f"{'hit' if cache.program_hit else 'miss'}",
-            file=sys.stderr,
-        )
+    findings = Linter(config).lint_paths(paths, root=root)
     if args.json:
         print(render_json(findings, len(files)))
     else:

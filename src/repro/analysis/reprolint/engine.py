@@ -11,11 +11,6 @@ The engine is deliberately small:
 - a single-pass **dispatching walker** — the tree is traversed once per
   file and each node is offered to every rule that declared interest in
   its type, so adding rules does not multiply traversal cost;
-- a second registry of :class:`ProgramRule` subclasses that run once
-  over the *whole* linted file set (parsed into a :class:`Program`)
-  instead of per file — the interprocedural dataflow rules live there,
-  because a source in one module reaching a sink in another is
-  invisible to any per-file pass;
 - per-file **context** (:class:`RuleContext`) with shared services the
   rules would otherwise each rebuild: import-alias resolution
   (``np.random`` -> ``numpy.random``), dotted-name rendering, and a
@@ -37,25 +32,18 @@ import fnmatch
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from typing import Any
+from collections.abc import Iterator, Sequence
 
 __all__ = [
     "Finding",
     "LintConfig",
     "Linter",
     "Pragma",
-    "Program",
-    "ProgramFile",
-    "ProgramRule",
     "Rule",
     "RuleContext",
-    "all_rule_classes",
     "iter_python_files",
     "parse_pragmas",
     "register",
-    "register_program",
-    "registered_program_rules",
     "registered_rules",
     "rule_code_span",
 ]
@@ -177,10 +165,6 @@ DEFAULT_ALLOWLISTS: dict[str, tuple[str, ...]] = {
     # clock use — isolated in its own module precisely so telemetry.py
     # itself stays RL002-clean (the sampler runs on sim time only).
     "RL002": ("obs/profiler.py", "obs/progress.py"),
-    # The linter's own rule registry is module-level by design: it is
-    # written exactly once per process, at import time, by the
-    # @register decorators — it never carries simulation state.
-    "RL009": ("analysis/reprolint/engine.py",),
 }
 
 
@@ -189,8 +173,7 @@ class LintConfig:
     """Engine + rule configuration.
 
     ``select``/``ignore`` filter rule codes; ``allowlists`` maps a rule
-    code to path patterns it must skip; ``extra_trace_kinds`` extends
-    the RL004 catalog (fixtures use it); ``require_justification``
+    code to path patterns it must skip; ``require_justification``
     turns undocumented pragmas into RL000 findings.
     """
 
@@ -199,15 +182,7 @@ class LintConfig:
     allowlists: dict[str, tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_ALLOWLISTS)
     )
-    extra_trace_kinds: tuple[str, ...] = ()
-    trace_catalog_path: Path | None = None
     require_justification: bool = True
-    # RL008: where the stream-ownership registry comes from. ``None``
-    # imports the live ``repro.sim.rng.STREAM_OWNERS``; a path recovers
-    # it statically from that file's AST. ``extra_stream_owners``
-    # extends the registry (fixtures use it).
-    stream_owners_path: Path | None = None
-    extra_stream_owners: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def rule_enabled(self, code: str) -> bool:
         if code in self.ignore:
@@ -287,19 +262,9 @@ def dotted_name(node: ast.AST) -> str | None:
 class RuleContext:
     """Per-file services and the findings sink handed to every rule."""
 
-    def __init__(
-        self,
-        path: Path,
-        rel_path: str,
-        source: str,
-        tree: ast.Module,
-        config: LintConfig,
-    ) -> None:
-        self.path = path
+    def __init__(self, rel_path: str, tree: ast.Module) -> None:
         self.rel_path = rel_path
-        self.source = source
         self.tree = tree
-        self.config = config
         self.imports = ImportMap(tree)
         self.findings: list[Finding] = []
         # parents let rules look outward (RL003 asks "is this
@@ -348,108 +313,25 @@ class Rule:
         pass
 
 
-@dataclass
-class ProgramFile:
-    """One successfully parsed module of the linted program."""
-
-    path: Path
-    rel_path: str
-    source: str
-    tree: ast.Module
-
-
-class Program:
-    """The whole linted file set, as seen by :class:`ProgramRule`.
-
-    Shared services that several program rules would otherwise each
-    rebuild (the call graph, dataflow summaries) are cached here by
-    the modules that compute them, keyed by attribute.
-    """
-
-    def __init__(self, files: list[ProgramFile], config: LintConfig) -> None:
-        self.files = files
-        self.config = config
-        self.findings: list[Finding] = []
-        self._services: dict[str, object] = {}
-
-    def service(self, key: str, build: Callable[[], object]) -> object:
-        """Memoized shared analysis artifact (e.g. the call graph)."""
-        if key not in self._services:
-            self._services[key] = build()
-        return self._services[key]
-
-    def report(self, rule: ProgramRule, rel_path: str, line: int, col: int, message: str) -> None:
-        self.findings.append(
-            Finding(rule=rule.code, path=rel_path, line=line, col=col, message=message)
-        )
-
-
-class ProgramRule:
-    """Base class for whole-program rules (interprocedural analyses).
-
-    Unlike :class:`Rule`, a program rule sees every linted file at
-    once; it reports through :meth:`Program.report` so each finding is
-    still anchored to one file/line and participates in that file's
-    pragma handling and allowlists like any per-file finding.
-    """
-
-    code: str = "RL000"
-    name: str = ""
-    rationale: str = ""
-
-    def run(self, program: Program) -> None:
-        raise NotImplementedError
-
-
 _REGISTRY: dict[str, type[Rule]] = {}
-_PROGRAM_REGISTRY: dict[str, type[ProgramRule]] = {}
-
-
-def _check_code(code: str) -> None:
-    if not re.fullmatch(r"RL\d{3}", code):
-        raise ValueError(f"bad rule code {code!r}")
-    if code in _REGISTRY or code in _PROGRAM_REGISTRY:
-        raise ValueError(f"duplicate rule code {code}")
 
 
 def register(rule_cls: type[Rule]) -> type[Rule]:
-    """Class decorator adding a per-file rule to the global registry."""
-    _check_code(rule_cls.code)
-    _REGISTRY[rule_cls.code] = rule_cls
+    """Class decorator adding a rule to the global registry."""
+    code = rule_cls.code
+    if not re.fullmatch(r"RL\d{3}", code):
+        raise ValueError(f"bad rule code {code!r}")
+    if code in _REGISTRY:
+        raise ValueError(f"duplicate rule code {code}")
+    _REGISTRY[code] = rule_cls
     return rule_cls
-
-
-def register_program(rule_cls: type[ProgramRule]) -> type[ProgramRule]:
-    """Class decorator adding a whole-program rule to the registry."""
-    _check_code(rule_cls.code)
-    _PROGRAM_REGISTRY[rule_cls.code] = rule_cls
-    return rule_cls
-
-
-def _load_builtin_rules() -> None:
-    # importing the rule modules populates both registries
-    from repro.analysis.reprolint import dataflow as _dataflow  # noqa: F401
-    from repro.analysis.reprolint import rules as _rules  # noqa: F401
 
 
 def registered_rules() -> dict[str, type[Rule]]:
-    """The per-file registry (importing loads the built-in set)."""
-    _load_builtin_rules()
-    return dict(_REGISTRY)
+    """The registry by code, sorted (importing loads the built-in set)."""
+    from repro.analysis.reprolint import rules as _rules  # noqa: F401
 
-
-def registered_program_rules() -> dict[str, type[ProgramRule]]:
-    """The whole-program registry (importing loads the built-in set)."""
-    _load_builtin_rules()
-    return dict(_PROGRAM_REGISTRY)
-
-
-def all_rule_classes() -> dict[str, type[Rule] | type[ProgramRule]]:
-    """Every registered rule, per-file and whole-program, by code."""
-    out: dict[str, type[Rule] | type[ProgramRule]] = {}
-    out.update(registered_rules())
-    out.update(registered_program_rules())
-    return dict(sorted(out.items()))
+    return dict(sorted(_REGISTRY.items()))
 
 
 def rule_code_span() -> str:
@@ -458,7 +340,7 @@ def rule_code_span() -> str:
     Catalog strings in ``--help`` output and docs are built from this
     so a new rule cannot drift out of the documentation.
     """
-    codes = sorted(all_rule_classes())
+    codes = list(registered_rules())
     if not codes:
         return "none"
     if len(codes) == 1:
@@ -483,52 +365,33 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
 class Linter:
     """Runs the registered rules over files and applies pragmas."""
 
-    def __init__(
-        self,
-        config: LintConfig | None = None,
-        rule_factories: Iterable[Callable[[], Rule]] | None = None,
-        program_rule_factories: Iterable[Callable[[], ProgramRule]] | None = None,
-    ) -> None:
+    def __init__(self, config: LintConfig | None = None) -> None:
         self.config = config or LintConfig()
-        if rule_factories is None:
-            rule_factories = list(registered_rules().values())
-        if program_rule_factories is None:
-            program_rule_factories = list(registered_program_rules().values())
-        instances = [factory() for factory in rule_factories]
         self.rules: list[Rule] = [
-            rule for rule in instances if self.config.rule_enabled(rule.code)
+            rule_cls()
+            for code, rule_cls in registered_rules().items()
+            if self.config.rule_enabled(code)
         ]
-        self.rules.sort(key=lambda r: r.code)
-        program_instances = [factory() for factory in program_rule_factories]
-        self.program_rules: list[ProgramRule] = [
-            rule for rule in program_instances if self.config.rule_enabled(rule.code)
-        ]
-        self.program_rules.sort(key=lambda r: r.code)
 
-    # -- pieces ---------------------------------------------------------
-    def parse_file(
-        self, source: str, rel_path: str, path: Path | None = None
-    ) -> ProgramFile | Finding:
-        """Parse one module; a syntax error comes back as an RL000 finding."""
+    def lint_source(self, source: str, rel_path: str) -> list[Finding]:
+        """Lint one module's source; returns findings incl. suppressed."""
         try:
             tree = ast.parse(source, filename=rel_path)
         except SyntaxError as exc:
-            return Finding(
-                rule="RL000",
-                path=rel_path,
-                line=exc.lineno or 0,
-                col=(exc.offset or 0),
-                message=f"file does not parse: {exc.msg}",
-            )
-        return ProgramFile(path or Path(rel_path), rel_path, source, tree)
-
-    def run_file_rules(self, pfile: ProgramFile) -> list[Finding]:
-        """Per-file rule findings for one module (pragmas not yet applied)."""
-        ctx = RuleContext(pfile.path, pfile.rel_path, pfile.source, pfile.tree, self.config)
+            return [
+                Finding(
+                    rule="RL000",
+                    path=rel_path,
+                    line=exc.lineno or 0,
+                    col=(exc.offset or 0),
+                    message=f"file does not parse: {exc.msg}",
+                )
+            ]
+        ctx = RuleContext(rel_path, tree)
         active = [
             rule
             for rule in self.rules
-            if not self.config.allowlisted(rule.code, pfile.rel_path)
+            if not self.config.allowlisted(rule.code, rel_path)
         ]
         dispatch: dict[type[ast.AST], list[Rule]] = {}
         for rule in active:
@@ -536,41 +399,12 @@ class Linter:
             for node_type in rule.node_types:
                 dispatch.setdefault(node_type, []).append(rule)
         if dispatch:
-            for node in ast.walk(pfile.tree):
+            for node in ast.walk(tree):
                 for rule in dispatch.get(type(node), ()):
                     rule.visit(node, ctx)
         for rule in active:
             rule.finish_file(ctx)
-        return ctx.findings
-
-    def run_program_rules(self, files: list[ProgramFile]) -> list[Finding]:
-        """Whole-program findings over the given parsed file set.
-
-        Allowlists apply to the file a finding is *anchored* to; an
-        allowlisted file still participates in the analysis as an
-        intermediate hop.
-        """
-        if not self.program_rules or not files:
-            return []
-        program = Program(files, self.config)
-        for rule in self.program_rules:
-            rule.run(program)
-        return [
-            finding
-            for finding in program.findings
-            if not self.config.allowlisted(finding.rule, finding.path)
-        ]
-
-    # -- single file ----------------------------------------------------
-    def lint_source(self, source: str, rel_path: str, path: Path | None = None) -> list[Finding]:
-        """Lint one module's source (as a one-file program);
-        returns findings incl. suppressed."""
-        parsed = self.parse_file(source, rel_path, path)
-        if isinstance(parsed, Finding):
-            return [parsed]
-        findings = self.run_file_rules(parsed)
-        findings.extend(self.run_program_rules([parsed]))
-        return self._apply_pragmas(findings, source, rel_path)
+        return self._apply_pragmas(ctx.findings, source, rel_path)
 
     def _apply_pragmas(
         self, findings: list[Finding], source: str, rel_path: str
@@ -596,7 +430,7 @@ class Linter:
                     )
                 )
         if self.config.require_justification:
-            known = set(all_rule_classes()) | {"all", "RL000"}
+            known = set(registered_rules()) | {"all", "RL000"}
             for pragma in pragmas:
                 if not pragma.documented:
                     out.append(
@@ -625,24 +459,11 @@ class Linter:
         out.sort(key=Finding.sort_key)
         return out
 
-    # -- trees ----------------------------------------------------------
     def lint_paths(
-        self,
-        paths: Sequence[Path],
-        root: Path | None = None,
-        cache: Any | None = None,
+        self, paths: Sequence[Path], root: Path | None = None
     ) -> list[Finding]:
-        """Lint files/directories; paths in findings are ``root``-relative.
-
-        ``cache`` (a :class:`repro.analysis.reprolint.cache.LintCache`)
-        short-circuits per-file rule runs for files whose content hash
-        is unchanged, and the whole program pass when *no* file
-        changed; pragma application always re-runs (it is cheap and
-        content-local).
-        """
+        """Lint files/directories; paths in findings are ``root``-relative."""
         findings: list[Finding] = []
-        parsed: list[ProgramFile] = []
-        per_file: dict[str, list[Finding]] = {}
         for file_path in iter_python_files([Path(p) for p in paths]):
             rel = _relativize(file_path, root)
             try:
@@ -652,36 +473,7 @@ class Linter:
                     Finding("RL000", rel, 0, 0, f"unreadable file: {exc}")
                 )
                 continue
-            result = self.parse_file(source, rel, path=file_path)
-            if isinstance(result, Finding):
-                findings.append(result)
-                continue
-            parsed.append(result)
-            cached = cache.get_file(result) if cache is not None else None
-            if cached is None:
-                cached = self.run_file_rules(result)
-                if cache is not None:
-                    cache.put_file(result, cached)
-            per_file.setdefault(rel, []).extend(cached)
-        program_findings = cache.get_program(parsed) if cache is not None else None
-        if program_findings is None:
-            program_findings = self.run_program_rules(parsed)
-            if cache is not None:
-                cache.put_program(parsed, program_findings)
-        for finding in program_findings:
-            per_file.setdefault(finding.path, []).append(finding)
-        for pfile in parsed:
-            findings.extend(
-                self._apply_pragmas(
-                    per_file.get(pfile.rel_path, []), pfile.source, pfile.rel_path
-                )
-            )
-        # program findings can be anchored to files outside the walked
-        # set only if a rule misbehaves; surface rather than drop them
-        walked = {p.rel_path for p in parsed}
-        findings.extend(
-            f for f in program_findings if f.path not in walked
-        )
+            findings.extend(self.lint_source(source, rel))
         findings.sort(key=Finding.sort_key)
         return findings
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 
-from repro.analysis.reprolint.engine import Finding, all_rule_classes
+from repro.analysis.reprolint.engine import Finding, registered_rules
 
 __all__ = ["active", "render_human", "render_json", "render_rule_catalog", "summary_line"]
 
@@ -58,11 +58,11 @@ def render_json(findings: Sequence[Finding], files: int) -> str:
 def render_rule_catalog() -> str:
     """The ``--list-rules`` table: code, name, first rationale line.
 
-    Generated from the registries (per-file *and* whole-program), so a
-    newly registered rule appears here without touching any docs.
+    Generated from the registry, so a newly registered rule appears
+    here without touching any docs.
     """
     rows = []
-    for code, rule_cls in sorted(all_rule_classes().items()):
+    for code, rule_cls in registered_rules().items():
         doc = (rule_cls.__doc__ or "").strip().splitlines()
         headline = doc[0] if doc else rule_cls.rationale
         rows.append(f"{code}  {rule_cls.name:<24} {headline}")

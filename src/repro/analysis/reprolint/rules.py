@@ -11,13 +11,8 @@ RL004     every emitted event kind is in the ``obs/events.py`` catalog
 RL005     no float equality on simulated-time values
 RL006     no silently swallowed exceptions in sim code
 RL008     RNG streams are drawn only by their registered owner module
-RL009     no mutable module-level / default-arg state written from sim code
 RL010     no sim-time accumulated by repeated float ``+=`` in loops
 ========  ==============================================================
-
-(RL007, the interprocedural source→sink rule, lives in
-:mod:`repro.analysis.reprolint.dataflow` — it needs the whole program,
-not one file.)
 
 Rules are registered via :func:`repro.analysis.reprolint.engine.register`
 and instantiated fresh per :class:`Linter`, so per-file state on the
@@ -27,7 +22,6 @@ rule instance is safe.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
 from repro.analysis.reprolint.engine import (
     Rule,
@@ -45,10 +39,7 @@ __all__ = [
     "FloatTimeEquality",
     "SwallowedException",
     "StreamOwnership",
-    "MutableModuleState",
     "AccumulatedFloatTime",
-    "load_stream_owners",
-    "load_trace_catalog",
 ]
 
 
@@ -297,36 +288,6 @@ class UnorderedIteration(Rule):
 # ----------------------------------------------------------------------
 # RL004
 # ----------------------------------------------------------------------
-def load_trace_catalog(path: Path | None = None) -> frozenset[str]:
-    """The trace-kind catalog: ``KINDS`` keys from ``obs/events.py``.
-
-    With ``path``, the catalog is recovered statically from that file's
-    AST (no import — usable on a checkout with a broken environment);
-    otherwise it is imported from the live package.
-    """
-    if path is None:
-        from repro.obs.events import KINDS
-
-        return frozenset(KINDS)
-    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
-        targets = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-        else:
-            continue
-        names = {t.id for t in targets if isinstance(t, ast.Name)}
-        if "KINDS" in names and isinstance(node.value, ast.Dict):
-            return frozenset(
-                key.value
-                for key in node.value.keys
-                if isinstance(key, ast.Constant) and isinstance(key.value, str)
-            )
-    raise ValueError(f"no KINDS dict literal found in {path}")
-
-
 @register
 class UnknownTraceKind(Rule):
     """Event emission with a kind missing from the catalog.
@@ -349,12 +310,9 @@ class UnknownTraceKind(Rule):
     _EMITTERS = {"emit", "_emit"}
 
     def __init__(self) -> None:
-        self._catalog: frozenset[str] | None = None
+        from repro.obs.events import KINDS
 
-    def start_file(self, ctx: RuleContext) -> None:
-        if self._catalog is None:
-            catalog = load_trace_catalog(ctx.config.trace_catalog_path)
-            self._catalog = catalog | frozenset(ctx.config.extra_trace_kinds)
+        self._catalog = frozenset(KINDS)
 
     def visit(self, node: ast.AST, ctx: RuleContext) -> None:
         assert isinstance(node, ast.Call)
@@ -368,7 +326,6 @@ class UnknownTraceKind(Rule):
         if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
             return
         kind = first.value
-        assert self._catalog is not None
         if kind not in self._catalog:
             ctx.report(
                 self,
@@ -494,42 +451,6 @@ class SwallowedException(Rule):
 # ----------------------------------------------------------------------
 # RL008
 # ----------------------------------------------------------------------
-def load_stream_owners(path: Path | None = None) -> dict[str, tuple[str, ...]]:
-    """The stream-ownership registry: ``STREAM_OWNERS`` from ``sim/rng.py``.
-
-    With ``path``, the mapping is recovered statically from that file's
-    AST (usable on a checkout with a broken environment); otherwise it
-    is imported from the live package.
-    """
-    if path is None:
-        from repro.sim.rng import STREAM_OWNERS
-
-        return dict(STREAM_OWNERS)
-    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
-        targets = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-        else:
-            continue
-        names = {t.id for t in targets if isinstance(t, ast.Name)}
-        if "STREAM_OWNERS" in names and isinstance(node.value, ast.Dict):
-            owners: dict[str, tuple[str, ...]] = {}
-            for key, value in zip(node.value.keys, node.value.values, strict=True):
-                if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-                    continue
-                elts = value.elts if isinstance(value, (ast.Tuple, ast.List)) else []
-                owners[key.value] = tuple(
-                    e.value
-                    for e in elts
-                    if isinstance(e, ast.Constant) and isinstance(e.value, str)
-                )
-            return owners
-    raise ValueError(f"no STREAM_OWNERS dict literal found in {path}")
-
-
 @register
 class StreamOwnership(Rule):
     """RNG stream drawn outside its registered owner module.
@@ -554,13 +475,9 @@ class StreamOwnership(Rule):
     node_types = (ast.Call,)
 
     def __init__(self) -> None:
-        self._owners: dict[str, tuple[str, ...]] | None = None
+        from repro.sim.rng import STREAM_OWNERS
 
-    def start_file(self, ctx: RuleContext) -> None:
-        if self._owners is None:
-            owners = load_stream_owners(ctx.config.stream_owners_path)
-            owners.update(ctx.config.extra_stream_owners)
-            self._owners = owners
+        self._owners = STREAM_OWNERS
 
     def visit(self, node: ast.AST, ctx: RuleContext) -> None:
         assert isinstance(node, ast.Call)
@@ -573,7 +490,6 @@ class StreamOwnership(Rule):
         if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
             return
         label = first.value
-        assert self._owners is not None
         owners = self._owners.get(label)
         if owners is None:
             ctx.report(
@@ -593,163 +509,6 @@ class StreamOwnership(Rule):
                 f"here; use a stream this module owns (or transfer "
                 "ownership in sim/rng.py STREAM_OWNERS)",
             )
-
-
-# ----------------------------------------------------------------------
-# RL009
-# ----------------------------------------------------------------------
-_MUTABLE_CONSTRUCTORS = {"list", "dict", "set", "defaultdict", "deque", "Counter"}
-_MUTATING_METHODS = {
-    "add",
-    "append",
-    "appendleft",
-    "clear",
-    "discard",
-    "extend",
-    "insert",
-    "pop",
-    "popitem",
-    "popleft",
-    "remove",
-    "setdefault",
-    "update",
-}
-
-
-@register
-class MutableModuleState(Rule):
-    """Mutable module-level state written from functions, or mutable defaults.
-
-    A module-level list/dict/set mutated from simulation code is shared
-    across every scenario in a process: run A's leftovers leak into run
-    B, so back-to-back runs of the same config can diverge — the
-    classic "passes alone, fails in the suite" nondeterminism. Mutable
-    default arguments are the same trap in miniature (one shared object
-    across all calls). Keep state on instances created per run, or
-    suppress with a justified pragma where a process-wide registry is
-    genuinely intended.
-    """
-
-    code = "RL009"
-    name = "mutable-module-state"
-    rationale = (
-        "process-global mutable state couples runs that the contract "
-        "says are independent"
-    )
-    node_types = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)
-
-    def start_file(self, ctx: RuleContext) -> None:
-        self._module_mutables: dict[str, ast.AST] = {}
-
-    def _is_mutable_literal(self, node: ast.expr) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set)):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in _MUTABLE_CONSTRUCTORS
-        )
-
-    def visit(self, node: ast.AST, ctx: RuleContext) -> None:
-        if isinstance(node, ast.Module):
-            self._collect_module_state(node)
-            self._check_writes(node, ctx)
-        else:
-            assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            self._check_defaults(node, ctx)
-
-    def _collect_module_state(self, module: ast.Module) -> None:
-        for stmt in module.body:
-            value = None
-            names: list[str] = []
-            if isinstance(stmt, ast.Assign):
-                value = stmt.value
-                names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                value = stmt.value
-                names = [stmt.target.id]
-            if value is not None and names and self._is_mutable_literal(value):
-                for name in names:
-                    self._module_mutables.setdefault(name, stmt)
-
-    def _check_writes(self, module: ast.Module, ctx: RuleContext) -> None:
-        if not self._module_mutables:
-            return
-        reported: set[str] = set()
-        for top in module.body:
-            if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            for sub in ast.walk(top):
-                name, how = self._write_of(sub)
-                if name is None or name not in self._module_mutables:
-                    continue
-                if name in reported or self._shadowed(top, name):
-                    continue
-                reported.add(name)
-                decl = self._module_mutables[name]
-                ctx.report(
-                    self,
-                    decl,
-                    f"module-level mutable `{name}` is written from "
-                    f"simulation code ({how} at line {sub.lineno}); state "
-                    "shared across runs breaks run independence — move it "
-                    "onto a per-run object",
-                )
-
-    def _write_of(self, node: ast.AST) -> tuple[str | None, str]:
-        """(written module-level name, description) for a write site."""
-        if isinstance(node, ast.Global):
-            return (node.names[0] if node.names else None), "`global` write"
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in _MUTATING_METHODS and isinstance(
-                node.func.value, ast.Name
-            ):
-                return node.func.value.id, f"`.{node.func.attr}(...)`"
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Subscript) and isinstance(
-                    target.value, ast.Name
-                ):
-                    return target.value.id, "subscript assignment"
-        return None, ""
-
-    def _shadowed(self, scope: ast.AST, name: str) -> bool:
-        """True when ``name`` is rebound as a local anywhere in ``scope``."""
-        for sub in ast.walk(scope):
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                params = sub.args
-                all_params = [
-                    *params.posonlyargs,
-                    *params.args,
-                    *params.kwonlyargs,
-                ]
-                if any(a.arg == name for a in all_params):
-                    return True
-                for inner in ast.walk(sub):
-                    if (
-                        isinstance(inner, ast.Assign)
-                        and any(
-                            isinstance(t, ast.Name) and t.id == name
-                            for t in inner.targets
-                        )
-                    ):
-                        return True
-        return False
-
-    def _check_defaults(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef, ctx: RuleContext
-    ) -> None:
-        defaults = [*node.args.defaults, *node.args.kw_defaults]
-        for default in defaults:
-            if default is not None and self._is_mutable_literal(default):
-                ctx.report(
-                    self,
-                    default,
-                    f"mutable default argument in `{node.name}(...)`: one "
-                    "object is shared across every call; default to None "
-                    "and create the container inside the function",
-                )
 
 
 # ----------------------------------------------------------------------
@@ -839,9 +598,3 @@ class AccumulatedFloatTime(Rule):
                     return name
         return None
 
-
-def all_rule_codes() -> tuple[str, ...]:
-    """Codes of every built-in rule (per-file and program), sorted."""
-    from repro.analysis.reprolint.engine import all_rule_classes
-
-    return tuple(sorted(all_rule_classes()))

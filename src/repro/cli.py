@@ -10,9 +10,9 @@ original system's reproducibility material drives its simulator:
 - ``adversary``  Byzantine-fraction degradation sweeps;
 - ``security``   the Section 3 sampling math for a given grid;
 - ``trace``      run with structured tracing and write/analyze a trace;
-- ``profile``    run with callback profiling and print hot sites;
 - ``pipeline``   sustained multi-slot pipeline with churn and overload control;
-- ``health``     analyze a telemetry series against run-health SLOs.
+- ``health``     analyze a telemetry series against run-health SLOs;
+- ``detsan``     replay reference scenarios under the determinism sanitizer.
 
 Examples::
 
@@ -25,7 +25,7 @@ Examples::
     python -m repro security --grid 512 --target 1e-9
     python -m repro trace --nodes 200 --slots 1 --out trace.jsonl
     python -m repro trace --nodes 100 --chrome trace.json --report
-    python -m repro profile --nodes 200 --top 15
+    python -m repro slot --nodes 200 --profile
     python -m repro pipeline --nodes 60 --reduced 32 --slots 4 --churn 0.1
     python -m repro pipeline --nodes 60 --reduced 32 --check-invariants --json
     python -m repro pipeline --nodes 60 --reduced 32 --telemetry series.jsonl
@@ -64,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     slot.add_argument("--plot", action="store_true", help="render the sampling CDF")
     slot.add_argument(
         "--faults",
+        type=_fault_plan,
         default=None,
         metavar="SPEC",
         help=(
@@ -134,7 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--policy", default="redundant", help="minimal|single|redundant")
     trace.add_argument("--redundancy", type=int, default=8)
     trace.add_argument("--slots", type=int, default=1)
-    trace.add_argument("--faults", default=None, metavar="SPEC", help="fault plan spec")
+    trace.add_argument(
+        "--faults", type=_fault_plan, default=None, metavar="SPEC", help="fault plan spec"
+    )
     trace.add_argument("--out", default=None, metavar="FILE", help="write JSONL trace here")
     trace.add_argument(
         "--chrome", default=None, metavar="FILE",
@@ -152,15 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--report", action="store_true",
         help="print the slowest-node causal report from the trace",
     )
-
-    profile = sub.add_parser(
-        "profile", help="run slots under the callback profiler; print hot sites"
-    )
-    _common_scale_args(profile)
-    profile.add_argument("--policy", default="redundant", help="minimal|single|redundant")
-    profile.add_argument("--redundancy", type=int, default=8)
-    profile.add_argument("--slots", type=int, default=1)
-    profile.add_argument("--top", type=int, default=12, help="rows of the hot-site table")
 
     pipeline = sub.add_parser(
         "pipeline",
@@ -230,22 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="machine-readable output: one JSON object instead of text",
     )
 
-    lint = sub.add_parser(
-        "lint",
-        help="run reprolint, the determinism/protocol static analysis "
-        "(rule catalog: `repro lint --list-rules`)",
-    )
-    lint.add_argument(
-        "lint_args",
-        nargs=argparse.REMAINDER,
-        help="arguments forwarded to `python -m repro.analysis` "
-        "(paths, --json, --list-rules, ...)",
-    )
-
     detsan = sub.add_parser(
         "detsan",
-        help="run the runtime determinism sanitizer (hash-seed sweep, "
-        "scheduler/delivery/telemetry perturbations)",
+        help="run the runtime determinism sanitizer (hash-seed sweep "
+        "plus a telemetry-on run)",
     )
     detsan.add_argument(
         "detsan_args",
@@ -254,6 +236,16 @@ def build_parser() -> argparse.ArgumentParser:
         "(--scenario, --hash-seeds, --json, ...)",
     )
     return parser
+
+
+def _fault_plan(spec: str):
+    """``--faults`` type: a parsed FaultPlan, or a usage error naming the entry."""
+    from repro.faults.plan import FaultPlan
+
+    try:
+        return FaultPlan.parse(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _common_scale_args(parser: argparse.ArgumentParser) -> None:
@@ -356,9 +348,8 @@ def _finish_telemetry(telemetry, args) -> dict | None:
 
 def _cmd_slot(args) -> int:
     from repro.experiments.scenario import Scenario, ScenarioConfig
-    from repro.faults.plan import FaultPlan
 
-    faults = FaultPlan.parse(args.faults) if args.faults else None
+    faults = args.faults
     tracer, profiler = _make_obs(args)
     telemetry = _make_telemetry(args)
     config = ScenarioConfig(
@@ -586,7 +577,6 @@ def _cmd_security(args) -> int:
 def _cmd_trace(args) -> int:
     from repro.experiments.report import drain_buffer, print_trace_report
     from repro.experiments.scenario import Scenario, ScenarioConfig
-    from repro.faults.plan import FaultPlan
     from repro.obs import ChromeTraceSink, JsonlSink, TraceRecorder
     from repro.obs.timeline import lifecycle_problems
 
@@ -599,14 +589,13 @@ def _cmd_trace(args) -> int:
     if args.kinds:
         kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     tracer = TraceRecorder(capacity=args.ring, kinds=kinds, sinks=sinks)
-    faults = FaultPlan.parse(args.faults) if args.faults else None
     config = ScenarioConfig(
         num_nodes=args.nodes,
         params=_params(args),
         policy=policy_by_name(args.policy, args.redundancy),
         seed=args.seed,
         slots=args.slots,
-        faults=faults,
+        faults=args.faults,
         tracer=tracer,
     )
     print(
@@ -642,27 +631,6 @@ def _cmd_trace(args) -> int:
         if "PYTEST_CURRENT_TEST" in os.environ:
             for line in lines:
                 print(line)
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    from repro.experiments.scenario import Scenario, ScenarioConfig
-    from repro.obs import CallbackProfiler
-
-    profiler = CallbackProfiler()
-    config = ScenarioConfig(
-        num_nodes=args.nodes,
-        params=_params(args),
-        policy=policy_by_name(args.policy, args.redundancy),
-        seed=args.seed,
-        slots=args.slots,
-        profiler=profiler,
-    )
-    print(f"profiling {args.slots} slot(s) over {args.nodes} nodes ({config.policy.name})")
-    scenario = Scenario(config).run()
-    phases = scenario.phase_distributions()
-    print(f"  sampling       {summarize(phases.sampling, 4.0)}")
-    print(profiler.format(top=args.top))
     return 0
 
 
@@ -793,12 +761,6 @@ def _cmd_health(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_lint(args) -> int:
-    from repro.analysis.reprolint.cli import run
-
-    return run(args.lint_args)
-
-
 def _cmd_detsan(args) -> int:
     from repro.analysis.detsan import run
 
@@ -808,13 +770,9 @@ def _cmd_detsan(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # `lint` and `detsan` forward their whole argument list to nested
-    # tools; argparse REMAINDER refuses a leading option token (e.g.
+    # `detsan` forwards its whole argument list to the nested tool;
+    # argparse REMAINDER refuses a leading option token (e.g.
     # `repro detsan --hash-seeds ...`), so forward before parsing.
-    if argv and argv[0] == "lint":
-        from repro.analysis.reprolint.cli import run as lint_run
-
-        return lint_run(argv[1:])
     if argv and argv[0] == "detsan":
         from repro.analysis.detsan import run as detsan_run
 
@@ -828,10 +786,8 @@ def main(argv: list[str] | None = None) -> int:
         "adversary": _cmd_adversary,
         "security": _cmd_security,
         "trace": _cmd_trace,
-        "profile": _cmd_profile,
         "pipeline": _cmd_pipeline,
         "health": _cmd_health,
-        "lint": _cmd_lint,
         "detsan": _cmd_detsan,
     }
     return handlers[args.command](args)

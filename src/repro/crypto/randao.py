@@ -36,11 +36,3 @@ class RandaoBeacon:
         h.update(str(self._genesis).encode())
         h.update(epoch.to_bytes(8, "big"))
         return int.from_bytes(h.digest(), "big")
-
-    def slot_seed(self, epoch: int, slot_in_epoch: int, domain: str) -> int:
-        """A per-slot, per-domain sub-seed (proposer election, committees...)."""
-        h = hashlib.sha256()
-        h.update(self.epoch_seed(epoch).to_bytes(32, "big"))
-        h.update(slot_in_epoch.to_bytes(4, "big"))
-        h.update(domain.encode())
-        return int.from_bytes(h.digest(), "big")

@@ -104,7 +104,7 @@ def format_distribution_row(
 # Emitted lines are buffered so the benchmark conftest can replay them
 # in pytest's terminal summary (per-test stdout is captured and thrown
 # away for passing tests); outside pytest they print immediately.
-_BUFFER: list = []  # reprolint: disable=RL009 -- human-facing print buffer; drained by the pytest reporter, never feeds sim state
+_BUFFER: list = []
 
 
 def drain_buffer() -> list:

@@ -237,12 +237,12 @@ class FaultPlan:
             entry = entry.strip()
             if not entry:
                 continue
-            if "=" not in entry:
-                raise ValueError(f"fault entry {entry!r} is not key=value")
-            key, _, value = entry.partition("=")
+            key, sep, value = entry.partition("=")
             key = key.strip()
             value = value.strip()
             try:
+                if not sep:
+                    raise ValueError("not key=value")
                 if key == "loss":
                     loss = float(value)
                 elif key == "dup":
@@ -304,10 +304,10 @@ class FaultPlan:
                     adversaries.append(adv)
                 else:
                     raise ValueError(f"unknown fault kind {key!r}")
-            except ValueError:
-                raise
-            except Exception as exc:  # int()/float() conversion noise
-                raise ValueError(f"malformed fault entry {entry!r}") from exc
+                # the plan's own range checks, run here so an error names its entry
+                cls(loss=loss, duplication=duplication, jitter=jitter)
+            except ValueError as exc:
+                raise ValueError(f"malformed fault entry {entry!r}: {exc}") from exc
         return cls(
             loss=loss,
             duplication=duplication,

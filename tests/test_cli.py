@@ -73,9 +73,23 @@ def test_slot_with_faults_end_to_end(capsys):
     assert code in (0, 1)
 
 
-def test_slot_with_malformed_faults_rejected():
-    with pytest.raises(ValueError):
-        main(["slot", "--nodes", "10", "--reduced", "16", "--faults", "meteor=1"])
+@pytest.mark.parametrize("command", ["slot", "trace"])
+@pytest.mark.parametrize(
+    "spec", ["loss=abc", "bogus=1", "crash=2@x", "loss=1.5", "partition="]
+)
+def test_malformed_faults_spec_is_a_usage_error(command, spec, capsys):
+    """A bad ``--faults`` spec is an argparse usage error (exit 2) with
+    one diagnostic line naming the offending entry, never a traceback."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--nodes", "20", "--reduced", "32", "--faults", spec])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    naming = [line for line in err.splitlines() if repr(spec) in line]
+    assert len(naming) == 1
+    assert naming[0].startswith(
+        f"repro {command}: error: argument --faults: malformed fault entry {spec!r}: "
+    )
+    assert "Traceback" not in err
 
 
 def test_unknown_figure_rejected():
@@ -171,8 +185,15 @@ def test_trace_command_kind_filter(tmp_path, capsys):
 
 
 def test_profile_command(capsys):
-    code = main(["profile", "--nodes", "40", "--reduced", "16", "--seed", "3", "--top", "5"])
-    out = capsys.readouterr().out
+    """Profiling is the ``slot --profile`` rider; with ``--json`` the
+    hot-site table goes to stderr so stdout stays one JSON object."""
+    import json
+
+    code = main(
+        ["slot", "--nodes", "60", "--reduced", "32", "--seed", "3", "--profile", "--json"]
+    )
+    captured = capsys.readouterr()
     assert code == 0
-    assert "callback site" in out
-    assert "events/sec" in out
+    assert "sampling" in json.loads(captured.out)["phases"]
+    assert "callback site" in captured.err
+    assert "events/sec" in captured.err

@@ -22,8 +22,3 @@ class TestRandao:
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError):
             RandaoBeacon(1).epoch_seed(-1)
-
-    def test_slot_seed_domain_separation(self):
-        beacon = RandaoBeacon(3)
-        assert beacon.slot_seed(0, 1, "proposer") != beacon.slot_seed(0, 1, "committee")
-        assert beacon.slot_seed(0, 1, "proposer") != beacon.slot_seed(0, 2, "proposer")

@@ -97,7 +97,7 @@ class TestSpecParser:
         ],
     )
     def test_malformed_specs_rejected(self, spec):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^malformed fault entry {spec!r}: "):
             FaultPlan.parse(spec)
 
     def test_describe_mentions_every_component(self):

@@ -21,11 +21,7 @@ from repro.analysis.reprolint import (
     LintConfig,
     Linter,
     active,
-    all_rule_classes,
-    load_stream_owners,
-    load_trace_catalog,
     parse_pragmas,
-    registered_program_rules,
     registered_rules,
     rule_code_span,
 )
@@ -47,12 +43,9 @@ ALL_RULES = (
     "RL004",
     "RL005",
     "RL006",
-    "RL007",
     "RL008",
-    "RL009",
     "RL010",
 )
-PROGRAM_RULES = ("RL007",)
 
 
 def lint_fixture(name: str, **config_kwargs) -> list[Finding]:
@@ -77,9 +70,7 @@ POSITIVE_EXPECTATIONS = {
     "rl004_bus_bad.py": ("RL004", 1),
     "rl005_bad.py": ("RL005", 3),
     "rl006_bad.py": ("RL006", 2),
-    "rl007_bad.py": ("RL007", 4),
     "rl008_bad.py": ("RL008", 2),
-    "rl009_bad.py": ("RL009", 3),
     "rl010_bad.py": ("RL010", 2),
 }
 
@@ -97,9 +88,7 @@ class TestRuleFixtures:
         assert codes(lint_fixture(fixture)) == []
 
     def test_every_rule_has_both_fixtures(self):
-        for code in all_rule_classes():
-            if code == "RL000":
-                continue
+        for code in registered_rules():
             assert (FIXTURES / f"{code.lower()}_bad.py").exists(), code
             assert (FIXTURES / f"{code.lower()}_good.py").exists(), code
 
@@ -174,6 +163,26 @@ class TestRuleDetails:
         )
         assert codes(Linter().lint_source(source, "s.py")) == ["RL003"]
 
+    def test_rl003_flags_set_into_send_in_gossip_loop(self):
+        """The one real bug reprolint has found: mesh forwarding that
+        walked a peer set in hash order straight into the send path."""
+        source = (
+            "class PubSub:\n"
+            "    def __init__(self):\n"
+            "        self._mesh: dict[tuple, set[int]] = {}\n"
+            "    def on_datagram(self, member, dgram):\n"
+            "        message = dgram.payload\n"
+            "        for neighbor in self._mesh.get((message.topic, member), ()):\n"
+            "            if neighbor != dgram.src:\n"
+            "                self._push(member, neighbor, message)\n"
+        )
+        assert codes(Linter().lint_source(source, "s.py")) == ["RL003"]
+        fixed = source.replace(
+            "in self._mesh.get((message.topic, member), ())",
+            "in sorted(self._mesh.get((message.topic, member), ()))",
+        )
+        assert codes(Linter().lint_source(fixed, "s.py")) == []
+
     def test_rl004_follows_the_bus(self):
         """A kind published on the bus is checked like any other: an
         uncataloged one is flagged, a cataloged one is not. The emitter
@@ -192,18 +201,29 @@ class TestRuleDetails:
         ):
             assert callable(getattr(owner, name))
 
-    def test_rl004_catalog_matches_ast_and_import(self):
-        static = load_trace_catalog(SRC / "repro" / "obs" / "events.py")
-        live = load_trace_catalog()
-        assert static == live
-        assert "fetch_start" in live
-
     def test_rl005_accepts_order_comparisons(self):
         source = "def f(now, deadline):\n    return deadline <= now\n"
         assert codes(Linter().lint_source(source, "s.py")) == []
 
     def test_rl006_allows_narrow_swallow(self):
         source = "try:\n    f()\nexcept KeyError:\n    pass\n"
+        assert codes(Linter().lint_source(source, "s.py")) == []
+
+    def test_rl008_owner_module_is_allowed(self):
+        source = 'def go(rngs):\n    return rngs.stream("seeding", 1)\n'
+        assert codes(Linter().lint_source(source, "repro/core/builder.py")) == []
+        assert codes(Linter().lint_source(source, "repro/core/node.py")) == ["RL008"]
+
+    def test_rl010_derived_time_is_silent_in_nested_function(self):
+        # a def boundary ends the loop ancestry walk: the inner function
+        # body does not repeat with the outer loop
+        source = (
+            "def outer(items, dt):\n"
+            "    for item in items:\n"
+            "        def later(t):\n"
+            "            t += dt\n"
+            "            return t\n"
+        )
         assert codes(Linter().lint_source(source, "s.py")) == []
 
     def test_syntax_error_is_reported_not_raised(self):
@@ -291,9 +311,7 @@ class TestEngine:
         assert keys == sorted(keys)
 
     def test_registry_is_complete(self):
-        assert set(all_rule_classes()) == set(ALL_RULES)
-        assert set(registered_program_rules()) == set(PROGRAM_RULES)
-        assert set(registered_rules()) == set(ALL_RULES) - set(PROGRAM_RULES)
+        assert tuple(registered_rules()) == ALL_RULES
 
     def test_rule_code_span_derives_from_registry(self):
         assert rule_code_span() == f"{ALL_RULES[0]}-{ALL_RULES[-1]}"
@@ -320,8 +338,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert reprolint_run(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ALL_RULES:
-            assert rule in out
+        assert [line.split()[0] for line in out.splitlines()] == list(ALL_RULES)
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -333,208 +350,6 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert "RL003" in proc.stdout
-
-    def test_repro_lint_subcommand(self, capsys):
-        from repro.cli import main
-
-        assert main(["lint", str(FIXTURES / "rl002_good.py")]) == 0
-        assert main(["lint", str(FIXTURES / "rl002_bad.py")]) == 1
-        capsys.readouterr()
-
-
-# ----------------------------------------------------------------------
-# interprocedural rules (RL007-RL010) and the whole-program engine
-# ----------------------------------------------------------------------
-class TestInterprocedural:
-    def test_cross_module_flow_found_and_anchored_at_source(self):
-        findings = active(Linter().lint_paths([FIXTURES / "xmod"], root=FIXTURES))
-        assert [f.rule for f in findings] == ["RL007"]
-        finding = findings[0]
-        assert finding.path == "xmod/source_mod.py"
-        assert "custody_order -> run_bad -> relay" in finding.message
-        assert "xmod/sink_mod.py" in finding.message
-
-    def test_rl007_message_names_source_and_sink(self):
-        findings = active(lint_fixture("rl007_bad.py"))
-        kinds = {f.message.split(" from ")[0] for f in findings}
-        assert kinds == {
-            "nondeterministic set order",
-            "nondeterministic id()",
-            "nondeterministic os.environ",
-            "nondeterministic hash()",
-        }
-
-    def test_rl007_not_reported_for_intraprocedural_flow(self):
-        # same-function source→sink is RL003's territory; RL007 must
-        # not double-report it
-        source = (
-            "def gossip(transport, peers: set):\n"
-            "    for p in peers:\n"
-            "        transport.send(p, b'')\n"
-        )
-        assert codes(Linter().lint_source(source, "s.py")) == ["RL003"]
-
-    def test_rl007_sorted_launders_across_boundary(self):
-        source = (
-            "def order(peers: set):\n"
-            "    return sorted(peers)\n"
-            "def run(transport, peers: set):\n"
-            "    for p in order(peers):\n"
-            "        transport.send(p, b'')\n"
-        )
-        assert codes(Linter().lint_source(source, "s.py")) == []
-
-    def test_rl008_loader_matches_ast_and_import(self):
-        static = load_stream_owners(SRC / "repro" / "sim" / "rng.py")
-        live = load_stream_owners()
-        assert static == live
-        assert "samples" in live
-
-    def test_rl008_owner_module_is_allowed(self):
-        source = 'def go(rngs):\n    return rngs.stream("seeding", 1)\n'
-        assert codes(Linter().lint_source(source, "repro/core/builder.py")) == []
-        assert codes(Linter().lint_source(source, "repro/core/node.py")) == ["RL008"]
-
-    def test_rl008_extra_owners_config(self):
-        source = 'def go(rngs):\n    return rngs.stream("custom", 1)\n'
-        assert codes(
-            Linter(
-                LintConfig(extra_stream_owners={"custom": ("s.py",)})
-            ).lint_source(source, "s.py")
-        ) == []
-
-    def test_rl009_engine_registry_is_allowlisted(self):
-        # the linter's own rule registry is module-level but written
-        # only at import time; the default allowlist admits it
-        path = SRC / "repro" / "analysis" / "reprolint" / "engine.py"
-        findings = Linter().lint_paths([path], root=SRC)
-        assert [f.rule for f in active(findings)] == []
-
-    def test_rl010_derived_time_is_silent_in_nested_function(self):
-        # a def boundary ends the loop ancestry walk: the inner function
-        # body does not repeat with the outer loop
-        source = (
-            "def outer(items, dt):\n"
-            "    for item in items:\n"
-            "        def later(t):\n"
-            "            t += dt\n"
-            "            return t\n"
-        )
-        assert codes(Linter().lint_source(source, "s.py")) == []
-
-
-class TestCache:
-    def _tree(self, tmp_path: Path) -> Path:
-        tree = tmp_path / "proj"
-        tree.mkdir()
-        (tree / "a.py").write_text(
-            "def order(peers: set):\n    return list(peers)\n",
-            encoding="utf-8",
-        )
-        (tree / "b.py").write_text(
-            "from a import order\n"
-            "def run(transport, peers: set):\n"
-            "    for p in order(peers):\n"
-            "        transport.send(p, b'')\n",
-            encoding="utf-8",
-        )
-        return tree
-
-    def test_cold_then_warm_and_results_identical(self, tmp_path):
-        from repro.analysis.reprolint.cache import LintCache
-
-        tree = self._tree(tmp_path)
-        config = LintConfig()
-        cache_path = tmp_path / "cache.json"
-
-        cache = LintCache(cache_path, config)
-        first = Linter(config).lint_paths([tree], root=tree, cache=cache)
-        cache.save()
-        assert cache.file_misses == 2 and cache.file_hits == 0
-        assert not cache.program_hit
-
-        warm = LintCache(cache_path, config)
-        second = Linter(config).lint_paths([tree], root=tree, cache=warm)
-        assert warm.file_hits == 2 and warm.file_misses == 0
-        assert warm.program_hit
-        assert [f.format() for f in first] == [f.format() for f in second]
-        assert [f.rule for f in active(second)] == ["RL007"]
-
-    def test_content_change_invalidates_file_and_program(self, tmp_path):
-        from repro.analysis.reprolint.cache import LintCache
-
-        tree = self._tree(tmp_path)
-        config = LintConfig()
-        cache_path = tmp_path / "cache.json"
-        cache = LintCache(cache_path, config)
-        Linter(config).lint_paths([tree], root=tree, cache=cache)
-        cache.save()
-
-        # sorting at the source removes the cross-module flow; the
-        # cache must not resurrect it
-        (tree / "a.py").write_text(
-            "def order(peers: set):\n    return sorted(peers)\n",
-            encoding="utf-8",
-        )
-        warm = LintCache(cache_path, config)
-        findings = Linter(config).lint_paths([tree], root=tree, cache=warm)
-        assert warm.file_hits == 1 and warm.file_misses == 1
-        assert not warm.program_hit
-        assert [f.rule for f in active(findings)] == []
-
-    def test_changed_config_invalidates_everything(self, tmp_path):
-        from repro.analysis.reprolint.cache import LintCache
-
-        tree = self._tree(tmp_path)
-        cache_path = tmp_path / "cache.json"
-        cache = LintCache(cache_path, LintConfig())
-        Linter(LintConfig()).lint_paths([tree], root=tree, cache=cache)
-        cache.save()
-
-        narrowed = LintConfig(select=("RL003",))
-        cold = LintCache(cache_path, narrowed)
-        Linter(narrowed).lint_paths([tree], root=tree, cache=cold)
-        assert cold.file_misses == 2 and cold.file_hits == 0
-
-    def test_corrupt_cache_file_is_ignored(self, tmp_path):
-        from repro.analysis.reprolint.cache import LintCache
-
-        tree = self._tree(tmp_path)
-        cache_path = tmp_path / "cache.json"
-        cache_path.write_text("{not json", encoding="utf-8")
-        cache = LintCache(cache_path, LintConfig())
-        findings = Linter(LintConfig()).lint_paths([tree], root=tree, cache=cache)
-        assert [f.rule for f in active(findings)] == ["RL007"]
-
-    def test_pragmas_reapplied_on_warm_hits(self, tmp_path):
-        from repro.analysis.reprolint.cache import LintCache
-
-        tree = tmp_path / "proj"
-        tree.mkdir()
-        (tree / "m.py").write_text(
-            "import random\n"
-            "x = random.random()  # reprolint: disable=RL001 -- fixture\n",
-            encoding="utf-8",
-        )
-        cache_path = tmp_path / "cache.json"
-        config = LintConfig()
-        cache = LintCache(cache_path, config)
-        Linter(config).lint_paths([tree], root=tree, cache=cache)
-        cache.save()
-        warm = LintCache(cache_path, config)
-        findings = Linter(config).lint_paths([tree], root=tree, cache=warm)
-        assert warm.file_hits == 1
-        assert [f.rule for f in active(findings)] == []
-        assert sum(f.suppressed for f in findings) == 1
-
-    def test_cli_cache_flag(self, tmp_path, capsys):
-        cache_path = tmp_path / "cache.json"
-        target = str(FIXTURES / "rl001_good.py")
-        assert reprolint_run([target, "--cache", str(cache_path)]) == 0
-        assert cache_path.exists()
-        assert reprolint_run([target, "--cache", str(cache_path)]) == 0
-        err = capsys.readouterr().err
-        assert "1 hit(s), 0 miss(es)" in err
 
 
 # ----------------------------------------------------------------------
