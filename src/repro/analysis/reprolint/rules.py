@@ -109,9 +109,10 @@ class WallClock(Rule):
 
     Simulated time is ``sim.now``; real time differs across hosts and
     runs, so any wall-clock value that feeds protocol state or metrics
-    destroys bit-identical replay. The profiler (allowlisted) is the
-    one legitimate consumer — it only *observes* callback cost and is
-    pinned behavior-neutral by the fingerprint-equality tests.
+    destroys bit-identical replay. The heartbeat (allowlisted) is the
+    one legitimate consumer — it only prints progress. Host-time
+    profiling attaches through ``Simulator.set_profiler`` and is pinned
+    behavior-neutral by the fingerprint-equality tests.
     """
 
     code = "RL002"
@@ -150,7 +151,7 @@ class WallClock(Rule):
                 self,
                 node,
                 f"wall-clock `{resolved}` in simulation code; simulated "
-                "time must come from sim.now (profiling belongs in obs/profiler.py)",
+                "time must come from sim.now (profilers attach via Simulator.set_profiler)",
             )
 
 

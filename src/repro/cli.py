@@ -4,8 +4,8 @@ Gives the experiment layer a shell entry point, mirroring how the
 original system's reproducibility material drives its simulator:
 
 - ``slot``       run PANDAS slots and print phase distributions;
-- ``figure``     regenerate one of the paper's figures/tables;
-- ``baselines``  the four-system comparison at one scale;
+- ``figure``     regenerate one of the paper's figures/tables
+                 (``fig12`` is the four-system comparison, with its CDF);
 - ``faults``     dead-node / out-of-view sweeps;
 - ``adversary``  Byzantine-fraction degradation sweeps;
 - ``security``   the Section 3 sampling math for a given grid;
@@ -14,18 +14,23 @@ original system's reproducibility material drives its simulator:
 - ``health``     analyze a telemetry series against run-health SLOs;
 - ``detsan``     replay reference scenarios under the determinism sanitizer.
 
+The commands are one table, :data:`COMMANDS`. Each entry holds a
+command's name, help, argument specs and run function; ``@command``
+registers it right above the function's body, and :func:`build_parser`
+and :func:`main` only iterate over the table.
+
 Examples::
 
     python -m repro slot --nodes 350 --policy redundant --slots 2
     python -m repro slot --nodes 200 --faults 'corrupt=0.1,flood=2@20'
     python -m repro slot --nodes 200 --json
     python -m repro figure fig9 --nodes 300
+    python -m repro figure fig12 --nodes 300
     python -m repro faults --fault dead --nodes 300
     python -m repro adversary --behavior corrupt --fractions 0,0.1,0.2
     python -m repro security --grid 512 --target 1e-9
     python -m repro trace --nodes 200 --slots 1 --out trace.jsonl
     python -m repro trace --nodes 100 --chrome trace.json --report
-    python -m repro slot --nodes 200 --profile
     python -m repro pipeline --nodes 60 --reduced 32 --slots 4 --churn 0.1
     python -m repro pipeline --nodes 60 --reduced 32 --check-invariants --json
     python -m repro pipeline --nodes 60 --reduced 32 --telemetry series.jsonl
@@ -37,205 +42,45 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
+from typing import Any
 
 from repro.analysis.plotting import ascii_cdf
 from repro.analysis.stats import summarize
 from repro.core.seeding import policy_by_name
 from repro.params import PandasParams
 
-__all__ = ["main", "build_parser"]
+__all__ = ["COMMANDS", "Command", "main", "build_parser"]
+
+Arg = tuple[tuple[str, ...], dict[str, Any]]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="PANDAS reproduction: run slots, figures and sweeps.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def arg(*flags: str, **spec: Any) -> Arg:
+    """One ``add_argument`` call, as data."""
+    return flags, spec
 
-    slot = sub.add_parser("slot", help="run PANDAS slots and print phase stats")
-    _common_scale_args(slot)
-    slot.add_argument("--policy", default="redundant", help="minimal|single|redundant")
-    slot.add_argument("--redundancy", type=int, default=8, help="r for the redundant policy")
-    slot.add_argument("--slots", type=int, default=1)
-    slot.add_argument("--dead", type=float, default=0.0, help="fraction of dead nodes")
-    slot.add_argument("--out-of-view", type=float, default=0.0, help="fraction out of view")
-    slot.add_argument("--block-gossip", action="store_true", help="also gossip the block")
-    slot.add_argument("--plot", action="store_true", help="render the sampling CDF")
-    slot.add_argument(
-        "--faults",
-        type=_fault_plan,
-        default=None,
-        metavar="SPEC",
-        help=(
-            "deterministic fault plan, e.g. "
-            "'loss=0.05,crash=2@1.0:2.0,partition=0.2@1.0+0.5' "
-            "(kinds: loss, dup, jitter, crash=N@T1[:T2], "
-            "partition=F@T+D, slow=N@D; Byzantine: corrupt=X, "
-            "flood=X@R, withhold=X, equivocate=X@K, stall=X@D — "
-            "X below 1 is a fraction, otherwise a node count)"
-        ),
-    )
-    slot.add_argument(
-        "--check-invariants",
-        action="store_true",
-        help="enforce protocol invariants online; violations abort the run",
-    )
-    slot.add_argument(
-        "--json", action="store_true",
-        help="machine-readable output: one JSON object instead of text",
-    )
-    _obs_args(slot)
-    _telemetry_args(slot)
 
-    figure = sub.add_parser("figure", help="regenerate a paper figure/table")
-    figure.add_argument(
-        "which",
-        choices=["fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "table1"],
-    )
-    _common_scale_args(figure)
-    figure.add_argument("--scales", default="250,350,500", help="node counts for fig13/14")
+@dataclass(frozen=True)
+class Command:
+    name: str
+    help: str
+    args: tuple[Arg, ...]
+    # None only for `detsan`, which main() forwards before parsing
+    run: Callable[[argparse.Namespace], int] | None
 
-    baselines = sub.add_parser("baselines", help="PANDAS vs GossipSub vs DHT vs PeerDAS")
-    _common_scale_args(baselines)
 
-    faults = sub.add_parser("faults", help="fault sweeps (Figure 15)")
-    _common_scale_args(faults)
-    faults.add_argument("--fault", choices=["dead", "out_of_view"], default="dead")
-    faults.add_argument("--fractions", default="0,0.2,0.4,0.6,0.8")
-    _obs_args(faults)
+COMMANDS: list[Command] = []
 
-    adversary = sub.add_parser(
-        "adversary", help="Byzantine-fraction degradation sweep (Section 9)"
-    )
-    _common_scale_args(adversary)
-    adversary.add_argument(
-        "--behavior",
-        default="mix",
-        choices=["mix", "corrupt", "flood", "withhold", "equivocate", "stall"],
-        help="one behavior, or 'mix' to split the fraction across all five",
-    )
-    adversary.add_argument("--fractions", default="0,0.05,0.1,0.2,0.3")
-    adversary.add_argument("--slots", type=int, default=1)
-    adversary.add_argument(
-        "--details", action="store_true",
-        help="also print realized adversary and defense counters",
-    )
-    _obs_args(adversary)
 
-    security = sub.add_parser("security", help="Section 3 sampling math")
-    security.add_argument("--grid", type=int, default=512, help="extended grid dimension")
-    security.add_argument("--samples", type=int, default=None)
-    security.add_argument("--target", type=float, default=1e-9)
+def command(name: str, help: str, *args: Arg):
+    """Register the decorated function as the ``name`` command."""
 
-    trace = sub.add_parser(
-        "trace", help="run slots with structured tracing; write and analyze the trace"
-    )
-    _common_scale_args(trace)
-    trace.add_argument("--policy", default="redundant", help="minimal|single|redundant")
-    trace.add_argument("--redundancy", type=int, default=8)
-    trace.add_argument("--slots", type=int, default=1)
-    trace.add_argument(
-        "--faults", type=_fault_plan, default=None, metavar="SPEC", help="fault plan spec"
-    )
-    trace.add_argument("--out", default=None, metavar="FILE", help="write JSONL trace here")
-    trace.add_argument(
-        "--chrome", default=None, metavar="FILE",
-        help="write a Chrome trace_event JSON (load in about://tracing / Perfetto)",
-    )
-    trace.add_argument(
-        "--kinds", default=None,
-        help="comma-separated event kinds to record (default: all)",
-    )
-    trace.add_argument(
-        "--ring", type=int, default=1 << 20,
-        help="in-memory ring buffer capacity (events); sinks see everything",
-    )
-    trace.add_argument(
-        "--report", action="store_true",
-        help="print the slowest-node causal report from the trace",
-    )
+    def register(run: Callable[[argparse.Namespace], int]):
+        COMMANDS.append(Command(name, help, args, run))
+        return run
 
-    pipeline = sub.add_parser(
-        "pipeline",
-        help="sustained multi-slot pipeline: churn, bounded queues, load shedding",
-    )
-    _common_scale_args(pipeline)
-    pipeline.add_argument("--policy", default="redundant", help="minimal|single|redundant")
-    pipeline.add_argument("--redundancy", type=int, default=8)
-    pipeline.add_argument("--slots", type=int, default=4)
-    pipeline.add_argument("--churn", type=float, default=0.05, help="membership turnover per slot")
-    pipeline.add_argument("--view-lag", type=int, default=1, help="slots of view staleness")
-    pipeline.add_argument("--retention", type=int, default=2, help="slots of state kept behind the head")
-    pipeline.add_argument("--max-inbox", type=int, default=4096, help="bounded transport inbox (0 = unbounded)")
-    pipeline.add_argument("--pending-limit", type=int, default=256, help="bounded per-node request buffer (0 = unbounded)")
-    pipeline.add_argument(
-        "--admit-rate", type=float, default=200.0,
-        help="per-node retrieval admission tokens/s (0 = unbounded)",
-    )
-    pipeline.add_argument(
-        "--admit-burst", type=float, default=20.0,
-        help="per-node retrieval admission bucket burst (tokens)",
-    )
-    pipeline.add_argument(
-        "--no-retry", action="store_true",
-        help="disable deadline-aware retry/backoff between fetch rounds",
-    )
-    pipeline.add_argument("--probes", type=int, default=2, help="measured retrieval probes per slot")
-    pipeline.add_argument(
-        "--client-rate", type=float, default=1e6,
-        help="aggregate layer-2 arrival rate, requests/s",
-    )
-    pipeline.add_argument(
-        "--service-rate", type=float, default=2e6,
-        help="serving-tier capacity, requests/s (0 disables the aggregate model)",
-    )
-    pipeline.add_argument("--max-backlog", type=float, default=4e6, help="aggregate backlog bound")
-    pipeline.add_argument(
-        "--check-invariants", action="store_true",
-        help="enforce protocol invariants online (I5: no unbounded backlog)",
-    )
-    pipeline.add_argument(
-        "--json", action="store_true",
-        help="machine-readable output: one JSON object instead of text",
-    )
-    _obs_args(pipeline)
-    _telemetry_args(pipeline)
-
-    health = sub.add_parser(
-        "health",
-        help="analyze a telemetry JSONL series against run-health SLOs",
-    )
-    health.add_argument("series", help="telemetry series written by --telemetry")
-    health.add_argument(
-        "--min-deadline-hit", type=float, default=0.9,
-        help="minimum sampling deadline-hit rate to pass (default 0.9)",
-    )
-    health.add_argument(
-        "--max-queue-p99", type=float, default=None,
-        help="fail if the sampled queue-depth p99 exceeds this",
-    )
-    health.add_argument(
-        "--max-shed", type=float, default=None,
-        help="fail if total shed work exceeds this",
-    )
-    health.add_argument(
-        "--json", action="store_true",
-        help="machine-readable output: one JSON object instead of text",
-    )
-
-    detsan = sub.add_parser(
-        "detsan",
-        help="run the runtime determinism sanitizer (hash-seed sweep "
-        "plus a telemetry-on run)",
-    )
-    detsan.add_argument(
-        "detsan_args",
-        nargs=argparse.REMAINDER,
-        help="arguments forwarded to `python -m repro.analysis.detsan` "
-        "(--scenario, --hash-seeds, --json, ...)",
-    )
-    return parser
+    return register
 
 
 def _fault_plan(spec: str):
@@ -248,77 +93,89 @@ def _fault_plan(spec: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _common_scale_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--nodes", type=int, default=350)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
+# ----------------------------------------------------------------------
+# argument specs shared by several commands
+# ----------------------------------------------------------------------
+SCALE = (
+    arg("--nodes", type=int, default=350),
+    arg("--seed", type=int, default=7),
+    arg(
         "--reduced", type=int, default=0,
         help="grid reduction factor (0 = full Danksharding parameters)",
-    )
-
-
-def _obs_args(parser: argparse.ArgumentParser) -> None:
-    """Observability riders available on the main run commands."""
-    parser.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="also write a JSONL structured trace of the run(s)",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="also profile simulator callbacks and print the hot sites",
-    )
-
-
-def _telemetry_args(parser: argparse.ArgumentParser) -> None:
-    """Run-health telemetry riders (slot and pipeline commands)."""
-    parser.add_argument(
+    ),
+)
+POLICY = (
+    arg("--policy", default="redundant", help="minimal|single|redundant"),
+    arg("--redundancy", type=int, default=8, help="r for the redundant policy"),
+)
+FAULTS = arg(
+    "--faults",
+    type=_fault_plan,
+    default=None,
+    metavar="SPEC",
+    help=(
+        "deterministic fault plan, e.g. "
+        "'loss=0.05,crash=2@1.0:2.0,partition=0.2@1.0+0.5' "
+        "(kinds: loss, dup, jitter, crash=N@T1[:T2], "
+        "partition=F@T+D, slow=N@D; Byzantine: corrupt=X, "
+        "flood=X@R, withhold=X, equivocate=X@K, stall=X@D — "
+        "X below 1 is a fraction, otherwise a node count)"
+    ),
+)
+JSON = arg(
+    "--json", action="store_true",
+    help="machine-readable output: one JSON object instead of text",
+)
+TRACE = arg(
+    "--trace", default=None, metavar="FILE",
+    help="also write a JSONL structured trace of the run(s)",
+)
+TELEMETRY = (
+    arg(
         "--telemetry", default=None, metavar="FILE",
         help="sample run-health telemetry and write the JSONL series here",
-    )
-    parser.add_argument(
+    ),
+    arg(
         "--telemetry-cadence", type=float, default=0.25, metavar="SECONDS",
         help="sim-time sampling cadence for --telemetry (default 0.25)",
-    )
-    parser.add_argument(
+    ),
+    arg(
         "--prometheus", default=None, metavar="FILE",
         help="also write the final telemetry state as Prometheus text",
-    )
-    parser.add_argument(
+    ),
+    arg(
         "--heartbeat", type=float, default=0.0, metavar="SECONDS",
         help="print a wall-clock progress line every N seconds (0 = off; "
         "requires --telemetry)",
-    )
+    ),
+)
 
 
 def _params(args) -> PandasParams:
-    if getattr(args, "reduced", 0):
+    if args.reduced:
         return PandasParams.reduced(args.reduced)
     return PandasParams.full()
 
 
-def _make_obs(args):
-    """(tracer, profiler) from the --trace/--profile riders, or Nones."""
-    from repro.obs import CallbackProfiler, JsonlSink, TraceRecorder
+def _make_tracer(args):
+    """A JSONL-backed TraceRecorder from the --trace rider, or None."""
+    if not args.trace:
+        return None
+    from repro.obs import JsonlSink, TraceRecorder
 
-    tracer = None
-    if getattr(args, "trace", None):
-        tracer = TraceRecorder(sinks=[JsonlSink(args.trace)])
-    profiler = CallbackProfiler() if getattr(args, "profile", False) else None
-    return tracer, profiler
+    return TraceRecorder(sinks=[JsonlSink(args.trace)])
 
 
-def _finish_obs(tracer, profiler, args, top: int = 12) -> None:
-    """Close the trace file and print profiler output, if active."""
+def _finish_trace(tracer, args) -> None:
+    """Close the trace file, if one is being written."""
     if tracer is not None:
         tracer.close()
         print(f"trace: {tracer.accepted} events -> {args.trace}")
-    if profiler is not None:
-        print(profiler.format(top=top))
 
 
 def _make_telemetry(args):
     """A configured Telemetry from the --telemetry riders, or None."""
-    if not getattr(args, "telemetry", None):
+    if not args.telemetry:
         return None
     from repro.obs import Heartbeat
     from repro.obs.telemetry import Telemetry
@@ -340,17 +197,38 @@ def _finish_telemetry(telemetry, args) -> dict | None:
         "records": records,
         "samples": len(telemetry.samples),
     }
-    if getattr(args, "prometheus", None):
+    if args.prometheus:
         write_prometheus(telemetry, args.prometheus)
         info["prometheus"] = args.prometheus
     return info
 
 
+# ----------------------------------------------------------------------
+# the commands, in --help order
+# ----------------------------------------------------------------------
+@command(
+    "slot", "run PANDAS slots and print phase stats",
+    *SCALE,
+    *POLICY,
+    arg("--slots", type=int, default=1),
+    arg("--dead", type=float, default=0.0, help="fraction of dead nodes"),
+    arg("--out-of-view", type=float, default=0.0, help="fraction out of view"),
+    arg("--block-gossip", action="store_true", help="also gossip the block"),
+    arg("--plot", action="store_true", help="render the sampling CDF"),
+    FAULTS,
+    arg(
+        "--check-invariants", action="store_true",
+        help="enforce protocol invariants online; violations abort the run",
+    ),
+    JSON,
+    TRACE,
+    *TELEMETRY,
+)
 def _cmd_slot(args) -> int:
     from repro.experiments.scenario import Scenario, ScenarioConfig
 
     faults = args.faults
-    tracer, profiler = _make_obs(args)
+    tracer = _make_tracer(args)
     telemetry = _make_telemetry(args)
     config = ScenarioConfig(
         num_nodes=args.nodes,
@@ -364,7 +242,6 @@ def _cmd_slot(args) -> int:
         faults=faults,
         check_invariants=args.check_invariants,
         tracer=tracer,
-        profiler=profiler,
         telemetry=telemetry,
     )
     if args.json:
@@ -399,8 +276,6 @@ def _cmd_slot(args) -> int:
         if telemetry_info is not None:
             payload["telemetry"] = telemetry_info
         print(json.dumps(payload, default=float))
-        if profiler is not None:
-            print(profiler.format(top=12), file=sys.stderr)
         return 0 if phases.sampling.fraction_within(4.0) > 0 else 1
     print(f"running {args.slots} slot(s) over {args.nodes} nodes ({config.policy.name})")
     if faults is not None:
@@ -436,10 +311,19 @@ def _cmd_slot(args) -> int:
             f"  telemetry      {telemetry_info['samples']} samples -> "
             f"{telemetry_info['file']}"
         )
-    _finish_obs(tracer, profiler, args)
+    _finish_trace(tracer, args)
     return 0 if phases.sampling.fraction_within(4.0) > 0 else 1
 
 
+@command(
+    "figure", "regenerate a paper figure/table",
+    arg(
+        "which",
+        choices=["fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "table1"],
+    ),
+    *SCALE,
+    arg("--scales", default="250,350,500", help="node counts for fig13/14"),
+)
 def _cmd_figure(args) -> int:
     # benchmark modules contain the printing logic; reuse the figure
     # runners directly and keep the CLI output compact
@@ -469,6 +353,7 @@ def _cmd_figure(args) -> int:
         )
         for name, result in results.items():
             print(f"{name:<10} {summarize(result.sampling, 4.0)}")
+        print(ascii_cdf({n: r.sampling for n, r in results.items()}, deadline=4.0))
     elif args.which in ("fig13", "fig14"):
         scales = [int(s) for s in args.scales.split(",")]
         systems = (
@@ -492,23 +377,18 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def _cmd_baselines(args) -> int:
-    from repro.experiments import figures
-
-    results = figures.run_baseline_comparison(
-        num_nodes=args.nodes, seed=args.seed, params=_params(args)
-    )
-    for name, result in results.items():
-        print(f"{name:<10} {summarize(result.sampling, 4.0)}")
-    print(ascii_cdf({n: r.sampling for n, r in results.items()}, deadline=4.0))
-    return 0
-
-
+@command(
+    "faults", "fault sweeps (Figure 15)",
+    *SCALE,
+    arg("--fault", choices=["dead", "out_of_view"], default="dead"),
+    arg("--fractions", default="0,0.2,0.4,0.6,0.8"),
+    TRACE,
+)
 def _cmd_faults(args) -> int:
     from repro.experiments import figures
 
     fractions = tuple(float(f) for f in args.fractions.split(","))
-    tracer, profiler = _make_obs(args)
+    tracer = _make_tracer(args)
     results = figures.run_fault_sweep(
         fractions=fractions,
         fault=args.fault,
@@ -516,19 +396,35 @@ def _cmd_faults(args) -> int:
         seed=args.seed,
         params=_params(args),
         tracer=tracer,
-        profiler=profiler,
     )
     for fraction, result in results.items():
         print(f"{args.fault:<12} {fraction:>4.0%}  {summarize(result.sampling, 4.0)}")
-    _finish_obs(tracer, profiler, args)
+    _finish_trace(tracer, args)
     return 0
 
 
+@command(
+    "adversary", "Byzantine-fraction degradation sweep (Section 9)",
+    *SCALE,
+    arg(
+        "--behavior",
+        default="mix",
+        choices=["mix", "corrupt", "flood", "withhold", "equivocate", "stall"],
+        help="one behavior, or 'mix' to split the fraction across all five",
+    ),
+    arg("--fractions", default="0,0.05,0.1,0.2,0.3"),
+    arg("--slots", type=int, default=1),
+    arg(
+        "--details", action="store_true",
+        help="also print realized adversary and defense counters",
+    ),
+    TRACE,
+)
 def _cmd_adversary(args) -> int:
     from repro.experiments import figures
 
     fractions = tuple(float(f) for f in args.fractions.split(","))
-    tracer, profiler = _make_obs(args)
+    tracer = _make_tracer(args)
     results = figures.run_adversarial_sweep(
         fractions=fractions,
         behavior=args.behavior,
@@ -537,7 +433,6 @@ def _cmd_adversary(args) -> int:
         seed=args.seed,
         params=_params(args),
         tracer=tracer,
-        profiler=profiler,
     )
     print(f"{args.behavior} sweep over {args.nodes} nodes "
           "(measured honest completion vs sybil-model bound)")
@@ -558,10 +453,16 @@ def _cmd_adversary(args) -> int:
                         f"{kind}={int(count)}" for kind, count in sorted(counts.items())
                     )
                     print(f"       {label:<9} {line}")
-    _finish_obs(tracer, profiler, args)
+    _finish_trace(tracer, args)
     return 0
 
 
+@command(
+    "security", "Section 3 sampling math",
+    arg("--grid", type=int, default=512, help="extended grid dimension"),
+    arg("--samples", type=int, default=None),
+    arg("--target", type=float, default=1e-9),
+)
 def _cmd_security(args) -> int:
     from repro.das.security import false_positive_probability, required_samples
 
@@ -574,11 +475,31 @@ def _cmd_security(args) -> int:
     return 0
 
 
+@command(
+    "trace", "run slots with structured tracing; write and analyze the trace",
+    *SCALE,
+    *POLICY,
+    arg("--slots", type=int, default=1),
+    FAULTS,
+    arg("--out", default=None, metavar="FILE", help="write JSONL trace here"),
+    arg(
+        "--chrome", default=None, metavar="FILE",
+        help="write a Chrome trace_event JSON (load in about://tracing / Perfetto)",
+    ),
+    arg("--kinds", default=None, help="comma-separated event kinds to record (default: all)"),
+    arg(
+        "--ring", type=int, default=1 << 20,
+        help="in-memory ring buffer capacity (events); sinks see everything",
+    ),
+    arg(
+        "--report", action="store_true",
+        help="print the slowest-node causal report from the trace",
+    ),
+)
 def _cmd_trace(args) -> int:
-    from repro.experiments.report import drain_buffer, print_trace_report
     from repro.experiments.scenario import Scenario, ScenarioConfig
     from repro.obs import ChromeTraceSink, JsonlSink, TraceRecorder
-    from repro.obs.timeline import lifecycle_problems
+    from repro.obs.timeline import lifecycle_problems, trace_report
 
     sinks = []
     if args.out:
@@ -622,18 +543,54 @@ def _cmd_trace(args) -> int:
     if args.chrome:
         print(f"  chrome         {args.chrome} (open in about://tracing or Perfetto)")
     if args.report:
-        import os
-
-        print_trace_report(events, slot=0)
-        # report lines print immediately outside pytest; under pytest the
-        # lines only land in the buffer, so replay them for capsys
-        lines = drain_buffer()
-        if "PYTEST_CURRENT_TEST" in os.environ:
-            for line in lines:
-                print(line)
+        for line in trace_report(events, slot=0):
+            print(line)
     return 0
 
 
+@command(
+    "pipeline", "sustained multi-slot pipeline: churn, bounded queues, load shedding",
+    *SCALE,
+    *POLICY,
+    arg("--slots", type=int, default=4),
+    arg("--churn", type=float, default=0.05, help="membership turnover per slot"),
+    arg("--view-lag", type=int, default=1, help="slots of view staleness"),
+    arg("--retention", type=int, default=2, help="slots of state kept behind the head"),
+    arg("--max-inbox", type=int, default=4096, help="bounded transport inbox (0 = unbounded)"),
+    arg(
+        "--pending-limit", type=int, default=256,
+        help="bounded per-node request buffer (0 = unbounded)",
+    ),
+    arg(
+        "--admit-rate", type=float, default=200.0,
+        help="per-node retrieval admission tokens/s (0 = unbounded)",
+    ),
+    arg(
+        "--admit-burst", type=float, default=20.0,
+        help="per-node retrieval admission bucket burst (tokens)",
+    ),
+    arg(
+        "--no-retry", action="store_true",
+        help="disable deadline-aware retry/backoff between fetch rounds",
+    ),
+    arg("--probes", type=int, default=2, help="measured retrieval probes per slot"),
+    arg(
+        "--client-rate", type=float, default=1e6,
+        help="aggregate layer-2 arrival rate, requests/s",
+    ),
+    arg(
+        "--service-rate", type=float, default=2e6,
+        help="serving-tier capacity, requests/s (0 disables the aggregate model)",
+    ),
+    arg("--max-backlog", type=float, default=4e6, help="aggregate backlog bound"),
+    arg(
+        "--check-invariants", action="store_true",
+        help="enforce protocol invariants online (I5: no unbounded backlog)",
+    ),
+    JSON,
+    TRACE,
+    *TELEMETRY,
+)
 def _cmd_pipeline(args) -> int:
     from dataclasses import replace
 
@@ -648,7 +605,7 @@ def _cmd_pipeline(args) -> int:
         retrieval_admit_rate=args.admit_rate if args.admit_rate > 0 else None,
         retrieval_admit_burst=args.admit_burst,
     )
-    tracer, profiler = _make_obs(args)
+    tracer = _make_tracer(args)
     telemetry = _make_telemetry(args)
     config = ScenarioConfig(
         num_nodes=args.nodes,
@@ -658,7 +615,6 @@ def _cmd_pipeline(args) -> int:
         slots=args.slots,
         check_invariants=args.check_invariants,
         tracer=tracer,
-        profiler=profiler,
         telemetry=telemetry,
         max_inbox=args.max_inbox if args.max_inbox > 0 else None,
     )
@@ -684,8 +640,6 @@ def _cmd_pipeline(args) -> int:
         if telemetry_info is not None:
             payload["telemetry"] = telemetry_info
         print(json.dumps(payload, default=float))
-        if profiler is not None:
-            print(profiler.format(top=12), file=sys.stderr)
         return 0 if report.deadline_hit_rate > 0 else 1
     print(
         f"sustained pipeline: {args.slots} slot(s), {args.nodes} nodes, "
@@ -736,10 +690,24 @@ def _cmd_pipeline(args) -> int:
             f"  telemetry          {telemetry_info['samples']} samples -> "
             f"{telemetry_info['file']}"
         )
-    _finish_obs(tracer, profiler, args)
+    _finish_trace(tracer, args)
     return 0 if report.deadline_hit_rate > 0 else 1
 
 
+@command(
+    "health", "analyze a telemetry JSONL series against run-health SLOs",
+    arg("series", help="telemetry series written by --telemetry"),
+    arg(
+        "--min-deadline-hit", type=float, default=0.9,
+        help="minimum sampling deadline-hit rate to pass (default 0.9)",
+    ),
+    arg(
+        "--max-queue-p99", type=float, default=None,
+        help="fail if the sampled queue-depth p99 exceeds this",
+    ),
+    arg("--max-shed", type=float, default=None, help="fail if total shed work exceeds this"),
+    JSON,
+)
 def _cmd_health(args) -> int:
     from repro.obs.health import SloThresholds, analyze_file, format_report
 
@@ -761,36 +729,51 @@ def _cmd_health(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_detsan(args) -> int:
-    from repro.analysis.detsan import run
+# `detsan` forwards its whole argument list to the nested tool, and
+# argparse REMAINDER refuses a leading option token (e.g. `repro detsan
+# --hash-seeds ...`), so main() forwards it before parsing; this entry
+# lists it in --help.
+COMMANDS.append(
+    Command(
+        "detsan",
+        "run the runtime determinism sanitizer (hash-seed sweep "
+        "plus a telemetry-on run)",
+        (
+            arg(
+                "detsan_args",
+                nargs=argparse.REMAINDER,
+                help="arguments forwarded to `python -m repro.analysis.detsan` "
+                "(--scenario, --hash-seeds, --json, ...)",
+            ),
+        ),
+        run=None,
+    )
+)
 
-    return run(args.detsan_args)
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="PANDAS reproduction: run slots, figures and sweeps.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for cmd in COMMANDS:
+        command_parser = sub.add_parser(cmd.name, help=cmd.help)
+        for flags, spec in cmd.args:
+            command_parser.add_argument(*flags, **spec)
+        command_parser.set_defaults(run=cmd.run)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # `detsan` forwards its whole argument list to the nested tool;
-    # argparse REMAINDER refuses a leading option token (e.g.
-    # `repro detsan --hash-seeds ...`), so forward before parsing.
     if argv and argv[0] == "detsan":
-        from repro.analysis.detsan import run as detsan_run
+        from repro.analysis.detsan import run
 
-        return detsan_run(argv[1:])
+        return run(argv[1:])
     args = build_parser().parse_args(argv)
-    handlers = {
-        "slot": _cmd_slot,
-        "figure": _cmd_figure,
-        "baselines": _cmd_baselines,
-        "faults": _cmd_faults,
-        "adversary": _cmd_adversary,
-        "security": _cmd_security,
-        "trace": _cmd_trace,
-        "pipeline": _cmd_pipeline,
-        "health": _cmd_health,
-        "detsan": _cmd_detsan,
-    }
-    return handlers[args.command](args)
+    return args.run(args)
 
 
 if __name__ == "__main__":

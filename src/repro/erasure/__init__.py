@@ -1,19 +1,11 @@
-"""Erasure-coding substrate: GF(2^m), Reed-Solomon, 2D blob extension."""
+"""Erasure-coding substrate: GF(2^8), Reed-Solomon, 2D blob extension.
 
-from repro.erasure.blob import Blob, BlobReconstructionError, ExtendedBlob
-from repro.erasure.gf import GF256, GF65536, GaloisField
-from repro.erasure.matrix import RowColumnAvailability, cell_coords, cell_id
+The byte-level codec is the oracle for custody reconstruction
+(``tests/test_erasure_oracle.py``); no scenario run imports it.
+"""
+
+from repro.erasure.blob import Blob, ExtendedBlob
+from repro.erasure.gf import GF256
 from repro.erasure.reed_solomon import ReedSolomon
 
-__all__ = [
-    "Blob",
-    "BlobReconstructionError",
-    "ExtendedBlob",
-    "GF256",
-    "GF65536",
-    "GaloisField",
-    "RowColumnAvailability",
-    "cell_coords",
-    "cell_id",
-    "ReedSolomon",
-]
+__all__ = ["Blob", "ExtendedBlob", "GF256", "ReedSolomon"]

@@ -5,11 +5,11 @@ Reproduces Figure 2: layer-2 data is aggregated into a base matrix of
 with a two-dimensional Reed-Solomon code to ``2R x 2C`` so every row
 and column reconstructs from any half of its cells.
 
-Symbol layout: for grids with extended dimension <= 255 each byte
-position of a cell is an independent GF(2^8) codeword across the
-row/column; larger grids (the full 512x512 Danksharding grid) use
-GF(2^16) over 2-byte words, which requires an even cell size (512 B
-satisfies this).
+Symbol layout: each byte position of a cell is an independent GF(2^8)
+codeword across the row/column, so an extended dimension is at most
+255. That covers the reduced grids the custody oracle checks; the full
+512x512 grid is simulated by cell identity only, because its cells are
+authenticated by KZG proofs (Section 3), never decoded here.
 
 The product-code property — extending rows first and then columns
 yields parity-of-parity cells consistent with the column-then-row
@@ -22,15 +22,9 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
-from repro.erasure.gf import GF256, GF65536
-from repro.erasure.matrix import RowColumnAvailability
 from repro.erasure.reed_solomon import ReedSolomon
 
-__all__ = ["Blob", "ExtendedBlob", "BlobReconstructionError"]
-
-
-class BlobReconstructionError(ValueError):
-    """Raised when the supplied cells cannot recover the blob."""
+__all__ = ["Blob", "ExtendedBlob"]
 
 
 class Blob:
@@ -72,65 +66,20 @@ class Blob:
 
 
 class _SymbolCodec:
-    """Maps cell bytes <-> field symbols and runs RS per symbol lane.
+    """Runs RS over one line of cells, one GF(2^8) lane per byte position."""
 
-    ``wide`` forces 2-byte GF(2^16) symbols. The row and column codecs
-    of one grid must use the SAME field: the product-code property
-    (column-parity rows are themselves valid row codewords) requires
-    both directions to be linear over a common field, so the choice is
-    made grid-wide from the larger dimension.
-    """
-
-    def __init__(self, k: int, n: int, cell_bytes: int, wide: bool | None = None) -> None:
-        if wide is None:
-            wide = n > 255
-        if not wide and n > 255:
-            raise ValueError(f"codeword length {n} needs wide (GF(2^16)) symbols")
-        if not wide:
-            self.field = GF256()
-            self.symbol_bytes = 1
-        else:
-            self.field = GF65536()
-            self.symbol_bytes = 2
-            if cell_bytes % 2:
-                raise ValueError("cell size must be even to use GF(2^16) symbols")
-        self.rs = ReedSolomon(k, n, self.field)
-        self.cell_bytes = cell_bytes
-        self.lanes = cell_bytes // self.symbol_bytes
-
-    def cells_to_symbols(self, cells: npt.NDArray[np.uint8]) -> npt.NDArray[np.int64]:
-        """(count, cell_bytes) uint8 -> (count, lanes) int64 symbols."""
-        if self.symbol_bytes == 1:
-            return cells.astype(np.int64)
-        wide = cells.reshape(cells.shape[0], self.lanes, 2).astype(np.int64)
-        return (wide[:, :, 0] << 8) | wide[:, :, 1]
-
-    def symbols_to_cells(self, symbols: npt.NDArray[np.int64]) -> npt.NDArray[np.uint8]:
-        if self.symbol_bytes == 1:
-            return symbols.astype(np.uint8)
-        out = np.zeros((symbols.shape[0], self.lanes, 2), dtype=np.uint8)
-        out[:, :, 0] = (symbols >> 8) & 0xFF
-        out[:, :, 1] = symbols & 0xFF
-        return out.reshape(symbols.shape[0], self.cell_bytes)
+    def __init__(self, k: int, n: int) -> None:
+        self.rs = ReedSolomon(k, n)
 
     def encode_line(self, data_cells: npt.NDArray[np.uint8]) -> npt.NDArray[np.uint8]:
         """Extend k cells to n cells (returns only the n-k parity cells).
 
-        All symbol lanes of the line are encoded in one vectorized
+        All byte lanes of the line are encoded in one vectorized
         Reed-Solomon call; the erasure batch suite pins equality with
         the scalar per-lane loop.
         """
-        symbols = self.cells_to_symbols(data_cells)
-        codeword = self.rs.encode_batch(symbols)
-        return self.symbols_to_cells(codeword[self.rs.k :])
-
-    def decode_line(self, known: dict[int, npt.NDArray[np.uint8]]) -> npt.NDArray[np.uint8]:
-        """Recover all n cells of a line from >= k known (pos -> cell)."""
-        positions = list(known.keys())
-        stacked = np.stack([known[p] for p in positions]).astype(np.uint8)
-        symbols = self.cells_to_symbols(stacked)
-        full = self.rs.decode_batch(positions, symbols)
-        return self.symbols_to_cells(full)
+        codeword = self.rs.encode_batch(data_cells.astype(np.int64))
+        return codeword[self.rs.k :].astype(np.uint8)
 
 
 class ExtendedBlob:
@@ -158,10 +107,10 @@ class ExtendedBlob:
     # ------------------------------------------------------------------
     @staticmethod
     def from_blob(blob: Blob) -> ExtendedBlob:
+        """Apply the 2D code; ``ValueError`` if an extended dimension exceeds 255."""
         rows, cols, cell_bytes = blob.base_rows, blob.base_cols, blob.cell_bytes
-        wide = max(2 * rows, 2 * cols) > 255
-        row_codec = _SymbolCodec(cols, 2 * cols, cell_bytes, wide=wide)
-        col_codec = _SymbolCodec(rows, 2 * rows, cell_bytes, wide=wide)
+        row_codec = _SymbolCodec(cols, 2 * cols)
+        col_codec = _SymbolCodec(rows, 2 * rows)
         ext = np.zeros((2 * rows, 2 * cols, cell_bytes), dtype=np.uint8)
         ext[:rows, :cols] = blob.cells
         # 1) extend every original row to 2C cells
@@ -182,73 +131,3 @@ class ExtendedBlob:
     def to_blob(self) -> Blob:
         """Strip the extension, returning the original data quadrant."""
         return Blob(self.cells[: self.base_rows, : self.base_cols])
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ExtendedBlob)
-            and self.base_rows == other.base_rows
-            and self.base_cols == other.base_cols
-            and bool(np.array_equal(self.cells, other.cells))
-        )
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def reconstruct(
-        known_cells: dict[int, bytes],
-        base_rows: int,
-        base_cols: int,
-        cell_bytes: int,
-    ) -> ExtendedBlob:
-        """Rebuild the full extended blob from a subset of cells.
-
-        Runs the same peeling closure as the availability tracker, but
-        over real bytes: decode every row/column holding at least half
-        its cells, repeat until fixpoint, and fail loudly if the grid
-        is not fully recovered (the data-withholding case).
-        """
-        ext_rows, ext_cols = 2 * base_rows, 2 * base_cols
-        availability = RowColumnAvailability(ext_rows, ext_cols)
-        ext = np.zeros((ext_rows, ext_cols, cell_bytes), dtype=np.uint8)
-        for cid, payload in known_cells.items():
-            row, col = divmod(cid, ext_cols)
-            if len(payload) != cell_bytes:
-                raise ValueError(f"cell {cid} has {len(payload)} B, expected {cell_bytes}")
-            ext[row, col] = np.frombuffer(payload, dtype=np.uint8)
-            availability.add(cid)
-
-        wide = max(ext_rows, ext_cols) > 255
-        row_codec = _SymbolCodec(base_cols, ext_cols, cell_bytes, wide=wide)
-        col_codec = _SymbolCodec(base_rows, ext_rows, cell_bytes, wide=wide)
-        progress = True
-        while progress:
-            progress = False
-            for row in range(ext_rows):
-                count = availability.row_count(row)
-                if count >= base_cols and count < ext_cols:
-                    known = {
-                        col: ext[row, col]
-                        for col in range(ext_cols)
-                        if availability.has(row * ext_cols + col)
-                    }
-                    ext[row] = row_codec.decode_line(known)
-                    for col in range(ext_cols):
-                        availability.add(row * ext_cols + col)
-                    progress = True
-            for col in range(ext_cols):
-                count = availability.col_count(col)
-                if count >= base_rows and count < ext_rows:
-                    known = {
-                        row: ext[row, col]
-                        for row in range(ext_rows)
-                        if availability.has(row * ext_cols + col)
-                    }
-                    ext[:, col] = col_codec.decode_line(known)
-                    for row in range(ext_rows):
-                        availability.add(row * ext_cols + col)
-                    progress = True
-
-        if not availability.fully_available():
-            raise BlobReconstructionError(
-                f"grid unrecoverable: {len(availability)} of {ext_rows * ext_cols} cells"
-            )
-        return ExtendedBlob(ext, base_rows, base_cols)

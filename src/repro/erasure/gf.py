@@ -1,9 +1,8 @@
-"""Finite-field arithmetic GF(2^m) for Reed-Solomon coding.
+"""Finite-field arithmetic GF(2^8) for Reed-Solomon coding.
 
-Supports GF(2^8) (cells up to 255 per codeword, enough for the reduced
-grids used in timing experiments) and GF(2^16) (needed for the full
-512-symbol Danksharding rows/columns). Tables are built once per field
-with numpy and cached.
+Every grid the codec extends has extended dimensions of at most 255,
+so one byte of a cell is one field symbol and a codeword never
+outgrows the field. Tables are built once with numpy and cached.
 """
 
 from __future__ import annotations
@@ -13,26 +12,20 @@ from functools import lru_cache
 import numpy as np
 import numpy.typing as npt
 
-__all__ = ["GaloisField", "GF256", "GF65536"]
+__all__ = ["GaloisField", "GF256"]
 
 # every table and vector in this module holds field elements as int64
 FieldArray = npt.NDArray[np.int64]
 
-_PRIMITIVE_POLYS = {
-    8: 0x11D,  # x^8 + x^4 + x^3 + x^2 + 1
-    16: 0x1100B,  # x^16 + x^12 + x^3 + x + 1
-}
+_PRIMITIVE_POLY = 0x11D  # x^8 + x^4 + x^3 + x^2 + 1
 
 
 class GaloisField:
-    """GF(2^m) with log/antilog tables and vectorized numpy helpers."""
+    """GF(2^8) with log/antilog tables and a vectorized matrix product."""
 
-    def __init__(self, m: int) -> None:
-        if m not in _PRIMITIVE_POLYS:
-            raise ValueError(f"unsupported field degree {m} (supported: 8, 16)")
-        self.m = m
-        self.order = 1 << m
-        self.poly = _PRIMITIVE_POLYS[m]
+    order = 256
+
+    def __init__(self) -> None:
         size = self.order
         exp: FieldArray = np.zeros(2 * size, dtype=np.int64)
         log: FieldArray = np.zeros(size, dtype=np.int64)
@@ -42,77 +35,24 @@ class GaloisField:
             log[x] = i
             x <<= 1
             if x & size:
-                x ^= self.poly
+                x ^= _PRIMITIVE_POLY
         # duplicate so exp[(a+b)] never needs an explicit modulo
         exp[size - 1 : 2 * (size - 1)] = exp[: size - 1]
         self._exp = exp
         self._log = log
-
-    # ------------------------------------------------------------------
-    # scalar operations
-    # ------------------------------------------------------------------
-    def add(self, a: int, b: int) -> int:
-        """Addition (= subtraction) is XOR in characteristic 2."""
-        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return int(self._exp[self._log[a] + self._log[b]])
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("no inverse for 0 in GF(2^m)")
-        return int(self._exp[(self.order - 1) - self._log[a]])
-
     def div(self, a: int, b: int) -> int:
         if b == 0:
-            raise ZeroDivisionError("division by zero in GF(2^m)")
+            raise ZeroDivisionError("division by zero in GF(2^8)")
         if a == 0:
             return 0
         return int(self._exp[self._log[a] - self._log[b] + (self.order - 1)])
 
-    def pow(self, a: int, n: int) -> int:
-        if n == 0:
-            return 1
-        if a == 0:
-            return 0
-        return int(self._exp[(self._log[a] * n) % (self.order - 1)])
-
-    # ------------------------------------------------------------------
-    # vector operations (numpy arrays of field elements)
-    # ------------------------------------------------------------------
-    def mul_vec(self, a: npt.ArrayLike, b: npt.ArrayLike) -> FieldArray:
-        """Elementwise product of two arrays of field elements."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out: FieldArray = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        if np.any(nz):
-            a_b, b_b = np.broadcast_arrays(a, b)
-            out[nz] = self._exp[self._log[a_b[nz]] + self._log[b_b[nz]]]
-        return out
-
-    def scale_vec(self, scalar: int, vec: npt.ArrayLike) -> FieldArray:
-        """scalar * vec for an array of field elements."""
-        vec = np.asarray(vec, dtype=np.int64)
-        if scalar == 0:
-            return np.zeros_like(vec)
-        out: FieldArray = np.zeros_like(vec)
-        nz = vec != 0
-        out[nz] = self._exp[self._log[vec[nz]] + self._log[scalar]]
-        return out
-
-    def poly_eval(self, coeffs: npt.ArrayLike, x: int) -> int:
-        """Evaluate polynomial (lowest degree first) at ``x`` (Horner)."""
-        acc = 0
-        for c in reversed(np.asarray(coeffs, dtype=np.int64)):
-            acc = self.mul(acc, x) ^ int(c)
-        return acc
-
-    # ------------------------------------------------------------------
-    # matrix operations
-    # ------------------------------------------------------------------
     def matmul(self, a: npt.ArrayLike, b: npt.ArrayLike) -> FieldArray:
         """GF matrix product: ``out[i, j] = XOR_k a[i, k] * b[k, j]``.
 
@@ -123,8 +63,7 @@ class GaloisField:
         and accumulated with ``bitwise_xor.reduce``.
 
         The intermediate product tensor is ``(rows, k, cols)``; the
-        row axis is chunked so peak scratch memory stays bounded for
-        full 512-symbol x 256-lane grids.
+        row axis is chunked so peak scratch memory stays bounded.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -148,15 +87,6 @@ class GaloisField:
 
 
 @lru_cache(maxsize=None)
-def _field(m: int) -> GaloisField:
-    return GaloisField(m)
-
-
 def GF256() -> GaloisField:
-    """The byte field GF(2^8)."""
-    return _field(8)
-
-
-def GF65536() -> GaloisField:
-    """GF(2^16), large enough for 512-symbol codewords."""
-    return _field(16)
+    """The byte field GF(2^8), built once."""
+    return GaloisField()

@@ -14,15 +14,14 @@ node never holds a wrong symbol, only missing ones.
 Two code paths share the same math:
 
 - ``encode`` / ``decode``: scalar Lagrange interpolation, O(k^2) per
-  codeword — the readable reference implementation and the golden
-  oracle for the batch path.
-- ``encode_batch`` / ``decode_batch``: all symbol *lanes* of a line
-  at once. The Lagrange basis depends only on the known *positions*,
-  never on the values, so one vectorized coefficient matrix (built in
-  the log domain from the field's exp/log tables) applies to every
-  lane via a single GF matrix multiply. Byte-level blob extension
-  runs 256-512 lanes per line, so this removes the per-lane Python
-  loop that dominated :mod:`repro.erasure.blob`.
+  codeword — the readable reference implementation, the decoder the
+  custody oracle runs, and the golden reference for ``encode_batch``.
+- ``encode_batch``: all symbol *lanes* of a line at once. The Lagrange
+  basis depends only on the evaluation points, never on the values,
+  so one vectorized coefficient matrix (built in the log domain from
+  the field's exp/log tables) applies to every lane via a single GF
+  matrix multiply. Blob extension runs one lane per cell byte, so this
+  removes the per-lane Python loop from :mod:`repro.erasure.blob`.
 """
 
 from __future__ import annotations
@@ -31,28 +30,27 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.erasure.gf import GF256, GF65536, GaloisField
+from repro.erasure.gf import GF256
 
 __all__ = ["ReedSolomon"]
 
 
 class ReedSolomon:
-    """RS(n, k) erasure codec over GF(2^8) or GF(2^16)."""
+    """RS(n, k) erasure codec over GF(2^8), so ``n`` is at most 255."""
 
-    def __init__(self, k: int, n: int, field: GaloisField | None = None) -> None:
+    def __init__(self, k: int, n: int) -> None:
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
         if n <= k:
             raise ValueError(f"n ({n}) must exceed k ({k})")
-        if field is None:
-            field = GF256() if n <= 255 else GF65536()
-        if n > field.order - 1:
+        self.field = GF256()
+        if n > self.field.order - 1:
             raise ValueError(
-                f"codeword length {n} exceeds field capacity {field.order - 1}"
+                f"codeword length {n} exceeds {self.field.order - 1}, "
+                "the GF(2^8) limit"
             )
         self.k = k
         self.n = n
-        self.field = field
 
     # ------------------------------------------------------------------
     def encode(self, data: Sequence[int]) -> list[int]:
@@ -92,8 +90,6 @@ class ReedSolomon:
         return codeword
 
     # ------------------------------------------------------------------
-    # batched (vectorized) paths
-    # ------------------------------------------------------------------
     def encode_batch(self, data: np.ndarray) -> np.ndarray:
         """Extend ``(k, lanes)`` data symbols to ``(n, lanes)`` codewords.
 
@@ -113,37 +109,6 @@ class ReedSolomon:
         )
         parity = self.field.matmul(coeffs, data)
         return np.concatenate([data, parity], axis=0)
-
-    def decode_batch(self, positions: Sequence[int], symbols: np.ndarray) -> np.ndarray:
-        """Recover ``(n, lanes)`` codewords from >= k known rows.
-
-        ``positions[i]`` is the codeword position of row ``symbols[i]``.
-        Mirrors :meth:`decode` exactly — including using only the first
-        ``k`` supplied positions for interpolation — so both paths
-        produce identical output on identical input.
-        """
-        symbols = np.asarray(symbols, dtype=np.int64)
-        if symbols.ndim != 2 or symbols.shape[0] != len(positions):
-            raise ValueError(
-                f"symbols shape {symbols.shape} does not match {len(positions)} positions"
-            )
-        if len(positions) < self.k:
-            raise ValueError(
-                f"need at least {self.k} symbols to decode, got {len(positions)}"
-            )
-        seen = set()
-        for pos in positions:
-            if not 0 <= pos < self.n:
-                raise ValueError(f"position {pos} outside codeword of length {self.n}")
-            seen.add(pos)
-        use = list(positions[: self.k])
-        missing = [i for i in range(self.n) if i not in seen]
-        codeword = np.zeros((self.n, symbols.shape[1]), dtype=np.int64)
-        codeword[list(positions)] = symbols
-        if missing:
-            coeffs = self._lagrange_matrix(use, missing)
-            codeword[missing] = self.field.matmul(coeffs, symbols[: self.k])
-        return codeword
 
     def _lagrange_matrix(self, xs: list[int], targets: list[int]) -> np.ndarray:
         """Coefficient matrix L with ``L[t, j] = L_j(target_t)``.

@@ -38,7 +38,6 @@ __all__ = [
     "run_adaptive_vs_constant",
     "run_baseline_comparison",
     "run_scaling",
-    "run_size_sweep",
     "run_fault_sweep",
     "run_adversarial_sweep",
     "SEEDING_POLICIES",
@@ -254,10 +253,6 @@ def run_scaling(
     return results
 
 
-# the Figure 14 sweep under its conventional name
-run_size_sweep = run_scaling
-
-
 def _mark_sweep_point(tracer, sweep: str, **data) -> None:
     """Separate consecutive sweep points inside one shared trace."""
     if tracer is not None and tracer.enabled("sweep_point"):
@@ -272,12 +267,11 @@ def run_fault_sweep(
     seed: int = 7,
     params: PandasParams | None = None,
     tracer=None,
-    profiler=None,
 ) -> dict[float, PolicyPhases]:
     """Figure 15: dead-node (a) or out-of-view (b) sweeps.
 
-    A ``tracer``/``profiler`` is shared across all sweep points; a
-    ``sweep_point`` marker event delimits each point's events.
+    A ``tracer`` is shared across all sweep points; a ``sweep_point``
+    marker event delimits each point's events.
     """
     if fault not in ("dead", "out_of_view"):
         raise ValueError(f"unknown fault type {fault!r}")
@@ -292,7 +286,6 @@ def run_fault_sweep(
             dead_fraction=fraction if fault == "dead" else 0.0,
             out_of_view_fraction=fraction if fault == "out_of_view" else 0.0,
             tracer=tracer,
-            profiler=profiler,
         )
         _mark_sweep_point(tracer, fault, fraction=fraction)
         scenario = Scenario(config).run()
@@ -336,7 +329,6 @@ def run_adversarial_sweep(
     params: PandasParams | None = None,
     deadline: float = 4.0,
     tracer=None,
-    profiler=None,
 ) -> dict[float, AdversarialPoint]:
     """Honest completion vs Byzantine fraction (Section 9 threat model).
 
@@ -375,7 +367,6 @@ def run_adversarial_sweep(
             params=base,
             faults=plan,
             tracer=tracer,
-            profiler=profiler,
         )
         _mark_sweep_point(tracer, behavior, fraction=fraction)
         scenario = Scenario(config).run()

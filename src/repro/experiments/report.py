@@ -19,7 +19,6 @@ __all__ = [
     "print_header",
     "print_row",
     "print_block",
-    "print_trace_report",
     "shape_checks",
 ]
 
@@ -146,37 +145,3 @@ def shape_checks(checks: Iterable[tuple]) -> None:
     for description, passed in checks:
         print_row(f"[{'PASS' if passed else 'FAIL'}] {description}")
 
-
-def print_trace_report(
-    events: Iterable,
-    slot: int = 0,
-    phase: str = "sampling",
-    count: int = 3,
-) -> None:
-    """Slowest-node ranking plus a causal report for the very slowest.
-
-    ``events`` is anything :mod:`repro.obs.timeline` accepts — live
-    ``TraceEvent`` objects or dicts loaded from a JSONL trace.
-    """
-    from repro.obs.timeline import as_dict, causal_report, lifecycle_problems, slowest_nodes
-
-    materialized = [as_dict(e) for e in events]
-    print_header(f"Trace report: slot {slot}, slowest by {phase}")
-    problems = lifecycle_problems(materialized)
-    print_row(
-        f"query lifecycle: {'OK' if not problems else f'{len(problems)} problem(s)'}"
-    )
-    for problem in problems[:5]:
-        print_row(f"  !! {problem}")
-    ranked = slowest_nodes(materialized, slot=slot, phase=phase, count=count)
-    if not ranked:
-        print_row("(no node events in this slot)")
-        return
-    for node, at in ranked:
-        done = "miss" if at is None else f"{at * 1e3:.0f}ms"
-        print_row(f"node {node:>5}: {phase} {done}")
-    slowest, _at = ranked[0]
-    print_row("")
-    print_row(f"-- node {slowest} causal timeline --")
-    for line in causal_report(materialized, slot, slowest):
-        print_row(line)

@@ -30,10 +30,9 @@ from repro.net.latency import ClusteredWanModel, LatencyModel
 from repro.net.topology import DEFAULT_BUILDER_PROFILE, DEFAULT_NODE_PROFILE, NodeProfile, Topology
 from repro.net.transport import DEFAULT_LOSS_RATE, Datagram, Network
 from repro.obs.events import TraceRecorder
-from repro.obs.profiler import CallbackProfiler
 from repro.obs.telemetry import Telemetry
 from repro.params import PandasParams
-from repro.sim.engine import Simulator, collector_paused
+from repro.sim.engine import SimProfiler, Simulator, collector_paused
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.rng import RngRegistry
 
@@ -69,15 +68,14 @@ class ScenarioConfig:
     # attach the online protocol-invariant checker (repro.faults.
     # invariants) — any violation raises mid-run
     check_invariants: bool = False
-    invariant_fetch_bound_factor: float = 1.0
     # structured event tracing (repro.obs): pure observation — a
     # recorder here must never change simulation behavior, and a
     # dedicated test pins MetricsRecorder.fingerprint() to be
     # bit-identical with tracing on or off
     tracer: TraceRecorder | None = None
-    # opt-in wall-clock attribution of simulator callbacks
-    # (module:qualname); also behavior-neutral
-    profiler: CallbackProfiler | None = None
+    # opt-in host-time hook around every simulator callback
+    # (Simulator.set_profiler); also behavior-neutral
+    profiler: SimProfiler | None = None
     # dimensional run-health telemetry (repro.obs.telemetry): a
     # sim-time cadence sampler over counters/gauges/histograms. Same
     # neutrality contract as the tracer — fingerprints are pinned
@@ -273,10 +271,7 @@ class BaseScenario:
     def _install_invariants(self) -> InvariantChecker | None:
         if not self.config.check_invariants:
             return None
-        checker = InvariantChecker(
-            self, fetch_bound_factor=self.config.invariant_fetch_bound_factor
-        )
-        return checker.install()
+        return InvariantChecker(self).install()
 
     @property
     def crashed_nodes(self) -> set[int]:

@@ -52,20 +52,13 @@ class InvariantViolation(AssertionError):
 
 
 class InvariantChecker:
-    """Watches one scenario run; see module docstring for the checks.
-
-    ``fetch_bound_factor`` loosens/tightens I2 relative to
-    ``PandasParams.fetch_bytes_invariant_bound`` (1.0 is already
-    generous: the bound is a physical ceiling, not a performance
-    target).
-    """
+    """Watches one scenario run; see module docstring for the checks."""
 
     # the bus events I3/I4 check (consolidation and sampling marks)
     kinds: ClassVar[frozenset[str]] = frozenset({"phase"})
 
-    def __init__(self, scenario: BaseScenario, fetch_bound_factor: float = 1.0) -> None:
+    def __init__(self, scenario: BaseScenario) -> None:
         self.scenario = scenario
-        self.fetch_bound_factor = fetch_bound_factor
         self.checks_run = 0
         self._last_seen_now: float = 0.0
         self._installed = False
@@ -231,8 +224,7 @@ class InvariantChecker:
                 )
 
     def fetch_bytes_bound(self) -> float:
-        """I2's ceiling for this scenario's parameters and node count."""
+        """I2's ceiling for this scenario's parameters and node count
+        (generous: a physical ceiling, not a performance target)."""
         scenario = self.scenario
-        return self.fetch_bound_factor * scenario.params.fetch_bytes_invariant_bound(
-            len(scenario.node_ids)
-        )
+        return scenario.params.fetch_bytes_invariant_bound(len(scenario.node_ids))

@@ -14,8 +14,9 @@ package provides that layer:
   Chrome ``trace_event`` JSON for about://tracing timelines);
 - :mod:`repro.obs.timeline` — per-node slot timelines and the
   slowest-node "why did sampling take X ms" causal report;
-- :mod:`repro.obs.profiler` — opt-in ``Simulator`` instrumentation
-  attributing wall-clock time and event counts to callback sites;
+- :mod:`repro.obs.profiler` — ``callback_site``, the ``module:qualname``
+  name of a simulator callback, for profilers attached with
+  ``Simulator.set_profiler``;
 - :mod:`repro.obs.telemetry` — the dimensional run-health registry
   (counters, gauges, deterministic histograms) with its sim-time
   cadence sampler;
@@ -24,7 +25,7 @@ package provides that layer:
 - :mod:`repro.obs.health` — the post-run SLO analyzer behind
   ``repro health``;
 - :mod:`repro.obs.progress` — the wall-clock heartbeat progress line
-  for long runs (RL002-allowlisted, like the profiler).
+  for long runs (the one RL002-allowlisted module).
 
 Tracer and telemetry subscribe to the run's event bus after the
 metrics recorder and the invariant checker, and are strictly
@@ -36,7 +37,6 @@ tests/test_obs_telemetry.py).
 
 from repro.obs.events import KINDS, QUERY_TERMINAL_KINDS, TraceEvent, TraceRecorder
 from repro.obs.health import HealthReport, SloThresholds
-from repro.obs.profiler import CallbackProfiler
 from repro.obs.progress import Heartbeat
 from repro.obs.sinks import ChromeTraceSink, JsonlSink, MemorySink
 from repro.obs.telemetry import Histogram, Metric, Telemetry
@@ -46,7 +46,6 @@ __all__ = [
     "QUERY_TERMINAL_KINDS",
     "TraceEvent",
     "TraceRecorder",
-    "CallbackProfiler",
     "ChromeTraceSink",
     "JsonlSink",
     "MemorySink",

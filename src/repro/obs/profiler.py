@@ -1,28 +1,26 @@
-"""Callback-site profiling for the discrete-event simulator.
+"""Callback-site names for host-time profiling of simulator runs.
 
 Every piece of protocol logic in this repository runs as a simulator
-callback, so attributing wall-clock time to *callback sites*
-(``module:qualname`` of the scheduled function) is a complete hot-path
-map of a run: transport delivery, KZG-verify dispatch, fetcher rounds,
-gossip heartbeats — each shows up as its own row.
+callback, so naming each *callback site* (``module:qualname`` of the
+scheduled function) maps a run's host time onto code: transport
+delivery, verify dispatch, fetcher rounds, gossip heartbeats — each
+shows up as its own site.
 
-The profiler is opt-in (``Simulator.set_profiler``) and
-behavior-neutral: it measures host wall-clock around each callback
-without touching simulated time, RNG streams or event ordering, so a
-profiled run is bit-identical to an unprofiled one. This is the
-baseline harness every future performance PR measures against
-(ROADMAP: "as fast as the hardware allows").
+The host-time profiler itself is whatever ``SimProfiler`` is attached
+with ``Simulator.set_profiler`` (or ``ScenarioConfig.profiler``); the
+benchmark's per-layer ledger (``benchmarks/perf``) is the one that
+claims are judged by. The hook is behavior-neutral: it wraps each
+callback without touching simulated time, RNG streams or event
+order, so a profiled run is bit-identical to an unprofiled one.
 """
 
 from __future__ import annotations
 
 import functools
-import time
-from dataclasses import dataclass
 from collections.abc import Callable
 from typing import Any
 
-__all__ = ["CallbackProfiler", "SiteStats", "callback_site"]
+__all__ = ["callback_site"]
 
 
 def callback_site(callback: Callable[..., Any]) -> str:
@@ -42,92 +40,3 @@ def callback_site(callback: Callable[..., Any]) -> str:
         cls = type(target)
         return f"{cls.__module__}:{cls.__qualname__}"
     return f"{module}:{qualname}"
-
-
-@dataclass
-class SiteStats:
-    """Accumulated cost of one callback site."""
-
-    site: str
-    calls: int = 0
-    seconds: float = 0.0
-
-    @property
-    def mean_us(self) -> float:
-        return (self.seconds / self.calls) * 1e6 if self.calls else 0.0
-
-
-class CallbackProfiler:
-    """Attributes wall-clock time and event counts to callback sites.
-
-    Attach with ``sim.set_profiler(profiler)``; the engine then routes
-    every executed event through :meth:`run`. Site labels are cached
-    per code object, so steady-state overhead is one dict lookup and
-    two ``perf_counter`` calls per event.
-    """
-
-    def __init__(self) -> None:
-        self._sites: dict[str, SiteStats] = {}
-        self._labels: dict[Any, str] = {}
-        self.events = 0
-        self.seconds = 0.0
-
-    # ------------------------------------------------------------------
-    # the engine-facing hook
-    # ------------------------------------------------------------------
-    def run(self, callback: Callable[..., Any], *args: Any) -> None:
-        """Execute ``callback(*args)``, charging its cost to its site."""
-        target: Any = callback
-        while isinstance(target, functools.partial):
-            target = target.func
-        target = getattr(target, "__func__", target)
-        key = getattr(target, "__code__", None) or type(target)
-        label = self._labels.get(key)
-        if label is None:
-            label = callback_site(callback)
-            self._labels[key] = label
-        start = time.perf_counter()
-        try:
-            callback(*args)
-        finally:
-            elapsed = time.perf_counter() - start
-            stats = self._sites.get(label)
-            if stats is None:
-                stats = self._sites[label] = SiteStats(label)
-            stats.calls += 1
-            stats.seconds += elapsed
-            self.events += 1
-            self.seconds += elapsed
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    @property
-    def events_per_second(self) -> float:
-        """Simulator callbacks executed per wall-clock second."""
-        return self.events / self.seconds if self.seconds > 0.0 else 0.0
-
-    def table(self, top: int = 15) -> list[SiteStats]:
-        """The ``top`` hottest sites by total wall-clock time."""
-        ranked = sorted(
-            self._sites.values(), key=lambda s: (-s.seconds, s.site)
-        )
-        return ranked[:top]
-
-    def format(self, top: int = 15) -> str:
-        """A printable hot-callback table plus the events/sec headline."""
-        lines = [
-            f"{'callback site':<58} {'calls':>9} {'total':>9} {'mean':>9} {'share':>6}"
-        ]
-        total = self.seconds or 1.0
-        for stats in self.table(top):
-            lines.append(
-                f"{stats.site:<58} {stats.calls:>9} "
-                f"{stats.seconds * 1e3:>7.1f}ms {stats.mean_us:>7.1f}us "
-                f"{stats.seconds / total:>6.1%}"
-            )
-        lines.append(
-            f"{self.events} events in {self.seconds:.3f}s wall "
-            f"({self.events_per_second:,.0f} events/sec)"
-        )
-        return "\n".join(lines)

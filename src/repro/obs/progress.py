@@ -6,10 +6,10 @@ output at all. The heartbeat fixes that: the telemetry sampler calls
 decides — on the *wall* clock — whether enough real time has passed to
 print one progress line (simulated time, events/sec, ETA).
 
-This is the telemetry stack's only wall-clock consumer, kept in its
-own module so the RL002 allowlist can cover exactly this file (the
-same treatment as the callback profiler): wall-clock readings gate
-printing and feed the printed rates, and never reach simulated state.
+This is the product's only wall-clock consumer, kept in its own
+module so the RL002 allowlist can cover exactly this file: wall-clock
+readings gate printing and feed the printed rates, and never reach
+simulated state.
 The sim-time cadence of the *calls* comes from the deterministic
 sampler; two runs differ only in what lands on stderr.
 """

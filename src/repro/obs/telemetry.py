@@ -29,8 +29,8 @@ raw sequence numbers while preserving the relative order of every
 protocol event, so ``MetricsRecorder.fingerprint()`` is bit-identical
 with telemetry on or off (pinned by tests/test_obs_telemetry.py). The
 one wall-clock consumer, the live progress heartbeat, lives in
-:mod:`repro.obs.progress` behind the same RL002 allowlist as the
-profiler; this module itself stays lint-clean.
+:mod:`repro.obs.progress`, the one RL002-allowlisted module; this
+module itself stays lint-clean.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ __all__ = [
     "phase_completions",
     "slowest_nodes",
     "causal_report",
+    "trace_report",
 ]
 
 EventLike = TraceEvent | Mapping[str, Any]
@@ -367,4 +368,31 @@ def causal_report(
     if causes:
         why += "; overloaded: " + ", ".join(causes)
     lines.append(why)
+    return lines
+
+
+def trace_report(
+    events: Iterable[EventLike],
+    slot: int = 0,
+    phase: str = "sampling",
+    count: int = 3,
+) -> list[str]:
+    """Slowest-node ranking plus a causal report for the very slowest,
+    as the text lines ``repro trace --report`` prints."""
+    materialized = [as_dict(e) for e in events]
+    problems = lifecycle_problems(materialized)
+    lines = [
+        f"trace report: slot {slot}, slowest by {phase}",
+        f"  query lifecycle: {'OK' if not problems else f'{len(problems)} problem(s)'}",
+    ]
+    lines.extend(f"    !! {problem}" for problem in problems[:5])
+    ranked = slowest_nodes(materialized, slot=slot, phase=phase, count=count)
+    if not ranked:
+        return [*lines, "  (no node events in this slot)"]
+    for node, at in ranked:
+        done = "miss" if at is None else f"{at * 1e3:.0f}ms"
+        lines.append(f"  node {node:>5}: {phase} {done}")
+    slowest, _at = ranked[0]
+    lines.append(f"  -- node {slowest} causal timeline --")
+    lines.extend("  " + line for line in causal_report(materialized, slot, slowest))
     return lines

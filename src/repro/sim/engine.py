@@ -64,9 +64,10 @@ def collector_paused() -> Iterator[None]:
 class SimProfiler(Protocol):
     """What :meth:`Simulator.set_profiler` accepts.
 
-    ``run`` must invoke ``callback(*args)`` exactly once; see
-    :class:`repro.obs.profiler.CallbackProfiler` for the reference
-    implementation.
+    ``run`` must invoke ``callback(*args)`` exactly once. The
+    benchmark's ``EventSpans`` (``benchmarks/perf/harness/spans.py``)
+    is the implementation the per-layer ledger uses; it names sites
+    with :func:`repro.obs.profiler.callback_site`.
     """
 
     def run(self, callback: Callable[..., object], *args: object) -> None: ...
@@ -136,7 +137,7 @@ class Simulator:
         self._now = 0.0
         self._running = False
         self._events_processed = 0
-        # opt-in profiling hook (repro.obs.profiler): when set, every
+        # opt-in profiling hook (SimProfiler): when set, every
         # executed callback is routed through profiler.run(callback).
         # Wall-clock only — simulated time and event order are untouched.
         self._profiler: SimProfiler | None = None
@@ -175,12 +176,7 @@ class Simulator:
         return self._profiler
 
     def set_profiler(self, profiler: SimProfiler | None) -> None:
-        """Attach (or detach, with None) a callback profiler.
-
-        The profiler must expose ``run(callback, *args)`` that calls
-        the callback exactly once; see
-        :class:`repro.obs.profiler.CallbackProfiler`.
-        """
+        """Attach (or detach, with None) a :class:`SimProfiler`."""
         self._profiler = profiler
 
     # ------------------------------------------------------------------

@@ -126,11 +126,13 @@ def test_slot_trace_rider_writes_jsonl(tmp_path, capsys):
     assert lifecycle_problems(events) == []
 
 
-def test_slot_profile_rider(capsys):
-    main(["slot", "--nodes", "40", "--reduced", "16", "--seed", "3", "--profile"])
-    out = capsys.readouterr().out
-    assert "callback site" in out
-    assert "events/sec" in out
+def test_slot_profile_is_a_usage_error(capsys):
+    """Host-time profiling lives in the benchmark's per-layer ledger;
+    the product CLI has no ``--profile`` rider."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["slot", "--nodes", "40", "--reduced", "16", "--profile"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --profile" in capsys.readouterr().err
 
 
 def test_trace_command_end_to_end(tmp_path, capsys):
@@ -184,16 +186,67 @@ def test_trace_command_kind_filter(tmp_path, capsys):
     assert "net_send" not in kinds
 
 
-def test_profile_command(capsys):
-    """Profiling is the ``slot --profile`` rider; with ``--json`` the
-    hot-site table goes to stderr so stdout stays one JSON object."""
-    import json
+def test_help_lists_the_command_table(capsys):
+    from repro.cli import COMMANDS
 
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    names = [cmd.name for cmd in COMMANDS]
+    assert names == [
+        "slot", "figure", "faults", "adversary", "security",
+        "trace", "pipeline", "health", "detsan",
+    ]
+    assert "{" + ",".join(names) + "}" in out
+    assert "baselines" not in out
+
+
+def test_figure_fig12_prints_the_cdf(capsys):
+    """``figure fig12`` is the four-system comparison plus its
+    sampling CDF."""
+    assert main(["figure", "fig12", "--nodes", "40", "--reduced", "16", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    for system in ("pandas", "gossipsub", "dht", "peerdas"):
+        assert system in out
+    assert "deadline" in out  # the CDF legend
+
+
+def test_faults_command(capsys):
     code = main(
-        ["slot", "--nodes", "60", "--reduced", "32", "--seed", "3", "--profile", "--json"]
+        ["faults", "--nodes", "40", "--reduced", "16", "--seed", "3", "--fractions", "0,0.4"]
     )
-    captured = capsys.readouterr()
+    out = capsys.readouterr().out
     assert code == 0
-    assert "sampling" in json.loads(captured.out)["phases"]
-    assert "callback site" in captured.err
-    assert "events/sec" in captured.err
+    assert [line.split()[:2] for line in out.splitlines()] == [
+        ["dead", "0%"], ["dead", "40%"]
+    ]
+
+
+def test_adversary_command(capsys):
+    code = main(
+        [
+            "adversary",
+            "--nodes", "40",
+            "--reduced", "16",
+            "--seed", "3",
+            "--behavior", "corrupt",
+            "--fractions", "0,0.2",
+            "--details",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("corrupt sweep over 40 nodes")
+    assert "0% byzantine" in out and "20% byzantine" in out
+    assert "adversary" in out and "byz_corrupt" in out
+
+
+def test_health_missing_series_is_a_diagnostic(tmp_path, capsys):
+    missing = str(tmp_path / "missing.jsonl")
+    assert main(["health", missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"cannot analyze {missing}: ")

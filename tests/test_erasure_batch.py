@@ -1,10 +1,10 @@
 """Golden and performance tests for the vectorized erasure paths.
 
-The batch Reed-Solomon codec (``encode_batch`` / ``decode_batch``) and
-the GF matrix multiply behind it must be bit-identical to the scalar
-reference implementation — the scalar path stays in the tree as the
-oracle. A micro-benchmark pins that the batch path is actually faster
-at realistic lane counts (1,000 cells), so the vectorization cannot
+The batch Reed-Solomon encoder (``encode_batch``) and the GF matrix
+multiply behind it must be bit-identical to the scalar reference
+implementation — the scalar path stays in the tree as the oracle. A
+micro-benchmark pins that the batch path is actually faster at
+realistic lane counts (1,000 cells), so the vectorization cannot
 silently rot into a slow path.
 """
 
@@ -17,16 +17,15 @@ import numpy as np
 import pytest
 
 from repro.erasure.blob import Blob, _SymbolCodec
-from repro.erasure.gf import GF256, GF65536
+from repro.erasure.gf import GF256
 from repro.erasure.reed_solomon import ReedSolomon
 
 
 # ----------------------------------------------------------------------
 # GF matrix multiply vs scalar reference
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("field_fn", [GF256, GF65536])
-def test_matmul_matches_scalar(field_fn):
-    gf = field_fn()
+def test_matmul_matches_scalar():
+    gf = GF256()
     rng = random.Random(11)
     a = np.array(
         [[rng.randrange(gf.order) for _ in range(5)] for _ in range(4)], dtype=np.int64
@@ -71,7 +70,7 @@ def test_matmul_rejects_shape_mismatch():
 # ----------------------------------------------------------------------
 # batched Reed-Solomon vs the scalar oracle
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("k,n", [(4, 8), (16, 32), (130, 260)])
+@pytest.mark.parametrize("k,n", [(4, 8), (16, 32)])
 def test_encode_batch_matches_scalar(k, n):
     rs = ReedSolomon(k, n)
     rng = random.Random(k)
@@ -87,80 +86,39 @@ def test_encode_batch_matches_scalar(k, n):
         assert batch[:, lane].tolist() == scalar
 
 
-@pytest.mark.parametrize("k,n", [(4, 8), (16, 32), (130, 260)])
-def test_decode_batch_matches_scalar(k, n):
-    rs = ReedSolomon(k, n)
-    rng = random.Random(n)
-    lanes = 3
-    codewords = np.array(
-        [rs.encode([rng.randrange(rs.field.order) for _ in range(k)]) for _ in range(lanes)],
-        dtype=np.int64,
-    ).T  # (n, lanes)
-    positions = rng.sample(range(n), k + 2)
-    symbols = codewords[positions]
-    batch = rs.decode_batch(positions, symbols)
-    assert np.array_equal(batch, codewords)
-    for lane in range(lanes):
-        known = {pos: int(codewords[pos, lane]) for pos in positions}
-        assert batch[:, lane].tolist() == rs.decode(known)
-
-
-def test_decode_batch_validation():
-    rs = ReedSolomon(4, 8)
-    with pytest.raises(ValueError, match="at least"):
-        rs.decode_batch([0, 1], np.zeros((2, 1), dtype=np.int64))
-    with pytest.raises(ValueError, match="outside"):
-        rs.decode_batch([0, 1, 2, 9], np.zeros((4, 1), dtype=np.int64))
-    with pytest.raises(ValueError, match="does not match"):
-        rs.decode_batch([0, 1, 2, 3], np.zeros((3, 1), dtype=np.int64))
-
-
 def test_encode_batch_validation():
     rs = ReedSolomon(4, 8)
     with pytest.raises(ValueError, match="expected"):
         rs.encode_batch(np.zeros((3, 2), dtype=np.int64))
 
 
-def test_decode_batch_no_missing_positions():
-    rs = ReedSolomon(4, 8)
-    codeword = rs.encode([1, 2, 3, 4])
-    symbols = np.array(codeword, dtype=np.int64).reshape(8, 1)
-    out = rs.decode_batch(list(range(8)), symbols)
-    assert out[:, 0].tolist() == codeword
-
-
 # ----------------------------------------------------------------------
 # byte-level codec golden: batch line codec vs per-lane scalar loop
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("wide", [False, True])
-def test_symbol_codec_lines_match_per_lane_loop(wide):
+def test_symbol_codec_line_matches_per_lane_loop():
     k, n, cell_bytes = 4, 8, 8
-    codec = _SymbolCodec(k, n, cell_bytes, wide=wide)
+    codec = _SymbolCodec(k, n)
     rng = np.random.default_rng(3)
     data = rng.integers(0, 256, size=(k, cell_bytes)).astype(np.uint8)
 
     parity = codec.encode_line(data)
-    symbols = codec.cells_to_symbols(data)
-    expect = np.zeros((n - k, codec.lanes), dtype=np.int64)
-    for lane in range(codec.lanes):
-        codeword = codec.rs.encode(symbols[:, lane].tolist())
+    expect = np.zeros((n - k, cell_bytes), dtype=np.uint8)
+    for lane in range(cell_bytes):
+        codeword = codec.rs.encode(data[:, lane].tolist())
         expect[:, lane] = codeword[k:]
-    assert np.array_equal(parity, codec.symbols_to_cells(expect))
-
-    full = np.concatenate([data, parity], axis=0)
-    known = {pos: full[pos] for pos in (0, 2, 5, 7)}
-    decoded = codec.decode_line(known)
-    assert np.array_equal(decoded, full)
+    assert np.array_equal(parity, expect)
 
 
 def test_blob_extend_round_trip_after_vectorization():
     blob = Blob.from_bytes(bytes(range(256)) * 2, 4, 4, 32)
     ext = blob.extend()
     assert np.array_equal(ext.to_blob().cells, blob.cells)
-    # any half of a row reconstructs it: drop the odd columns of row 1
-    codec = _SymbolCodec(4, 8, 32)
-    known = {c: ext.cells[1, c] for c in range(0, 8, 2)}
-    assert np.array_equal(codec.decode_line(known), ext.cells[1])
+    # any half of a row reconstructs it: the scalar decoder recovers
+    # every byte lane of row 1 from its even columns
+    rs = ReedSolomon(4, 8)
+    for lane in range(32):
+        known = {c: int(ext.cells[1, c, lane]) for c in range(0, 8, 2)}
+        assert rs.decode(known) == ext.cells[1, :, lane].tolist()
 
 
 # ----------------------------------------------------------------------

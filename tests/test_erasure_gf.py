@@ -1,33 +1,19 @@
-"""Field-axiom tests for GF(2^8) and GF(2^16), incl. property-based."""
+"""Field-axiom tests for GF(2^8), incl. property-based."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.erasure.gf import GF256, GF65536, GaloisField
+from repro.erasure.gf import GF256
 
 ELEMS8 = st.integers(min_value=0, max_value=255)
 NONZERO8 = st.integers(min_value=1, max_value=255)
-ELEMS16 = st.integers(min_value=0, max_value=65535)
-NONZERO16 = st.integers(min_value=1, max_value=65535)
-
-
-def test_unsupported_degree_rejected():
-    with pytest.raises(ValueError):
-        GaloisField(12)
 
 
 def test_fields_are_cached():
     assert GF256() is GF256()
-    assert GF65536() is GF65536()
-
-
-def test_add_is_xor():
-    gf = GF256()
-    assert gf.add(0b1010, 0b0110) == 0b1100
 
 
 @given(a=ELEMS8, b=ELEMS8)
@@ -53,27 +39,13 @@ def test_gf256_distributive(a, b, c):
 @given(a=NONZERO8)
 def test_gf256_inverse(a):
     gf = GF256()
-    assert gf.mul(a, gf.inv(a)) == 1
+    assert gf.mul(a, gf.div(1, a)) == 1
 
 
 @given(a=ELEMS8, b=NONZERO8)
 def test_gf256_div_inverts_mul(a, b):
     gf = GF256()
     assert gf.div(gf.mul(a, b), b) == a
-
-
-@given(a=NONZERO16)
-@settings(max_examples=50)
-def test_gf65536_inverse(a):
-    gf = GF65536()
-    assert gf.mul(a, gf.inv(a)) == 1
-
-
-@given(a=ELEMS16, b=ELEMS16)
-@settings(max_examples=50)
-def test_gf65536_mul_commutative(a, b):
-    gf = GF65536()
-    assert gf.mul(a, b) == gf.mul(b, a)
 
 
 def test_one_is_multiplicative_identity():
@@ -88,43 +60,6 @@ def test_zero_annihilates():
         assert gf.mul(a, 0) == 0
 
 
-def test_inv_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        GF256().inv(0)
-
-
 def test_div_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         GF256().div(5, 0)
-
-
-def test_pow_matches_repeated_mul():
-    gf = GF256()
-    acc = 1
-    for n in range(8):
-        assert gf.pow(3, n) == acc
-        acc = gf.mul(acc, 3)
-
-
-def test_mul_vec_matches_scalar():
-    gf = GF256()
-    a = np.array([0, 1, 7, 200, 255])
-    b = np.array([9, 0, 13, 200, 1])
-    out = gf.mul_vec(a, b)
-    for i in range(len(a)):
-        assert out[i] == gf.mul(int(a[i]), int(b[i]))
-
-
-def test_scale_vec():
-    gf = GF256()
-    vec = np.array([0, 1, 2, 3])
-    out = gf.scale_vec(5, vec)
-    for i in range(4):
-        assert out[i] == gf.mul(5, int(vec[i]))
-
-
-def test_poly_eval_horner():
-    gf = GF256()
-    coeffs = np.array([7, 0, 1])  # 7 + x^2
-    x = 3
-    assert gf.poly_eval(coeffs, x) == 7 ^ gf.mul(x, x)

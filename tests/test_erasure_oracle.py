@@ -14,7 +14,13 @@ Reed-Solomon decoding. Each case
 After every batch, the decoder must recover exactly the cells
 ``SlotCellState.has_cell`` reports held, and every recovered cell must
 equal the original bytes. Every extended dimension is at most 255, so
-each byte of a cell is one GF(2^8) symbol lane. The hypothesis twin lives in ``test_property_based.py``.
+each byte of a cell is one GF(2^8) symbol lane. The hypothesis twin
+lives in ``test_property_based.py``.
+
+With custody = every row and column, ``SlotCellState`` and the decoder
+both answer the whole-grid question, so Figure 3's two extremes are
+checked here too: the base quadrant recovers the grid, and withholding
+an (R+1)x(C+1) block blocks it.
 """
 
 from __future__ import annotations
@@ -167,3 +173,62 @@ def test_oracle_cases_cover_cascades_partial_lines_and_both_paths():
         stuck += unrecovered
         sinks += with_sink
     assert cascaded and stuck and 0 < sinks < 12
+
+
+def full_custody_case(rng: random.Random, offered_cell):
+    """A random grid whose custody is every row and every column; the
+    node is offered the cells ``offered_cell(row, col, R, C)`` accepts,
+    in two shuffled batches."""
+    base_rows, base_cols = rng.randint(2, 6), rng.randint(2, 6)
+    params = PandasParams(
+        base_rows=base_rows,
+        base_cols=base_cols,
+        custody_rows=2 * base_rows,
+        custody_cols=2 * base_cols,
+        samples=rng.randint(1, 4),
+    )
+    ext_rows, ext_cols = params.ext_rows, params.ext_cols
+    custody = Custody(rows=tuple(range(ext_rows)), cols=tuple(range(ext_cols)))
+    samples = rng.sample(range(params.total_cells), params.samples)
+    cell_bytes = rng.randint(1, 4)
+    blob = Blob.from_bytes(
+        rng.randbytes(base_rows * base_cols * cell_bytes), base_rows, base_cols, cell_bytes
+    )
+    order = [
+        row * ext_cols + col
+        for row in range(ext_rows)
+        for col in range(ext_cols)
+        if offered_cell(row, col, base_rows, base_cols)
+    ]
+    rng.shuffle(order)
+    cut = rng.randint(1, len(order) - 1)
+    batches = [order[:cut], order[cut:]]
+    return params, custody, samples, blob.extend(), batches, rng.random() < 0.5
+
+
+def test_base_quadrant_recovers_the_grid():
+    """Figure 3 left: the R x C data quadrant alone recovers every cell,
+    byte for byte."""
+    for case_seed in range(8):
+        case = full_custody_case(
+            random.Random(case_seed), lambda r, c, rows, cols: r < rows and c < cols
+        )
+        _passes, unrecovered = check_against_codec(case)
+        assert not unrecovered
+
+
+def test_withheld_block_blocks_the_grid():
+    """Figure 3 right: withholding an (R+1) x (C+1) block leaves every
+    row and column crossing it below half, so no withheld cell is
+    recovered."""
+    for case_seed in range(8):
+        case = full_custody_case(
+            random.Random(case_seed), lambda r, c, rows, cols: r > rows or c > cols
+        )
+        params, custody, samples, _extended, batches, _with_sink = case
+        state = SlotCellState(params, custody, samples)
+        for batch in batches:
+            state.add_cells(batch)
+        _passes, unrecovered = check_against_codec(case)
+        assert unrecovered
+        assert held_cells(state) == {cid for batch in batches for cid in batch}

@@ -70,12 +70,6 @@ def test_run_baseline_comparison_keys():
     assert results["peerdas"].sampling.fraction_within(4.0) == 1.0
 
 
-def test_run_size_sweep_is_run_scaling():
-    from repro.experiments.figures import run_size_sweep
-
-    assert run_size_sweep is run_scaling
-
-
 def test_run_scaling_rejects_unknown_system():
     with pytest.raises(ValueError):
         run_scaling(node_counts=(10,), system="carrier-pigeon")

@@ -1,16 +1,17 @@
-"""Callback-site profiling: attribution, labels, reporting."""
+"""The host-time profiler hook: ``Simulator.set_profiler`` and
+``callback_site``, the two pieces the benchmark's per-layer ledger
+attaches through."""
 
 from __future__ import annotations
 
 import functools
-
-import pytest
+from collections import Counter
 
 from repro.core.seeding import RedundantSeeding
 from repro.experiments.scenario import Scenario, ScenarioConfig
-from repro.obs import CallbackProfiler
 from repro.obs.profiler import callback_site
 from repro.params import PandasParams
+from repro.sim.engine import Simulator
 
 
 def module_level_fn():
@@ -23,6 +24,17 @@ class Widget:
 
     def __call__(self):
         return 2
+
+
+class SiteCounter:
+    """A minimal ``SimProfiler``: counts executed callbacks per site."""
+
+    def __init__(self) -> None:
+        self.calls: Counter[str] = Counter()
+
+    def run(self, callback, *args) -> None:
+        self.calls[callback_site(callback)] += 1
+        callback(*args)
 
 
 def test_callback_site_names_plain_functions():
@@ -41,41 +53,28 @@ def test_callback_site_falls_back_to_type():
 
 
 def test_profiler_attributes_calls_to_sites():
-    profiler = CallbackProfiler()
-    for _ in range(3):
-        profiler.run(module_level_fn)
-    profiler.run(Widget().method)
-    assert profiler.events == 4
-    by_site = {s.site: s for s in profiler.table()}
-    assert by_site[f"{__name__}:module_level_fn"].calls == 3
-    assert by_site[f"{__name__}:Widget.method"].calls == 1
-    assert all(s.seconds >= 0.0 for s in by_site.values())
-
-
-def test_profiler_charges_time_even_when_callback_raises():
-    profiler = CallbackProfiler()
-
-    def boom():
-        raise RuntimeError("kaput")
-
-    with pytest.raises(RuntimeError):
-        profiler.run(boom)
-    assert profiler.events == 1
-
-
-def test_format_prints_table_and_headline():
-    profiler = CallbackProfiler()
-    profiler.run(module_level_fn)
-    text = profiler.format(top=5)
-    assert "callback site" in text
-    assert "module_level_fn" in text
-    assert "events/sec" in text
+    """The engine routes every executed event, arguments included,
+    through the attached profiler's ``run``."""
+    sim = Simulator()
+    profiler = SiteCounter()
+    sim.set_profiler(profiler)
+    seen = []
+    for delay in (0.1, 0.2, 0.3):
+        sim.call_after(delay, module_level_fn)
+    sim.call_after(0.4, seen.append, "arg")
+    sim.call_after(0.5, Widget().method).cancel()  # cancelled: never runs
+    sim.run()
+    assert seen == ["arg"]
+    assert profiler.calls[f"{__name__}:module_level_fn"] == 3
+    assert sum(profiler.calls.values()) == sim.events_processed == 4
+    sim.set_profiler(None)
+    assert sim.profiler is None
 
 
 def test_profiler_maps_a_real_run():
-    """A profiled scenario attributes every simulator event somewhere,
-    and the hot sites are real protocol code paths."""
-    profiler = CallbackProfiler()
+    """A profiled scenario routes every simulator event through the
+    hook, and the hot sites are real protocol code paths."""
+    profiler = SiteCounter()
     config = ScenarioConfig(
         num_nodes=35,
         params=PandasParams(
@@ -87,8 +86,6 @@ def test_profiler_maps_a_real_run():
         num_vertices=300,
         profiler=profiler,
     )
-    Scenario(config).run()
-    assert profiler.events > 0
-    sites = [s.site for s in profiler.table(top=50)]
-    assert sum(s.calls for s in profiler.table(top=50)) == profiler.events
-    assert any(site.startswith("repro.") for site in sites)
+    scenario = Scenario(config).run()
+    assert sum(profiler.calls.values()) == scenario.sim.events_processed > 0
+    assert any(site.startswith("repro.") for site in profiler.calls)

@@ -11,6 +11,7 @@ from repro.obs.timeline import (
     load_trace,
     phase_completions,
     slowest_nodes,
+    trace_report,
 )
 from repro.params import PandasParams
 
@@ -78,6 +79,22 @@ def test_causal_report_explains_a_node():
     assert "round 1 at" in text
     assert "why:" in text
     assert "peer(s) queried" in text
+
+
+def test_trace_report_returns_the_slowest_nodes_causal_lines():
+    """``repro trace --report`` prints these lines itself, so the report
+    no longer depends on the benchmark's report buffer or on running
+    under pytest."""
+    _scenario, events = traced_scenario()
+    lines = trace_report(events, slot=0, count=2)
+    (slowest, _at), _second = slowest_nodes(events, slot=0, phase="sampling", count=2)
+    assert lines[:2] == [
+        "trace report: slot 0, slowest by sampling",
+        "  query lifecycle: OK",
+    ]
+    assert lines[4] == f"  -- node {slowest} causal timeline --"
+    assert lines[5:] == ["  " + line for line in causal_report(events, 0, slowest)]
+    assert trace_report([], slot=0)[-1] == "  (no node events in this slot)"
 
 
 def test_causal_report_elides_long_round_tails():

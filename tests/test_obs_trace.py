@@ -19,7 +19,6 @@ from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.obs import (
     KINDS,
     QUERY_TERMINAL_KINDS,
-    CallbackProfiler,
     ChromeTraceSink,
     JsonlSink,
     MemorySink,
@@ -187,9 +186,21 @@ def test_tracing_neutral_under_faults():
     assert rec.counts["fault"] > 0  # the injector really was traced
 
 
+class CallCounter:
+    """A call-counting ``SimProfiler``, attached the way the benchmark's
+    span profiler is (``ScenarioConfig.profiler``)."""
+
+    def __init__(self) -> None:
+        self.events = 0
+
+    def run(self, callback, *args) -> None:
+        self.events += 1
+        callback(*args)
+
+
 def test_profiling_is_behavior_neutral():
     plain = Scenario(dense_config()).run().metrics.fingerprint()
-    profiler = CallbackProfiler()
+    profiler = CallCounter()
     profiled = (
         Scenario(dense_config(profiler=profiler)).run().metrics.fingerprint()
     )

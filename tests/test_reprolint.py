@@ -26,6 +26,7 @@ from repro.analysis.reprolint import (
     rule_code_span,
 )
 from repro.analysis.reprolint.cli import run as reprolint_run
+from repro.analysis.reprolint.engine import DEFAULT_ALLOWLISTS
 from repro.analysis.reprolint.rules import _EMIT_NAMES, UnknownTraceKind
 from repro.core.context import ProtocolContext
 from repro.core.fetching import AdaptiveFetcher
@@ -126,11 +127,13 @@ class TestRuleDetails:
         assert [f.rule for f in active(findings)] == []
         assert "reprolint: disable=RL001" not in path.read_text()
 
-    def test_rl002_allowlist_covers_profiler(self):
+    def test_rl002_allowlist_is_only_the_heartbeat(self):
         source = "import time\nstart = time.perf_counter()\n"
-        # same source: flagged at an arbitrary path, allowed in the profiler
+        # host-time profiling attaches from outside src/, so the
+        # profiler module is held to RL002 like any other
         assert codes(Linter().lint_source(source, "repro/obs/other.py")) == ["RL002"]
-        assert codes(Linter().lint_source(source, "repro/obs/profiler.py")) == []
+        assert codes(Linter().lint_source(source, "repro/obs/profiler.py")) == ["RL002"]
+        assert DEFAULT_ALLOWLISTS["RL002"] == ("obs/progress.py",)
 
     def test_rl002_telemetry_sampler_stays_sim_clocked(self):
         """Telemetry must not read the wall clock: the sampler fixture
