@@ -268,8 +268,8 @@ class AdaptiveFetcher:
         self._open_queries: dict[int, tuple[int, int]] = {}  # peer -> (req, round)
 
         # CB(f) of our lines, and per line the cells it seeded to us:
-        # the builder's own objects, held by reference and never copied
-        # (DESIGN.md 4.1)
+        # the builder's own objects, held by reference and never copied,
+        # and let go of when the fetcher finishes (DESIGN.md 4.1)
         self.boost: dict[int, LineBoost] = {}
         self.inbound: dict[int, frozenset[int]] = {}
         self.max_cells_per_query = max_cells_per_query
@@ -289,9 +289,12 @@ class AdaptiveFetcher:
 
         Our own entry stays in the map: we are never our own candidate,
         and the node declares those cells inbound, which
-        ``round_targets`` checks before the boost cells.
+        ``round_targets`` checks before the boost cells. A finished
+        fetcher reads neither map, so a late or duplicated first seed
+        datagram attaches nothing to it.
         """
-        self.boost[line_boost.line] = line_boost
+        if not self.finished:
+            self.boost[line_boost.line] = line_boost
 
     def add_inbound(self, line: int, cells: frozenset[int]) -> None:
         """The cells of ``line`` the builder declared as seeded to us.
@@ -302,7 +305,8 @@ class AdaptiveFetcher:
         would only manufacture duplicates (Table 1 reports zero round-1
         duplicates).
         """
-        self.inbound[line] = cells
+        if not self.finished:
+            self.inbound[line] = cells
 
     # ------------------------------------------------------------------
     # protocol events (no-ops without a bus)
@@ -898,6 +902,7 @@ class AdaptiveFetcher:
         self._emit("fetch_done", success=True, reason="complete")
         if self.on_done is not None:
             self.on_done(True)
+        self._release_builder_data()
 
     def _give_up(self) -> None:
         if self.finished:
@@ -907,3 +912,13 @@ class AdaptiveFetcher:
         self._emit("fetch_done", success=False, reason="exhausted")
         if self.on_done is not None:
             self.on_done(False)
+        self._release_builder_data()
+
+    def _release_builder_data(self) -> None:
+        """Drop our references to the builder's CB(f) objects.
+
+        The slot state outlives the fetcher's work (a pipeline retires
+        it slots later); without this every line's map would too.
+        """
+        self.boost = {}
+        self.inbound = {}

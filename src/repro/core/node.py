@@ -647,6 +647,13 @@ class PandasNode:
         """
         state = self._slots.pop(slot, None)
         self._retired.add(slot)
+        # a bucket that is full again is indistinguishable from the fresh
+        # one _admit would create, so only the drained ones are kept (in
+        # a new dict: deleting entries would not shrink the old table)
+        now = self.ctx.sim.now
+        self._buckets = {
+            src: bucket for src, bucket in self._buckets.items() if not bucket.full_at(now)
+        }
         if state is not None:
             for stats in state.fetcher.rounds:
                 self.ctx.emit(

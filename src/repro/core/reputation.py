@@ -204,6 +204,15 @@ class TokenBucket:
         self.tokens = burst
         self._last = 0.0
 
+    def full_at(self, now: float) -> bool:
+        """Would :meth:`allow` at ``now`` find the bucket full?
+
+        Exactly then, and at every later time, the bucket behaves bit
+        for bit like a fresh one: refill clamps both to ``burst`` and
+        ``allow`` then stamps the same ``_last``.
+        """
+        return self.tokens + (now - self._last) * self.rate >= self.burst
+
     def allow(self, now: float, cost: float = 1.0) -> bool:
         if now > self._last:
             self.tokens = min(self.burst, self.tokens + (now - self._last) * self.rate)

@@ -25,7 +25,8 @@ from both populations.
 The policy also yields the per-line consolidation-boost map CB: which
 cells of ``f`` were seeded to which custodians of ``f``
 (:class:`LineBoost`, built once per line and shared by reference by
-every message and fetcher that needs it).
+every message and fetcher that needs it; custodians seeded the same
+cells in the same order share one entry).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
+from itertools import chain
 from types import MappingProxyType
 
 from repro.params import PandasParams
@@ -64,15 +66,18 @@ class LineBoost:
     """CB(f) of one line: which of its cells were seeded to whom.
 
     Built once per line by the builder and shipped *by reference* to
-    every custodian of the line, whose fetchers keep that reference for
-    the slot — so nothing reachable from it is mutable: ``seeded`` is a
-    read-only view and every cell set is a ``frozenset``.
+    every custodian of the line, whose fetchers keep that reference
+    until they finish — so nothing reachable from it is mutable:
+    ``seeded`` is a read-only view and every cell set is a ``frozenset``.
+    Custodians whose merged parcels are the same cell list share one
+    entry, and ``cells`` is that entry when it holds every seeded cell.
     """
 
     line: int
     # custodian -> the line's cells seeded to it (its merged parcels)
     seeded: Mapping[int, frozenset[int]]
-    # every seeded cell of the line: the union of ``seeded``'s values
+    # every seeded cell of the line (membership tests only): the union
+    # of ``seeded``'s values
     cells: frozenset[int]
 
 
@@ -209,13 +214,31 @@ def policy_by_name(name: str, r: int = 8) -> SeedingPolicy:
 
 
 def boost_map_for_line(parcels: Sequence[SeedParcel]) -> LineBoost:
-    """CB(f) of the line ``parcels`` (non-empty, one line) scatter."""
+    """CB(f) of the line ``parcels`` (non-empty, one line) scatter.
+
+    One ``frozenset`` per distinct merged cell list: sharing is keyed by
+    the *ordered* list, so a shared entry is built by the very call that
+    would have built each custodian's own copy, and iterates in the same
+    order. An entry holding every seeded cell doubles as ``cells``; with
+    at most ``r`` custodians every custodian gets every parcel, so the
+    line has a single entry and it is that one.
+    """
     merged: dict[int, list[int]] = {}
     for parcel in parcels:
         merged.setdefault(parcel.node_id, []).extend(parcel.cells)
-    seeded = {node: frozenset(cells) for node, cells in merged.items()}
+    entries: dict[tuple[int, ...], frozenset[int]] = {}
+    seeded: dict[int, frozenset[int]] = {}
+    for node, cells in merged.items():
+        key = tuple(cells)
+        entry = entries.get(key)
+        if entry is None:
+            entry = entries[key] = frozenset(cells)
+        seeded[node] = entry
+    # built by insertion, not by ``frozenset.union``, which sizes its
+    # table for the sum of the operands
+    union = frozenset(chain.from_iterable(entries))
     return LineBoost(
         line=parcels[0].line,
         seeded=MappingProxyType(seeded),
-        cells=frozenset().union(*seeded.values()),
+        cells=next((e for e in entries.values() if len(e) == len(union)), union),
     )

@@ -10,6 +10,8 @@ buffered request remainders expire at the sampling deadline.
 
 from __future__ import annotations
 
+import random
+
 from repro.core.messages import (
     PRIORITY_RETRIEVAL,
     CellRequest,
@@ -181,6 +183,31 @@ class TestRateLimiting:
         node.crash()
         assert not node._buckets
         assert node.reputation.weight(9) == 1.0
+
+    def test_pruned_buckets_admit_exactly_as_never_pruned_ones(self):
+        """``drop_slot`` deletes the buckets that are full again; a pruned
+        node and a never-pruned one then agree on every verdict and every
+        token count, with refills landing exactly on ``burst`` as well."""
+        world = make_world(
+            params=small_params(inbound_msg_rate=4.0, inbound_msg_burst=3.0)
+        )
+        pruned, kept = world.nodes[0], world.nodes[1]
+        rng = random.Random(3)
+        pruned_total = survived_total = 0
+        for step in range(2_000):
+            # dyadic gaps hit the full-at-exactly-burst boundary; the
+            # others exercise rounding
+            gap = rng.choice((0.0, 0.0, 0.125, 0.25, 0.75, rng.random() / 3))
+            world.sim.run(until=world.sim.now + gap)
+            if step % 25 == 24:
+                before = len(pruned._buckets)
+                pruned.drop_slot(step)
+                pruned_total += before - len(pruned._buckets)
+                survived_total += len(pruned._buckets)
+            src = rng.randrange(2, 8)
+            assert pruned._admit(src) == kept._admit(src)
+            assert pruned._buckets[src].tokens == kept._buckets[src].tokens
+        assert pruned_total > 0 and survived_total > 0
 
     def test_crash_resets_retrieval_admission_bucket(self):
         world = make_world(

@@ -1,14 +1,19 @@
 """CB(f) travels by reference: built once per line, never copied.
 
 The builder computes one immutable :class:`LineBoost` per line and every
-custodian's first seed datagram — and, for the slot, every custodian's
-fetcher — references that same object (DESIGN.md 4.1). These tests pin
+custodian's first seed datagram — and, until it finishes, every
+custodian's fetcher — references that same object (DESIGN.md 4.1).
+These tests pin
 
-(a) that no per-node copy exists, (b) that nothing shared is mutable,
+(a) that no per-node copy exists, and that a finished fetcher lets go,
+(b) that nothing shared is mutable,
 (c) that the fetcher decides exactly as it did on the old per-node
 ``dict[peer, set]`` (kept here, and only here, as the oracle),
-(d) that a duplicated first datagram changes nothing, and
-(e) that every byte count is what it was.
+(d) that a duplicated first datagram changes nothing,
+(e) that every byte count is what it was, and
+(f) that custodians seeded the same cell list share one entry, which
+iterates exactly like the per-custodian ``frozenset`` it replaces
+(also kept here, and only here, as the oracle).
 """
 
 from __future__ import annotations
@@ -24,7 +29,13 @@ from repro.core.assignment import Custody, cells_of_line, lines_of_cell
 from repro.core.custody import SlotCellState
 from repro.core.fetching import AdaptiveFetcher, score_peers
 from repro.core.messages import BOOST_ENTRY_BYTES, SeedMessage
-from repro.core.seeding import LineBoost, SeedParcel, boost_map_for_line
+from repro.core.seeding import (
+    LineBoost,
+    RedundantSeeding,
+    SeedParcel,
+    boost_map_for_line,
+    owned_cells_of_line,
+)
 from repro.params import FetchSchedule, PandasParams
 from repro.sim.engine import Simulator
 from tests.helpers import held_cells, make_world
@@ -72,19 +83,39 @@ def cell_sets(value, found=None):
 
 
 # ----------------------------------------------------------------------
-# (a) no copies
+# (a) no copies, and released when done
 # ----------------------------------------------------------------------
-def test_fetchers_reference_the_sent_maps_and_own_no_copy(seeded_world):
-    world, carried = seeded_world
-    sent_ids = {id(line_boost) for line_boost in carried}
-    sent_ids.update(id(cells) for cells in cell_sets(carried))
-    # cell ids that cannot be mistaken for a peer id
-    boosted_cells = set().union(*(lb.cells for lb in carried))
-    boosted_cells -= set(range(NODES + 1))
-    assert boosted_cells
+class FetcherInspector:
+    """A bus subscriber calling ``check(node_id, fetcher)`` on each
+    fetcher as it reports done: the last moment it holds builder data."""
 
-    for node in world.nodes.values():
-        fetcher = node.slot_fetcher(0)
+    kinds = frozenset({"fetch_done"})
+
+    def __init__(self, world, check) -> None:
+        self.world = world
+        self.check = check
+        self.inspected: set[int] = set()
+
+    def emit(self, kind, *, t, slot, node, **data) -> None:
+        self.check(node, self.world.nodes[node].slot_fetcher(slot))
+        self.inspected.add(node)
+
+
+def test_fetchers_reference_the_sent_maps_and_own_no_copy():
+    world, sent = seed_world()
+
+    def carried():
+        return [line_boost for dgram in sent for line_boost in dgram.payload.boost]
+
+    def check(node_id: int, fetcher: AdaptiveFetcher) -> None:
+        sent_maps = carried()
+        sent_ids = {id(line_boost) for line_boost in sent_maps}
+        sent_ids.update(id(cells) for cells in cell_sets(sent_maps))
+        # cell ids that cannot be mistaken for a peer id
+        boosted_cells = set().union(*(lb.cells for lb in sent_maps))
+        boosted_cells -= set(range(NODES + 1))
+        assert boosted_cells
+
         assert fetcher.boost, "every node is seeded and gets its lines' maps"
         for line, line_boost in fetcher.boost.items():
             assert line_boost.line == line
@@ -97,7 +128,7 @@ def test_fetchers_reference_the_sent_maps_and_own_no_copy(seeded_world):
         # map, the very object the message carried
         assert fetcher.inbound.keys() == fetcher.boost.keys()
         for line, own in fetcher.inbound.items():
-            assert own is fetcher.boost[line].seeded[node.node_id]
+            assert own is fetcher.boost[line].seeded[node_id]
 
         # a fetcher owns no container of boost cells: every cell set
         # reachable from it is one the builder built
@@ -112,10 +143,55 @@ def test_fetchers_reference_the_sent_maps_and_own_no_copy(seeded_world):
                 owning.add(name)
         assert owning == set()
 
+    inspector = FetcherInspector(world, check)
+    world.ctx.events.subscribe(inspector)
+    world.run_slot(0)
+    assert inspector.inspected == set(world.nodes), "every fetcher finishes in the slot"
+
     # one object per line, shared by all its custodians
     by_line: dict[int, LineBoost] = {}
-    for line_boost in carried:
+    for line_boost in carried():
         assert by_line.setdefault(line_boost.line, line_boost) is line_boost
+
+
+def test_finished_fetcher_holds_no_builder_data():
+    world, sent = seed_world()
+    world.run_slot(0)
+    finished = [node for node in world.nodes.values() if node.slot_fetcher(0).finished]
+    assert len(finished) == NODES
+    for node in finished:
+        fetcher = node.slot_fetcher(0)
+        assert fetcher.boost == {} and fetcher.inbound == {}
+        # a late duplicate of the first datagram re-attaches nothing
+        first = next(d.payload for d in sent if d.dst == node.node_id and d.payload.boost)
+        node._on_seed(world.builder.builder_id, first)
+        assert fetcher.boost == {} and fetcher.inbound == {}
+
+
+def test_fetcher_that_gives_up_holds_no_builder_data():
+    params = PandasParams(base_rows=8, base_cols=8, custody_rows=1, custody_cols=1, samples=2)
+    sim = Simulator()
+    fetcher = AdaptiveFetcher(
+        sim=sim,
+        state=SlotCellState(params, Custody(rows=(0,), cols=(3,)), ()),
+        schedule=FetchSchedule.constant(max_rounds=3),
+        # silent peers: every round has someone to ask, nobody answers
+        line_custodians=lambda line: PEERS,
+        send_query=lambda peer, cells: None,
+        rng=random.Random(1),
+        cb_boost=CB_BOOST,
+        self_id=SELF_ID,
+    )
+    line_boost = boost_map_for_line([SeedParcel(SELF_ID, 0, (0, 2)), SeedParcel(4, 0, (4,))])
+    fetcher.add_boost(line_boost)
+    fetcher.add_inbound(0, line_boost.seeded[SELF_ID])
+    fetcher.start()
+    sim.run(until=5.0)
+    assert fetcher.finished and not fetcher.succeeded
+    assert fetcher.boost == {} and fetcher.inbound == {}
+    fetcher.add_boost(line_boost)
+    fetcher.add_inbound(0, line_boost.seeded[SELF_ID])
+    assert fetcher.boost == {} and fetcher.inbound == {}
 
 
 # ----------------------------------------------------------------------
@@ -366,3 +442,103 @@ def test_wire_sizes_are_the_parents():
     assert max(size for _dst, size in sizes) == 4_856
     assert min(size for _dst, size in sizes) == 680
     assert hashlib.sha256(repr(sizes).encode()).hexdigest()[:16] == "f98dcb290a54e436"
+
+
+# ----------------------------------------------------------------------
+# (f) one entry per distinct merged cell list
+# ----------------------------------------------------------------------
+FULL = PandasParams()
+
+
+def merged_lists(parcels) -> dict[int, list[int]]:
+    merged: dict[int, list[int]] = {}
+    for parcel in parcels:
+        merged.setdefault(parcel.node_id, []).extend(parcel.cells)
+    return merged
+
+
+def per_custodian_entries(parcels) -> dict[int, frozenset[int]]:
+    """The oracle: each custodian's own ``frozenset`` of its merged
+    parcels, built as the builder built it before entries were shared."""
+    return {node: frozenset(cells) for node, cells in merged_lists(parcels).items()}
+
+
+def redundant_parcels(line: int, custodians: int, seed: int, params=FULL, r: int = 8):
+    rng = random.Random(seed)
+    return RedundantSeeding(r).line_parcels(line, params, list(range(custodians)), rng)
+
+
+def test_custodians_seeded_the_same_list_share_one_entry():
+    parcels = [
+        SeedParcel(1, 0, (0, 8)),
+        SeedParcel(2, 0, (0, 8)),
+        # the same cells in another order: its own entry (sharing is
+        # keyed by the ordered list, not by set equality)
+        SeedParcel(3, 0, (8, 0)),
+        SeedParcel(4, 0, (2,)),
+        SeedParcel(5, 0, (2,)),
+    ]
+    seeded = boost_map_for_line(parcels).seeded
+    assert seeded[1] is seeded[2]
+    assert seeded[4] is seeded[5]
+    assert seeded[3] == seeded[1] and seeded[3] is not seeded[1]
+    assert len({id(entry) for entry in seeded.values()}) == 3
+
+
+@pytest.mark.parametrize("custodians", range(1, 9))
+def test_at_most_r_custodians_share_the_full_set(custodians):
+    for line in (0, 1, FULL.ext_rows, FULL.ext_rows + 1):
+        line_boost = boost_map_for_line(redundant_parcels(line, custodians, seed=line))
+        assert line_boost.cells == frozenset(owned_cells_of_line(line, FULL))
+        assert len(line_boost.seeded) == custodians
+        assert all(entry is line_boost.cells for entry in line_boost.seeded.values())
+
+
+def test_more_than_r_custodians_keep_distinct_entries():
+    # a reduced grid (64 owned cells per line) with 12 custodians per line
+    params = PandasParams(base_rows=64, base_cols=64, custody_rows=4, custody_cols=4, samples=8)
+    reused = built = all_distinct = 0
+    for line in range(params.ext_rows + params.ext_cols):
+        parcels = redundant_parcels(line, 12, seed=line, params=params)
+        line_boost = boost_map_for_line(parcels)
+        oracle = per_custodian_entries(parcels)
+        merged = merged_lists(parcels)
+        # one object exactly when the merged lists are equal
+        for a in merged:
+            for b in merged:
+                assert (line_boost.seeded[a] is line_boost.seeded[b]) == (merged[a] == merged[b])
+        entries = list(line_boost.seeded.values())
+        all_distinct += len({id(entry) for entry in entries}) == len(entries) == 12
+        union = frozenset().union(*oracle.values())
+        assert line_boost.cells == union
+        # a custodian that drew every parcel lends its entry as ``cells``
+        full = [entry for entry in entries if entry == union]
+        if full:
+            assert line_boost.cells is full[0]
+            reused += 1
+        else:
+            assert all(line_boost.cells is not entry for entry in entries)
+            built += 1
+    assert reused and built and all_distinct
+
+
+@pytest.mark.parametrize("custodians", (1, 3, 8, 9, 12, 16))
+def test_shared_entries_iterate_like_per_custodian_sets(custodians):
+    """Same elements *and* same iteration order as the oracle's set, for
+    the entry and for its intersection with a round's targets — the
+    order ``_candidate_cells`` sees."""
+    rng = random.Random(custodians)
+    lines = range(0, FULL.ext_rows + FULL.ext_cols, 37)
+    cases = [redundant_parcels(line, custodians, seed=line) for line in lines]
+    # hand-made lists whose order decides the table layout
+    cases.append([SeedParcel(1, 0, (0, 8)), SeedParcel(2, 0, (8, 0)), SeedParcel(3, 0, (0, 8))])
+    for parcels in cases:
+        line_boost = boost_map_for_line(parcels)
+        oracle = per_custodian_entries(parcels)
+        assert line_boost.seeded.keys() == oracle.keys()
+        line_cells = list(line_boost.cells)
+        for node, expected in oracle.items():
+            entry = line_boost.seeded[node]
+            assert list(entry) == list(expected)
+            targets = set(rng.sample(line_cells, len(line_cells) // 3))
+            assert list(entry & targets) == list(expected & targets)
