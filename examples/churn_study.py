@@ -33,7 +33,7 @@ def run(churn_fraction: float, view_lag_slots: int, slots: int = 4):
         config, churn_fraction=churn_fraction, view_lag_slots=view_lag_slots
     )
     scenario.run()
-    return scenario.sampling_completion_by_slot()
+    return scenario.deadline_hit_by_slot()
 
 
 def main() -> None:

@@ -529,7 +529,7 @@ def _cmd_trace(args) -> int:
     print(f"  sampling       {summarize(phases.sampling, 4.0)}")
     print(f"  events         {tracer.accepted} accepted, {tracer.filtered} filtered, "
           f"{tracer.evicted} evicted from ring")
-    top = sorted(tracer.counts.items(), key=lambda kv: (-kv[1], kv[0]))[:6]
+    top = tracer.kind_table()[:6]
     print("  top kinds      " + ", ".join(f"{k}={n}" for k, n in top))
     events = [e.to_dict() for e in tracer.events]
     if tracer.evicted == 0:

@@ -197,7 +197,13 @@ class PandasNode:
             peer_weight=self.reputation.weight,
             exclude_peer=self.reputation.quarantined,
             on_peer_timeout=self._on_peer_timeout,
-            retry_unresponsive=params.fetch_retry_unresponsive,
+            # once every custodian of the remaining targets has been
+            # queried, allow one more query to peers that never replied
+            # (their query or reply was probably lost, or they are
+            # withholding). Pure Algorithm 1 queries each peer at most
+            # once per slot; without this escape hatch a loss burst or
+            # Byzantine withholding can permanently starve a node.
+            retry_unresponsive=True,
             retry_policy=params.fetch_retry,
             deadline_at=(
                 ctx.slot_start(slot) + params.deadline

@@ -81,7 +81,3 @@ class RoutingTable:
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
-
-    @property
-    def bucket_sizes(self) -> dict[int, int]:
-        return {index: len(bucket) for index, bucket in self._buckets.items()}

@@ -143,20 +143,20 @@ class ChurnScenario(Scenario):
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
-    def sampling_completion_by_slot(self) -> dict[int, float]:
-        """Fraction of that slot's live nodes that sampled within 4 s."""
+    def deadline_hit_by_slot(self) -> dict[int, float]:
+        """Fraction of each slot's live nodes that sampled within the
+        protocol deadline (``params.deadline``)."""
+        deadline = self.params.deadline
+        history = self._membership_history
         outcome: dict[int, float] = {}
         for slot in self.ctx.slot_starts:
-            live = [
-                node
-                for node in self._membership_history[min(slot, len(self._membership_history) - 1)]
-            ]
+            live = history[min(slot, len(history) - 1)]
             if not live:
                 continue
             within = 0
             for node in live:
                 times = self.metrics.phase_times.get((slot, node))
-                if times and times.sampling is not None and times.sampling <= 4.0:
+                if times and times.sampling is not None and times.sampling <= deadline:
                     within += 1
             outcome[slot] = within / len(live)
         return outcome

@@ -163,9 +163,6 @@ class GossipOverlay:
     def topic_members(self, topic: Hashable) -> list[int]:
         return self._members.get(topic, [])
 
-    def set_handler(self, topic: Hashable, handler: Callable[[int, GossipMessage], None]) -> None:
-        self._handlers[topic] = handler
-
     # ------------------------------------------------------------------
     # data path
     # ------------------------------------------------------------------

@@ -164,10 +164,6 @@ class ClusteredWanModel:
             + self._access[dst]
         )
 
-    def access_latency(self, vertex: int) -> float:
-        """The vertex's last-mile component (used for placement logic)."""
-        return self._access[vertex]
-
     def mean_one_way(self, vertex: int) -> float:
         """Mean one-way latency from ``vertex``; O(clusters) per call."""
         if self._mean_cache is None:

@@ -11,15 +11,17 @@ package provides that layer:
   zero-RNG structured event log, and ``KINDS``, the catalog of every
   event the run's bus (:mod:`repro.sim.bus`) carries;
 - :mod:`repro.obs.sinks` — pluggable sinks (in-memory, JSONL files,
-  Chrome ``trace_event`` JSON for about://tracing timelines);
+  Chrome ``trace_event`` JSON for about://tracing timelines) and
+  ``read_jsonl``, the one reader for traces and telemetry series;
 - :mod:`repro.obs.timeline` — per-node slot timelines and the
   slowest-node "why did sampling take X ms" causal report;
 - :mod:`repro.obs.profiler` — ``callback_site``, the ``module:qualname``
   name of a simulator callback, for profilers attached with
   ``Simulator.set_profiler``;
-- :mod:`repro.obs.telemetry` — the dimensional run-health registry
-  (counters, gauges, deterministic histograms) with its sim-time
-  cadence sampler;
+- :mod:`repro.obs.telemetry` — the run-health series: one fixed
+  family table (counters, gauges, deterministic histograms; faults,
+  defenses, sheds and queue drops read from the recorder) with its
+  sim-time cadence sampler;
 - :mod:`repro.obs.export` — JSONL time series and Prometheus text
   exposition of a run's telemetry;
 - :mod:`repro.obs.health` — the post-run SLO analyzer behind
@@ -39,7 +41,7 @@ from repro.obs.events import KINDS, QUERY_TERMINAL_KINDS, TraceEvent, TraceRecor
 from repro.obs.health import HealthReport, SloThresholds
 from repro.obs.progress import Heartbeat
 from repro.obs.sinks import ChromeTraceSink, JsonlSink, MemorySink
-from repro.obs.telemetry import Histogram, Metric, Telemetry
+from repro.obs.telemetry import Histogram, Telemetry
 
 __all__ = [
     "KINDS",
@@ -50,7 +52,6 @@ __all__ = [
     "JsonlSink",
     "MemorySink",
     "Telemetry",
-    "Metric",
     "Histogram",
     "Heartbeat",
     "HealthReport",

@@ -19,12 +19,11 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.obs.telemetry import Histogram, Metric, Telemetry
+from repro.obs.telemetry import FAMILIES, Histogram, Telemetry
 
 __all__ = [
     "SERIES_SCHEMA",
     "prometheus_text",
-    "read_series_jsonl",
     "series_records",
     "write_prometheus",
     "write_series_jsonl",
@@ -46,24 +45,18 @@ def series_records(telemetry: Telemetry) -> list[dict[str, Any]]:
     for row in telemetry.samples:
         values = {k: v for k, v in row.items() if k != "t"}
         records.append({"type": "sample", "t": row["t"], "values": values})
-    for name in sorted(telemetry.metrics):
-        metric = telemetry.metrics[name]
-        for key, value in metric.samples():
-            labels = dict(zip(metric.label_names, key, strict=True))
-            if isinstance(value, Histogram):
-                record: dict[str, Any] = {
-                    "type": "histogram",
-                    "name": name,
-                    "labels": labels,
-                }
+    for name in sorted(FAMILIES):
+        kind, _help, label = FAMILIES[name]
+        for key, value in telemetry.children(name):
+            record: dict[str, Any] = {
+                "type": kind,
+                "name": name,
+                "labels": {} if label is None else {label: key},
+            }
+            if kind == "histogram":
                 record.update(value.to_dict())
             else:
-                record = {
-                    "type": metric.kind,
-                    "name": name,
-                    "labels": labels,
-                    "value": value,
-                }
+                record["value"] = value
             records.append(record)
     return records
 
@@ -77,17 +70,6 @@ def write_series_jsonl(telemetry: Telemetry, path: str | Path) -> int:
     return len(records)
 
 
-def read_series_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    """Read a series file back into its typed records."""
-    records: list[dict[str, Any]] = []
-    with open(str(path), encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
 # ----------------------------------------------------------------------
 # Prometheus text exposition
 # ----------------------------------------------------------------------
@@ -99,55 +81,51 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
-def _label_str(names: tuple[str, ...], key: tuple[str, ...], extra: str = "") -> str:
-    parts = [f'{n}="{v}"' for n, v in zip(names, key, strict=True)]
+def _label_str(label: str | None, key: str | None, extra: str = "") -> str:
+    parts = [] if label is None else [f'{label}="{key}"']
     if extra:
         parts.append(extra)
-    if not parts:
-        return ""
-    return "{" + ",".join(parts) + "}"
+    return "{" + ",".join(parts) + "}" if parts else ""
 
 
 def _histogram_lines(
-    full: str, metric: Metric, key: tuple[str, ...], hist: Histogram
+    full: str, label: str | None, key: str | None, hist: Histogram
 ) -> list[str]:
     lines: list[str] = []
     cumulative = 0
     for bound, count in zip(hist.bounds, hist.counts, strict=False):
         cumulative += count
-        labels = _label_str(metric.label_names, key, f'le="{_fmt(bound)}"')
+        labels = _label_str(label, key, f'le="{_fmt(bound)}"')
         lines.append(f"{full}_bucket{labels} {cumulative}")
-    labels = _label_str(metric.label_names, key, 'le="+Inf"')
+    labels = _label_str(label, key, 'le="+Inf"')
     lines.append(f"{full}_bucket{labels} {hist.count}")
-    base = _label_str(metric.label_names, key)
+    base = _label_str(label, key)
     lines.append(f"{full}_sum{base} {_fmt(hist.sum)}")
     lines.append(f"{full}_count{base} {hist.count}")
     return lines
 
 
 def prometheus_text(telemetry: Telemetry, prefix: str = "repro_") -> str:
-    """Final registry state in the Prometheus text exposition format.
+    """Final series state in the Prometheus text exposition format.
 
     Families with no recorded children are omitted; everything else is
     emitted sorted by family name and label key, so two identical runs
     produce byte-identical expositions.
     """
     lines: list[str] = []
-    for name in sorted(telemetry.metrics):
-        metric = telemetry.metrics[name]
-        samples = metric.samples()
-        if not samples:
+    for name in sorted(FAMILIES):
+        children = telemetry.children(name)
+        if not children:
             continue
+        kind, help_text, label = FAMILIES[name]
         full = prefix + name
-        if metric.help:
-            lines.append(f"# HELP {full} {metric.help}")
-        lines.append(f"# TYPE {full} {metric.kind}")
-        for key, value in samples:
-            if isinstance(value, Histogram):
-                lines.extend(_histogram_lines(full, metric, key, value))
+        lines.append(f"# HELP {full} {help_text}")
+        lines.append(f"# TYPE {full} {kind}")
+        for key, value in children:
+            if kind == "histogram":
+                lines.extend(_histogram_lines(full, label, key, value))
             else:
-                labels = _label_str(metric.label_names, key)
-                lines.append(f"{full}{labels} {_fmt(value)}")
+                lines.append(f"{full}{_label_str(label, key)} {_fmt(value)}")
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -22,11 +22,11 @@ from another machine, long after the run.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.obs.sinks import read_jsonl
 from repro.obs.telemetry import Histogram
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "analyze",
     "analyze_file",
     "format_report",
-    "load_series",
 ]
 
 
@@ -88,17 +87,6 @@ class HealthReport:
             "samples": self.samples,
             "meta": self.meta,
         }
-
-
-def load_series(path: str | Path) -> list[dict[str, Any]]:
-    """Read a telemetry series JSONL file back into records."""
-    records: list[dict[str, Any]] = []
-    with open(str(path), encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
 
 
 def _series_percentile(values: list[float], q: float) -> float | None:
@@ -235,7 +223,7 @@ def analyze(
 def analyze_file(
     path: str | Path, thresholds: SloThresholds | None = None
 ) -> HealthReport:
-    return analyze(load_series(path), thresholds)
+    return analyze(read_jsonl(path), thresholds)
 
 
 def format_report(report: HealthReport) -> list[str]:

@@ -1,5 +1,8 @@
 """Trace sinks: in-memory, JSONL files, Chrome ``trace_event`` JSON.
 
+:func:`read_jsonl` reads back any JSONL file the repo writes: a trace
+from :class:`JsonlSink` or a telemetry series.
+
 Sinks receive every accepted event as it is emitted (streaming), so a
 file trace is complete even when the recorder's ring buffer has
 evicted the beginning of the run. All sinks are deterministic byte
@@ -10,11 +13,12 @@ which is what lets the test suite diff whole traces.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import IO, Any
 
 from repro.obs.events import QUERY_TERMINAL_KINDS, TraceEvent
 
-__all__ = ["MemorySink", "JsonlSink", "ChromeTraceSink"]
+__all__ = ["MemorySink", "JsonlSink", "ChromeTraceSink", "read_jsonl"]
 
 
 class MemorySink:
@@ -57,6 +61,12 @@ class JsonlSink:
         self._file.flush()
         if self._owns:
             self._file.close()
+
+
+def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
+    """Read a JSONL file back into one dict per non-blank line."""
+    with open(str(path), encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 class ChromeTraceSink:

@@ -1,4 +1,4 @@
-"""Dimensional run-health telemetry: counters, gauges, histograms.
+"""Run-health telemetry: a fixed family table sampled on sim time.
 
 The trace layer (:mod:`repro.obs.events`) answers "what happened to
 this one request"; the metrics recorder (:mod:`repro.sim.metrics`)
@@ -7,18 +7,22 @@ between — the per-run *time series* the paper's distributional claims
 (per-phase CDFs, P99s inside the 4 s deadline, backlog/shed dynamics)
 are actually made of:
 
-- a **dimensional registry** of named metrics with label sets
-  (``bytes_sent_total{layer="seed"}``): monotonic counters, sampled
-  gauges and fixed-boundary histograms;
+- **one declaration**: :data:`FAMILIES` names every family the series
+  carries (``bytes_sent_total{layer="seed"}``): counters, gauges and
+  fixed-boundary histograms, at most one label each;
+- **counted once**: faults, defenses, sheds and queue drops are views
+  of the recorder's counts (:data:`RECORDED`); this module counts only
+  what nothing else keeps — traffic by layer, phase completions and
+  the three histograms;
 - **deterministic histograms**: bin boundaries are chosen up front as
   powers of two (exact in binary floating point, so bucketing is
   platform-independent) and quantile estimates depend only on the
   multiset of observed values — never on insertion order, wall clock
   or RNG;
 - a **sim-time cadence sampler**: every ``cadence`` simulated seconds
-  the registry's scalar state is appended to ``samples`` as one row,
-  giving the backlog/shed/queue-depth time series the sustained
-  pipeline reports on.
+  the scalar families are appended to ``samples`` as one row, giving
+  the backlog/shed/queue-depth time series the sustained pipeline
+  reports on.
 
 Events arrive as a subscriber of the run's event bus (:mod:`repro.sim.bus`).
 
@@ -36,15 +40,17 @@ module itself stays lint-clean.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Callable, Iterable, Mapping
 from typing import Any, ClassVar
 
 __all__ = [
     "DEFAULT_CADENCE",
     "DEPTH_BOUNDS",
+    "FAMILIES",
+    "RECORDED",
     "TIME_BOUNDS",
     "Histogram",
-    "Metric",
     "Telemetry",
     "flat_name",
     "pow2_bounds",
@@ -127,15 +133,6 @@ class Histogram:
         self.count += amount
         self.sum += value * amount
 
-    def merge(self, other: Histogram) -> None:
-        """Fold another histogram in; boundaries must match exactly."""
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self.sum += other.sum
-
     def _edges(self, bucket: int) -> tuple[float, float]:
         lower = 0.0 if bucket == 0 else self.bounds[bucket - 1]
         upper = self.bounds[min(bucket, len(self.bounds) - 1)]
@@ -175,109 +172,69 @@ class Histogram:
         }
 
 
-def flat_name(name: str, label_names: tuple[str, ...], key: tuple[str, ...]) -> str:
-    """Flat series key for sample rows: ``name{a=x,b=y}`` (or bare name)."""
-    if not key:
-        return name
-    inner = ",".join(f"{n}={v}" for n, v in zip(label_names, key, strict=True))
-    return f"{name}{{{inner}}}"
+def flat_name(name: str, label: str | None, value: str | None) -> str:
+    """Flat series key for sample rows: ``name{label=value}`` (or bare name)."""
+    return name if label is None else f"{name}{{{label}={value}}}"
 
 
-class Metric:
-    """One metric family: a name, a kind, and per-label-set children."""
+# Every family the series carries: name -> (kind, help, label name or
+# None). This table is the only declaration; export and the sampler
+# walk it in name order.
+FAMILIES: dict[str, tuple[str, str, str | None]] = {
+    "aggregate_backlog": ("gauge", "Aggregate retrieval fluid-model backlog (requests)", None),
+    "aggregate_shed": ("gauge", "Aggregate retrieval requests shed so far", None),
+    "bytes_sent_total": ("counter", "link bytes by traffic layer", "layer"),
+    "datagrams_delivered": ("gauge", "transport datagrams delivered", None),
+    "datagrams_lost": ("gauge", "transport datagrams lost", None),
+    "datagrams_sent": ("gauge", "transport datagrams sent", None),
+    "defense_total": ("counter", "validation-layer defense events", "kind"),
+    "events_processed": ("gauge", "simulator events executed so far", None),
+    "fault_total": ("counter", "injected faults realized", "kind"),
+    "fetch_round_latency_seconds": (
+        "histogram", "reply latency within one Algorithm-1 fetch round", "round"
+    ),
+    "inbox_depth_max": ("gauge", "deepest transport inbox right now", None),
+    "inbox_overflows": ("gauge", "datagrams tail-dropped by bounded inboxes", None),
+    "live_nodes": ("gauge", "nodes currently registered and alive", None),
+    "messages_sent_total": ("counter", "datagrams by traffic layer", "layer"),
+    "pending_requests": ("gauge", "buffered requests across nodes", None),
+    "phase_completions_total": ("counter", "phase completions", "phase"),
+    "phase_deadline_hits_total": (
+        "counter", "phase completions at or under the protocol deadline", "phase"
+    ),
+    "phase_latency_seconds": (
+        "histogram", "per-phase completion latency from slot start", "phase"
+    ),
+    "quarantined_peers": ("gauge", "peer quarantines active across nodes", None),
+    "queue_depth": (
+        "histogram", "observed depth of bounded queues at observation points", "queue"
+    ),
+    "queue_drops_total": ("counter", "bounded-queue rejections", "reason"),
+    "shed_total": ("counter", "load shed by admission control", "kind"),
+}
 
-    __slots__ = ("name", "help", "kind", "label_names", "bounds", "_children")
-
-    KINDS = ("counter", "gauge", "histogram")
-
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        kind: str,
-        label_names: tuple[str, ...] = (),
-        bounds: tuple[float, ...] | None = None,
-    ) -> None:
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown metric kind {kind!r}")
-        if not name or not name.replace("_", "a").isalnum() or name[0].isdigit():
-            raise ValueError(f"invalid metric name {name!r}")
-        self.name = name
-        self.help = help_text
-        self.kind = kind
-        self.label_names = tuple(label_names)
-        self.bounds = tuple(bounds) if bounds is not None else TIME_BOUNDS
-        self._children: dict[tuple[str, ...], Any] = {}
-
-    def _key(self, labels: Mapping[str, Any]) -> tuple[str, ...]:
-        if set(labels) != set(self.label_names):
-            raise ValueError(
-                f"{self.name} expects labels {self.label_names}, got "
-                f"{tuple(sorted(labels))}"
-            )
-        return tuple(str(labels[n]) for n in self.label_names)
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        if self.kind != "counter":
-            raise TypeError(f"{self.name} is a {self.kind}, not a counter")
-        if amount < 0:
-            raise ValueError(f"counter increment must be >= 0, got {amount!r}")
-        key = self._key(labels)
-        self._children[key] = self._children.get(key, 0.0) + amount
-
-    def set(self, value: float, **labels: Any) -> None:
-        if self.kind != "gauge":
-            raise TypeError(f"{self.name} is a {self.kind}, not a gauge")
-        self._children[self._key(labels)] = float(value)
-
-    def observe(self, value: float, **labels: Any) -> None:
-        if self.kind != "histogram":
-            raise TypeError(f"{self.name} is a {self.kind}, not a histogram")
-        key = self._key(labels)
-        hist = self._children.get(key)
-        if hist is None:
-            hist = self._children[key] = Histogram(self.bounds)
-        hist.observe(value)
-
-    def value(self, **labels: Any) -> float:
-        """Current scalar value for one label set (0.0 when unseen)."""
-        if self.kind == "histogram":
-            raise TypeError(f"{self.name} is a histogram; use child()")
-        return float(self._children.get(self._key(labels), 0.0))
-
-    def child(self, **labels: Any) -> Histogram | None:
-        """The histogram child for one label set, if observed."""
-        got = self._children.get(self._key(labels))
-        return got if isinstance(got, Histogram) else None
-
-    def samples(self) -> list[tuple[tuple[str, ...], Any]]:
-        """(label-key, value) pairs in sorted label order (deterministic)."""
-        return sorted(self._children.items())
-
-    def flat_samples(self) -> list[tuple[str, float]]:
-        """Flattened scalar series for sample rows (non-histogram kinds)."""
-        if self.kind == "histogram":
-            return []
-        return [
-            (flat_name(self.name, self.label_names, key), float(value))
-            for key, value in self.samples()
-        ]
+# Counter families the metrics recorder already keeps: read from it at
+# every tick and at export, never counted a second time.
+RECORDED: dict[str, str] = {
+    "defense_total": "defense_counts",
+    "fault_total": "fault_counts",
+    "queue_drops_total": "queue_drop_counts",
+    "shed_total": "shed_counts",
+}
 
 
 class Telemetry:
-    """The run-health registry plus its sim-time cadence sampler.
+    """The run-health series plus its sim-time cadence sampler.
 
-    A subscriber of the run's event bus: every phase completion, shed,
-    queue drop, fault and defense lands in dimensional metrics through
-    :meth:`emit`, with no per-call-site instrumentation.
+    A subscriber of the run's event bus for the four kinds nothing else
+    keeps; faults, defenses, sheds and queue drops are read from the
+    run's ``MetricsRecorder`` and gauges from the scenario's
+    ``gauges()`` at every tick.
     """
 
-    # the bus events this registry consumes
+    # the bus events this series consumes
     kinds: ClassVar[frozenset[str]] = frozenset(
-        {
-            "net_send", "phase", "fetch_reply", "fault", "adversary", "defense",
-            "load_shed", "queue_depth", "queue_overflow",
-        }
+        {"net_send", "phase", "fetch_reply", "queue_depth"}
     )
 
     def __init__(
@@ -289,8 +246,14 @@ class Telemetry:
             raise ValueError(f"cadence must be positive, got {cadence!r}")
         self.cadence = float(cadence)
         self.heartbeat = heartbeat
-        self._metrics: dict[str, Metric] = {}
-        self._collectors: list[Callable[[], None]] = []
+        # label value -> count or Histogram, per family this series owns
+        self._own: dict[str, dict[str, Any]] = {
+            name: {} if kind == "histogram" else defaultdict(float)
+            for name, (kind, _help, label) in FAMILIES.items()
+            if label is not None and name not in RECORDED
+        }
+        # the latest sampled value of every gauge family
+        self.gauges: dict[str, float] = {}
         self.samples: list[dict[str, float]] = []
         self.meta: dict[str, Any] = {}
         self.deadline: float | None = None
@@ -299,131 +262,25 @@ class Telemetry:
         self.expected_end: float | None = None
         self._builder_id: int | None = None
         self._retrieval_floor: float = math.inf
+        self._recorder: Any | None = None
+        self._read_gauges: Callable[[], Mapping[str, float]] = dict
         self._sim: Any | None = None
         self.ticks = 0
         self.finalized = False
-        self._declare_standard()
 
-    # ------------------------------------------------------------------
-    # registry
-    # ------------------------------------------------------------------
-    def _register(
-        self,
-        name: str,
-        help_text: str,
-        kind: str,
-        labels: tuple[str, ...],
-        bounds: tuple[float, ...] | None = None,
-    ) -> Metric:
-        existing = self._metrics.get(name)
-        if existing is not None:
-            if existing.kind != kind or existing.label_names != labels:
-                raise ValueError(
-                    f"metric {name!r} already registered as {existing.kind}"
-                    f"{existing.label_names}, not {kind}{labels}"
-                )
-            return existing
-        metric = self._metrics[name] = Metric(name, help_text, kind, labels, bounds)
-        return metric
-
-    def counter(
-        self, name: str, help_text: str = "", labels: Iterable[str] = ()
-    ) -> Metric:
-        return self._register(name, help_text, "counter", tuple(labels))
-
-    def gauge(
-        self, name: str, help_text: str = "", labels: Iterable[str] = ()
-    ) -> Metric:
-        return self._register(name, help_text, "gauge", tuple(labels))
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        labels: Iterable[str] = (),
-        bounds: Iterable[float] = TIME_BOUNDS,
-    ) -> Metric:
-        return self._register(
-            name, help_text, "histogram", tuple(labels), tuple(bounds)
-        )
-
-    @property
-    def metrics(self) -> Mapping[str, Metric]:
-        return self._metrics
-
-    # shorthands that auto-register on first use (labels inferred)
-    def inc(self, name: str, amount: float = 1.0, **labels: Any) -> None:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self.counter(name, labels=tuple(sorted(labels)))
-        metric.inc(amount, **labels)
-
-    def set_gauge(self, name: str, value: float, **labels: Any) -> None:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self.gauge(name, labels=tuple(sorted(labels)))
-        metric.set(value, **labels)
-
-    def observe(self, name: str, value: float, **labels: Any) -> None:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self.histogram(name, labels=tuple(sorted(labels)))
-        metric.observe(value, **labels)
-
-    def _declare_standard(self) -> None:
-        """Pre-register the instrumented surface (stable export order,
-        correct bucket boundaries, helpful HELP strings)."""
-        self.histogram(
-            "phase_latency_seconds",
-            "per-phase completion latency from slot start",
-            ("phase",),
-            TIME_BOUNDS,
-        )
-        self.histogram(
-            "fetch_round_latency_seconds",
-            "reply latency within one Algorithm-1 fetch round",
-            ("round",),
-            TIME_BOUNDS,
-        )
-        self.histogram(
-            "queue_depth",
-            "observed depth of bounded queues at observation points",
-            ("queue",),
-            DEPTH_BOUNDS,
-        )
-        self.counter(
-            "phase_completions_total", "phase completions", ("phase",)
-        )
-        self.counter(
-            "phase_deadline_hits_total",
-            "phase completions at or under the protocol deadline",
-            ("phase",),
-        )
-        self.counter(
-            "bytes_sent_total", "link bytes by traffic layer", ("layer",)
-        )
-        self.counter(
-            "messages_sent_total", "datagrams by traffic layer", ("layer",)
-        )
-        self.counter("shed_total", "load shed by admission control", ("kind",))
-        self.counter(
-            "queue_drops_total", "bounded-queue rejections", ("reason",)
-        )
-        self.counter("fault_total", "injected faults realized", ("kind",))
-        self.counter(
-            "defense_total", "validation-layer defense events", ("kind",)
-        )
-        self.gauge("events_processed", "simulator events executed so far")
-        self.gauge("inbox_depth_max", "deepest transport inbox right now")
-        self.gauge(
-            "inbox_overflows", "datagrams tail-dropped by bounded inboxes"
-        )
-        self.gauge("datagrams_sent", "transport datagrams sent")
-        self.gauge("datagrams_delivered", "transport datagrams delivered")
-        self.gauge("datagrams_lost", "transport datagrams lost")
-        self.gauge("live_nodes", "nodes currently registered and alive")
-        self.gauge("quarantined_peers", "peer quarantines active across nodes")
-        self.gauge("pending_requests", "buffered requests across nodes")
+    def children(self, name: str) -> list[tuple[str | None, Any]]:
+        """(label value, value) pairs of one family, sorted by label;
+        the label is ``None`` for a gauge, the value a ``Histogram``
+        for a histogram family."""
+        if FAMILIES[name][0] == "gauge":
+            value = self.gauges.get(name)
+            return [] if value is None else [(None, value)]
+        recorded = RECORDED.get(name)
+        if recorded is None:
+            return sorted(self._own[name].items())
+        if self._recorder is None:
+            return []
+        return sorted(getattr(self._recorder, recorded).items())
 
     # ------------------------------------------------------------------
     # run wiring
@@ -435,36 +292,33 @@ class Telemetry:
         if deadline is not None:
             self.deadline = float(deadline)
 
-    def configure_layers(
+    def install(
         self,
+        sim: Any,
+        recorder: Any,
+        gauges: Callable[[], Mapping[str, float]],
         builder_id: int | None = None,
-        retrieval_floor: float | None = None,
+        retrieval_floor: float = math.inf,
     ) -> None:
-        """Teach traffic-layer classification the run's addresses.
+        """Attach the cadence sampler to a run.
 
-        ``builder_id``: seed-layer source; ``retrieval_floor``: the
-        lowest address of the retrieval-client population (pipeline
-        probes live at :data:`~repro.experiments.pipeline.
-        PROBE_BASE_ADDRESS` and above).
-        """
-        if builder_id is not None:
-            self._builder_id = builder_id
-        if retrieval_floor is not None:
-            self._retrieval_floor = float(retrieval_floor)
-
-    def add_collector(self, fn: Callable[[], None]) -> None:
-        """Register a per-tick collector (reads state, sets gauges)."""
-        self._collectors.append(fn)
-
-    def install(self, sim: Any) -> None:
-        """Attach the cadence sampler to a simulator.
-
-        The first sample lands one cadence after installation; sampler
-        callbacks are read-only, so protocol behavior is untouched.
+        ``recorder`` is the run's ``MetricsRecorder`` (the
+        :data:`RECORDED` families are read from it); ``gauges`` returns
+        the gauge values at each tick. ``builder_id`` is the seed-layer
+        source and ``retrieval_floor`` the lowest address of the
+        retrieval-client population (pipeline probes live at
+        :data:`~repro.experiments.pipeline.PROBE_BASE_ADDRESS` and
+        above). The first sample lands one cadence after installation;
+        sampler callbacks are read-only, so protocol behavior is
+        untouched.
         """
         if self._sim is not None:
             raise RuntimeError("Telemetry is already installed on a simulator")
         self._sim = sim
+        self._recorder = recorder
+        self._read_gauges = gauges
+        self._builder_id = builder_id
+        self._retrieval_floor = float(retrieval_floor)
         sim.call_after(self.cadence, self._tick)
 
     def sample_now(self) -> None:
@@ -472,13 +326,15 @@ class Telemetry:
         sim = self._sim
         if sim is None:
             return
-        self.set_gauge("events_processed", float(sim.events_processed))
-        for collect in self._collectors:
-            collect()
+        self.gauges["events_processed"] = float(sim.events_processed)
+        for name, value in self._read_gauges().items():
+            self.gauges[name] = float(value)
         row: dict[str, float] = {"t": sim.now}
-        for name in sorted(self._metrics):
-            for flat, value in self._metrics[name].flat_samples():
-                row[flat] = value
+        for name in sorted(FAMILIES):
+            kind, _help, label = FAMILIES[name]
+            if kind != "histogram":
+                for key, value in self.children(name):
+                    row[flat_name(name, label, key)] = float(value)
         self.samples.append(row)
         self.ticks += 1
 
@@ -511,32 +367,27 @@ class Telemetry:
     def emit(
         self, kind: str, *, t: float, slot: int = -1, node: int = -1, **data: Any
     ) -> None:
-        """Bus entry point: fold one event into the registry."""
+        """Bus entry point: fold one event into the series."""
+        own = self._own
         if kind == "net_send":
             layer = self._layer(node, data["dst"], data["payload"])
-            self.inc("messages_sent_total", 1.0, layer=layer)
-            self.inc("bytes_sent_total", float(data["size"]), layer=layer)
+            own["messages_sent_total"][layer] += 1.0
+            own["bytes_sent_total"][layer] += float(data["size"])
         elif kind == "phase":
             phase, at = data["phase"], data["at"]
-            self.observe("phase_latency_seconds", at, phase=phase)
-            self.inc("phase_completions_total", phase=phase)
+            _observe(own["phase_latency_seconds"], phase, at, TIME_BOUNDS)
+            own["phase_completions_total"][phase] += 1.0
             deadline = self.deadline
             if deadline is not None and at <= deadline:
-                self.inc("phase_deadline_hits_total", phase=phase)
+                own["phase_deadline_hits_total"][phase] += 1.0
         elif kind == "fetch_reply":
             rnd = data["round"]
             label = str(rnd) if rnd <= 4 else "5+"
-            self.observe("fetch_round_latency_seconds", data["latency"], round=label)
-        elif kind in ("fault", "adversary"):
-            self.inc("fault_total", data.get("amount", 1.0), kind=data["fault"])
-        elif kind == "defense":
-            self.inc("defense_total", data["amount"], kind=data["defense"])
-        elif kind == "load_shed":
-            self.inc("shed_total", data["amount"], kind=data["shed"])
+            _observe(
+                own["fetch_round_latency_seconds"], label, data["latency"], TIME_BOUNDS
+            )
         elif kind == "queue_depth":
-            self.observe("queue_depth", data["depth"], queue=data["queue"])
-        elif kind == "queue_overflow":
-            self.inc("queue_drops_total", 1.0, reason="inbox_overflow")
+            _observe(own["queue_depth"], data["queue"], data["depth"], DEPTH_BOUNDS)
 
     def _layer(self, src: int, dst: int, payload: str) -> str:
         """The traffic layer of one datagram.
@@ -555,3 +406,12 @@ class Telemetry:
         if payload == "CellResponse":
             return "retrieval" if dst >= self._retrieval_floor else "fetch"
         return "other"
+
+
+def _observe(
+    children: dict[str, Any], label: str, value: float, bounds: tuple[float, ...]
+) -> None:
+    hist = children.get(label)
+    if hist is None:
+        hist = children[label] = Histogram(bounds)
+    hist.observe(value)

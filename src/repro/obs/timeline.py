@@ -14,7 +14,6 @@ X ms on this node*.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
@@ -24,7 +23,6 @@ from repro.obs.events import QUERY_TERMINAL_KINDS, TraceEvent
 
 __all__ = [
     "as_dict",
-    "load_trace",
     "build_timelines",
     "QueryLifecycle",
     "query_lifecycles",
@@ -43,17 +41,6 @@ def as_dict(event: EventLike) -> Mapping[str, Any]:
     if isinstance(event, TraceEvent):
         return event.to_dict()
     return event
-
-
-def load_trace(path: str) -> list[dict[str, Any]]:
-    """Read a JSONL trace file back into flat event dicts."""
-    events: list[dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-    return events
 
 
 def build_timelines(

@@ -178,13 +178,6 @@ class PandasParams:
     # quarantined (excluded from query plans) for the rest of the epoch.
     reputation_decay: float = 0.5
     quarantine_threshold: float = 0.25
-    # Once every custodian of the remaining targets has been queried,
-    # allow one more query to peers that never replied (their query or
-    # reply was probably lost, or they are withholding). Pure
-    # Algorithm 1 queries each peer at most once per slot; without this
-    # escape hatch a loss burst or Byzantine withholding can
-    # permanently starve a node.
-    fetch_retry_unresponsive: bool = True
     # --- overload control (sustained multi-slot pipeline) ----------------
     # Deadline-aware retry with seeded exponential backoff + jitter.
     # ``None`` keeps the legacy immediate-recycle behaviour (the replay

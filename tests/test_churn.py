@@ -71,7 +71,7 @@ def test_departed_nodes_receive_nothing_after_leaving():
 def test_fresh_views_still_complete_sampling():
     scenario = ChurnScenario(churn_config(slots=3), churn_fraction=0.1, view_lag_slots=0)
     scenario.run()
-    completion = scenario.sampling_completion_by_slot()
+    completion = scenario.deadline_hit_by_slot()
     assert completion[0] > 0.9
     assert all(fraction > 0.7 for fraction in completion.values())
 
@@ -84,8 +84,8 @@ def test_lagged_views_degrade_gracefully():
     fresh.run()
     stale = ChurnScenario(churn_config(slots=3), churn_fraction=0.1, view_lag_slots=2)
     stale.run()
-    fresh_completion = fresh.sampling_completion_by_slot()
-    stale_completion = stale.sampling_completion_by_slot()
+    fresh_completion = fresh.deadline_hit_by_slot()
+    stale_completion = stale.deadline_hit_by_slot()
     # slot 2 ran after two churn rounds; the stale-view network has
     # been querying ghosts for two slots
     assert stale_completion[2] <= fresh_completion[2] + 0.05

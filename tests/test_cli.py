@@ -115,13 +115,14 @@ def test_slot_json_output(capsys):
 
 
 def test_slot_trace_rider_writes_jsonl(tmp_path, capsys):
-    from repro.obs.timeline import lifecycle_problems, load_trace
+    from repro.obs.sinks import read_jsonl
+    from repro.obs.timeline import lifecycle_problems
 
     path = str(tmp_path / "slot.jsonl")
     main(["slot", "--nodes", "40", "--reduced", "16", "--seed", "3", "--trace", path])
     out = capsys.readouterr().out
     assert "trace:" in out
-    events = load_trace(path)
+    events = read_jsonl(path)
     assert events
     assert lifecycle_problems(events) == []
 
@@ -138,7 +139,8 @@ def test_slot_profile_is_a_usage_error(capsys):
 def test_trace_command_end_to_end(tmp_path, capsys):
     import json
 
-    from repro.obs.timeline import lifecycle_problems, load_trace
+    from repro.obs.sinks import read_jsonl
+    from repro.obs.timeline import lifecycle_problems
 
     jsonl = str(tmp_path / "trace.jsonl")
     chrome = str(tmp_path / "trace.json")
@@ -158,7 +160,7 @@ def test_trace_command_end_to_end(tmp_path, capsys):
     assert "lifecycle      OK" in out
     assert "causal timeline" in out
     assert "why:" in out
-    events = load_trace(jsonl)
+    events = read_jsonl(jsonl)
     assert lifecycle_problems(events) == []
     with open(chrome) as fh:
         document = json.load(fh)
@@ -166,7 +168,7 @@ def test_trace_command_end_to_end(tmp_path, capsys):
 
 
 def test_trace_command_kind_filter(tmp_path, capsys):
-    from repro.obs.timeline import load_trace
+    from repro.obs.sinks import read_jsonl
 
     path = str(tmp_path / "queries.jsonl")
     main(
@@ -181,7 +183,7 @@ def test_trace_command_kind_filter(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "filtered" in out
-    kinds = {e["kind"] for e in load_trace(path)}
+    kinds = {e["kind"] for e in read_jsonl(path)}
     assert "query_issue" in kinds
     assert "net_send" not in kinds
 

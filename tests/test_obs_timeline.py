@@ -5,10 +5,10 @@ from __future__ import annotations
 from repro.core.seeding import RedundantSeeding
 from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.obs import JsonlSink, TraceRecorder
+from repro.obs.sinks import read_jsonl
 from repro.obs.timeline import (
     build_timelines,
     causal_report,
-    load_trace,
     phase_completions,
     slowest_nodes,
     trace_report,
@@ -133,6 +133,6 @@ def test_load_trace_round_trips_jsonl(tmp_path):
     )
     Scenario(ScenarioConfig(**defaults)).run()
     rec.close()
-    loaded = load_trace(path)
+    loaded = read_jsonl(path)
     live = [e.to_dict() for e in rec.events]
     assert loaded == live

@@ -254,7 +254,7 @@ class TestQueuePopOrder:
 
 
 # ----------------------------------------------------------------------
-# telemetry histograms: determinism under reordering, merge, quantiles
+# telemetry histograms: determinism under reordering, quantiles
 # ----------------------------------------------------------------------
 @st.composite
 def histogram_values(draw):
@@ -290,24 +290,6 @@ class TestTelemetryHistogramProperties:
         assert a.count == b.count
         for q in (0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0):
             assert a.quantile(q) == b.quantile(q)
-
-    @FAST
-    @given(histogram_values(), histogram_values())
-    def test_merge_equals_observing_the_concatenation(self, left, right):
-        from repro.obs.telemetry import Histogram
-
-        merged, direct = Histogram(), Histogram()
-        part = Histogram()
-        for v in left:
-            merged.observe(v)
-        for v in right:
-            part.observe(v)
-        merged.merge(part)
-        for v in left + right:
-            direct.observe(v)
-        assert merged.counts == direct.counts
-        assert merged.count == direct.count
-        assert merged.sum == pytest.approx(direct.sum)
 
     @FAST
     @given(histogram_values(), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8))
