@@ -41,7 +41,7 @@ from typing import Any
 
 from repro.core.custody import SlotCellState
 from repro.core.seeding import LineBoost
-from repro.params import FetchSchedule, RetryPolicy
+from repro.params import MAX_CELLS_PER_QUERY, FetchSchedule, RetryPolicy
 from repro.sim.bus import EventBus
 from repro.sim.engine import Event, Simulator
 
@@ -66,6 +66,24 @@ class RoundStats:
     duplicates: int = 0
     reconstructed: int = 0
     targets: int = 0
+
+
+@dataclass(slots=True)
+class _Query:
+    """What one fetcher asked one peer this slot (the query ledger).
+
+    ``cells`` holds every cell asked, a re-query's appended; ``round`` is
+    the latest query's. ``replied`` and ``reported`` (timeout evidence
+    sent) hold for the slot; ``pooled``: recycled, back in the candidate
+    pool until asked again; ``req``: the open lifecycle request id.
+    """
+
+    round: int
+    cells: tuple[int, ...]
+    replied: bool = False
+    reported: bool = False
+    pooled: bool = False
+    req: int | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,7 +186,6 @@ class AdaptiveFetcher:
         "self_id",
         "on_done",
         "fetch_custody",
-        "_is_complete",
         "peer_weight",
         "exclude_peer",
         "on_peer_timeout",
@@ -177,18 +194,13 @@ class AdaptiveFetcher:
         "deadline_at",
         "retry_waves",
         "retry_abandoned",
-        "responded",
-        "_timeouts_reported",
         "events",
         "slot",
         "_lifecycle",
         "_reply_latency",
-        "_open_queries",
         "boost",
         "inbound",
-        "max_cells_per_query",
-        "queried",
-        "query_round",
+        "queries",
         "rounds",
         "started",
         "finished",
@@ -208,8 +220,6 @@ class AdaptiveFetcher:
         self_id: int,
         on_done: Callable[[bool], None] | None = None,
         fetch_custody: bool = True,
-        is_complete: Callable[[], bool] | None = None,
-        max_cells_per_query: int | None = 16,
         peer_weight: Callable[[int], float] | None = None,
         exclude_peer: Callable[[int], bool] | None = None,
         on_peer_timeout: Callable[[int], None] | None = None,
@@ -231,7 +241,6 @@ class AdaptiveFetcher:
         # baselines disable consolidation: fetch samples only and
         # consider the slot done once sampling completes
         self.fetch_custody = fetch_custody
-        self._is_complete = is_complete
         # reputation hooks (repro.core.reputation): score multiplier,
         # quarantine filter, and the timeout-evidence sink
         self.peer_weight = peer_weight
@@ -253,8 +262,6 @@ class AdaptiveFetcher:
         self.deadline_at = deadline_at
         self.retry_waves = 0
         self.retry_abandoned = False
-        self.responded: set[int] = set()
-        self._timeouts_reported: set[int] = set()
         # Protocol events. The query lifecycle gives every query a
         # request id at issue time and closes it in exactly one of
         # response/timeout/cancel; it and the per-reply latency are
@@ -265,16 +272,16 @@ class AdaptiveFetcher:
         self.slot = slot
         self._lifecycle = events is not None and events.wants("query_issue")
         self._reply_latency = events is not None and events.wants("fetch_reply")
-        self._open_queries: dict[int, tuple[int, int]] = {}  # peer -> (req, round)
 
         # CB(f) of our lines, and per line the cells it seeded to us:
         # the builder's own objects, held by reference and never copied,
         # and let go of when the fetcher finishes (DESIGN.md 4.1)
         self.boost: dict[int, LineBoost] = {}
         self.inbound: dict[int, frozenset[int]] = {}
-        self.max_cells_per_query = max_cells_per_query
-        self.queried: set[int] = set()
-        self.query_round: dict[int, int] = {}
+        # peer -> what we asked it this slot, in the order of each peer's
+        # latest query; kept after the fetcher finishes, since the node
+        # validates late replies against it until the slot is dropped
+        self.queries: dict[int, _Query] = {}
         self.rounds: list[RoundStats] = []
         self.started = False
         self.finished = False
@@ -316,49 +323,39 @@ class AdaptiveFetcher:
         if events is not None:
             events.emit(kind, slot=self.slot, node=self.self_id, **data)
 
-    def _expire_queries(self) -> None:
-        """Close open queries whose round deadline has passed.
+    def _expired(self, query: _Query, now: float) -> bool:
+        """Has ``query``'s latest round expired by ``now``? The one expiry test
+        of every ledger scan (rounds fire exactly at the previous deadline,
+        so expiry is ``deadline <= now``, not strict)."""
+        rounds = self.rounds
+        return query.round <= len(rounds) and rounds[query.round - 1].deadline <= now
 
-        A silent peer's query closes as ``query_timeout``; a peer that
-        replied (even unusably — ``note_reply`` with payloads that all
-        failed validation) closes as an unusable ``query_response`` so
-        it is never double-reported as a timeout.
-        """
-        if not self._lifecycle or not self._open_queries:
-            return
-        now = self.sim.now
-        for peer in list(self._open_queries):
-            req, rnd = self._open_queries[peer]
-            if rnd > len(self.rounds) or self.rounds[rnd - 1].deadline > now:
-                continue
-            del self._open_queries[peer]
-            if peer in self.responded:
-                self._emit(
-                    "query_response", req=req, peer=peer, round=rnd,
-                    cells=0, new=0, reconstructed=0, late=True, usable=False,
-                )
-            else:
-                self._emit("query_timeout", req=req, peer=peer, round=rnd)
+    def _close_queries(self, ending: bool = False) -> None:
+        """Close open queries without a usable reply, in issue order.
 
-    def _close_queries(self) -> None:
-        """Terminate every still-open query when the fetcher ends.
-
-        Expired ones close as timeout/unusable-response first; the rest
-        close as ``query_cancel`` (the fetcher finished or was stopped
-        before their round expired).
+        First those whose round expired; when the fetcher is ``ending``,
+        then the rest. A peer that replied (even unusably) closes as an
+        unusable ``query_response``, so it is never double-reported; a
+        silent one as ``query_timeout``, or as ``query_cancel`` when the
+        fetcher ended before its round expired.
         """
         if not self._lifecycle:
             return
-        self._expire_queries()
-        for peer, (req, rnd) in list(self._open_queries.items()):
-            if peer in self.responded:
-                self._emit(
-                    "query_response", req=req, peer=peer, round=rnd,
-                    cells=0, new=0, reconstructed=0, late=False, usable=False,
-                )
-            else:
-                self._emit("query_cancel", req=req, peer=peer, round=rnd)
-        self._open_queries.clear()
+        now = self.sim.now
+        for expired in (True, False) if ending else (True,):
+            for peer, query in self.queries.items():
+                req = query.req
+                if req is None or (expired and not self._expired(query, now)):
+                    continue
+                query.req = None
+                if query.replied:
+                    self._emit(
+                        "query_response", req=req, peer=peer, round=query.round,
+                        cells=0, new=0, reconstructed=0, late=expired, usable=False,
+                    )
+                else:
+                    kind = "query_timeout" if expired else "query_cancel"
+                    self._emit(kind, req=req, peer=peer, round=query.round)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -370,7 +367,7 @@ class AdaptiveFetcher:
         self.started = True
         self._emit("fetch_start", custody=self.fetch_custody)
         if self.complete:
-            self._complete()
+            self._finish(True)
             return
         self._run_round(1)
 
@@ -379,7 +376,7 @@ class AdaptiveFetcher:
             self._timer.cancel()
             self._timer = None
         if not self.finished:
-            self._close_queries()
+            self._close_queries(ending=True)
             if self.started:
                 self._emit("fetch_done", success=False, reason="stopped")
         self.finished = True
@@ -472,15 +469,24 @@ class AdaptiveFetcher:
             return
         # lifecycle bookkeeping first so queries that expired at this tick
         # close as timeouts even if the fetcher completes or gives up now
-        self._expire_queries()
+        self._close_queries()
         if self.complete:
-            self._complete()
+            self._finish(True)
             return
         if index >= self.schedule.max_rounds:
-            self._give_up()
+            self._finish(False)
             return
 
-        self._report_timeouts()
+        if self.on_peer_timeout is not None:
+            # reputation evidence: a peer whose round expired without any
+            # reply, at most once per slot; late (deferred) replies are
+            # legitimate protocol behaviour, which is why timeout
+            # evidence carries the lowest reputation weight
+            now = self.sim.now
+            for peer, query in self.queries.items():
+                if not (query.replied or query.reported) and self._expired(query, now):
+                    query.reported = True
+                    self.on_peer_timeout(peer)
 
         stats = RoundStats(index=index, started_at=self.sim.now)
         stats.deadline = self.sim.now + self.schedule.timeout(index)
@@ -517,20 +523,14 @@ class AdaptiveFetcher:
                     targets=stats.targets,
                 )
             else:
-                recycled = self._recycle_unresponsive()
-                if recycled:
-                    self._emit("query_recycle", pool="unresponsive", count=recycled)
-                    candidate_cells, boosted = self._candidate_cells(targets)
-                if not candidate_cells:
-                    # Still nothing: the remaining targets' custodians all
-                    # *answered*, yet the cells never materialized — corrupt
-                    # responders whose payloads failed verification, or
-                    # replies that did not cover these cells. Re-open them
-                    # too; reputation weighting and quarantine steer the
-                    # retry toward whoever served honestly.
-                    recycled = self._recycle_responded()
+                # silent peers first; if that still yields nothing, the
+                # peers that answered but never delivered these cells
+                for pool in ("unresponsive", "responded"):
+                    if candidate_cells:
+                        break
+                    recycled = self._recycle(replied_too=pool == "responded")
                     if recycled:
-                        self._emit("query_recycle", pool="responded", count=recycled)
+                        self._emit("query_recycle", pool=pool, count=recycled)
                         candidate_cells, boosted = self._candidate_cells(targets)
                 if candidate_cells and policy is not None:
                     # back off before re-querying: the recycled peers go
@@ -586,25 +586,10 @@ class AdaptiveFetcher:
             peers,
             candidate_cells,
             self.schedule.redundancy_for(index),
-            max_cells_per_query=self.max_cells_per_query,
+            max_cells_per_query=MAX_CELLS_PER_QUERY,
         )
-        events = self.events if self._lifecycle else None
         for peer, cells in plan.queries:
-            if events is not None:
-                req = events.next_request_id()
-                stale = self._open_queries.pop(peer, None)
-                if stale is not None:
-                    # re-query of a recycled peer whose prior query never
-                    # closed through sweep/response: close it explicitly
-                    # so every req terminates exactly once
-                    self._emit("query_cancel", req=stale[0], peer=peer, round=stale[1])
-                self._open_queries[peer] = (req, index)
-                self._emit(
-                    "query_issue", req=req, peer=peer, round=index, cells=len(cells)
-                )
-            self.send_query(peer, cells)
-            self.queried.add(peer)
-            self.query_round[peer] = index
+            self._issue_query(peer, cells, index)
         stats.messages_sent = len(plan.queries)
         stats.cells_requested = plan.cells_requested
 
@@ -618,6 +603,27 @@ class AdaptiveFetcher:
         self._timer = self.sim.call_after(
             self.schedule.timeout(index), self._run_round, index + 1
         )
+
+    def _issue_query(self, peer: int, cells: frozenset[int], index: int) -> None:
+        """Record one query in the ledger, then send it.
+
+        A re-query (of a recycled peer, whose earlier query the sweep at
+        the top of ``_run_round`` already closed) appends its cells and
+        moves the record to the end: open queries close in issue order.
+        """
+        query = self.queries.pop(peer, None)
+        if query is None:
+            query = _Query(index, tuple(cells))
+        else:
+            query.round = index
+            query.cells += tuple(cells)
+            query.pooled = False
+        self.queries[peer] = query
+        events = self.events if self._lifecycle else None
+        if events is not None:
+            req = query.req = events.next_request_id()
+            self._emit("query_issue", req=req, peer=peer, round=index, cells=len(cells))
+        self.send_query(peer, cells)
 
     def _candidate_cells(
         self, targets: set[int]
@@ -672,8 +678,9 @@ class AdaptiveFetcher:
     ) -> dict[int, Set[int]]:
         """Queryable custodians of the missing lines, with their cells.
 
-        Skips ourselves, peers already queried and peers ``exclude_peer``
-        rejects (asked at most once per peer per scan).
+        Skips ourselves, peers asked and not recycled, and peers
+        ``exclude_peer`` rejects (each peer is tested once per scan, on
+        first encounter, and an asked one never reaches the filter).
 
         Gathers each peer's missing lines first (first-encounter order),
         then materializes cell sets once per peer: most custodians share
@@ -686,17 +693,19 @@ class AdaptiveFetcher:
         """
         peer_lines: dict[int, list[int]] = {}
         exclude = self.exclude_peer
-        queried = self.queried
         line_custodians = self.line_custodians
-        skip: set[int] = set(queried)
-        skip.add(self.self_id)
+        queries = self.queries
+        skip = {self.self_id}
         for line in missing_by_line:
             for peer in line_custodians(line):
                 if peer in skip:
                     continue
                 lines = peer_lines.get(peer)
                 if lines is None:
-                    if exclude is not None and exclude(peer):
+                    query = queries.get(peer)
+                    if (query is not None and not query.pooled) or (
+                        exclude is not None and exclude(peer)
+                    ):
                         skip.add(peer)
                         continue
                     peer_lines[peer] = [line]
@@ -754,66 +763,27 @@ class AdaptiveFetcher:
             delay *= 1.0 + policy.jitter * self.rng.random()
         return delay
 
-    def _recycle_unresponsive(self) -> int:
-        """Return queried-but-silent peers to the candidate pool.
+    def _recycle(self, replied_too: bool) -> int:
+        """Return expired peers to the candidate pool; returns how many.
 
-        A peer is recycled only after the round it was queried in has
-        expired with no reply at all; quarantined peers remain excluded
-        by ``_candidate_cells``. Returns how many peers were recycled.
-        (Rounds fire exactly at the previous deadline, so expiry is
-        ``deadline <= now``, not strict.)
+        Silent peers' query or reply was probably lost. ``replied_too``
+        also re-opens peers that answered but left targets unmet —
+        payloads that failed verification, or replies that did not cover
+        these cells; reputation weighting and quarantine (which
+        ``_candidate_cells`` still applies) steer the retry toward
+        whoever served honestly.
         """
         now = self.sim.now
-        stale = {
-            peer
-            for peer, rnd in self.query_round.items()
-            if peer in self.queried
-            and peer not in self.responded
-            and rnd <= len(self.rounds)
-            and self.rounds[rnd - 1].deadline <= now
-        }
-        self.queried -= stale
-        return len(stale)
-
-    def _recycle_responded(self) -> int:
-        """Last resort: re-open peers that replied but left targets unmet.
-
-        Used only when even recycling silent peers yields no candidates:
-        every custodian of the remaining targets answered something, yet
-        the cells never verified or were not covered by the reply. Peers
-        become eligible once the round they were queried in has expired;
-        quarantined peers stay excluded by ``_candidate_cells``, and the
-        reputation weight makes honest servers out-score the liars that
-        forced this retry in the first place.
-        """
-        now = self.sim.now
-        stale = {
-            peer
-            for peer, rnd in self.query_round.items()
-            if peer in self.queried
-            and rnd <= len(self.rounds)
-            and self.rounds[rnd - 1].deadline <= now
-        }
-        self.queried -= stale
-        return len(stale)
-
-    def _report_timeouts(self) -> None:
-        """Feed peers that missed their round deadline to the reputation sink.
-
-        A peer is reported at most once per slot, and only once the
-        round it was queried in has expired without any reply from it.
-        Late (deferred) replies are legitimate protocol behaviour, which
-        is why timeout evidence carries the lowest reputation weight.
-        """
-        if self.on_peer_timeout is None:
-            return
-        now = self.sim.now
-        for peer, round_index in self.query_round.items():
-            if peer in self.responded or peer in self._timeouts_reported:
-                continue
-            if round_index <= len(self.rounds) and self.rounds[round_index - 1].deadline <= now:
-                self._timeouts_reported.add(peer)
-                self.on_peer_timeout(peer)
+        recycled = 0
+        for query in self.queries.values():
+            if (
+                not query.pooled
+                and (replied_too or not query.replied)
+                and self._expired(query, now)
+            ):
+                query.pooled = True
+                recycled += 1
+        return recycled
 
     # ------------------------------------------------------------------
     # receive path
@@ -825,7 +795,9 @@ class AdaptiveFetcher:
         so a peer that *replied* is never also reported as timed out —
         corrupt responders are punished once, as corrupt, not twice.
         """
-        self.responded.add(peer)
+        query = self.queries.get(peer)
+        if query is not None:
+            query.replied = True
 
     def on_response(self, peer: int, cells: tuple[int, ...]) -> tuple[int, int]:
         """Account a CellResponse; returns (new_cells, reconstructed).
@@ -833,35 +805,34 @@ class AdaptiveFetcher:
         Updates the custody state so duplicate accounting and round
         attribution stay consistent.
         """
-        self.responded.add(peer)
+        query = self.queries.get(peer)
         new_count, reconstructed = self.state.add_cells(cells)
-        round_index = self.query_round.get(peer)
-        if round_index is not None and round_index <= len(self.rounds):
-            stats = self.rounds[round_index - 1]
+        stats = None
+        if query is not None:
+            query.replied = True
+            if query.round <= len(self.rounds):
+                stats = self.rounds[query.round - 1]
+        late = stats is not None and self.sim.now > stats.deadline
+        if stats is not None:
             if self._reply_latency:
                 self._emit(
                     "fetch_reply",
-                    round=round_index,
+                    round=stats.index,
                     latency=self.sim.now - stats.started_at,
                 )
-            if self.sim.now <= stats.deadline:
-                stats.replies_in_round += 1
-                stats.cells_in_round += new_count
-            else:
+            if late:
                 stats.replies_after_round += 1
                 stats.cells_after_round += new_count
+            else:
+                stats.replies_in_round += 1
+                stats.cells_in_round += new_count
             stats.duplicates += len(cells) - new_count
             stats.reconstructed += reconstructed
         if self._lifecycle:
-            entry = self._open_queries.pop(peer, None)
-            if entry is not None:
-                req, rnd = entry
-                late = (
-                    rnd <= len(self.rounds)
-                    and self.sim.now > self.rounds[rnd - 1].deadline
-                )
+            if query is not None and query.req is not None:
+                req, query.req = query.req, None
                 self._emit(
-                    "query_response", req=req, peer=peer, round=rnd,
+                    "query_response", req=req, peer=peer, round=query.round,
                     cells=len(cells), new=new_count,
                     reconstructed=reconstructed, late=late, usable=True,
                 )
@@ -870,7 +841,7 @@ class AdaptiveFetcher:
                 # a legitimate deferred reply, recorded but non-terminal
                 self._emit("query_late_reply", peer=peer, cells=len(cells), new=new_count)
         if self.complete:
-            self._complete()
+            self._finish(True)
         return new_count, reconstructed
 
     def note_external_cells(self, reconstructed: int) -> None:
@@ -878,47 +849,30 @@ class AdaptiveFetcher:
         if self.rounds and reconstructed:
             self.rounds[-1].reconstructed += reconstructed
         if self.started and self.complete:
-            self._complete()
+            self._finish(True)
 
     @property
     def complete(self) -> bool:
         """Has the fetcher achieved its goal for this slot?"""
-        if self._is_complete is not None:
-            return self._is_complete()
         if self.fetch_custody:
             return self.state.complete
         return self.state.sampling_complete
 
     # ------------------------------------------------------------------
-    def _complete(self) -> None:
+    def _finish(self, success: bool) -> None:
         if self.finished:
             return
         self.finished = True
-        self.succeeded = True
+        self.succeeded = success
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        self._close_queries()
-        self._emit("fetch_done", success=True, reason="complete")
+        self._close_queries(ending=True)
+        self._emit("fetch_done", success=success, reason="complete" if success else "exhausted")
         if self.on_done is not None:
-            self.on_done(True)
-        self._release_builder_data()
-
-    def _give_up(self) -> None:
-        if self.finished:
-            return
-        self.finished = True
-        self._close_queries()
-        self._emit("fetch_done", success=False, reason="exhausted")
-        if self.on_done is not None:
-            self.on_done(False)
-        self._release_builder_data()
-
-    def _release_builder_data(self) -> None:
-        """Drop our references to the builder's CB(f) objects.
-
-        The slot state outlives the fetcher's work (a pipeline retires
-        it slots later); without this every line's map would too.
-        """
+            self.on_done(success)
+        # drop the builder's CB(f) objects: the slot state outlives the
+        # fetcher's work (a pipeline retires it slots later), and without
+        # this every line's map would too
         self.boost = {}
         self.inbound = {}

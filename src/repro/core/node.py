@@ -27,8 +27,8 @@ threat model):
 - every ingested cell is verified against the slot's KZG commitment
   (the verify cost is charged to this node's clock before the message
   is processed) and corrupt cells are dropped, never stored;
-- responses must match an outstanding query — right peer, right slot,
-  right cells — or they are discarded as unsolicited;
+- responses must match a query in the slot fetcher's ledger — right
+  peer, right slot, right cells — or they are discarded as unsolicited;
 - all of the above feeds a per-peer :class:`ReputationLedger` whose
   score steers Algorithm 1's peer scoring and quarantines the worst
   offenders for the rest of the epoch.
@@ -93,10 +93,6 @@ class _SlotState:
     # live retrieval-class records in admission order; the eviction
     # queue when a sampling-class request needs room under the limit
     pending_retrieval: list[_PendingRequest] = field(default_factory=list)
-    # peer -> cells we asked it for this slot (one query's cells, the
-    # next query's appended on a re-query); a CellResponse is only
-    # accepted when its source and cells match an entry here
-    outstanding: dict[int, tuple[int, ...]] = field(default_factory=dict)
     # fires at the sampling deadline: buffered request remainders for
     # this slot can no longer be answered usefully, so they are dropped
     # instead of accumulating for the rest of the run
@@ -473,10 +469,11 @@ class PandasNode:
 
         The acceptance chain (each step feeds the reputation ledger):
 
-        1. the slot must have live state *and* the source must hold an
-           outstanding query for it — anything else is unsolicited and
-           never creates slot state;
-        2. cells we never asked this peer for are discarded;
+        1. the slot must have live state *and* the source must have been
+           queried for it (the fetcher's ledger) — anything else is
+           unsolicited and never creates slot state;
+        2. cells we never asked this peer for, in any of its queries,
+           are discarded;
         3. cells failing KZG verification (the ``invalid`` modeling
            flag) are discarded — corrupt cells are never stored;
         4. what survives is credited to the peer and fed to the fetcher.
@@ -491,15 +488,16 @@ class PandasNode:
                 self.reputation.record_unsolicited(src)
                 self._defense("resp_unsolicited", slot=slot)
             return
-        outstanding = state.outstanding.get(src)
-        if not outstanding:
+        query = state.fetcher.queries.get(src)
+        if query is None:
             self.reputation.record_unsolicited(src)
             self._defense("resp_unsolicited", slot=slot)
             return
         # the peer *answered*: whatever else is wrong with the payload,
         # it must not additionally be reported as timed out
         state.fetcher.note_reply(src)
-        requested = [cid for cid in msg.cells if cid in outstanding]
+        asked = query.cells
+        requested = [cid for cid in msg.cells if cid in asked]
         unrequested = len(msg.cells) - len(requested)
         if unrequested:
             self.reputation.record_unrequested(src, unrequested)
@@ -525,11 +523,6 @@ class PandasNode:
     # outgoing queries
     # ------------------------------------------------------------------
     def _send_query(self, slot: int, epoch: int, peer: int, cells: frozenset[int]) -> None:
-        state = self._slots.get(slot)
-        if state is not None:
-            prior = state.outstanding.get(peer)
-            asked = tuple(cells)
-            state.outstanding[peer] = asked if prior is None else prior + asked
         request = CellRequest(slot=slot, epoch=epoch, cells=cells)
         self.ctx.network.send(
             self.node_id, peer, request, request.wire_size(self.ctx.params)

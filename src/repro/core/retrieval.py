@@ -151,6 +151,7 @@ class RetrievalClient:
         epoch = ctx.epoch_of(slot)
         custody = Custody(rows=result.rows, cols=result.cols)
 
+        # no samples: the fetcher's completion test is the lines' alone
         state = SlotCellState(params, custody, samples=(), on_store=result.cells.add)
         index = ctx.index_for_epoch(epoch)
         view = self.view
@@ -181,7 +182,6 @@ class RetrievalClient:
             cb_boost=params.cb_boost,
             self_id=self.client_id,
             on_done=on_done,
-            is_complete=lambda: state.consolidation_complete,
         )
         self._active.setdefault(slot, []).append(retrieval)
         retrieval.fetcher.start()
@@ -205,7 +205,7 @@ class RetrievalClient:
         if not isinstance(payload, CellResponse):
             return
         for retrieval in self._active.get(payload.slot, ()):
-            if dgram.src in retrieval.fetcher.queried and not retrieval.fetcher.finished:
+            if dgram.src in retrieval.fetcher.queries and not retrieval.fetcher.finished:
                 retrieval.fetcher.on_response(dgram.src, payload.cells)
 
     def _send_query(self, slot: int, epoch: int, peer: int, cells: frozenset[int]) -> None:

@@ -26,6 +26,7 @@ from __future__ import annotations
 from repro.core.assignment import AssignmentIndex
 from repro.core.node import PandasNode
 from repro.experiments.scenario import Scenario, ScenarioConfig
+from repro.net.topology import DEFAULT_NODE_PROFILE
 
 __all__ = ["ChurnScenario"]
 
@@ -104,8 +105,8 @@ class ChurnScenario(Scenario):
             address,
             vertex,
             self._node_handler(address),
-            self.config.node_profile.up_rate,
-            self.config.node_profile.down_rate,
+            DEFAULT_NODE_PROFILE.up_rate,
+            DEFAULT_NODE_PROFILE.down_rate,
         )
         self.nodes[address] = PandasNode(self.ctx, address, None)
         self.node_ids.append(address)

@@ -43,6 +43,7 @@ from repro.analysis.stats import percentile
 from repro.core.retrieval import AggregateRetrievalLoad, RetrievalClient, RetrievalResult
 from repro.experiments.churn import ChurnScenario
 from repro.experiments.scenario import ScenarioConfig
+from repro.net.topology import DEFAULT_NODE_PROFILE
 from repro.sim.engine import collector_paused
 
 __all__ = ["PROBE_BASE_ADDRESS", "PipelineReport", "PipelineScenario"]
@@ -165,8 +166,8 @@ class PipelineScenario(ChurnScenario):
                     address,
                     rng.randrange(self.latency.num_vertices),
                     client.on_datagram,
-                    config.node_profile.up_rate,
-                    config.node_profile.down_rate,
+                    DEFAULT_NODE_PROFILE.up_rate,
+                    DEFAULT_NODE_PROFILE.down_rate,
                 )
                 self.probes.append(client)
 

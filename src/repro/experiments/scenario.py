@@ -28,7 +28,7 @@ from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import AdversarySpec, FaultPlan
 from repro.gossip.pubsub import GossipMessage, GossipOverlay
 from repro.net.latency import ClusteredWanModel, LatencyModel
-from repro.net.topology import DEFAULT_BUILDER_PROFILE, DEFAULT_NODE_PROFILE, NodeProfile, Topology
+from repro.net.topology import DEFAULT_BUILDER_PROFILE, DEFAULT_NODE_PROFILE, Topology
 from repro.net.transport import DEFAULT_LOSS_RATE, Datagram, Network
 from repro.obs.events import TraceRecorder
 from repro.obs.telemetry import Telemetry
@@ -38,6 +38,9 @@ from repro.sim.metrics import MetricsRecorder
 from repro.sim.rng import RngRegistry
 
 __all__ = ["ScenarioConfig", "BaseScenario", "Scenario", "PhaseDistributions"]
+
+# size of the block gossiped beside DAS when ``include_block_gossip`` is on
+BLOCK_BYTES = 120_000
 
 
 @dataclass
@@ -53,15 +56,12 @@ class ScenarioConfig:
     slot_window: float = 12.0
     dead_fraction: float = 0.0
     out_of_view_fraction: float = 0.0
-    node_profile: NodeProfile = DEFAULT_NODE_PROFILE
-    builder_profile: NodeProfile = DEFAULT_BUILDER_PROFILE
     latency: LatencyModel | None = None  # default: ClusteredWanModel
     num_vertices: int = 2_000
     # disseminate the block over a global GossipSub channel alongside
     # DAS (Figure 9a's comparison curve); off by default so pure DAS
     # timing runs are undisturbed
     include_block_gossip: bool = False
-    block_bytes: int = 120_000
     # deterministic dynamic faults (crash/restart, partitions, link
     # faults) driven by dedicated RNG streams; None leaves the
     # transport untouched
@@ -189,21 +189,20 @@ class BaseScenario:
         self.topology = Topology.build(
             self.latency, self.node_ids, [self.builder_id], rng
         )
-        config = self.config
         for node_id in self.node_ids:
             self.network.register(
                 node_id,
                 self.topology.vertex_of(node_id),
                 self._node_handler(node_id),
-                config.node_profile.up_rate,
-                config.node_profile.down_rate,
+                DEFAULT_NODE_PROFILE.up_rate,
+                DEFAULT_NODE_PROFILE.down_rate,
             )
         self.network.register(
             self.builder_id,
             self.topology.vertex_of(self.builder_id),
             self._builder_handler(),
-            config.builder_profile.up_rate,
-            config.builder_profile.down_rate,
+            DEFAULT_BUILDER_PROFILE.up_rate,
+            DEFAULT_BUILDER_PROFILE.down_rate,
         )
 
     def _builder_handler(self) -> Callable[[Datagram], None]:
@@ -571,7 +570,7 @@ class Scenario(BaseScenario):
                 topic="blocks",
                 msg_id=("block", slot),
                 payload=None,
-                payload_size=self.config.block_bytes,
+                payload_size=BLOCK_BYTES,
                 slot=slot,
             )
         self.builder.seed_slot(slot)

@@ -34,10 +34,14 @@ __all__ = [
     "RetryPolicy",
     "SLOT_SECONDS",
     "DEADLINE_SECONDS",
+    "MAX_CELLS_PER_QUERY",
 ]
 
 SLOT_SECONDS = 12.0
 DEADLINE_SECONDS = 4.0
+# cells per fetch query, about one seeding parcel (Table 1's ~12 cells
+# per round-1 message); ``plan_queries`` explains the cap
+MAX_CELLS_PER_QUERY = 16
 
 
 @dataclass(frozen=True)
@@ -269,9 +273,7 @@ class PandasParams:
         """Total size of the sampled cells (73 * 560 B = ~40 KB full-scale)."""
         return self.samples * self.cell_bytes
 
-    def fetch_bytes_invariant_bound(
-        self, num_nodes: int, max_cells_per_query: int = 16
-    ) -> float:
+    def fetch_bytes_invariant_bound(self, num_nodes: int) -> float:
         """Physical ceiling on one node's per-slot fetch traffic.
 
         Used by the protocol-invariant checker (I2): whatever the fault
@@ -291,9 +293,9 @@ class PandasParams:
         """
         schedule = self.fetch_schedule
         max_k = max(schedule.redundancy)
-        query_bytes = self.message_overhead_bytes + max_cells_per_query * 8
+        query_bytes = self.message_overhead_bytes + MAX_CELLS_PER_QUERY * 8
         response_bytes = (
-            self.message_overhead_bytes + max_cells_per_query * self.cell_bytes
+            self.message_overhead_bytes + MAX_CELLS_PER_QUERY * self.cell_bytes
         )
         requesting = (
             max_k * (self.custody_cells + self.samples) * self.cell_bytes

@@ -1,4 +1,4 @@
-"""Fetcher configuration modes: custom completion, query caps, inbound."""
+"""Fetcher configuration modes: sampling-only completion, query caps, inbound."""
 
 from __future__ import annotations
 
@@ -87,18 +87,6 @@ class TestInboundHandling:
 
 
 class TestCompletionModes:
-    def test_custom_is_complete_wins(self):
-        flags = {"done": False}
-        fetcher, state, sim, _sent = make_fetcher(
-            custodians={0: [1]},
-            is_complete=lambda: flags["done"],
-        )
-        fetcher.start()
-        assert not fetcher.finished
-        flags["done"] = True
-        fetcher.on_response(1, ())
-        assert fetcher.finished
-
     def test_sampling_only_mode_completes_without_custody(self):
         fetcher, state, sim, _sent = make_fetcher(
             samples=[40, 41],

@@ -205,7 +205,7 @@ class TestScanCandidates:
         fetcher, _state, _sim, _sent = make_fetcher(
             custodians=custodians, exclude_peer=exclude
         )
-        fetcher.queried.add(10)
+        fetcher._issue_query(10, frozenset({1}), 1)
         candidates = fetcher._scan_candidates({5: {1}, 7: {2}})
         assert list(candidates) == [30, 40]
         # self (999) and queried (10) never reach the filter; the rest
@@ -456,6 +456,77 @@ class TestExhaustionAndQuarantine:
         assert fetcher._timer is None
         sim.run(until=10.0)
         assert sim.pending == 0
+
+
+class TestQueryLedgerOrder:
+    """The ledger keeps one record per peer and moves a re-queried record
+    to the end: open queries close in issue order, timeout evidence is
+    sent once per peer, and a reply after its query closed is a late
+    reply whose cells still count."""
+
+    def test_requeried_peers_close_in_reissue_order(self):
+        sim = Simulator()
+        tracer = TraceRecorder(
+            kinds=["query_issue", "query_timeout", "query_recycle",
+                   "query_cancel", "query_late_reply"]
+        )
+        reports = []
+
+        def weight(peer):
+            # peer 1 out-scores peer 2 until t = 0.5, then the reverse
+            preferred = 1 if sim.now < 0.5 else 2
+            return 1.0 if peer == preferred else 0.5
+
+        fetcher, state, sim, sent = make_fetcher(
+            custodians={0: [1, 2]},  # two silent custodians of row 0
+            schedule=FetchSchedule(max_rounds=5),
+            sim=sim,
+            events=EventBus(sim, [tracer]),
+            slot=0,
+            peer_weight=weight,
+            on_peer_timeout=reports.append,
+            retry_unresponsive=True,
+        )
+        fetcher.start()
+        sim.run(until=0.85)
+        assert fetcher.finished and not fetcher.succeeded  # gave up at round 5
+
+        def row(event):
+            data = event.data
+            if event.kind == "query_recycle":
+                return (round(event.t, 6), event.kind, data["pool"], data["count"])
+            return (round(event.t, 6), event.kind, data["peer"], data["round"])
+
+        assert [row(event) for event in tracer.events] == [
+            (0.0, "query_issue", 1, 1),
+            (0.4, "query_timeout", 1, 1),
+            (0.4, "query_issue", 2, 2),
+            # settle round: both recycled, re-asked in the reverse order
+            (0.6, "query_timeout", 2, 2),
+            (0.6, "query_recycle", "unresponsive", 2),
+            (0.6, "query_issue", 2, 3),
+            (0.6, "query_issue", 1, 3),
+            # the re-queries close in re-issue order, not first-ask order
+            (0.7, "query_timeout", 2, 3),
+            (0.7, "query_timeout", 1, 3),
+            (0.7, "query_recycle", "unresponsive", 2),
+            (0.7, "query_issue", 2, 4),
+            (0.7, "query_issue", 1, 4),
+            (0.8, "query_timeout", 2, 4),
+            (0.8, "query_timeout", 1, 4),
+        ]
+        assert reports == [1, 2]  # each peer's timeout evidence sent once
+
+        # peer 1 finally answers its first query: every query is closed,
+        # so it is a late reply, and its cell is stored all the same
+        first_cells = sent[0][2]
+        cell = min(first_cells)
+        fetcher.on_response(1, (cell,))
+        late = tracer.events[-1]
+        assert late.kind == "query_late_reply"
+        assert (late.data["peer"], late.data["new"]) == (1, 1)
+        assert state.has_cell(cell)
+        assert fetcher.queries[1].cells[: len(first_cells)] == tuple(first_cells)
 
 
 class TestSettleRoundGate:

@@ -206,17 +206,18 @@ def test_boost_excludes_own_entries():
     assert candidates[peer] == {theirs}
 
 
-def test_requery_appends_to_the_outstanding_tuple():
-    """One tuple per queried peer: a re-query's cells are appended, and
-    a reply may carry cells of either query."""
+def test_requery_appends_to_the_ledger_record():
+    """One ledger record per queried peer: a re-query's cells are
+    appended, and a reply may carry cells of either query."""
     world = make_world(num_nodes=20)
     node = world.nodes[0]
     world.ctx.begin_slot(0)
     state = node._slot_state(0)
-    node._send_query(0, 0, 5, frozenset({1, 2}))
-    assert state.outstanding == {5: (1, 2)}
-    node._send_query(0, 0, 5, frozenset({3}))
-    assert state.outstanding == {5: (1, 2, 3)}
+    state.fetcher._issue_query(5, frozenset({1, 2}), 1)
+    assert state.fetcher.queries[5].cells == (1, 2)
+    state.fetcher._issue_query(5, frozenset({3}), 2)
+    assert state.fetcher.queries[5].cells == (1, 2, 3)
+    assert state.fetcher.queries[5].round == 2
     node._on_response(5, CellResponse(slot=0, epoch=0, cells=(1, 3, 4)))
     assert state.cells.has_cell(1) and state.cells.has_cell(3)
     assert not state.cells.has_cell(4)  # never asked for: discarded

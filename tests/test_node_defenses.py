@@ -74,7 +74,7 @@ class TestResponseValidation:
         world = make_world()
         node = world.nodes[0]
         state = node._slot_state(0)
-        state.outstanding[5] = (1, 2)
+        state.fetcher._issue_query(5, frozenset({1, 2}), 1)
         resp = CellResponse(slot=0, epoch=0, cells=(1, 2, 3))
         world.network.send(5, 0, resp, resp.wire_size(world.params))
         world.sim.run(until=0.1)
@@ -87,7 +87,7 @@ class TestResponseValidation:
         world = make_world()
         node = world.nodes[0]
         state = node._slot_state(0)
-        state.outstanding[5] = (1, 2)
+        state.fetcher._issue_query(5, frozenset({1, 2}), 1)
         resp = CellResponse(slot=0, epoch=0, cells=(1, 2), invalid=frozenset({1}))
         world.network.send(5, 0, resp, resp.wire_size(world.params))
         world.sim.run(until=0.1)
@@ -101,7 +101,7 @@ class TestResponseValidation:
         world = make_world()
         node = world.nodes[0]
         state = node._slot_state(0)
-        state.outstanding[5] = (1, 2)
+        state.fetcher._issue_query(5, frozenset({1, 2}), 1)
         resp = CellResponse(slot=0, epoch=0, cells=(1, 2), invalid=frozenset({1, 2}))
         world.network.send(5, 0, resp, resp.wire_size(world.params))
         world.sim.run(until=0.1)
@@ -112,7 +112,7 @@ class TestResponseValidation:
         world = make_world()
         node = world.nodes[0]
         state = node._slot_state(0)
-        state.outstanding[5] = (1,)
+        state.fetcher._issue_query(5, frozenset({1}), 1)
         node.drop_slot(0)
         resp = CellResponse(slot=0, epoch=0, cells=(1,))
         world.network.send(5, 0, resp, resp.wire_size(world.params))
@@ -126,7 +126,7 @@ class TestVerifyCost:
         world = make_world(params=small_params(cell_verify_seconds=0.01))
         node = world.nodes[0]
         state = node._slot_state(0)
-        state.outstanding[5] = (1, 2)
+        state.fetcher._issue_query(5, frozenset({1, 2}), 1)
         resp = CellResponse(slot=0, epoch=0, cells=(1, 2))
         world.network.send(5, 0, resp, resp.wire_size(world.params))
         # delivery at 0.01 (latency) + 2 cells x 10 ms verify = 0.03
@@ -139,7 +139,7 @@ class TestVerifyCost:
         world = make_world(params=small_params(cell_verify_seconds=0.01))
         node = world.nodes[0]
         state = node._slot_state(0)
-        state.outstanding[5] = (1, 2)
+        state.fetcher._issue_query(5, frozenset({1, 2}), 1)
         resp = CellResponse(slot=0, epoch=0, cells=(1, 2))
         world.network.send(5, 0, resp, resp.wire_size(world.params))
         world.sim.run(until=0.015)  # delivered, still verifying

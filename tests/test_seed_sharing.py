@@ -274,7 +274,8 @@ def check_boost_equivalence(case, round_index: int) -> None:
         cb_boost=CB_BOOST,
         self_id=SELF_ID,
     )
-    fetcher.queried |= queried
+    for peer in sorted(queried):
+        fetcher._issue_query(peer, frozenset(), 1)
     for line_boost in maps:
         fetcher.add_boost(line_boost)
         own = line_boost.seeded.get(SELF_ID)
