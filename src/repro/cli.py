@@ -11,8 +11,7 @@ original system's reproducibility material drives its simulator:
 - ``security``   the Section 3 sampling math for a given grid;
 - ``trace``      run with structured tracing and write/analyze a trace;
 - ``pipeline``   sustained multi-slot pipeline with churn and overload control;
-- ``health``     analyze a telemetry series against run-health SLOs;
-- ``detsan``     replay reference scenarios under the determinism sanitizer.
+- ``health``     analyze a telemetry series against run-health SLOs.
 
 The commands are one table, :data:`COMMANDS`. Each entry holds a
 command's name, help, argument specs and run function; ``@command``
@@ -66,8 +65,7 @@ class Command:
     name: str
     help: str
     args: tuple[Arg, ...]
-    # None only for `detsan`, which main() forwards before parsing
-    run: Callable[[argparse.Namespace], int] | None
+    run: Callable[[argparse.Namespace], int]
 
 
 COMMANDS: list[Command] = []
@@ -729,28 +727,6 @@ def _cmd_health(args) -> int:
     return 0 if report.passed else 1
 
 
-# `detsan` forwards its whole argument list to the nested tool, and
-# argparse REMAINDER refuses a leading option token (e.g. `repro detsan
-# --hash-seeds ...`), so main() forwards it before parsing; this entry
-# lists it in --help.
-COMMANDS.append(
-    Command(
-        "detsan",
-        "run the runtime determinism sanitizer (hash-seed sweep "
-        "plus a telemetry-on run)",
-        (
-            arg(
-                "detsan_args",
-                nargs=argparse.REMAINDER,
-                help="arguments forwarded to `python -m repro.analysis.detsan` "
-                "(--scenario, --hash-seeds, --json, ...)",
-            ),
-        ),
-        run=None,
-    )
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -766,12 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "detsan":
-        from repro.analysis.detsan import run
-
-        return run(argv[1:])
     args = build_parser().parse_args(argv)
     return args.run(args)
 

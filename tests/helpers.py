@@ -1,9 +1,13 @@
-"""A miniature hand-wired PANDAS world for node/builder unit tests.
+"""Shared test scaffolding.
 
-Unlike the full ``Scenario``, this harness exposes every component
-directly (nodes dict, builder, context) over a constant-latency,
-optionally lossy network — convenient for poking individual message
-paths.
+- ``dense_config`` / ``pipeline_config``: the small dense scenario
+  configurations most scenario tests and every replay pin run on;
+- ``synthetic_telemetry``: a hand-fed telemetry series;
+- ``make_world``: a miniature hand-wired PANDAS world for node/builder
+  unit tests. Unlike the full ``Scenario``, it exposes every component
+  directly (nodes dict, builder, context) over a constant-latency,
+  optionally lossy network — convenient for poking individual message
+  paths.
 """
 
 from __future__ import annotations
@@ -17,12 +21,88 @@ from repro.core.custody import SlotCellState
 from repro.core.node import PandasNode
 from repro.core.seeding import RedundantSeeding, SeedingPolicy
 from repro.crypto.randao import RandaoBeacon
+from repro.experiments.scenario import ScenarioConfig
 from repro.net.latency import ConstantLatency
 from repro.net.transport import Network
-from repro.params import PandasParams
+from repro.obs import Telemetry
+from repro.params import PandasParams, RetryPolicy
+from repro.sim.bus import EventBus
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.rng import RngRegistry
+
+# every fault kind a single-slot run exercises, Byzantine ones included
+FAULTS = "loss=0.1,dup=0.05,crash=2@0.5:1.5,slow=2@0.05,corrupt=0.1,withhold=0.1"
+
+
+def dense_config(seed=9, **overrides) -> ScenarioConfig:
+    """35 nodes on a dense 8x8 base grid (custody 4+4, 8 samples), one slot."""
+    defaults = dict(
+        num_nodes=35,
+        params=PandasParams(
+            base_rows=8, base_cols=8, custody_rows=4, custody_cols=4, samples=8
+        ),
+        policy=RedundantSeeding(4),
+        seed=seed,
+        slots=1,
+        num_vertices=300,
+    )
+    defaults.update(overrides)
+    return ScenarioConfig(**defaults)
+
+
+def pipeline_config(seed=3, **overrides) -> ScenarioConfig:
+    """40 nodes, three slots, retries, bounded pending records and inboxes."""
+    defaults = dict(
+        num_nodes=40,
+        params=PandasParams(
+            base_rows=8,
+            base_cols=8,
+            custody_rows=4,
+            custody_cols=4,
+            samples=10,
+            fetch_retry=RetryPolicy(),
+            pending_request_limit=256,
+            retrieval_admit_rate=50.0,
+        ),
+        policy=RedundantSeeding(4),
+        seed=seed,
+        slots=3,
+        num_vertices=500,
+        max_inbox=4096,
+    )
+    defaults.update(overrides)
+    return ScenarioConfig(**defaults)
+
+
+def synthetic_telemetry() -> Telemetry:
+    """A small, hand-fed series with every family kind exercised.
+
+    Events go through a bus to a recorder and the series, on a
+    simulator that never runs, so the exposition depends only on this
+    code — the golden file pins the byte layout, not a protocol run.
+    """
+    sim, recorder, tel = Simulator(), MetricsRecorder(), Telemetry(cadence=0.5)
+    tel.set_run_info(nodes=3, slots=1, slot_duration=12.0, deadline=4.0, seed=1)
+    tel.install(sim, recorder, dict, builder_id=3, retrieval_floor=100)
+    bus = EventBus(sim, [recorder, tel])
+    bus.emit("phase", slot=0, node=0, phase="seeding", at=0.25)
+    bus.emit("phase", slot=0, node=0, phase="sampling", at=1.5)
+    bus.emit("phase", slot=0, node=1, phase="sampling", at=3.0)
+    # past the 4 s deadline
+    bus.emit("phase", slot=0, node=2, phase="sampling", at=9.0)
+    bus.emit("fetch_reply", round=1, latency=0.125)
+    bus.emit("fetch_reply", round=7, latency=2.0)
+    bus.emit("load_shed", shed="retrieval_admission", amount=5.0)
+    recorder.record_queue_drop("inbox_overflow")
+    recorder.record_queue_drop("inbox_overflow")
+    bus.emit("queue_depth", queue="pending_requests", depth=12.0)
+    bus.emit("fault", node=1, fault="crash")
+    bus.emit("defense", defense="quarantine", amount=2.0)
+    tel.gauges.update(live_nodes=3.0, inbox_depth_max=7.0)
+    # one hand-fed sample row (the simulator never ticks)
+    tel.samples.append({"t": 1.0, "inbox_depth_max": 7.0, "live_nodes": 3.0})
+    return tel
 
 
 def held_cells(state: SlotCellState) -> set[int]:

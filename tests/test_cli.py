@@ -198,7 +198,7 @@ def test_help_lists_the_command_table(capsys):
     names = [cmd.name for cmd in COMMANDS]
     assert names == [
         "slot", "figure", "faults", "adversary", "security",
-        "trace", "pipeline", "health", "detsan",
+        "trace", "pipeline", "health",
     ]
     assert "{" + ",".join(names) + "}" in out
     assert "baselines" not in out

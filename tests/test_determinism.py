@@ -1,10 +1,13 @@
-"""Whole-system reproducibility: same seed, same run, bit-for-bit.
+"""Whole-system reproducibility: what a seed decides, and what it does not.
 
 The paper validates its simulator against a testbed; our analogue is
 determinism and seed-stability — any divergence between identical
 configurations would invalidate every policy comparison in the
 benchmark harness (they rely on shared seeds isolating the variable
-under study).
+under study). Same seed, same run is pinned absolutely, for all four
+systems, in ``tests/golden/pins.json``; this file checks the same
+property within one process without a pin, that the seed moves a run,
+and that a policy change leaves the substrate fixed.
 """
 
 from __future__ import annotations
@@ -13,53 +16,22 @@ import pytest
 
 from repro.baselines import DhtDasScenario, GossipDasScenario, PeerDasScenario
 from repro.core.seeding import RedundantSeeding
-from repro.experiments.scenario import Scenario, ScenarioConfig
-from repro.params import PandasParams
-
-
-def dense_config(seed=9, **overrides):
-    defaults = dict(
-        num_nodes=35,
-        params=PandasParams(
-            base_rows=8, base_cols=8, custody_rows=4, custody_cols=4, samples=8
-        ),
-        policy=RedundantSeeding(4),
-        seed=seed,
-        slots=1,
-        num_vertices=300,
-    )
-    defaults.update(overrides)
-    return ScenarioConfig(**defaults)
-
-
-def fingerprint(scenario):
-    """A stable digest of everything the metrics captured."""
-    times = sorted(
-        (slot, node, t.seeding, t.consolidation, t.sampling)
-        for (slot, node), t in scenario.metrics.phase_times.items()
-    )
-    traffic = sorted(dict(scenario.metrics.fetch_bytes.items()).items())
-    return (
-        times,
-        traffic,
-        scenario.network.datagrams_sent,
-        scenario.network.datagrams_lost,
-        scenario.builder_egress_bytes(0),
-    )
+from repro.experiments.scenario import Scenario
+from tests.helpers import dense_config
 
 
 @pytest.mark.parametrize(
     "scenario_class", [Scenario, GossipDasScenario, DhtDasScenario, PeerDasScenario]
 )
 def test_identical_seeds_identical_runs(scenario_class):
-    a = fingerprint(scenario_class(dense_config()).run())
-    b = fingerprint(scenario_class(dense_config()).run())
+    a = scenario_class(dense_config()).run().metrics.fingerprint()
+    b = scenario_class(dense_config()).run().metrics.fingerprint()
     assert a == b
 
 
 def test_seed_changes_everything():
-    a = fingerprint(Scenario(dense_config(seed=1)).run())
-    b = fingerprint(Scenario(dense_config(seed=2)).run())
+    a = Scenario(dense_config(seed=1)).run().metrics.fingerprint()
+    b = Scenario(dense_config(seed=2)).run().metrics.fingerprint()
     assert a != b
 
 

@@ -15,9 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.seeding import RedundantSeeding
 from repro.experiments.pipeline import PipelineScenario
-from repro.experiments.scenario import Scenario, ScenarioConfig
+from repro.experiments.scenario import Scenario
 from repro.faults.plan import FaultPlan
 from repro.obs import SloThresholds, Telemetry
 from repro.obs.export import (
@@ -29,68 +28,13 @@ from repro.obs.export import (
 )
 from repro.obs.health import analyze, analyze_file, format_report
 from repro.obs.sinks import read_jsonl
-from repro.params import PandasParams, RetryPolicy
-from repro.sim.bus import EventBus
-from repro.sim.engine import Simulator
-from repro.sim.metrics import MetricsRecorder
-from tests.test_event_bus import FAULTS
-from tests.test_obs_telemetry import dense_config
-
-GOLDEN = Path(__file__).parent / "golden" / "telemetry_exposition.prom"
-
-
-def synthetic_telemetry() -> Telemetry:
-    """A small, hand-fed series with every family kind exercised.
-
-    Events go through a bus to a recorder and the series, on a
-    simulator that never runs, so the exposition depends only on this
-    code — the golden file pins the byte layout, not a protocol run.
-    """
-    sim, recorder, tel = Simulator(), MetricsRecorder(), Telemetry(cadence=0.5)
-    tel.set_run_info(nodes=3, slots=1, slot_duration=12.0, deadline=4.0, seed=1)
-    tel.install(sim, recorder, dict, builder_id=3, retrieval_floor=100)
-    bus = EventBus(sim, [recorder, tel])
-    bus.emit("phase", slot=0, node=0, phase="seeding", at=0.25)
-    bus.emit("phase", slot=0, node=0, phase="sampling", at=1.5)
-    bus.emit("phase", slot=0, node=1, phase="sampling", at=3.0)
-    # past the 4 s deadline
-    bus.emit("phase", slot=0, node=2, phase="sampling", at=9.0)
-    bus.emit("fetch_reply", round=1, latency=0.125)
-    bus.emit("fetch_reply", round=7, latency=2.0)
-    bus.emit("load_shed", shed="retrieval_admission", amount=5.0)
-    recorder.record_queue_drop("inbox_overflow")
-    recorder.record_queue_drop("inbox_overflow")
-    bus.emit("queue_depth", queue="pending_requests", depth=12.0)
-    bus.emit("fault", node=1, fault="crash")
-    bus.emit("defense", defense="quarantine", amount=2.0)
-    tel.gauges.update(live_nodes=3.0, inbox_depth_max=7.0)
-    # one hand-fed sample row (the simulator never ticks)
-    tel.samples.append({"t": 1.0, "inbox_depth_max": 7.0, "live_nodes": 3.0})
-    return tel
+from tests.helpers import FAULTS, dense_config, pipeline_config, synthetic_telemetry
+from tests.pins import EXPOSITION_FILE, UPDATE
 
 
 def pipeline_with_telemetry(tmp_path: Path) -> tuple[Path, Telemetry]:
     tel = Telemetry()
-    config = ScenarioConfig(
-        num_nodes=40,
-        params=PandasParams(
-            base_rows=8,
-            base_cols=8,
-            custody_rows=4,
-            custody_cols=4,
-            samples=10,
-            fetch_retry=RetryPolicy(),
-            pending_request_limit=256,
-            retrieval_admit_rate=50.0,
-        ),
-        policy=RedundantSeeding(4),
-        seed=3,
-        slots=3,
-        num_vertices=500,
-        max_inbox=4096,
-        telemetry=tel,
-    )
-    PipelineScenario(config, churn_fraction=0.1).run()
+    PipelineScenario(pipeline_config(telemetry=tel), churn_fraction=0.1).run()
     path = tmp_path / "series.jsonl"
     write_series_jsonl(tel, path)
     return path, tel
@@ -145,11 +89,9 @@ def test_pipeline_series_contains_samples_and_layers(tmp_path):
 # ----------------------------------------------------------------------
 def test_prometheus_exposition_matches_golden_file():
     text = prometheus_text(synthetic_telemetry())
-    assert text == GOLDEN.read_text(encoding="utf-8"), (
+    assert text == EXPOSITION_FILE.read_text(encoding="utf-8"), (
         "Prometheus exposition drifted from the golden file. If the "
-        "change is intentional, regenerate with:\n  PYTHONPATH=src python "
-        "-c \"import tests.test_obs_health as t; t.GOLDEN.write_text("
-        "t.prometheus_text(t.synthetic_telemetry()), encoding='utf-8')\""
+        f"change is intentional, regenerate with:\n  {UPDATE}"
     )
 
 

@@ -9,29 +9,16 @@ violations; an empty list is the invariant.
 
 from __future__ import annotations
 
-from repro.core.seeding import RedundantSeeding
-from repro.experiments.scenario import Scenario, ScenarioConfig
+from repro.experiments.scenario import Scenario
 from repro.faults.plan import FaultPlan
 from repro.obs import QUERY_TERMINAL_KINDS, TraceRecorder
 from repro.obs.timeline import lifecycle_problems, query_lifecycles
-from repro.params import PandasParams
+from tests.helpers import dense_config
 
 
 def traced_run(seed=9, **overrides):
     rec = TraceRecorder()
-    defaults = dict(
-        num_nodes=35,
-        params=PandasParams(
-            base_rows=8, base_cols=8, custody_rows=4, custody_cols=4, samples=8
-        ),
-        policy=RedundantSeeding(4),
-        seed=seed,
-        slots=1,
-        num_vertices=300,
-        tracer=rec,
-    )
-    defaults.update(overrides)
-    Scenario(ScenarioConfig(**defaults)).run()
+    Scenario(dense_config(seed, tracer=rec, **overrides)).run()
     return [e.to_dict() for e in rec.events]
 
 

@@ -7,11 +7,10 @@ from __future__ import annotations
 import functools
 from collections import Counter
 
-from repro.core.seeding import RedundantSeeding
-from repro.experiments.scenario import Scenario, ScenarioConfig
+from repro.experiments.scenario import Scenario
 from repro.obs.profiler import callback_site
-from repro.params import PandasParams
 from repro.sim.engine import Simulator
+from tests.helpers import dense_config
 
 
 def module_level_fn():
@@ -75,17 +74,6 @@ def test_profiler_maps_a_real_run():
     """A profiled scenario routes every simulator event through the
     hook, and the hot sites are real protocol code paths."""
     profiler = SiteCounter()
-    config = ScenarioConfig(
-        num_nodes=35,
-        params=PandasParams(
-            base_rows=8, base_cols=8, custody_rows=4, custody_cols=4, samples=8
-        ),
-        policy=RedundantSeeding(4),
-        seed=9,
-        slots=1,
-        num_vertices=300,
-        profiler=profiler,
-    )
-    scenario = Scenario(config).run()
+    scenario = Scenario(dense_config(profiler=profiler)).run()
     assert sum(profiler.calls.values()) == scenario.sim.events_processed > 0
     assert any(site.startswith("repro.") for site in profiler.calls)

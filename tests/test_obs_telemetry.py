@@ -17,9 +17,8 @@ import re
 import pytest
 
 from repro.baselines import GossipDasScenario
-from repro.core.seeding import RedundantSeeding
 from repro.experiments.pipeline import PipelineScenario
-from repro.experiments.scenario import Scenario, ScenarioConfig
+from repro.experiments.scenario import Scenario
 from repro.obs import Heartbeat, Histogram, Telemetry
 from repro.obs.export import series_records
 from repro.obs.telemetry import (
@@ -30,47 +29,9 @@ from repro.obs.telemetry import (
     flat_name,
     pow2_bounds,
 )
-from repro.params import PandasParams, RetryPolicy
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsRecorder
-
-
-def dense_config(seed=9, **overrides):
-    defaults = dict(
-        num_nodes=35,
-        params=PandasParams(
-            base_rows=8, base_cols=8, custody_rows=4, custody_cols=4, samples=8
-        ),
-        policy=RedundantSeeding(4),
-        seed=seed,
-        slots=1,
-        num_vertices=300,
-    )
-    defaults.update(overrides)
-    return ScenarioConfig(**defaults)
-
-
-def pipeline_config(seed=3, **overrides):
-    defaults = dict(
-        num_nodes=40,
-        params=PandasParams(
-            base_rows=8,
-            base_cols=8,
-            custody_rows=4,
-            custody_cols=4,
-            samples=10,
-            fetch_retry=RetryPolicy(),
-            pending_request_limit=256,
-            retrieval_admit_rate=50.0,
-        ),
-        policy=RedundantSeeding(4),
-        seed=seed,
-        slots=3,
-        num_vertices=500,
-        max_inbox=4096,
-    )
-    defaults.update(overrides)
-    return ScenarioConfig(**defaults)
+from tests.helpers import dense_config, pipeline_config
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.seeding import RedundantSeeding
-from repro.experiments.scenario import Scenario, ScenarioConfig
+from repro.experiments.scenario import Scenario
 from repro.obs import JsonlSink, TraceRecorder
 from repro.obs.sinks import read_jsonl
 from repro.obs.timeline import (
@@ -13,24 +12,12 @@ from repro.obs.timeline import (
     slowest_nodes,
     trace_report,
 )
-from repro.params import PandasParams
+from tests.helpers import dense_config
 
 
 def traced_scenario(seed=9, **overrides):
     rec = TraceRecorder()
-    defaults = dict(
-        num_nodes=35,
-        params=PandasParams(
-            base_rows=8, base_cols=8, custody_rows=4, custody_cols=4, samples=8
-        ),
-        policy=RedundantSeeding(4),
-        seed=seed,
-        slots=1,
-        num_vertices=300,
-        tracer=rec,
-    )
-    defaults.update(overrides)
-    scenario = Scenario(ScenarioConfig(**defaults)).run()
+    scenario = Scenario(dense_config(seed, tracer=rec, **overrides)).run()
     return scenario, [e.to_dict() for e in rec.events]
 
 
@@ -120,18 +107,7 @@ def test_causal_report_elides_long_round_tails():
 def test_load_trace_round_trips_jsonl(tmp_path):
     path = str(tmp_path / "trace.jsonl")
     rec = TraceRecorder(sinks=[JsonlSink(path)])
-    defaults = dict(
-        num_nodes=35,
-        params=PandasParams(
-            base_rows=8, base_cols=8, custody_rows=4, custody_cols=4, samples=8
-        ),
-        policy=RedundantSeeding(4),
-        seed=9,
-        slots=1,
-        num_vertices=300,
-        tracer=rec,
-    )
-    Scenario(ScenarioConfig(**defaults)).run()
+    Scenario(dense_config(tracer=rec)).run()
     rec.close()
     loaded = read_jsonl(path)
     live = [e.to_dict() for e in rec.events]

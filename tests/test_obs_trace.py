@@ -14,8 +14,7 @@ import json
 
 import pytest
 
-from repro.core.seeding import RedundantSeeding
-from repro.experiments.scenario import Scenario, ScenarioConfig
+from repro.experiments.scenario import Scenario
 from repro.obs import (
     KINDS,
     QUERY_TERMINAL_KINDS,
@@ -24,24 +23,9 @@ from repro.obs import (
     MemorySink,
     TraceRecorder,
 )
-from repro.params import PandasParams
 from repro.sim.bus import EventBus
 from repro.sim.engine import Simulator
-
-
-def dense_config(seed=9, **overrides):
-    defaults = dict(
-        num_nodes=35,
-        params=PandasParams(
-            base_rows=8, base_cols=8, custody_rows=4, custody_cols=4, samples=8
-        ),
-        policy=RedundantSeeding(4),
-        seed=seed,
-        slots=1,
-        num_vertices=300,
-    )
-    defaults.update(overrides)
-    return ScenarioConfig(**defaults)
+from tests.helpers import dense_config
 
 
 # ----------------------------------------------------------------------

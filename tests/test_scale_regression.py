@@ -1,17 +1,16 @@
 """Scale-regression suite: the engine's determinism contract at scale.
 
-Three pins protect the engine, the transport and the fetcher at scale:
+Two pins protect the engine, the transport and the fetcher at scale:
 
 1. cross-run determinism — the same configuration executed twice is
    bit-identical, at a population large enough to exercise the
    candidate scan and the transport under load;
 2. pop order — the event queue fires exactly the uncancelled events
    in sorted ``(time, seq)`` order, ties and lazy cancellation
-   included;
-3. an absolute replay anchor — a pinned fingerprint for a small dense
-   scenario. If a change moves it, the change altered protocol
-   behaviour, not just performance; either fix the change or update
-   the pin *deliberately* alongside `benchmarks/perf` evidence.
+   included.
+
+The absolute replay anchors live in ``tests/golden/pins.json``
+(``tests/test_pins.py``).
 
 ``REPRO_SCALE_NODES`` scales the cross-run population (default 250 —
 large enough for every fast path, small enough for tier-1); the CI
@@ -23,32 +22,13 @@ from __future__ import annotations
 import os
 import random
 
-from repro.core.seeding import RedundantSeeding
 from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.params import PandasParams
 from repro.sim.engine import Simulator
 
-# computed on the growth seed of this suite; see docstring for policy
-DENSE_PIN = "383191c86dc6acea043df90fedcb599931762dbd26ea2eaf4853aeecec6ffef7"
-
 
 def scale_nodes(default: int = 250) -> int:
     return int(os.environ.get("REPRO_SCALE_NODES", default))
-
-
-def dense_config(seed=9, **overrides):
-    defaults = dict(
-        num_nodes=35,
-        params=PandasParams(
-            base_rows=8, base_cols=8, custody_rows=4, custody_cols=4, samples=8
-        ),
-        policy=RedundantSeeding(4),
-        seed=seed,
-        slots=1,
-        num_vertices=300,
-    )
-    defaults.update(overrides)
-    return ScenarioConfig(**defaults)
 
 
 def reduced_scale_config(**overrides):
@@ -99,11 +79,3 @@ def test_queue_pops_sorted_schedule_randomized():
     live = [(e.time, e.seq) for e in events if not e.cancelled]
     assert len(live) == len(times) - 100
     assert fired == sorted(live)
-
-
-# ----------------------------------------------------------------------
-# 3. absolute replay anchor
-# ----------------------------------------------------------------------
-def test_dense_scenario_replay_pin():
-    scenario = Scenario(dense_config()).run()
-    assert scenario.metrics.fingerprint() == DENSE_PIN
