@@ -96,6 +96,22 @@ def _pipeline_3(**observers: Any) -> PipelineScenario:
     return PipelineScenario(config, churn_fraction=0.1)
 
 
+def _dead(**observers: Any) -> Scenario:
+    """60 nodes, 40% of them dead: fetchers time out and recycle every round."""
+    return Scenario(
+        ScenarioConfig(
+            num_nodes=60,
+            params=PandasParams.reduced(32),
+            policy=RedundantSeeding(8),
+            seed=7,
+            slots=1,
+            num_vertices=600,
+            dead_fraction=0.4,
+            **observers,
+        )
+    )
+
+
 # name -> (scenario factory taking the observer keywords, is a baseline)
 ROWS: dict[str, tuple[Callable[..., Any], bool]] = {
     "pandas": (lambda **kw: Scenario(dense_config(**kw)), False),
@@ -130,6 +146,7 @@ ROWS: dict[str, tuple[Callable[..., Any], bool]] = {
     ),
     "pandas-100": (_pandas_100, False),
     "pipeline-3": (_pipeline_3, False),
+    "dead": (_dead, False),
 }
 
 # the trace catalog before the event bus: records of any other kind are
