@@ -66,6 +66,7 @@ class SlotCellState:
         "_half",
         "_incomplete_lines",
         "_samples_missing",
+        "_missing_memo",
     )
 
     def __init__(
@@ -104,6 +105,8 @@ class SlotCellState:
         self._incomplete_lines = len(self.custody_lines)
         self.samples: set[int] = set(samples)
         self._samples_missing = len(self.samples)
+        # (missing-sample count, the missing samples) of the last call
+        self._missing_memo: tuple[int, set[int]] | None = None
         self.cells_reconstructed = 0
         self.duplicates_received = 0
 
@@ -340,5 +343,14 @@ class SlotCellState:
         return self._incomplete_lines == 0 and self._samples_missing == 0
 
     def missing_samples(self) -> set[int]:
-        has_cell = self.has_cell
-        return {cid for cid in self.samples if not has_cell(cid)}
+        """Sample cells not held yet; the set is shared, read it only.
+
+        Memoized on the missing-sample count: cells are only ever added,
+        so an unchanged count is an unchanged set.
+        """
+        memo = self._missing_memo
+        if memo is None or memo[0] != self._samples_missing:
+            has_cell = self.has_cell
+            missing = {cid for cid in self.samples if not has_cell(cid)}
+            memo = self._missing_memo = (self._samples_missing, missing)
+        return memo[1]

@@ -33,7 +33,6 @@ distinguishes replies received before and after their round's timeout.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Mapping, Set
@@ -151,8 +150,7 @@ def plan_queries(
         if not interesting:
             continue
         if max_cells_per_query is not None and len(interesting) > max_cells_per_query:
-            # == set(sorted(interesting)[:max]) without the full sort
-            interesting = set(heapq.nsmallest(max_cells_per_query, interesting))
+            interesting = set(sorted(interesting)[:max_cells_per_query])
         queries.append((peer, frozenset(interesting)))
         for cid in interesting:
             count = planned_count.get(cid, 0) + 1
@@ -201,6 +199,9 @@ class AdaptiveFetcher:
         "boost",
         "inbound",
         "queries",
+        "_picked",
+        "_awaiting",
+        "_silent",
         "rounds",
         "started",
         "finished",
@@ -282,6 +283,14 @@ class AdaptiveFetcher:
         # latest query; kept after the fetcher finishes, since the node
         # validates late replies against it until the slot is dropped
         self.queries: dict[int, _Query] = {}
+        # custody line -> (held count, trust-inbound flag) and the cells
+        # picked for them: recomputed only when the key moves or a map
+        # entry arrives (DESIGN.md 4), released with the maps
+        self._picked: dict[int, tuple[tuple[int, bool], list[int]]] = {}
+        # the open queries, in issue order: awaiting their round's expiry,
+        # and expired without a reply and not yet back in the pool
+        self._awaiting: dict[int, _Query] = {}
+        self._silent: dict[int, _Query] = {}
         self.rounds: list[RoundStats] = []
         self.started = False
         self.finished = False
@@ -300,8 +309,9 @@ class AdaptiveFetcher:
         fetcher reads neither map, so a late or duplicated first seed
         datagram attaches nothing to it.
         """
-        if not self.finished:
+        if not self.finished and self.boost.get(line_boost.line) is not line_boost:
             self.boost[line_boost.line] = line_boost
+            self._picked = {}
 
     def add_inbound(self, line: int, cells: frozenset[int]) -> None:
         """The cells of ``line`` the builder declared as seeded to us.
@@ -312,8 +322,9 @@ class AdaptiveFetcher:
         would only manufacture duplicates (Table 1 reports zero round-1
         duplicates).
         """
-        if not self.finished:
+        if not self.finished and self.inbound.get(line) is not cells:
             self.inbound[line] = cells
+            self._picked = {}
 
     # ------------------------------------------------------------------
     # protocol events (no-ops without a bus)
@@ -380,6 +391,7 @@ class AdaptiveFetcher:
             if self.started:
                 self._emit("fetch_done", success=False, reason="stopped")
         self.finished = True
+        self._release()
 
     # ------------------------------------------------------------------
     # round targeting (F of Algorithm 1, deficit-driven)
@@ -402,41 +414,50 @@ class AdaptiveFetcher:
         of line L counts as inbound (or boost-located) when the inbound
         entry (or CB(f)) of L, or of the line crossing L at that cell,
         names it.
+
+        A line's picks are recomputed only when its held count (cells are
+        only ever added) or the trust flag moved, or a map entry arrived.
         """
         state = self.state
         targets = set(state.missing_samples())
         if not self.fetch_custody:
             return targets
         trust_inbound = round_index < self.schedule.settle_round
-        inbound = self.inbound
-        boost = self.boost
-        boost_cells = {line: line_boost.cells for line, line_boost in boost.items()}
+        picked = self._picked
         for line in state.custody_lines:
-            deficit = state.line_deficit(line)
-            if deficit <= 0:
-                continue
-            missing = state.missing_in_line(line)
-            own = inbound.get(line, _NO_CELLS)
-            own_crossing = self._crossing_cells(line, inbound)
-            located = boost_cells.get(line, _NO_CELLS)
-            located_crossing = self._crossing_cells(line, boost_cells)
-            boosted_out = []
-            plain_out = []
-            inbound_cells = []
-            for cid in missing:
-                if cid in own or cid in own_crossing:
-                    inbound_cells.append(cid)
-                elif cid in located or cid in located_crossing:
-                    boosted_out.append(cid)
-                else:
-                    plain_out.append(cid)
-            if trust_inbound:
-                deficit = max(0, deficit - len(inbound_cells))
-                picked = (boosted_out + plain_out)[:deficit]
-            else:
-                picked = (boosted_out + plain_out + inbound_cells)[:deficit]
-            targets.update(picked)
+            key = (state.line_count(line), trust_inbound)
+            memo = picked.get(line)
+            if memo is None or memo[0] != key:
+                memo = picked[line] = (key, self._pick(line, trust_inbound))
+            targets.update(memo[1])
         return targets
+
+    def _pick(self, line: int, trust_inbound: bool) -> list[int]:
+        """The cells of custody ``line`` that F asks for (``round_targets``)."""
+        state = self.state
+        deficit = state.line_deficit(line)
+        if deficit <= 0:
+            return []
+        inbound = self.inbound
+        boost_cells = {other: entry.cells for other, entry in self.boost.items()}
+        own = inbound.get(line, _NO_CELLS)
+        own_crossing = self._crossing_cells(line, inbound)
+        located = boost_cells.get(line, _NO_CELLS)
+        located_crossing = self._crossing_cells(line, boost_cells)
+        boosted_out = []
+        plain_out = []
+        inbound_cells = []
+        for cid in state.missing_in_line(line):
+            if cid in own or cid in own_crossing:
+                inbound_cells.append(cid)
+            elif cid in located or cid in located_crossing:
+                boosted_out.append(cid)
+            else:
+                plain_out.append(cid)
+        if trust_inbound:
+            deficit = max(0, deficit - len(inbound_cells))
+            return (boosted_out + plain_out)[:deficit]
+        return (boosted_out + plain_out + inbound_cells)[:deficit]
 
     def _crossing_cells(self, line: int, by_line: Mapping[int, Set[int]]) -> set[int]:
         """Cells of ``line`` named by the entries of the lines crossing it.
@@ -477,14 +498,20 @@ class AdaptiveFetcher:
             self._finish(False)
             return
 
-        if self.on_peer_timeout is not None:
-            # reputation evidence: a peer whose round expired without any
-            # reply, at most once per slot; late (deferred) replies are
-            # legitimate protocol behaviour, which is why timeout
-            # evidence carries the lowest reputation weight
-            now = self.sim.now
-            for peer, query in self.queries.items():
-                if not (query.replied or query.reported) and self._expired(query, now):
+        # queries whose round expired leave ``_awaiting``; the silent ones
+        # wait in ``_silent`` for the recycle hatch and are reported as
+        # reputation evidence, at most once per slot, in ledger order
+        # (``_awaiting`` is in issue order, and a re-query is of a pooled,
+        # so already swept, peer). Late (deferred) replies are legitimate
+        # protocol behaviour, which is why timeout evidence carries the
+        # lowest reputation weight
+        now = self.sim.now
+        awaiting = self._awaiting
+        for peer in [peer for peer, query in awaiting.items() if self._expired(query, now)]:
+            query = awaiting.pop(peer)
+            if not query.replied:
+                self._silent[peer] = query
+                if not query.reported and self.on_peer_timeout is not None:
                     query.reported = True
                     self.on_peer_timeout(peer)
 
@@ -495,7 +522,8 @@ class AdaptiveFetcher:
         targets = self.round_targets(index)
         stats.targets = len(targets)
         settle = self.schedule.settle_round
-        candidate_cells, boosted = self._candidate_cells(targets)
+        missing_by_line = self._missing_by_line(targets)
+        candidate_cells, boosted = self._candidate_cells(targets, missing_by_line)
         if (
             not candidate_cells
             and targets
@@ -531,7 +559,9 @@ class AdaptiveFetcher:
                     recycled = self._recycle(replied_too=pool == "responded")
                     if recycled:
                         self._emit("query_recycle", pool=pool, count=recycled)
-                        candidate_cells, boosted = self._candidate_cells(targets)
+                        candidate_cells, boosted = self._candidate_cells(
+                            targets, missing_by_line
+                        )
                 if candidate_cells and policy is not None:
                     # back off before re-querying: the recycled peers go
                     # back in the pool now, but the wave itself runs
@@ -580,7 +610,7 @@ class AdaptiveFetcher:
         scores = score_peers(candidate_cells, boosted, self.cb_boost, weights)
         peers = list(candidate_cells)
         self.rng.shuffle(peers)  # unbiased tie-break among equal scores
-        peers.sort(key=lambda p: scores[p], reverse=True)
+        peers.sort(key=scores.__getitem__, reverse=True)
         plan = plan_queries(
             targets,
             peers,
@@ -618,7 +648,9 @@ class AdaptiveFetcher:
             query.round = index
             query.cells += tuple(cells)
             query.pooled = False
+            self._awaiting.pop(peer, None)
         self.queries[peer] = query
+        self._awaiting[peer] = query
         events = self.events if self._lifecycle else None
         if events is not None:
             req = query.req = events.next_request_id()
@@ -626,7 +658,7 @@ class AdaptiveFetcher:
         self.send_query(peer, cells)
 
     def _candidate_cells(
-        self, targets: set[int]
+        self, targets: set[int], missing_by_line: dict[int, set[int]] | None = None
     ) -> tuple[dict[int, Set[int]], dict[int, frozenset[int]]]:
         """Queryable peers mapped to the cells to ask them for.
 
@@ -638,7 +670,31 @@ class AdaptiveFetcher:
 
         Also returns those boosted peers' offers on their own (peer ->
         seeded cells among ``targets``): ``score_peers``' boost input.
+        ``missing_by_line`` is ``targets`` grouped by line, when the
+        caller has it already (a recycle re-scan reuses its round's).
         """
+        if missing_by_line is None:
+            missing_by_line = self._missing_by_line(targets)
+        candidates = self._scan_candidates(missing_by_line)
+        boosted: dict[int, frozenset[int]] = {}
+        if not candidates:
+            return candidates, boosted
+        for line_boost in self.boost.values():
+            for peer, seeded in line_boost.seeded.items():
+                if peer in candidates:
+                    seeded_targets = seeded & targets
+                    if seeded_targets:
+                        # a peer sharing two lines with us: union the
+                        # (small) intersections, never the seeded sets
+                        prior = boosted.get(peer)
+                        boosted[peer] = (
+                            seeded_targets if prior is None else prior | seeded_targets
+                        )
+        candidates.update(boosted)
+        return candidates, boosted
+
+    def _missing_by_line(self, targets: set[int]) -> dict[int, set[int]]:
+        """``targets`` grouped by row and by column, in first-encounter order."""
         missing_by_line: dict[int, set[int]] = {}
         params = self.state.params
         ext_cols = params.ext_cols
@@ -657,21 +713,7 @@ class AdaptiveFetcher:
                 missing_by_line[col_line] = {cid}
             else:
                 bucket.add(cid)
-        candidates = self._scan_candidates(missing_by_line)
-        boosted: dict[int, frozenset[int]] = {}
-        for line_boost in self.boost.values():
-            for peer, seeded in line_boost.seeded.items():
-                if peer in candidates:
-                    seeded_targets = seeded & targets
-                    if seeded_targets:
-                        # a peer sharing two lines with us: union the
-                        # (small) intersections, never the seeded sets
-                        prior = boosted.get(peer)
-                        boosted[peer] = (
-                            seeded_targets if prior is None else prior | seeded_targets
-                        )
-        candidates.update(boosted)
-        return candidates, boosted
+        return missing_by_line
 
     def _scan_candidates(
         self, missing_by_line: dict[int, set[int]]
@@ -714,24 +756,16 @@ class AdaptiveFetcher:
         candidates: dict[int, Set[int]] = {}
         union_cache: dict[tuple[int, ...], set[int]] = {}
         for peer, lines in peer_lines.items():
-            candidates[peer] = self._peer_cells(lines, missing_by_line, union_cache)
+            if len(lines) == 1:
+                candidates[peer] = missing_by_line[lines[0]]
+                continue
+            key = tuple(lines)
+            cells = union_cache.get(key)
+            if cells is None:
+                sets = [missing_by_line[line] for line in lines]
+                cells = union_cache[key] = set().union(*sets)
+            candidates[peer] = cells
         return candidates
-
-    @staticmethod
-    def _peer_cells(
-        lines: list[int],
-        missing_by_line: dict[int, set[int]],
-        union_cache: dict[tuple[int, ...], set[int]],
-    ) -> set[int]:
-        """Cells one peer can be asked for: union of its missing lines."""
-        if len(lines) == 1:
-            return missing_by_line[lines[0]]
-        key = tuple(lines)
-        cells = union_cache.get(key)
-        if cells is None:
-            sets = [missing_by_line[line] for line in lines]
-            cells = union_cache[key] = set().union(*sets)
-        return cells
 
     def _retry_wave_allowed(self, policy: RetryPolicy, index: int) -> bool:
         """Can one more retry wave still pay off before the deadline?
@@ -774,8 +808,12 @@ class AdaptiveFetcher:
         whoever served honestly.
         """
         now = self.sim.now
+        # every silent query whose round expired was swept into ``_silent``
+        # at the top of this round or earlier; the last resort walks the
+        # whole ledger
+        pool = self.queries if replied_too else self._silent
         recycled = 0
-        for query in self.queries.values():
+        for query in pool.values():
             if (
                 not query.pooled
                 and (replied_too or not query.replied)
@@ -783,6 +821,7 @@ class AdaptiveFetcher:
             ):
                 query.pooled = True
                 recycled += 1
+        self._silent.clear()
         return recycled
 
     # ------------------------------------------------------------------
@@ -871,8 +910,14 @@ class AdaptiveFetcher:
         self._emit("fetch_done", success=success, reason="complete" if success else "exhausted")
         if self.on_done is not None:
             self.on_done(success)
-        # drop the builder's CB(f) objects: the slot state outlives the
-        # fetcher's work (a pipeline retires it slots later), and without
-        # this every line's map would too
+        self._release()
+
+    def _release(self) -> None:
+        # drop the builder's CB(f) objects and every per-round memo: the
+        # slot state outlives the fetcher's work (a pipeline retires it
+        # slots later), and without this every line's map would too
         self.boost = {}
         self.inbound = {}
+        self._picked = {}
+        self._awaiting = {}
+        self._silent = {}

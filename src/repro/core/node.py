@@ -164,20 +164,20 @@ class PandasNode:
         index = ctx.index_for_epoch(epoch)
         view = self.view
 
-        if view is None:
-            def line_custodians(line: int):
-                return index.custodians(line, None)
-        else:
+        line_custodians: Callable[[int], list[int]] = index.custodians
+        if view is not None:
             # the view-filtered custodian list of a line is static for
             # the whole epoch; memoize it instead of re-filtering on
             # every fetch round
             custodian_cache: dict[int, list[int]] = {}
 
-            def line_custodians(line: int):
+            def view_custodians(line: int) -> list[int]:
                 got = custodian_cache.get(line)
                 if got is None:
                     got = custodian_cache[line] = index.custodians(line, view)
                 return got
+
+            line_custodians = view_custodians
 
         # epoch rollover: decay reputation counters, end quarantines
         self.reputation.observe_epoch(epoch)
@@ -186,7 +186,7 @@ class PandasNode:
             state=cells,
             schedule=params.fetch_schedule,
             line_custodians=line_custodians,
-            send_query=lambda peer, cids: self._send_query(slot, epoch, peer, cids),
+            send_query=partial(self._send_query, slot, epoch),
             rng=ctx.rngs.stream("fetch", self.node_id, slot),
             cb_boost=params.cb_boost,
             self_id=self.node_id,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from repro.obs import TraceRecorder
 from repro.params import FetchSchedule, PandasParams, RetryPolicy
 from repro.sim.bus import EventBus
 from repro.sim.engine import Simulator
+from tests.pins import ROWS
 
 
 class TestScoring:
@@ -527,6 +530,145 @@ class TestQueryLedgerOrder:
         assert (late.data["peer"], late.data["new"]) == (1, 1)
         assert state.has_cell(cell)
         assert fetcher.queries[1].cells[: len(first_cells)] == tuple(first_cells)
+
+
+def unmemoized(fetcher):
+    """A copy of ``fetcher`` that shares its maps, ledger and held cells
+    but none of its per-round memos: every answer recomputed."""
+    clone = copy.copy(fetcher)
+    clone._picked = {}
+    clone.state = copy.copy(fetcher.state)
+    clone.state._missing_memo = None
+    return clone
+
+
+def listed(mapping):
+    """A candidate or boost map as (peer, cells in iteration order) pairs."""
+    return [(peer, list(cells)) for peer, cells in mapping.items()]
+
+
+class TestRoundMemo:
+    """A round recomputes only what changed, and answers exactly as a
+    recomputation from scratch: the same targets and the same candidate
+    and boost maps, iterated in the same order (the plan and the RNG
+    draws read them in that order)."""
+
+    @pytest.mark.parametrize("name", ["dead", "faults", "pipeline"])
+    def test_every_round_matches_a_recomputation(self, name, monkeypatch):
+        round_targets = AdaptiveFetcher.round_targets
+        candidate_cells = AdaptiveFetcher._candidate_cells
+        recycle = AdaptiveFetcher._recycle
+        seen = Counter()
+
+        def checked_targets(self, round_index=1):
+            targets = round_targets(self, round_index)
+            assert list(targets) == list(round_targets(unmemoized(self), round_index))
+            seen["rounds"] += 1
+            seen["settled"] += round_index >= self.schedule.settle_round
+            return targets
+
+        def checked_candidates(self, targets, missing_by_line=None):
+            got = candidate_cells(self, targets, missing_by_line)
+            want = candidate_cells(unmemoized(self), targets)
+            assert listed(got[0]) == listed(want[0])
+            assert listed(got[1]) == listed(want[1])
+            exclude = self.exclude_peer
+            seen["quarantined"] += exclude is not None and any(map(exclude, self.queries))
+            return got
+
+        def counted_recycle(self, replied_too):
+            recycled = recycle(self, replied_too)
+            seen["recycled"] += recycled > 0
+            return recycled
+
+        monkeypatch.setattr(AdaptiveFetcher, "round_targets", checked_targets)
+        monkeypatch.setattr(AdaptiveFetcher, "_candidate_cells", checked_candidates)
+        monkeypatch.setattr(AdaptiveFetcher, "_recycle", counted_recycle)
+        ROWS[name][0]().run()
+        # the settle flip is crossed in every config; the faults run
+        # quarantines peers and the dead-peer run recycles every round
+        assert seen["settled"] and seen["rounds"] > seen["settled"]
+        if name == "faults":
+            assert seen["quarantined"]
+        if name == "dead":
+            assert seen["recycled"] > seen["rounds"] // 2
+
+    def test_boost_arriving_after_start_is_picked_up(self):
+        custody = Custody(rows=(0,), cols=(3,))
+        fetcher, _state, sim, _sent = make_fetcher(
+            custody=custody, custodians={0: [11], 19: [12]}
+        )
+        fetcher.start()
+        before = fetcher.round_targets(2)
+        located = (9, 10, 11, 12, 13, 14, 15)  # past row 0's first 8 cells
+        fetcher.add_boost(boost_map_for_line([SeedParcel(11, 0, located)]))
+        after = fetcher.round_targets(2)
+        assert list(after) == list(AdaptiveFetcher.round_targets(unmemoized(fetcher), 2))
+        assert set(located) <= after and not set(located) <= before
+
+    def test_silent_rounds_recompute_no_line_and_visit_only_open_queries(
+        self, monkeypatch
+    ):
+        """Custodians that never answer and no cell arrivals: the picks
+        are computed once per line, and the timeout sweep and the recycle
+        visit each query a bounded number of times, however many rounds
+        run (the whole ledger used to be walked every round)."""
+        lines_read = Counter()
+        missing_in_line = SlotCellState.missing_in_line
+
+        def counted_missing(self, line):
+            lines_read[line] += 1
+            return missing_in_line(self, line)
+
+        monkeypatch.setattr(SlotCellState, "missing_in_line", counted_missing)
+
+        class Visits(dict):
+            """A dict that counts the entries its iteration visits."""
+
+            def __init__(self, tally):
+                super().__init__()
+                self.tally = tally
+
+            def __iter__(self):
+                for key in super().__iter__():
+                    self.tally["visits"] += 1
+                    yield key
+
+            def items(self):
+                return ((key, self[key]) for key in self)
+
+            def values(self):
+                return (self[key] for key in self)
+
+        silent, answering = list(range(100, 112)), list(range(200, 240))
+        for max_rounds in (10, 40):
+            lines_read.clear()
+            tally = Counter()
+            # every peer holds both custody lines; the answering ones reply
+            # at once with nothing usable and stay consumed, the silent
+            # ones time out and are recycled whenever the pool runs dry
+            fetcher, state, sim, sent = make_fetcher(
+                custodians={0: silent + answering, 19: silent + answering},
+                schedule=FetchSchedule.constant(redundancy=4, max_rounds=max_rounds),
+                retry_unresponsive=True,
+                on_peer_timeout=lambda peer: None,
+            )
+
+            def send(peer, cells, sim=sim, fetcher=fetcher, sent=sent):
+                sent.append(peer)
+                if peer in answering:
+                    sim.call_after(0.01, fetcher.note_reply, peer)
+
+            fetcher.send_query = send
+            for name in ("queries", "_awaiting", "_silent"):
+                setattr(fetcher, name, Visits(tally))
+            fetcher.start()
+            sim.run()
+            assert len(fetcher.rounds) == max_rounds - 1
+            assert dict(lines_read) == {0: 1, 19: 1}
+            # each query is visited once by the sweep that finds it
+            # expired and at most once more by the recycle that pools it
+            assert 0 < tally["visits"] <= 2 * len(sent)
 
 
 class TestSettleRoundGate:

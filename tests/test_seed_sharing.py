@@ -154,6 +154,16 @@ def test_fetchers_reference_the_sent_maps_and_own_no_copy():
         assert by_line.setdefault(line_boost.line, line_boost) is line_boost
 
 
+# what a fetcher lets go of when it finishes or is stopped: the builder's
+# maps and every per-round memo (the ledger stays: the node checks late
+# replies against it)
+RELEASED = ("boost", "inbound", "_picked", "_awaiting", "_silent")
+
+
+def holds_nothing(fetcher: AdaptiveFetcher) -> bool:
+    return all(getattr(fetcher, name) == {} for name in RELEASED)
+
+
 def test_finished_fetcher_holds_no_builder_data():
     world, sent = seed_world()
     world.run_slot(0)
@@ -161,7 +171,7 @@ def test_finished_fetcher_holds_no_builder_data():
     assert len(finished) == NODES
     for node in finished:
         fetcher = node.slot_fetcher(0)
-        assert fetcher.boost == {} and fetcher.inbound == {}
+        assert holds_nothing(fetcher)
         # a late duplicate of the first datagram re-attaches nothing
         first = next(d.payload for d in sent if d.dst == node.node_id and d.payload.boost)
         node._on_seed(world.builder.builder_id, first)
@@ -188,10 +198,32 @@ def test_fetcher_that_gives_up_holds_no_builder_data():
     fetcher.start()
     sim.run(until=5.0)
     assert fetcher.finished and not fetcher.succeeded
-    assert fetcher.boost == {} and fetcher.inbound == {}
+    assert holds_nothing(fetcher)
     fetcher.add_boost(line_boost)
     fetcher.add_inbound(0, line_boost.seeded[SELF_ID])
     assert fetcher.boost == {} and fetcher.inbound == {}
+
+
+def test_fetchers_hold_nothing_once_finished_or_stopped():
+    """Every fetcher reports done once, from ``_finish`` or from ``stop``,
+    and afterwards holds no builder data and no per-round memo."""
+    world, _sent = seed_world()
+    done: list[AdaptiveFetcher] = []
+    world.ctx.events.subscribe(
+        FetcherInspector(world, lambda node_id, fetcher: done.append(fetcher))
+    )
+    world.ctx.begin_slot(0)
+    world.builder.seed_slot(0)
+    world.sim.run(until=0.05)
+    fetchers = [node.slot_fetcher(0) for node in world.nodes.values()]
+    running = [fetcher for fetcher in fetchers if not fetcher.finished]
+    assert running, "some fetchers are mid-round"
+    assert all(fetcher._picked and fetcher._awaiting for fetcher in running)
+    for fetcher in running:
+        fetcher.stop()
+    world.sim.run(until=8.0)
+    assert sorted(map(id, done)) == sorted(map(id, fetchers))
+    assert all(holds_nothing(fetcher) for fetcher in done)
 
 
 # ----------------------------------------------------------------------
