@@ -653,13 +653,15 @@ def _cmd_pipeline(args) -> int:
         )
     print(f"  deadline-hit rate  {report.deadline_hit_rate:.1%}")
     probe = report.probe
-    if probe.get("completed"):
-        print(
-            f"  probe retrieval    {probe['completed']}/{probe['issued']} complete, "
-            f"p50 {probe['latency_p50'] * 1e3:.0f} ms, "
-            f"p99 {probe['latency_p99'] * 1e3:.0f} ms "
-            f"({probe['shed']} shed)"
-        )
+    if probe["issued"]:
+        outcomes = ", ".join(f"{k}={v}" for k, v in probe["outcomes"].items())
+        line = f"  probe retrieval    {probe['completed']}/{probe['issued']} complete ({outcomes})"
+        if probe["completed"]:
+            line += (
+                f", p50 {probe['latency_p50'] * 1e3:.0f} ms, "
+                f"p99 {probe['latency_p99'] * 1e3:.0f} ms"
+            )
+        print(line)
     aggregate = report.aggregate
     if aggregate:
         line = (

@@ -48,27 +48,27 @@ __all__ = [
 class RetrievalResult:
     """Outcome of one retrieval request.
 
-    ``shed=True`` means admission control rejected the request before
-    any query was sent (the defer queue was full); ``complete`` stays
-    False and the callback fires immediately.
+    ``reason`` is its fetcher's end reason (``FETCH_DONE_REASONS``;
+    ``stopped`` also for a deferred request whose slot was dropped), or
+    ``shed`` when admission control rejected the request before any
+    query was sent (the defer queue was full; the callback fires at
+    once). None while it runs or waits.
     """
 
     slot: int
     rows: tuple[int, ...]
     cols: tuple[int, ...]
     cells: set[int] = field(default_factory=set)
-    complete: bool = False
     elapsed: float = 0.0
-    shed: bool = False
+    reason: str | None = None
 
+    @property
+    def complete(self) -> bool:
+        return self.reason == "complete"
 
-@dataclass
-class _Retrieval:
-    result: RetrievalResult
-    state: SlotCellState
-    fetcher: AdaptiveFetcher
-    callback: Callable[[RetrievalResult], None]
-    started_at: float = 0.0
+    @property
+    def shed(self) -> bool:
+        return self.reason == "shed"
 
 
 class RetrievalClient:
@@ -102,7 +102,8 @@ class RetrievalClient:
         self.defer_limit = defer_limit
         self._running = 0
         self._deferred: list[tuple[RetrievalResult, Callable[[RetrievalResult], None]]] = []
-        self._active: dict[int, list[_Retrieval]] = {}
+        # slot -> the fetchers started for it, until drop_slot
+        self._active: dict[int, list[AdaptiveFetcher]] = {}
 
     # ------------------------------------------------------------------
     def fetch_lines(
@@ -134,7 +135,7 @@ class RetrievalClient:
                 queue="retrieval_deferred", depth=len(self._deferred),
             )
         else:
-            result.shed = True
+            result.reason = "shed"
             self.ctx.emit(
                 "load_shed", slot=slot, node=self.client_id,
                 shed="retrieval_client", amount=1.0,
@@ -155,36 +156,32 @@ class RetrievalClient:
         state = SlotCellState(params, custody, samples=(), on_store=result.cells.add)
         index = ctx.index_for_epoch(epoch)
         view = self.view
-
-        retrieval = _Retrieval(
-            result=result,
-            state=state,
-            fetcher=None,  # type: ignore[arg-type]
-            callback=callback,
-            started_at=ctx.sim.now,
-        )
+        started_at = ctx.sim.now
         self._running += 1
 
-        def on_done(success: bool) -> None:
-            result.complete = success and state.consolidation_complete
-            result.elapsed = ctx.sim.now - retrieval.started_at
+        def on_done(_success: bool) -> None:
+            result.reason = fetcher.reason
+            result.elapsed = ctx.sim.now - started_at
             self._running -= 1
             callback(result)
             self._drain_deferred()
 
-        retrieval.fetcher = AdaptiveFetcher(
+        active = self._active.setdefault(slot, [])
+        fetcher = AdaptiveFetcher(
             sim=ctx.sim,
             state=state,
             schedule=params.fetch_schedule,
             line_custodians=lambda line: index.custodians(line, view),
             send_query=lambda peer, cells: self._send_query(slot, epoch, peer, cells),
-            rng=ctx.rngs.stream("retrieval", self.client_id, slot, len(self._active.get(slot, ()))),
+            rng=ctx.rngs.stream("retrieval", self.client_id, slot, len(active)),
             cb_boost=params.cb_boost,
             self_id=self.client_id,
             on_done=on_done,
+            events=ctx.events,
+            slot=slot,
         )
-        self._active.setdefault(slot, []).append(retrieval)
-        retrieval.fetcher.start()
+        active.append(fetcher)
+        fetcher.start()
 
     def _drain_deferred(self) -> None:
         """Start deferred retrievals while slots are free (FIFO order)."""
@@ -193,6 +190,22 @@ class RetrievalClient:
         ):
             result, callback = self._deferred.pop(0)
             self._start(result, callback)
+
+    def drop_slot(self, slot: int) -> None:
+        """Stop ``slot``'s retrievals, deferred ones included, and forget them.
+
+        Each ends ``stopped``; a running one frees its ``max_concurrent``
+        slot, which may start a deferred retrieval of another slot.
+        """
+        deferred, self._deferred = self._deferred, []
+        for result, callback in deferred:
+            if result.slot == slot:
+                result.reason = "stopped"
+                callback(result)
+            else:
+                self._deferred.append((result, callback))
+        for fetcher in self._active.pop(slot, ()):
+            fetcher.stop()
 
     @property
     def queue_depth(self) -> int:
@@ -204,9 +217,9 @@ class RetrievalClient:
         payload = dgram.payload
         if not isinstance(payload, CellResponse):
             return
-        for retrieval in self._active.get(payload.slot, ()):
-            if dgram.src in retrieval.fetcher.queries and not retrieval.fetcher.finished:
-                retrieval.fetcher.on_response(dgram.src, payload.cells)
+        for fetcher in self._active.get(payload.slot, ()):
+            if dgram.src in fetcher.queries and not fetcher.finished:
+                fetcher.on_response(dgram.src, payload.cells)
 
     def _send_query(self, slot: int, epoch: int, peer: int, cells: frozenset[int]) -> None:
         # retrieval-class traffic: serving nodes shed it before sampling

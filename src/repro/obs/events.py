@@ -29,6 +29,7 @@ from collections.abc import Iterable, Mapping
 from typing import Any
 
 __all__ = [
+    "FETCH_DONE_REASONS",
     "KINDS",
     "QUERY_TERMINAL_KINDS",
     "RESERVED_FIELDS",
@@ -66,8 +67,7 @@ KINDS: Mapping[str, str] = {
     "query_late_reply": "reply for an already-closed req (peer, new)",
     "query_recycle": "exhausted pool re-opened peers (pool, count)",
     "retry_backoff": "exhausted-pool retry wave backed off (round, wave, delay)",
-    "retry_abandoned": "retry dropped — deadline/wave budget spent (round, waves)",
-    "fetch_done": "Algorithm 1 finished (success, reason)",
+    "fetch_done": "Algorithm 1 finished (success, reason: FETCH_DONE_REASONS)",
     "fetch_reply": "a queried peer's reply was accounted (round, latency since round start)",
     "round_stats": "one round's Table-1 totals, published when the slot is retired",
     # overload control (net.transport bounds, node admission, retrieval)
@@ -82,6 +82,14 @@ KINDS: Mapping[str, str] = {
 # A query opened by ``query_issue`` terminates in exactly one of these
 # (the lifecycle-completeness invariant checked by the test suite).
 QUERY_TERMINAL_KINDS = frozenset({"query_response", "query_timeout", "query_cancel"})
+
+# A ``fetch_start`` is closed by exactly one ``fetch_done``, whose
+# ``reason`` is one of these (invariant I6, repro.faults.invariants):
+# complete (success), exhausted (out of rounds), starved (no custodian
+# left to ask even after recycling), abandoned (the retry policy refused
+# a wave: deadline or wave budget spent), stopped (crash or slot
+# retirement ended it from outside).
+FETCH_DONE_REASONS = ("complete", "exhausted", "starved", "abandoned", "stopped")
 
 # Top-level field names of the serialized (flat) event; payload keys
 # must not collide with them.

@@ -380,7 +380,8 @@ class Telemetry:
             deadline = self.deadline
             if deadline is not None and at <= deadline:
                 own["phase_deadline_hits_total"][phase] += 1.0
-        elif kind == "fetch_reply":
+        elif kind == "fetch_reply" and node < self._retrieval_floor:
+            # node fetchers only: retrieval probes publish on the bus too
             rnd = data["round"]
             label = str(rnd) if rnd <= 4 else "5+"
             _observe(

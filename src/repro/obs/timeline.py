@@ -311,7 +311,9 @@ def causal_report(
             name = event.get("shed", "?")
             sheds[name] = sheds.get(name, 0.0) + event.get("amount", 1.0)
     backoff_waves = sum(1 for e in mine if e["kind"] == "retry_backoff")
-    abandoned = sum(1 for e in mine if e["kind"] == "retry_abandoned")
+    abandoned = sum(
+        1 for e in mine if e["kind"] == "fetch_done" and e.get("reason") == "abandoned"
+    )
     if overflows:
         lines.append(f"overload: inbox overflow dropped {overflows} datagram(s)")
     if sheds:

@@ -96,6 +96,32 @@ class TestViolationsCaught:
         with pytest.raises(InvariantViolation):
             scenario.invariants.check_final()
 
+    def test_fetch_that_never_ends_raises(self):
+        """I6: a fetch opened and never closed fails the final check."""
+        scenario = Scenario(make_config())
+        scenario.ctx.emit("fetch_start", slot=0, node=3, custody=True)
+        with pytest.raises(InvariantViolation, match="never ended"):
+            scenario.invariants.check_final()
+
+    def test_second_open_fetch_and_unknown_reason_raise(self):
+        scenario = Scenario(make_config())
+        emit = scenario.ctx.emit
+        emit("fetch_start", slot=0, node=3, custody=True)
+        with pytest.raises(InvariantViolation, match="second fetch"):
+            emit("fetch_start", slot=0, node=3, custody=True)
+        with pytest.raises(InvariantViolation, match="unknown reason"):
+            emit("fetch_done", slot=0, node=3, success=False, reason="silent")
+        emit("fetch_done", slot=0, node=3, success=False, reason="stopped")
+        with pytest.raises(InvariantViolation, match="not open"):
+            emit("fetch_done", slot=0, node=3, success=False, reason="stopped")
+        # a crash's stopped closed it: the restart may reopen the pair
+        emit("fetch_start", slot=0, node=3, custody=True)
+
+    def test_crash_restart_run_ends_every_fetch(self):
+        plan = FaultPlan(crashes=(CrashWindow(crash_at=0.3, restart_at=0.8, count=3),))
+        scenario = Scenario(make_config(faults=plan)).run()
+        assert not +scenario.invariants._open_fetches
+
     def test_wrapped_marks_still_record(self):
         """The checker subscribes to the same phase events as the
         recorder; legitimate completions reach the recorder unchanged."""

@@ -1,10 +1,10 @@
 """The telemetry layer's core guarantees.
 
 The hard requirement is the same contract the trace layer carries: a
-telemetered run must be bit-identical to a bare one, pinned by
-``MetricsRecorder.fingerprint()`` equality across the PANDAS scenario,
-a baseline, and the sustained pipeline. The rest of the file covers
-the fixed family table (deterministic histograms, one declared label
+telemetered run must be bit-identical to a bare one. The replay pins
+check it (``tests/test_pins.py`` runs every pinned run, PANDAS,
+baselines and pipelines, with telemetry attached and without). This
+file covers the fixed family table (deterministic histograms, one declared label
 per family, counters read from the recorder), the cadence sampler, the
 traffic-layer classifier and the heartbeat's wall-clock isolation.
 """
@@ -16,7 +16,6 @@ import re
 
 import pytest
 
-from repro.baselines import GossipDasScenario
 from repro.experiments.pipeline import PipelineScenario
 from repro.experiments.scenario import Scenario
 from repro.obs import Heartbeat, Histogram, Telemetry
@@ -272,36 +271,9 @@ def test_fetch_round_latency_observed():
 
 
 # ----------------------------------------------------------------------
-# behavior neutrality: the hard requirement
+# behavior neutrality: tests/test_pins.py replays every pinned run with
+# telemetry attached and without; here, the series itself replays
 # ----------------------------------------------------------------------
-def test_pandas_fingerprint_identical_with_telemetry():
-    """fingerprint() is bit-identical with telemetry on or off."""
-    plain = Scenario(dense_config()).run().metrics.fingerprint()
-    telemetered = (
-        Scenario(dense_config(telemetry=Telemetry())).run().metrics.fingerprint()
-    )
-    assert plain == telemetered
-
-
-def test_baseline_fingerprint_identical_with_telemetry():
-    plain = GossipDasScenario(dense_config()).run().metrics.fingerprint()
-    telemetered = (
-        GossipDasScenario(dense_config(telemetry=Telemetry()))
-        .run()
-        .metrics.fingerprint()
-    )
-    assert plain == telemetered
-
-
-def test_pipeline_fingerprint_identical_with_telemetry():
-    plain = PipelineScenario(pipeline_config(), churn_fraction=0.1).run()
-    telemetered = PipelineScenario(
-        pipeline_config(telemetry=Telemetry()), churn_fraction=0.1
-    ).run()
-    assert plain.report().fingerprint == telemetered.report().fingerprint
-    assert telemetered.telemetry.samples  # and the sampler actually ran
-
-
 def test_two_telemetered_runs_produce_identical_series():
     rows = []
     for _ in range(2):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.retrieval import AggregateRetrievalLoad, RetrievalClient
+from repro.params import MAX_CELLS_PER_QUERY, PandasParams
 from tests.helpers import make_world
 
 
@@ -73,6 +74,35 @@ def test_concurrent_retrievals_independent():
     assert first.complete and second.complete
 
 
+def test_row_longer_than_one_query_per_custodian_completes():
+    """A row whose reconstruction needs more cells than one capped query
+    to each custodian can carry: the probe re-asks custodians that
+    already answered once every one has been asked (the recycle rule)."""
+    params = PandasParams(base_rows=8, base_cols=64, custody_rows=1, custody_cols=1, samples=10)
+    world, client = make_world_with_client(num_nodes=30, params=params)
+    index = world.ctx.index_for_epoch(0)
+    needed = params.ext_cols // 2
+    row = next(
+        line
+        for line in range(params.ext_rows)
+        if 0 < MAX_CELLS_PER_QUERY * len(index.custodians(line)) < needed
+    )
+    world.run_slot(0)
+    outcome = client.fetch_lines(0, rows=(row,))
+    world.sim.run(until=world.sim.now + 3.0)
+    assert outcome.complete and outcome.reason == "complete"
+    assert len(outcome.cells) >= needed
+
+
+def test_every_retrieval_ends_with_a_reason():
+    world, client = make_world_with_client(num_nodes=30)
+    world.run_slot(0)
+    outcome = client.fetch_lines(0, rows=(0,))
+    assert outcome.reason is None  # running
+    world.sim.run(until=world.sim.now + 3.0)
+    assert outcome.reason == "complete"
+
+
 # ----------------------------------------------------------------------
 # client-side admission control (max_concurrent / defer_limit)
 # ----------------------------------------------------------------------
@@ -108,6 +138,40 @@ class TestClientAdmission:
         assert world.ctx.metrics.shed_counts["retrieval_client"] == 1
         world.sim.run(until=world.sim.now + 6.0)
         assert sum(r.complete for r in done) == 2
+
+    def test_next_request_starts_when_one_ends_without_completing(self):
+        """Slot 1 is never seeded, so nobody can serve it: that retrieval
+        re-asks its silent peers until its rounds run out, and its end
+        frees the only concurrency slot for the deferred slot-0 one."""
+        world, client = make_world_with_client(
+            num_nodes=30, client_kwargs=dict(max_concurrent=1)
+        )
+        world.run_slot(0)
+        done = []
+        client.fetch_lines(1, rows=(0,), callback=done.append)
+        client.fetch_lines(0, rows=(1,), callback=done.append)
+        world.sim.run(until=world.sim.now + 10.0)
+        assert [(r.slot, r.reason) for r in done] == [(1, "exhausted"), (0, "complete")]
+        assert client.queue_depth == 0
+
+    def test_drop_slot_stops_running_and_deferred_retrievals(self):
+        world, client = make_world_with_client(
+            num_nodes=30, client_kwargs=dict(max_concurrent=1, defer_limit=4)
+        )
+        world.run_slot(0)
+        done = []
+        client.fetch_lines(0, rows=(0,), callback=done.append)
+        client.fetch_lines(0, rows=(1,), callback=done.append)
+        later = client.fetch_lines(1, rows=(2,), callback=done.append)
+        client.drop_slot(0)
+        # the deferred slot-0 request ends first, then the running one,
+        # whose freed slot starts the slot-1 request
+        assert [(r.rows, r.reason) for r in done] == [((1,), "stopped"), ((0,), "stopped")]
+        assert later.reason is None and client.queue_depth == 1
+        assert list(client._active) == [1]
+        client.drop_slot(1)
+        assert later.reason == "stopped"
+        assert client._active == {} and client.queue_depth == 0
 
     def test_unconfigured_client_never_sheds(self):
         world, client = make_world_with_client(num_nodes=30)
