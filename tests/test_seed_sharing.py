@@ -197,7 +197,7 @@ def test_fetcher_that_gives_up_holds_no_builder_data():
     fetcher.add_inbound(0, line_boost.seeded[SELF_ID])
     fetcher.start()
     sim.run(until=5.0)
-    assert fetcher.finished and not fetcher.succeeded
+    assert fetcher.reason == "exhausted"
     assert holds_nothing(fetcher)
     fetcher.add_boost(line_boost)
     fetcher.add_inbound(0, line_boost.seeded[SELF_ID])
