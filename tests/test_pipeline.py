@@ -180,6 +180,10 @@ class TestOverloadControl:
         # the aggregate model sheds its 2x overload rather than queueing
         assert report.aggregate["shed_overflow"] > 0
         assert scenario.aggregate.backlog <= 2_000_000.0
+        # every probe, deferred and shed ones included, has an outcome
+        outcomes = report.probe["outcomes"]
+        assert sum(outcomes.values()) == report.probe["issued"]
+        assert outcomes.get("shed", 0) == report.probe["shed"]
 
     def test_aggregate_admission_rate_caps_intake(self):
         scenario = make_pipeline(
