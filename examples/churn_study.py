@@ -12,7 +12,8 @@ Run:  python examples/churn_study.py
 """
 
 from repro.core.seeding import RedundantSeeding
-from repro.experiments import ChurnScenario, ScenarioConfig
+from repro.experiments import ScenarioConfig
+from repro.experiments.pipeline import PipelineScenario
 from repro.params import PandasParams
 
 
@@ -29,8 +30,12 @@ def run(churn_fraction: float, view_lag_slots: int, slots: int = 4):
         slots=slots,
         num_vertices=500,
     )
-    scenario = ChurnScenario(
-        config, churn_fraction=churn_fraction, view_lag_slots=view_lag_slots
+    # churn alone: no retrieval probes, no aggregate layer-2 load
+    scenario = PipelineScenario(
+        config,
+        churn_fraction=churn_fraction,
+        view_lag_slots=view_lag_slots,
+        probes_per_slot=0,
     )
     scenario.run()
     return scenario.deadline_hit_by_slot()
@@ -38,7 +43,7 @@ def run(churn_fraction: float, view_lag_slots: int, slots: int = 4):
 
 def main() -> None:
     print("Per-slot fraction of live nodes sampling within 4 s")
-    print("(80 nodes, churn applied after every slot)\n")
+    print("(80 nodes, churn applied at every slot boundary)\n")
     print(f"{'churn':>7} {'view lag':>9} | " + " ".join(f"slot {s}" for s in range(4)))
     for churn in (0.0, 0.2, 0.4):
         for lag in (0, 2):
@@ -46,13 +51,13 @@ def main() -> None:
             row = " ".join(f"{100 * completion.get(s, 0):5.1f}%" for s in range(4))
             print(f"{churn:>6.0%} {lag:>9} | {row}")
     print()
-    print("Reading: with fresh views (lag 0) churn barely registers — the")
-    print("deterministic assignment gives joiners custody instantly and the")
-    print("builder seeds them. With stale views, nodes query departed peers")
-    print("and cannot see joiners, so completion erodes as churn grows — the")
-    print("dynamic version of Figure 15's out-of-view scenario. PANDAS's")
-    print("redundancy absorbs moderate turnover either way.")
-
+    print("Reading: with fresh views (lag 0) churn does not register at this")
+    print("scale — the deterministic assignment gives joiners custody at once")
+    print("and the builder seeds them. With views two slots stale, nodes query")
+    print("departed peers and cannot see joiners: PANDAS's redundancy absorbs")
+    print("20% turnover per slot entirely, and at 40% completion first dips in")
+    print("slot 3, after three churn rounds — the dynamic version of Figure")
+    print("15's out-of-view scenario.")
 
 if __name__ == "__main__":
     main()

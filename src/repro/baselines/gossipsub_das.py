@@ -10,7 +10,8 @@ the same egress budget as PANDAS's redundant strategy — and the
 channel's mesh gossip replaces explicit consolidation. The sampling
 phase is PANDAS's adaptive fetcher restricted to sample cells, with
 candidates drawn from the unit members instead of the row/column
-custodians.
+custodians; replies take the fetcher's acceptance chain
+(``AdaptiveFetcher.on_reply``) without a reputation ledger.
 """
 
 from __future__ import annotations
@@ -103,11 +104,9 @@ class GossipDasNode:
         fetcher = AdaptiveFetcher(
             sim=ctx.sim,
             state=cells,
-            schedule=params.fetch_schedule,
             line_custodians=lambda line: scenario.members_for_line(line),
             send_query=lambda peer, cids: self._send_query(slot, peer, cids),
             rng=ctx.rngs.stream("fetch", self.node_id, slot),
-            cb_boost=params.cb_boost,
             self_id=self.node_id,
             fetch_custody=False,  # gossip replaces consolidation
         )
@@ -158,9 +157,9 @@ class GossipDasNode:
                 self._respond(slot, record.src, tuple(sorted(record.cells)))
 
     def _on_response(self, src: int, msg: CellResponse) -> None:
-        state = self._slot_state(msg.slot)
-        state.fetcher.on_response(src, msg.cells)
-        self._after_cells_changed(msg.slot, state)
+        state = self._slots.get(msg.slot)
+        if state is not None and state.fetcher.on_reply(src, msg.cells, msg.invalid)[0]:
+            self._after_cells_changed(msg.slot, state)
 
     # ------------------------------------------------------------------
     def _send_query(self, slot: int, peer: int, cells: frozenset[int]) -> None:

@@ -9,7 +9,6 @@ from repro.experiments.figures import (
     run_scaling,
     run_table1,
 )
-from repro.experiments.churn import ChurnScenario
 from repro.experiments.scenario import BaseScenario, PhaseDistributions, Scenario, ScenarioConfig
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "run_scaling",
     "run_table1",
     "BaseScenario",
-    "ChurnScenario",
     "PhaseDistributions",
     "Scenario",
     "ScenarioConfig",

@@ -36,8 +36,8 @@ STREAM_OWNERS: dict[str, tuple[str, ...]] = {
     "gossip-mesh": ("baselines/gossipsub_das.py",),
     "peerdas-fallback": ("baselines/peerdas_das.py",),
     "peerdas-mesh": ("baselines/peerdas_das.py",),
-    "churn": ("experiments/churn.py",),
-    "churn-topology": ("experiments/churn.py",),
+    "churn": ("experiments/pipeline.py",),
+    "churn-topology": ("experiments/pipeline.py",),
     "loss": ("experiments/scenario.py",),
     "topology": ("experiments/scenario.py",),
     "dead": ("experiments/scenario.py",),

@@ -8,7 +8,7 @@ import random
 from repro.core.assignment import Custody, cells_of_line
 from repro.core.custody import SlotCellState
 from repro.core.fetching import AdaptiveFetcher, plan_queries
-from repro.params import FetchSchedule, PandasParams
+from repro.params import PandasParams
 from repro.sim.engine import Simulator
 
 
@@ -23,11 +23,9 @@ def make_fetcher(samples=(), custodians=None, **kwargs):
     fetcher = AdaptiveFetcher(
         sim=sim,
         state=state,
-        schedule=FetchSchedule(),
         line_custodians=lambda line: custodians.get(line, []),
         send_query=lambda peer, cells: sent.append((sim.now, peer, cells)),
         rng=random.Random(1),
-        cb_boost=10_000,
         self_id=999,
         **kwargs,
     )

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.core.assignment import Custody, cells_of_line
 from repro.core.custody import SlotCellState
 from repro.core.fetching import AdaptiveFetcher, plan_queries, score_peers
+from repro.core.reputation import ReputationLedger
 from repro.core.seeding import SeedParcel, boost_map_for_line
 from repro.obs import TraceRecorder
 from repro.params import FetchSchedule, PandasParams, RetryPolicy
@@ -99,11 +100,27 @@ class TestPlanning:
         assert plan.cells_requested == 3
 
 
+class ScriptedLedger:
+    """A reputation ledger with scripted verdicts (``weight`` and
+    ``quarantined`` as given, which may change over time) that collects
+    the timeout evidence it is sent."""
+
+    def __init__(self, weight=lambda peer: 1.0, quarantined=lambda peer: False):
+        self.weight = weight
+        self.quarantined = quarantined
+        self.timeouts = []
+
+    def record_timeout(self, peer):
+        self.timeouts.append(peer)
+
+
 def make_fetcher(params=None, custody=None, samples=(), custodians=None,
                  schedule=None, sim=None, sent=None, **fetcher_kwargs):
     params = params or PandasParams(
         base_rows=8, base_cols=8, custody_rows=1, custody_cols=1, samples=2
     )
+    if schedule is not None:
+        params = params.with_schedule(schedule)
     custody = custody or Custody(rows=(0,), cols=(3,))
     state = SlotCellState(params, custody, samples)
     sim = sim or Simulator()
@@ -113,11 +130,9 @@ def make_fetcher(params=None, custody=None, samples=(), custodians=None,
     fetcher = AdaptiveFetcher(
         sim=sim,
         state=state,
-        schedule=schedule or FetchSchedule(),
         line_custodians=lambda line: custodians.get(line, []),
         send_query=lambda peer, cells: sent.append((sim.now, peer, cells)),
         rng=random.Random(1),
-        cb_boost=10_000,
         self_id=999,
         **fetcher_kwargs,
     )
@@ -206,7 +221,7 @@ class TestScanCandidates:
 
         custodians = {5: [999, 10, 20, 30], 7: [20, 30, 999, 10, 40]}
         fetcher, _state, _sim, _sent = make_fetcher(
-            custodians=custodians, exclude_peer=exclude
+            custodians=custodians, reputation=ScriptedLedger(quarantined=exclude)
         )
         fetcher._issue_query(10, frozenset({1}), 1)
         candidates = fetcher._scan_candidates({5: {1}, 7: {2}})
@@ -398,7 +413,8 @@ class TestExhaustionAndQuarantine:
         custodians = {line: [1, 2, 3] for line in range(32)}
         fetcher, _state, sim, sent = make_fetcher(
             custodians=custodians,
-            exclude_peer=lambda peer: True,  # everyone quarantined
+            # everyone quarantined
+            reputation=ScriptedLedger(quarantined=lambda peer: True),
         )
         fetcher.start()
         sim.run(until=10.0)
@@ -418,7 +434,7 @@ class TestExhaustionAndQuarantine:
             sim=sim,
             events=EventBus(sim, [tracer]),
             slot=0,
-            exclude_peer=lambda peer: sim.now >= 0.6,
+            reputation=ScriptedLedger(quarantined=lambda peer: sim.now >= 0.6),
             on_done=done.append,
         )
         fetcher.start()
@@ -432,7 +448,8 @@ class TestExhaustionAndQuarantine:
     def test_quarantined_peer_excluded_from_query_plans(self):
         custodians = {line: [12, 13] for line in range(32)}
         fetcher, _state, sim, sent = make_fetcher(
-            custodians=custodians, exclude_peer=lambda peer: peer == 13
+            custodians=custodians,
+            reputation=ScriptedLedger(quarantined=lambda peer: peer == 13),
         )
         fetcher.start()
         sim.run(until=2.0)
@@ -444,7 +461,7 @@ class TestExhaustionAndQuarantine:
         custodians = {0: [1, 2]}  # identical holdings
         fetcher, _state, sim, sent = make_fetcher(
             custodians=custodians,
-            peer_weight=lambda peer: 0.1 if peer == 1 else 1.0,
+            reputation=ScriptedLedger(weight=lambda peer: 0.1 if peer == 1 else 1.0),
         )
         fetcher.start()
         sim.run(until=0.01)
@@ -452,13 +469,11 @@ class TestExhaustionAndQuarantine:
         assert {p for _t, p, _c in sent} == {2}
 
     def test_timeout_reported_once_per_peer(self):
-        reports = []
-        fetcher, _state, sim, _sent = make_fetcher(
-            custodians={0: [1]}, on_peer_timeout=reports.append
-        )
+        ledger = ReputationLedger()
+        fetcher, _state, sim, _sent = make_fetcher(custodians={0: [1]}, reputation=ledger)
         fetcher.start()
         sim.run(until=2.0)
-        assert reports == [1]
+        assert list(ledger.stats) == [1] and ledger.stats[1].timeouts == 1
 
     def test_no_timer_leak_across_reset(self):
         schedule = FetchSchedule(timeouts=(0.1,), redundancy=(1,), max_rounds=4)
@@ -503,21 +518,20 @@ class TestQueryLedgerOrder:
             kinds=["query_issue", "query_timeout", "query_recycle",
                    "query_cancel", "query_late_reply"]
         )
-        reports = []
 
         def weight(peer):
             # peer 1 out-scores peer 2 until t = 0.5, then the reverse
             preferred = 1 if sim.now < 0.5 else 2
             return 1.0 if peer == preferred else 0.5
 
+        ledger = ScriptedLedger(weight=weight)
         fetcher, state, sim, sent = make_fetcher(
             custodians={0: [1, 2]},  # two silent custodians of row 0
             schedule=FetchSchedule(max_rounds=5),
             sim=sim,
             events=EventBus(sim, [tracer]),
             slot=0,
-            peer_weight=weight,
-            on_peer_timeout=reports.append,
+            reputation=ledger,
         )
         fetcher.start()
         sim.run(until=0.85)
@@ -547,7 +561,7 @@ class TestQueryLedgerOrder:
             (0.8, "query_timeout", 2, 4),
             (0.8, "query_timeout", 1, 4),
         ]
-        assert reports == [1, 2]  # each peer's timeout evidence sent once
+        assert ledger.timeouts == [1, 2]  # each peer's timeout evidence sent once
 
         # peer 1 finally answers its first query: every query is closed,
         # so it is a late reply, and its cell is stored all the same
@@ -608,8 +622,10 @@ class TestRoundMemo:
             want = candidate_cells(unmemoized(self), targets)
             assert listed(got[0]) == listed(want[0])
             assert listed(got[1]) == listed(want[1])
-            exclude = self.exclude_peer
-            seen["quarantined"] += exclude is not None and any(map(exclude, self.queries))
+            ledger = self.reputation
+            seen["quarantined"] += ledger is not None and any(
+                map(ledger.quarantined, self.queries)
+            )
             return got
 
         def counted_recycle(self, replied_too):
@@ -689,7 +705,7 @@ class TestRoundMemo:
             fetcher, state, sim, sent = make_fetcher(
                 custodians={0: silent + answering, 19: silent + answering},
                 schedule=FetchSchedule.constant(redundancy=4, max_rounds=max_rounds),
-                on_peer_timeout=lambda peer: None,
+                reputation=ScriptedLedger(),
             )
 
             def send(peer, cells, sim=sim, fetcher=fetcher, sent=sent):
@@ -809,7 +825,7 @@ class TestRetryBackoff:
         policy = RetryPolicy(jitter=0.0)
         fetcher, _state, sim, sent = make_fetcher(
             custodians={line: [1, 2, 3] for line in range(32)}, retry_policy=policy,
-            exclude_peer=lambda peer: True,
+            reputation=ScriptedLedger(quarantined=lambda peer: True),
         )
         fetcher.start()
         sim.run(until=10.0)

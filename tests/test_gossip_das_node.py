@@ -72,6 +72,20 @@ def test_sampling_fetcher_ignores_custody():
     assert targets == node._slots[0].cells.missing_samples()
 
 
+def test_reply_from_unqueried_peer_stores_nothing():
+    scenario = make_scenario()
+    node = scenario.nodes[0]
+    scenario.ctx.begin_slot(0)
+    node.on_channel_cells(0, (1,))
+    state = node._slots[0]
+    stranger = next(
+        peer for peer in scenario.node_ids if peer != 0 and peer not in state.fetcher.queries
+    )
+    sample = min(state.cells.missing_samples())
+    node._on_response(stranger, CellResponse(slot=0, epoch=0, cells=(sample,)))
+    assert not state.cells.has_cell(sample)
+
+
 def test_unit_members_answer_sampling_queries():
     scenario = make_scenario()
     scenario.run_slot(0)

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.assignment import cells_of_line
+from repro.core.messages import CellResponse
 from repro.core.retrieval import AggregateRetrievalLoad, RetrievalClient
+from repro.net.transport import Datagram
 from repro.params import MAX_CELLS_PER_QUERY, PandasParams
 from tests.helpers import make_world
 
@@ -101,6 +104,25 @@ def test_every_retrieval_ends_with_a_reason():
     assert outcome.reason is None  # running
     world.sim.run(until=world.sim.now + 3.0)
     assert outcome.reason == "complete"
+
+
+def test_probe_drops_invalid_and_unasked_cells():
+    """A probe's replies take the node's acceptance chain: a reply that
+    carries the whole row, with every cell the probe asked that peer for
+    marked invalid, stores nothing and completes nothing."""
+    world, client = make_world_with_client(num_nodes=30)
+    world.run_slot(0)
+    outcome = client.fetch_lines(0, rows=(2,))
+    (fetcher,) = client._active[0]
+    peer, query = next(iter(fetcher.queries.items()))
+    row = cells_of_line(2, world.params.ext_rows, world.params.ext_cols)
+    assert not set(row) <= set(query.cells)  # some cells were never asked
+    reply = CellResponse(slot=0, epoch=0, cells=row, invalid=frozenset(query.cells))
+    client.on_datagram(Datagram(peer, client.client_id, reply, 0, world.sim.now))
+    assert outcome.cells == set() and outcome.reason is None
+    # honest replies still complete it
+    world.sim.run(until=world.sim.now + 3.0)
+    assert outcome.complete
 
 
 # ----------------------------------------------------------------------

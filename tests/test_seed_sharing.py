@@ -183,13 +183,15 @@ def test_fetcher_that_gives_up_holds_no_builder_data():
     sim = Simulator()
     fetcher = AdaptiveFetcher(
         sim=sim,
-        state=SlotCellState(params, Custody(rows=(0,), cols=(3,)), ()),
-        schedule=FetchSchedule.constant(max_rounds=3),
+        state=SlotCellState(
+            params.with_schedule(FetchSchedule.constant(max_rounds=3)),
+            Custody(rows=(0,), cols=(3,)),
+            (),
+        ),
         # silent peers: every round has someone to ask, nobody answers
         line_custodians=lambda line: PEERS,
         send_query=lambda peer, cells: None,
         rng=random.Random(1),
-        cb_boost=CB_BOOST,
         self_id=SELF_ID,
     )
     line_boost = boost_map_for_line([SeedParcel(SELF_ID, 0, (0, 2)), SeedParcel(4, 0, (4,))])
@@ -299,11 +301,9 @@ def check_boost_equivalence(case, round_index: int) -> None:
     fetcher = AdaptiveFetcher(
         sim=sim,
         state=state,
-        schedule=FetchSchedule(),
         line_custodians=lambda line: custodians[line],
         send_query=lambda peer, cells: None,
         rng=random.Random(1),
-        cb_boost=CB_BOOST,
         self_id=SELF_ID,
     )
     for peer in sorted(queried):
