@@ -183,10 +183,11 @@ def slowest_nodes(
 
     Nodes that appear in the slot's trace but never completed the phase
     rank slowest of all (completion ``None``). The node universe is
-    every node id seen in any event of the slot, so a node that only
-    ever *received* traffic still shows up as a miss. Builders — the
-    ids that emitted ``seed_slot`` — are excluded: they disseminate,
-    they don't sample.
+    every node id seen in an event of the slot other than ``net_drop``,
+    so a node that only ever *received* traffic still shows up as a
+    miss, while a dead node, seen only as the destination of dropped
+    datagrams, does not. Builders — the ids that emitted ``seed_slot``
+    — are excluded: they disseminate, they don't sample.
     """
     materialized = [as_dict(e) for e in events]
     completions = phase_completions(materialized)
@@ -197,6 +198,7 @@ def slowest_nodes(
     for event in materialized:
         if (
             event.get("slot", -1) == slot
+            and event["kind"] != "net_drop"
             and event.get("node", -1) >= 0
             and event["node"] not in builders
         ):
