@@ -8,7 +8,9 @@ The transport reproduces exactly that contract:
 - ``send`` never fails at the caller; loss is a Bernoulli draw
   (the paper's testbed observed 3% UDP loss);
 - delivery time = sender uplink serialization + propagation latency +
-  receiver downlink serialization (see :mod:`repro.net.link`);
+  receiver downlink serialization (see :mod:`repro.net.link`) + the
+  receiver's ``Endpoint.verify_cost`` of the payload (a PANDAS node's
+  KZG check; 0 at receivers that do not verify);
 - datagrams to unregistered/destroyed addresses vanish silently, which
   models departed nodes that are still present in stale views.
 
@@ -16,7 +18,11 @@ Every datagram copy that survives send-time resolution is one
 simulator event at its delivery instant (``Network._deliver``), so
 deliveries interleave with every other event by the engine's
 ``(time, seq)`` order and the transport keeps no reference to a
-datagram once it is delivered.
+datagram once it is delivered. Delivered means verified too: the
+``on_deliver`` observers (so ``net_deliver`` records), then the
+receiver's handler, run at that instant, ``verify_cost`` after the
+copy arrived. A copy whose receiver was down at any instant since it
+arrived is dropped ``dead_late`` at that instant instead.
 """
 
 from __future__ import annotations
@@ -61,12 +67,15 @@ class Endpoint:
     link: AccessLink
     handler: Callable[[Datagram], None]
     alive: bool = True
-    # in-flight datagram count toward this endpoint — the live queue
-    # depth that the ``max_inbox`` overflow policy and the I5 backlog
-    # gauge read
+    # copies sent toward this endpoint and not yet delivered (verified) —
+    # the live queue depth that ``max_inbox`` and the I5 backlog gauge read
     in_flight: int = 0
     # datagrams this endpoint rejected because its queue was full
     overflowed: int = 0
+    # seconds of verification per payload, added to its delivery instant
+    verify_cost: Callable[[Any], float] | None = None
+    # when a killed endpoint last came back up (``Network.revive``)
+    revived_at: float = float("-inf")
 
 
 class Network:
@@ -106,8 +115,8 @@ class Network:
         # Loss observers for the tracing layer: called with the dropped
         # datagram and a reason — "dead" (destination unregistered or
         # not alive at send time), "loss" (Bernoulli draw), "fault"
-        # (fault_filter returned no copies), "dead_late" (receiver died
-        # while the datagram was in flight), "overflow" (receiver's
+        # (fault_filter returned no copies), "dead_late" (receiver was
+        # down between arrival and delivery), "overflow" (receiver's
         # bounded queue was full).
         self.on_drop: list[Callable[[Datagram, str], None]] = []
         # Optional fault-injection hook (see repro.faults.injector):
@@ -160,14 +169,15 @@ class Network:
         endpoint = self._endpoints.get(address)
         if endpoint is not None and not endpoint.alive:
             endpoint.alive = True
+            endpoint.revived_at = self.sim.now
             endpoint.link.reset()
 
     def is_alive(self, address: int) -> bool:
         endpoint = self._endpoints.get(address)
         return endpoint is not None and endpoint.alive
 
-    def endpoint(self, address: int) -> Endpoint | None:
-        return self._endpoints.get(address)
+    def endpoint(self, address: int) -> Endpoint:
+        return self._endpoints[address]
 
     @property
     def addresses(self) -> list[int]:
@@ -230,6 +240,7 @@ class Network:
                 self._drop(dgram, "fault")
                 return
         arrival = departure + self.latency.one_way(sender.vertex, receiver.vertex)
+        cost = 0.0 if receiver.verify_cost is None else receiver.verify_cost(payload)
         max_inbox = self.max_inbox
         for copy_index, extra in enumerate(extra_delays):
             if max_inbox is not None and receiver.in_flight >= max_inbox:
@@ -243,8 +254,8 @@ class Network:
             if copy_index:
                 self.datagrams_duplicated += 1
             receiver.in_flight += 1
-            delivered_at = receiver.link.reserve_downlink(arrival + extra, size)
-            self.sim.call_at(delivered_at, self._deliver, receiver, dgram)
+            arrived_at = receiver.link.reserve_downlink(arrival + extra, size)
+            self.sim.call_at(arrived_at + cost, self._deliver, receiver, dgram, arrived_at)
 
     def _drop(self, dgram: Datagram, reason: str) -> None:
         """Account one lost datagram and notify drop observers."""
@@ -252,9 +263,9 @@ class Network:
         for observer in self.on_drop:
             observer(dgram, reason)
 
-    def _deliver(self, receiver: Endpoint, dgram: Datagram) -> None:
+    def _deliver(self, receiver: Endpoint, dgram: Datagram, arrived_at: float) -> None:
         receiver.in_flight -= 1
-        if not receiver.alive:
+        if not receiver.alive or receiver.revived_at > arrived_at:
             self._drop(dgram, "dead_late")
             return
         self.datagrams_delivered += 1

@@ -45,7 +45,8 @@ __all__ = [
 KINDS: Mapping[str, str] = {
     # transport (bridged from the Network observer lists by the scenario)
     "net_send": "datagram left a sender's NIC (src=node, dst, size, payload)",
-    "net_deliver": "datagram handed to the receiver (node=dst, src, size, payload)",
+    "net_deliver": "datagram handed to the receiver, verified (node=dst, src, size, payload); "
+    "it arrived at t - cells x cell_verify_seconds (PANDAS node) or at t (other receivers)",
     "net_drop": "datagram lost (reason: loss|dead|dead_late|fault)",
     # fault injection (repro.faults.injector) and adversaries
     "fault": "injected fault realized (fault kind, victim where known)",

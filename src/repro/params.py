@@ -283,8 +283,9 @@ class PandasParams:
 
         - *requesting*: ``max(k_i)`` redundant copies of everything it
           could ever want (custody cells plus samples), each carried as
-          a full cell, plus one query per peer (a peer is queried at
-          most once per slot) at the capped query size, and
+          a full cell, plus ``num_nodes`` queries at the capped query
+          size — a budget, not one query per peer: the recycle rule
+          re-asks peers whose query expired — and
         - *serving*: one capped query received from every peer plus the
           matching full-cell response.
 

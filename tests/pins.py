@@ -98,7 +98,8 @@ def _pipeline_3(**observers: Any) -> PipelineScenario:
 
 
 def _dead(**observers: Any) -> Scenario:
-    """60 nodes, 40% of them dead: fetchers time out and recycle every round."""
+    """60 nodes, 40% of them dead: fetchers time out and recycle every round,
+    invariants on (I2 and I6 in the worst recycle regime)."""
     return Scenario(
         ScenarioConfig(
             num_nodes=60,
@@ -108,6 +109,7 @@ def _dead(**observers: Any) -> Scenario:
             slots=1,
             num_vertices=600,
             dead_fraction=0.4,
+            check_invariants=True,
             **observers,
         )
     )

@@ -10,8 +10,9 @@ from tests.helpers import make_world
 
 
 def collect_seeds(world, slot=0):
+    """Seed datagrams in the order the builder sent them."""
     seeds = []
-    world.network.on_deliver.append(
+    world.network.on_send.append(
         lambda d: seeds.append(d) if isinstance(d.payload, SeedMessage) else None
     )
     world.ctx.begin_slot(slot)
@@ -72,7 +73,7 @@ def test_full_boost_map_on_first_burst_message_only():
     world = make_world(num_nodes=30, policy=RedundantSeeding(3))
     seeds = collect_seeds(world)
     first_seen = set()
-    for dgram in sorted(seeds, key=lambda d: d.sent_at):
+    for dgram in seeds:
         if dgram.dst not in first_seen:
             first_seen.add(dgram.dst)
             assert dgram.payload.boost  # full map present

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.core.messages import (
     PRIORITY_RETRIEVAL,
     CellRequest,
     CellResponse,
     SeedMessage,
 )
+from repro.core.retrieval import RetrievalClient
 from repro.params import PandasParams
 from tests.helpers import make_world
 
@@ -135,17 +138,70 @@ class TestVerifyCost:
         world.sim.run(until=0.035)
         assert state.cells.has_cell(1)
 
-    def test_crash_discards_in_flight_verification(self):
+    # the reply arrives at 0.01 (latency) and is verified by 0.03
+    @pytest.mark.parametrize(
+        ("crash_at", "restart_at", "delivered"),
+        [
+            pytest.param(0.002, 0.005, True, id="up-again-before-arrival"),
+            pytest.param(0.02, None, False, id="down-at-delivery"),
+            pytest.param(0.015, 0.025, False, id="down-and-up-while-verifying"),
+            pytest.param(0.005, 0.02, False, id="down-at-arrival"),
+        ],
+    )
+    def test_crash_around_verification(self, crash_at, restart_at, delivered):
+        """A reply is lost if its receiver was down at any instant from
+        its arrival to the end of its verification."""
         world = make_world(params=small_params(cell_verify_seconds=0.01))
-        node = world.nodes[0]
-        state = node._slot_state(0)
-        state.fetcher._issue_query(5, frozenset({1, 2}), 1)
+        node, network, peer = world.nodes[0], world.network, 99
+        network.register(peer, 5, lambda dgram: None, None, None)
+
+        def crash():  # as the fault injector does it
+            network.kill(0)
+            node.crash()
+
+        def restart():
+            network.revive(0)
+            node.restart(0)
+
+        node._slot_state(0).fetcher._issue_query(peer, frozenset({1, 2}), 1)
         resp = CellResponse(slot=0, epoch=0, cells=(1, 2))
-        world.network.send(5, 0, resp, resp.wire_size(world.params))
-        world.sim.run(until=0.015)  # delivered, still verifying
-        node.crash()
-        world.sim.run(until=0.1)  # the guarded callback fires harmlessly
-        assert node.slot_cells(0) is None
+        network.send(peer, 0, resp, resp.wire_size(world.params))
+        world.sim.call_at(crash_at, crash)
+        if restart_at is not None:
+            world.sim.call_at(restart_at, restart)
+        world.sim.run(until=0.1)
+        # the incarnation that asked is gone: a delivered reply reaches
+        # one that never asked the peer, which records it as unsolicited
+        assert (peer in node.reputation.stats) == delivered
+        assert world.ctx.metrics.defense_counts.get("resp_unsolicited", 0) == int(delivered)
+        cells = node.slot_cells(0)
+        assert cells is None or not cells.has_cell(1)
+
+    @pytest.mark.parametrize("client", [False, True])
+    def test_one_event_per_reply(self, client):
+        """One reply into an idle world is one simulator event, at the
+        downlink delivery instant plus the receiver's verify cost: cells
+        x ``cell_verify_seconds`` for a node, nothing for a retrieval
+        client, which does not verify."""
+        world = make_world(params=small_params(cell_verify_seconds=0.01))
+        receiver = 0
+        if client:
+            receiver = 1000
+            probe = RetrievalClient(world.ctx, receiver)
+            world.network.register(receiver, 0, probe.on_datagram, None, None)
+        down_rate = 1e5
+        world.network.endpoint(receiver).link.down_rate = down_rate
+        delivered_at = []
+        world.network.on_deliver.append(lambda dgram: delivered_at.append(world.sim.now))
+        resp = CellResponse(slot=0, epoch=0, cells=(1, 2, 3))
+        size = resp.wire_size(world.params)
+        world.network.send(5, receiver, resp, size)
+        before = world.sim.events_processed
+        world.sim.run()
+        assert world.sim.events_processed - before == 1
+        downlink_end = 0.01 + size / down_rate
+        verify = 0.0 if client else 3 * 0.01
+        assert delivered_at == [pytest.approx(downlink_end + verify, abs=1e-12)]
 
 
 class TestRateLimiting:
