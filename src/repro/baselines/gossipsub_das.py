@@ -109,6 +109,7 @@ class GossipDasNode:
             rng=ctx.rngs.stream("fetch", self.node_id, slot),
             self_id=self.node_id,
             fetch_custody=False,  # gossip replaces consolidation
+            deadline_at=ctx.slot_start(slot) + params.deadline,
         )
         return _GossipSlotState(cells=cells, fetcher=fetcher)
 

@@ -48,6 +48,7 @@ from typing import Any
 from repro.analysis.plotting import ascii_cdf
 from repro.analysis.stats import summarize
 from repro.core.seeding import policy_by_name
+from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.params import PandasParams
 
 __all__ = ["COMMANDS", "Command", "main", "build_parser"]
@@ -79,6 +80,22 @@ def command(name: str, help: str, *args: Arg):
         return run
 
     return register
+
+
+def _positive(convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    """Type of a bound with no unbounded setting: a positive number, or a
+    usage error."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    return parse
 
 
 def _fault_plan(spec: str):
@@ -223,8 +240,6 @@ def _finish_telemetry(telemetry, args) -> dict | None:
     *TELEMETRY,
 )
 def _cmd_slot(args) -> int:
-    from repro.experiments.scenario import Scenario, ScenarioConfig
-
     faults = args.faults
     tracer = _make_tracer(args)
     telemetry = _make_telemetry(args)
@@ -495,7 +510,6 @@ def _cmd_security(args) -> int:
     ),
 )
 def _cmd_trace(args) -> int:
-    from repro.experiments.scenario import Scenario, ScenarioConfig
     from repro.obs import ChromeTraceSink, JsonlSink, TraceRecorder
     from repro.obs.timeline import lifecycle_problems, trace_report
 
@@ -554,22 +568,21 @@ def _cmd_trace(args) -> int:
     arg("--churn", type=float, default=0.05, help="membership turnover per slot"),
     arg("--view-lag", type=int, default=1, help="slots of view staleness"),
     arg("--retention", type=int, default=2, help="slots of state kept behind the head"),
-    arg("--max-inbox", type=int, default=4096, help="bounded transport inbox (0 = unbounded)"),
+    arg(
+        "--max-inbox", type=_positive(int), default=ScenarioConfig.max_inbox,
+        help="bounded transport inbox (datagrams)",
+    ),
     arg(
         "--pending-limit", type=int, default=256,
         help="bounded per-node request buffer (0 = unbounded)",
     ),
     arg(
-        "--admit-rate", type=float, default=200.0,
-        help="per-node retrieval admission tokens/s (0 = unbounded)",
+        "--admit-rate", type=_positive(float), default=PandasParams.retrieval_admit_rate,
+        help="per-node retrieval admission tokens/s",
     ),
     arg(
-        "--admit-burst", type=float, default=20.0,
+        "--admit-burst", type=_positive(float), default=PandasParams.retrieval_admit_burst,
         help="per-node retrieval admission bucket burst (tokens)",
-    ),
-    arg(
-        "--no-retry", action="store_true",
-        help="disable deadline-aware retry/backoff between fetch rounds",
     ),
     arg("--probes", type=int, default=2, help="measured retrieval probes per slot"),
     arg(
@@ -593,14 +606,11 @@ def _cmd_pipeline(args) -> int:
     from dataclasses import replace
 
     from repro.experiments.pipeline import PipelineScenario
-    from repro.experiments.scenario import ScenarioConfig
-    from repro.params import RetryPolicy
 
     params = replace(
         _params(args),
-        fetch_retry=None if args.no_retry else RetryPolicy(),
         pending_request_limit=args.pending_limit if args.pending_limit > 0 else None,
-        retrieval_admit_rate=args.admit_rate if args.admit_rate > 0 else None,
+        retrieval_admit_rate=args.admit_rate,
         retrieval_admit_burst=args.admit_burst,
     )
     tracer = _make_tracer(args)
@@ -614,7 +624,7 @@ def _cmd_pipeline(args) -> int:
         check_invariants=args.check_invariants,
         tracer=tracer,
         telemetry=telemetry,
-        max_inbox=args.max_inbox if args.max_inbox > 0 else None,
+        max_inbox=args.max_inbox,
     )
     scenario = PipelineScenario(
         config,

@@ -28,6 +28,11 @@ It proceeds in rounds; round ``i`` has timeout ``t_i`` (400, 200, then
    ``t_i`` and starts the next round, or ends through ``_finish`` with
    one of ``repro.obs.events.FETCH_DONE_REASONS``.
 
+A fetch with a deadline (a node's slot start + ``params.deadline``)
+starts no round at or after it and backs its recycle waves off by
+``params.fetch_retry``; one without (a retrieval probe) recycles on the
+round tick until it completes or runs out of rounds (DESIGN.md 2.1 (8)).
+
 Responses can arrive in *any* later round (queried nodes buffer what
 they cannot serve yet and never NACK); per-round telemetry (Table 1)
 distinguishes replies received before and after their round's timeout.
@@ -171,7 +176,7 @@ class AdaptiveFetcher:
 
     Decoupled from the node/transport through callables so the same
     machinery serves PANDAS nodes, baselines and unit tests; the round
-    schedule and ``cb_boost`` come from ``state.params``:
+    schedule, the retry policy and ``cb_boost`` come from ``state.params``:
 
     - ``line_custodians(line)``: view-filtered custodians of a line;
     - ``send_query(peer, cells)``: emit one QUERYCELLS datagram;
@@ -181,6 +186,9 @@ class AdaptiveFetcher:
       whose weights steer scoring, whose quarantine filters candidates,
       and which ``on_reply`` and the timeout sweep feed with evidence,
       each piece published as a ``defense`` event (None: no reputation);
+    - ``deadline_at``: absolute sim time after which no reply is worth
+      asking for (None: no deadline, the fetch recycles on the round
+      tick);
     - ``events``: the run's bus, for round, query-lifecycle, reply and
       defense events tagged with ``slot`` and ``self_id`` (None: publish
       nothing).
@@ -197,7 +205,6 @@ class AdaptiveFetcher:
         "on_done",
         "fetch_custody",
         "reputation",
-        "retry_policy",
         "deadline_at",
         "retry_waves",
         "events",
@@ -227,7 +234,6 @@ class AdaptiveFetcher:
         on_done: Callable[[bool], None] | None = None,
         fetch_custody: bool = True,
         reputation: ReputationLedger | None = None,
-        retry_policy: RetryPolicy | None = None,
         deadline_at: float | None = None,
         events: EventBus | None = None,
         slot: int = -1,
@@ -244,13 +250,10 @@ class AdaptiveFetcher:
         # consider the slot done once sampling completes
         self.fetch_custody = fetch_custody
         self.reputation = reputation
-        # Deadline-aware backoff on top of the recycle (overload
-        # control). ``retry_policy is None`` recycles on the round tick;
-        # with a policy, exhausted-pool retries wait a seeded jittered
-        # exponential backoff between waves and are abandoned once
-        # ``deadline_at`` (absolute sim time) can no longer be met or
-        # ``max_waves`` is spent.
-        self.retry_policy = retry_policy
+        # the retry rule's input (module docstring): with a deadline,
+        # exhausted-pool retries wait a seeded jittered backoff between
+        # waves, and the fetch is abandoned once the deadline can no
+        # longer be met or the wave budget is spent
         self.deadline_at = deadline_at
         self.retry_waves = 0
         # Protocol events. The query lifecycle gives every query a
@@ -481,6 +484,13 @@ class AdaptiveFetcher:
         if self.complete or index >= self.schedule.max_rounds:
             self._finish("complete" if self.complete else "exhausted")
             return
+        now = self.sim.now
+        deadline_at = self.deadline_at
+        if deadline_at is not None and now >= deadline_at:
+            # a reply to a round started now could not count: custody
+            # and samples alike stop here
+            self._finish("abandoned")
+            return
 
         # queries whose round expired leave ``_awaiting``; the silent ones
         # wait in ``_silent`` for the recycle and are reported as
@@ -489,7 +499,6 @@ class AdaptiveFetcher:
         # so already swept, peer). Late (deferred) replies are legitimate
         # protocol behaviour, which is why timeout evidence carries the
         # lowest reputation weight
-        now = self.sim.now
         awaiting = self._awaiting
         for peer in [peer for peer, query in awaiting.items() if self._expired(query, now)]:
             query = awaiting.pop(peer)
@@ -518,8 +527,10 @@ class AdaptiveFetcher:
         # these cells. A pool still empty cannot refill by waiting, so the
         # fetch ends ``starved`` at once (DESIGN.md 2.1).
         if not candidate_cells and index >= self.schedule.settle_round:
-            policy = self.retry_policy
-            if policy is not None and not self._retry_wave_allowed(policy, index):
+            policy = self.state.params.fetch_retry
+            if deadline_at is not None and not self._retry_wave_allowed(
+                policy, index, deadline_at
+            ):
                 # a backed-off wave could no longer complete before the
                 # deadline, or the wave budget is spent
                 reason = "abandoned"
@@ -536,7 +547,7 @@ class AdaptiveFetcher:
                             break
                 if not candidate_cells:
                     reason = "starved"
-                elif policy is not None:
+                elif deadline_at is not None:
                     # the recycled peers wait in the pool; the wave is
                     # planned after a jittered exponential delay, drawn
                     # from the fetcher's seeded stream (part of the replay)
@@ -709,21 +720,19 @@ class AdaptiveFetcher:
             candidates[peer] = cells
         return candidates
 
-    def _retry_wave_allowed(self, policy: RetryPolicy, index: int) -> bool:
-        """Can one more retry wave still pay off before the deadline?
+    def _retry_wave_allowed(self, policy: RetryPolicy, index: int, deadline_at: float) -> bool:
+        """Can one more retry wave still pay off before ``deadline_at``?
 
         Checked with the *worst-case* jittered delay so the RNG is only
         drawn when a wave is actually scheduled: an abandoned retry
         consumes no randomness and replays identically. The wave must
         leave room for its own round timeout — a reply that cannot
-        arrive before ``deadline_at`` is not worth asking for.
+        arrive before the deadline is not worth asking for.
         """
         if self.retry_waves >= policy.max_waves:
             return False
-        if self.deadline_at is None:
-            return True
         worst = policy.backoff(self.retry_waves) * (1.0 + policy.jitter)
-        return self.sim.now + worst + self.schedule.timeout(index + 1) <= self.deadline_at
+        return self.sim.now + worst + self.schedule.timeout(index + 1) <= deadline_at
 
     def _recycle(self, replied_too: bool) -> int:
         """Return expired peers to the candidate pool; returns how many.

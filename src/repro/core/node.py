@@ -140,8 +140,10 @@ class PandasNode:
         self._buckets: dict[int, TokenBucket] = {}
         # aggregate admission bucket over *all* inbound retrieval-class
         # requests (the load-shedding priority lane: sampling traffic
-        # never passes through it); created lazily iff configured
-        self._retrieval_bucket: TokenBucket | None = None
+        # never passes through it)
+        self._retrieval_bucket = TokenBucket(
+            params.retrieval_admit_rate, params.retrieval_admit_burst
+        )
         self._retired: set[int] = set()
         ctx.network.endpoint(node_id).verify_cost = self._verify_cost
 
@@ -196,12 +198,7 @@ class PandasNode:
             rng=ctx.rngs.stream("fetch", self.node_id, slot),
             self_id=self.node_id,
             reputation=self.reputation,
-            retry_policy=params.fetch_retry,
-            deadline_at=(
-                ctx.slot_start(slot) + params.deadline
-                if params.fetch_retry is not None
-                else None
-            ),
+            deadline_at=ctx.slot_start(slot) + params.deadline,
             events=ctx.events,
             slot=slot,
         )
@@ -238,7 +235,7 @@ class PandasNode:
                 return
             if (
                 payload.priority == PRIORITY_RETRIEVAL
-                and not self._admit_retrieval()
+                and not self._retrieval_bucket.allow(ctx.sim.now)
             ):
                 self._shed("retrieval_admission", slot=payload.slot)
                 return
@@ -256,22 +253,6 @@ class PandasNode:
             params = self.ctx.params
             bucket = TokenBucket(params.inbound_msg_rate, params.inbound_msg_burst)
             self._buckets[src] = bucket
-        return bucket.allow(self.ctx.sim.now)
-
-    def _admit_retrieval(self) -> bool:
-        """Aggregate token bucket over retrieval-class requests.
-
-        Unconfigured (``retrieval_admit_rate is None``) admits
-        everything — the legacy behaviour. Sampling/consolidation
-        requests never consult this bucket.
-        """
-        rate = self.ctx.params.retrieval_admit_rate
-        if rate is None:
-            return True
-        bucket = self._retrieval_bucket
-        if bucket is None:
-            bucket = TokenBucket(rate, self.ctx.params.retrieval_admit_burst)
-            self._retrieval_bucket = bucket
         return bucket.allow(self.ctx.sim.now)
 
     def _verify_cost(self, payload: object) -> float:
@@ -370,13 +351,10 @@ class PandasNode:
                 )
             record = _PendingRequest(src, remainder, len(remainder), msg.priority)
             state.pending_count += 1
-            if limit is not None:
-                # gauge only under overload control so legacy runs keep
-                # their exact historical metrics snapshot
-                self.ctx.emit(
-                    "queue_depth", slot=slot, node=self.node_id,
-                    queue="pending_requests", depth=state.pending_count,
-                )
+            self.ctx.emit(
+                "queue_depth", slot=slot, node=self.node_id,
+                queue="pending_requests", depth=state.pending_count,
+            )
             if msg.priority == PRIORITY_RETRIEVAL:
                 state.pending_retrieval.append(record)
             for cid in remainder:
@@ -549,7 +527,9 @@ class PandasNode:
             quarantine_threshold=params.quarantine_threshold,
         )
         self._buckets.clear()
-        self._retrieval_bucket = None
+        self._retrieval_bucket = TokenBucket(
+            params.retrieval_admit_rate, params.retrieval_admit_burst
+        )
 
     def restart(self, slot: int) -> None:
         """Recover with empty storage and immediately re-fetch ``slot``.

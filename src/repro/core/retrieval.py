@@ -84,21 +84,20 @@ class RetrievalClient:
         ctx: ProtocolContext,
         client_id: int,
         view: set[int] | None = None,
-        max_concurrent: int | None = None,
-        defer_limit: int = 32,
+        max_concurrent: int = 4,
+        defer_limit: int = 8,
     ) -> None:
-        if max_concurrent is not None and max_concurrent <= 0:
-            raise ValueError(f"max_concurrent must be positive or None, got {max_concurrent}")
+        if max_concurrent <= 0:
+            raise ValueError(f"max_concurrent must be positive, got {max_concurrent}")
         if defer_limit < 0:
             raise ValueError(f"defer_limit must be non-negative, got {defer_limit}")
         self.ctx = ctx
         self.client_id = client_id
         self.view = view
-        # Admission control (``None`` = legacy unbounded): at most
-        # ``max_concurrent`` retrievals run at once; the next
-        # ``defer_limit`` wait in FIFO order; anything beyond that is
-        # shed immediately rather than queued forever (the client half
-        # of the I5 backlog bound).
+        # Admission control: at most ``max_concurrent`` retrievals run
+        # at once; the next ``defer_limit`` wait in FIFO order; anything
+        # beyond that is shed immediately rather than queued forever
+        # (the client half of the I5 backlog bound).
         self.max_concurrent = max_concurrent
         self.defer_limit = defer_limit
         self._running = 0
@@ -127,7 +126,7 @@ class RetrievalClient:
         result = RetrievalResult(
             slot=slot, rows=tuple(sorted(rows)), cols=tuple(sorted(cols))
         )
-        if self.max_concurrent is None or self._running < self.max_concurrent:
+        if self._running < self.max_concurrent:
             self._start(result, callback)
         elif len(self._deferred) < self.defer_limit:
             self._deferred.append((result, callback))
@@ -168,6 +167,8 @@ class RetrievalClient:
             self._drain_deferred()
 
         active = self._active.setdefault(slot, [])
+        # no deadline: the client waits on the lines whenever they come,
+        # so its fetcher recycles on the round tick (DESIGN.md 2.1 (8))
         fetcher = AdaptiveFetcher(
             sim=ctx.sim,
             state=state,
@@ -184,9 +185,7 @@ class RetrievalClient:
 
     def _drain_deferred(self) -> None:
         """Start deferred retrievals while slots are free (FIFO order)."""
-        while self._deferred and (
-            self.max_concurrent is None or self._running < self.max_concurrent
-        ):
+        while self._deferred and self._running < self.max_concurrent:
             result, callback = self._deferred.pop(0)
             self._start(result, callback)
 
@@ -223,7 +222,7 @@ class RetrievalClient:
 
     def _send_query(self, slot: int, epoch: int, peer: int, cells: frozenset[int]) -> None:
         # retrieval-class traffic: serving nodes shed it before sampling
-        # traffic under overload (see PandasNode._admit_retrieval)
+        # traffic under overload (see PandasNode.on_datagram)
         request = CellRequest(
             slot=slot, epoch=epoch, cells=cells, priority=PRIORITY_RETRIEVAL
         )

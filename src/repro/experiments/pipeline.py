@@ -18,13 +18,15 @@ capacity left. :class:`PipelineScenario` is that regime:
   membership ``view_lag_slots`` slots ago (DHT crawls take about a
   minute, Section 4.1); the builder seeds the current membership.
   ``probes_per_slot=0`` runs churn alone.
-- **Overload control end to end**: bounded transport inboxes
-  (``ScenarioConfig.max_inbox``), bounded per-node request buffers
-  (``PandasParams.pending_request_limit``), retrieval admission
-  (``retrieval_admit_rate``), deadline-aware retry/backoff
-  (``PandasParams.fetch_retry``) and the aggregate layer-2 load model
-  (:class:`~repro.core.retrieval.AggregateRetrievalLoad`) all engage
-  at once; the I5 invariant checks no queue ever exceeds its bound.
+- **Overload control end to end**: the bounds of every run — bounded
+  transport inboxes (``ScenarioConfig.max_inbox``), retrieval
+  admission (``retrieval_admit_rate``), deadline-aware retry/backoff
+  (``PandasParams.fetch_retry``) — meet the optional per-node request
+  buffer bound (``PandasParams.pending_request_limit``) and the
+  aggregate layer-2 load model
+  (:class:`~repro.core.retrieval.AggregateRetrievalLoad`) under
+  sustained load; the I5 invariant checks no queue ever exceeds its
+  bound.
 - **Measured retrieval**: a handful of *probe* ``RetrievalClient``
   instances issue real per-request retrievals each slot, giving
   measured latency percentiles to place next to the aggregate model's
@@ -60,9 +62,6 @@ PROBE_BASE_ADDRESS = 10_000_000
 # each probe asks for PROBE_ROWS full rows, PROBE_DELAY s into its slot
 PROBE_DELAY = 1.0
 PROBE_ROWS = 1
-# client-side admission control of every probe client
-PROBE_MAX_CONCURRENT = 4
-PROBE_DEFER_LIMIT = 8
 # serving-tier requests/s one observed sampling message/s consumes
 SAMPLING_COST = 1.0
 
@@ -167,12 +166,7 @@ class PipelineScenario(Scenario):
             rng = self.rngs.stream("pipeline-probe-topology")
             for i in range(max(1, min(probes_per_slot, 4))):
                 address = PROBE_BASE_ADDRESS + i
-                client = RetrievalClient(
-                    self.ctx,
-                    address,
-                    max_concurrent=PROBE_MAX_CONCURRENT,
-                    defer_limit=PROBE_DEFER_LIMIT,
-                )
+                client = RetrievalClient(self.ctx, address)
                 self.network.register(
                     address,
                     rng.randrange(self.latency.num_vertices),

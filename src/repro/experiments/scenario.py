@@ -82,11 +82,10 @@ class ScenarioConfig:
     # neutrality contract as the tracer — fingerprints are pinned
     # bit-identical with telemetry on or off
     telemetry: Telemetry | None = None
-    # bounded per-endpoint transport queues (None = legacy unbounded);
-    # overflowing datagrams are tail-dropped with reason "overflow" and
-    # the I5 backlog invariant enforces the bound when check_invariants
-    # is on (sustained-pipeline overload control)
-    max_inbox: int | None = None
+    # bounded per-endpoint transport queues: overflowing datagrams are
+    # tail-dropped with reason "overflow", and the I5 backlog invariant
+    # enforces the bound when check_invariants is on
+    max_inbox: int = 4096
 
     def make_latency(self) -> LatencyModel:
         if self.latency is not None:
@@ -317,8 +316,8 @@ class BaseScenario:
                 metrics.fetch_bytes.add(slot, dgram.dst, dgram.size)
 
         def on_drop(dgram: Datagram, reason: str) -> None:
-            # bounded-inbox drops (only possible when max_inbox is set)
-            # feed the backlog counters the pipeline report surfaces
+            # bounded-inbox drops feed the backlog counters the
+            # pipeline report surfaces
             if reason == "overflow":
                 metrics.record_queue_drop("inbox_overflow")
 

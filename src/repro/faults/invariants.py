@@ -17,23 +17,25 @@ enforces, *while the run executes and under any fault mix*:
 - **I4 — honest sampling**: sampling success is only recorded when all
   ``params.samples`` (73 at full scale) sample cells are verified held,
   and never with a negative completion time;
-- **I5 — no unbounded backlog**: whenever queue bounds are configured
-  (transport ``max_inbox``, node ``pending_request_limit``, retrieval
-  admission), no live queue depth ever exceeds its bound. Depth checks
-  are O(1) against live gauges on every delivery, plus a final sweep
-  over every endpoint/node — a leak that only shows up between
-  deliveries still fails at :meth:`InvariantChecker.check_final`;
-- **I6 — every fetch ends**: each ``fetch_done`` names a reason of
-  ``FETCH_DONE_REASONS`` and closes an open fetch of its (slot, node);
-  a node holds at most one open fetch per slot (a crash's ``stopped``
-  closes it, a restart reopens it), a retrieval client one per request;
-  and none is open at :meth:`InvariantChecker.check_final` (retirement
-  stops them all).
+- **I5 — no unbounded backlog**: no live queue depth ever exceeds its
+  bound (transport ``max_inbox``, and node ``pending_request_limit``
+  when one is set). Depth checks are O(1) against live gauges on every
+  delivery, plus a final sweep over every endpoint/node — a leak that
+  only shows up between deliveries still fails at
+  :meth:`InvariantChecker.check_final`;
+- **I6 — every fetch ends, by the deadline**: each ``fetch_done``
+  names a reason of ``FETCH_DONE_REASONS`` and closes an open fetch of
+  its (slot, node); a node holds at most one open fetch per slot (a
+  crash's ``stopped`` closes it, a restart reopens it), a retrieval
+  client one per request; none is open at
+  :meth:`InvariantChecker.check_final` (retirement stops them all); and
+  no node's fetch round issues a query at or after its slot's start +
+  ``params.deadline``.
 
 I1 and I5 watch the ``Network`` observer lists; I3 and I4 watch the
-``phase`` events and I6 the ``fetch_start`` / ``fetch_done`` events of
-the run's event bus (:mod:`repro.sim.bus`), on which the checker is
-subscribed right after the metrics recorder.
+``phase`` events and I6 the ``fetch_start`` / ``fetch_round`` /
+``fetch_done`` events of the run's event bus (:mod:`repro.sim.bus`), on
+which the checker is subscribed right after the metrics recorder.
 Violations raise :class:`InvariantViolation` (an ``AssertionError``
 subclass, so plain pytest runs fail loudly) at the moment the bad
 transition happens, which keeps the offending event on the stack.
@@ -64,7 +66,9 @@ class InvariantChecker:
     """Watches one scenario run; see module docstring for the checks."""
 
     # the bus events I3/I4 (consolidation and sampling marks) and I6 check
-    kinds: ClassVar[frozenset[str]] = frozenset({"phase", "fetch_start", "fetch_done"})
+    kinds: ClassVar[frozenset[str]] = frozenset(
+        {"phase", "fetch_start", "fetch_round", "fetch_done"}
+    )
 
     def __init__(self, scenario: BaseScenario) -> None:
         self.scenario = scenario
@@ -112,26 +116,21 @@ class InvariantChecker:
         self._check_backlog_bounds(dgram.dst)
 
     # ------------------------------------------------------------------
-    # I5: bounded backlog (only active when bounds are configured)
+    # I5: bounded backlog
     # ------------------------------------------------------------------
     def _check_backlog_bounds(self, address: int | None = None) -> None:
         network = self.scenario.network
-        max_inbox = getattr(network, "max_inbox", None)
-        if max_inbox is not None:
-            self.checks_run += 1
-            if address is not None:
-                depths = ((address, network.queue_depth(address)),)
-            else:
-                depths = tuple(
-                    (addr, network.queue_depth(addr)) for addr in network.addresses
+        max_inbox = network.max_inbox
+        self.checks_run += 1
+        addresses = network.addresses if address is None else [address]
+        for addr in addresses:
+            depth = network.queue_depth(addr)
+            if depth > max_inbox:
+                raise InvariantViolation(
+                    f"endpoint {addr} holds {depth} in-flight datagrams, "
+                    f"bounded inbox is {max_inbox}"
                 )
-            for addr, depth in depths:
-                if depth > max_inbox:
-                    raise InvariantViolation(
-                        f"endpoint {addr} holds {depth} in-flight datagrams, "
-                        f"bounded inbox is {max_inbox}"
-                    )
-        limit = getattr(self.scenario.params, "pending_request_limit", None)
+        limit = self.scenario.params.pending_request_limit
         if limit is None:
             return
         nodes = getattr(self.scenario, "nodes", None)
@@ -171,8 +170,11 @@ class InvariantChecker:
         self, kind: str, *, t: float, slot: int = -1, node: int = -1, **data: Any
     ) -> None:
         """Bus entry point: check one consolidation (I3) or sampling (I4)
-        completion against the node's cell state, or one fetch's start
-        or end (I6)."""
+        completion against the node's cell state, or one fetch's start,
+        round or end (I6)."""
+        if kind == "fetch_round":
+            self._check_round(t, slot, node, data["queries"])
+            return
         if kind != "phase":
             self._check_fetch(kind, slot, node, data.get("reason"))
             return
@@ -227,6 +229,20 @@ class InvariantChecker:
             self._open_fetches[key] -= 1
         if problem is not None:
             raise InvariantViolation(f"node {node} {problem} for slot {slot}")
+
+    def _check_round(self, t: float, slot: int, node: int, queries: int) -> None:
+        """A node's fetch asks nothing once its slot's deadline is reached
+        (a retrieval client's fetch has no deadline)."""
+        self.checks_run += 1
+        scenario = self.scenario
+        if not queries or node not in getattr(scenario, "nodes", ()):
+            return
+        deadline = scenario.ctx.slot_start(slot) + scenario.params.deadline
+        if t >= deadline:
+            raise InvariantViolation(
+                f"node {node} issued {queries} queries for slot {slot} at "
+                f"{t:.6f}, past its deadline {deadline:.6f}"
+            )
 
     # ------------------------------------------------------------------
     # end-of-run checks (I1 tail + I2 + I6)

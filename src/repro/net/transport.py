@@ -92,19 +92,18 @@ class Network:
         latency: LatencyModel,
         loss_rate: float = DEFAULT_LOSS_RATE,
         rng: random.Random | None = None,
-        max_inbox: int | None = None,
+        max_inbox: int = 4096,
     ) -> None:
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
-        if max_inbox is not None and max_inbox <= 0:
-            raise ValueError(f"max_inbox must be positive or None, got {max_inbox}")
+        if max_inbox <= 0:
+            raise ValueError(f"max_inbox must be positive, got {max_inbox}")
         self.sim = sim
         self.latency = latency
         self.loss_rate = loss_rate
         self.rng = rng if rng is not None else random.Random(0)
-        # Bound on in-flight datagrams per endpoint. ``None`` is the
-        # legacy unbounded queue; with a limit, a datagram arriving at
-        # a full queue is dropped at send-resolution time with reason
+        # Bound on in-flight datagrams per endpoint: a datagram arriving
+        # at a full queue is dropped at send-resolution time with reason
         # "overflow" — real NICs tail-drop, they do not buffer forever.
         # This is the transport half of the I5 "no unbounded backlog"
         # invariant (repro.faults.invariants).
@@ -243,7 +242,7 @@ class Network:
         cost = 0.0 if receiver.verify_cost is None else receiver.verify_cost(payload)
         max_inbox = self.max_inbox
         for copy_index, extra in enumerate(extra_delays):
-            if max_inbox is not None and receiver.in_flight >= max_inbox:
+            if receiver.in_flight >= max_inbox:
                 # bounded queue full: tail-drop this copy. Checked per
                 # copy so a duplicate can overflow while the original
                 # squeaked in — exactly what a real NIC queue would do.

@@ -95,15 +95,12 @@ class FetchSchedule:
 class RetryPolicy:
     """Deadline-aware retry with seeded exponential backoff + jitter.
 
-    Governs what happens when Algorithm 1 exhausts its candidate pool
-    (every custodian of the remaining targets has been queried). The
-    legacy behaviour — recycle silent peers immediately, once per
-    round, forever — is what you get with ``RetryPolicy`` unset
-    (``None``); under sustained multi-slot load that immediate retry
-    turns loss bursts into synchronized re-query storms and keeps
-    burning traffic on slots that already missed their deadline.
-
-    With a policy attached, each retry *wave* ``k`` (0-based) waits
+    Governs what happens when a fetch with a deadline exhausts its
+    candidate pool (every custodian of the remaining targets has been
+    queried). Recycling silent peers at once, every round, would turn
+    loss bursts into synchronized re-query storms and keep re-asking
+    dead custodians after the deadline. Instead each retry *wave* ``k``
+    (0-based) waits
 
         ``min(base * multiplier**k, max_backoff) * (1 + jitter * u)``
 
@@ -122,21 +119,21 @@ class RetryPolicy:
     jitter: float = 0.5
     max_waves: int = 6
 
+    def __post_init__(self) -> None:
+        if self.base < 0.0 or self.max_backoff < 0.0:
+            raise ValueError("backoff delays must be non-negative")
+        if self.multiplier < 1.0:
+            raise ValueError("multiplier must be >= 1")
+        if self.jitter < 0.0:
+            raise ValueError("jitter fraction must be non-negative")
+        if self.max_waves < 0:
+            raise ValueError("max_waves must be non-negative")
+
     def backoff(self, wave: int) -> float:
         """Deterministic (pre-jitter) backoff delay of 0-based ``wave``."""
         if wave < 0:
             raise ValueError(f"waves are 0-based, got {wave}")
         return min(self.base * self.multiplier**wave, self.max_backoff)
-
-    def validate(self) -> None:
-        if self.base < 0.0 or self.max_backoff < 0.0:
-            raise ValueError("backoff delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter:
-            raise ValueError("jitter fraction must be non-negative")
-        if self.max_waves < 0:
-            raise ValueError("max_waves must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -182,26 +179,24 @@ class PandasParams:
     # quarantined (excluded from query plans) for the rest of the epoch.
     reputation_decay: float = 0.5
     quarantine_threshold: float = 0.25
-    # --- overload control (sustained multi-slot pipeline) ----------------
-    # Deadline-aware retry with seeded exponential backoff + jitter.
-    # ``None`` keeps the legacy immediate-recycle behaviour (the replay
-    # pins of single-slot runs depend on it); the sustained pipeline
-    # attaches a policy so exhausted-pool retries back off instead of
-    # hammering the same peers every round, and stop once the slot
-    # deadline is out of reach.
-    fetch_retry: RetryPolicy | None = None
+    # --- overload control ------------------------------------------------
+    # Deadline-aware retry with seeded exponential backoff + jitter:
+    # every fetch with a deadline (a node's, for its slot) backs its
+    # exhausted-pool retries off instead of hammering the same peers
+    # every round, and stops once the slot deadline is out of reach.
+    fetch_retry: RetryPolicy = field(default_factory=RetryPolicy)
     # Bound on a node's buffered deferred-reply remainders per slot
-    # (the waiting_by_cell records). ``None`` is unbounded (legacy);
-    # with a limit, new remainders are shed once the buffer is full —
+    # (the waiting_by_cell records). ``None`` is unbounded; with a
+    # limit, new remainders are shed once the buffer is full —
     # retrieval-class requests first, so client load can never crowd
     # out the sampling traffic the consensus timebound depends on.
     pending_request_limit: int | None = None
     # Aggregate admission control for retrieval-class (layer-2 client)
-    # requests: a per-node token bucket over *all* inbound retrieval
-    # traffic, independent of the per-peer buckets. ``None`` admits
-    # everything (legacy). Sampling/consolidation traffic never passes
-    # through this bucket — it is the load-shedding priority lane.
-    retrieval_admit_rate: float | None = None
+    # requests: a per-node token bucket (tokens/s, burst) over *all*
+    # inbound retrieval traffic, independent of the per-peer buckets.
+    # Sampling/consolidation traffic never passes through this bucket —
+    # it is the load-shedding priority lane.
+    retrieval_admit_rate: float = 200.0
     retrieval_admit_burst: float = 20.0
     # --- PeerDAS baseline (consensus-specs column-subnet gossip) ---------
     # DATA_COLUMN_SIDECAR_SUBNET_COUNT: extended columns are spread over

@@ -124,13 +124,10 @@ class MetricsRecorder:
     # validation layer; adversarial experiments report these alongside
     # fault_counts to show how much hostile traffic was absorbed
     defense_counts: dict[str, float] = field(default_factory=lambda: defaultdict(float))
-    # --- overload control (sustained pipeline) ------------------------
+    # --- overload control ----------------------------------------------
     # Admission-control load shedding by kind (retrieval_admission,
     # pending_shed, ...), bounded-queue drops by reason (overflow, ...),
-    # and high-water queue-depth gauges by name. All three stay empty on
-    # legacy single-slot runs, and snapshot() only appends them when
-    # non-empty, so pinned fingerprints of runs without overload
-    # machinery are untouched.
+    # and high-water queue-depth gauges by name.
     shed_counts: dict[str, float] = field(default_factory=lambda: defaultdict(float))
     queue_drop_counts: dict[str, float] = field(default_factory=lambda: defaultdict(float))
     queue_depth_peaks: dict[str, float] = field(default_factory=dict)
@@ -239,7 +236,7 @@ class MetricsRecorder:
         def counter(c: Counter2D) -> tuple[object, ...]:
             return tuple(sorted(c.items()))
 
-        base: tuple[object, ...] = (
+        return (
             tuple(
                 sorted(
                     (key, (t.seeding, t.consolidation, t.sampling, t.block))
@@ -263,18 +260,12 @@ class MetricsRecorder:
             tuple(sorted(self.custom.items())),
             tuple(sorted(self.fault_counts.items())),
             tuple(sorted(self.defense_counts.items())),
+            (
+                tuple(sorted(self.shed_counts.items())),
+                tuple(sorted(self.queue_drop_counts.items())),
+                tuple(sorted(self.queue_depth_peaks.items())),
+            ),
         )
-        # The overload section rides along only when something was
-        # recorded: legacy runs keep their exact historical snapshot
-        # shape (and therefore their pinned fingerprints).
-        overload = (
-            tuple(sorted(self.shed_counts.items())),
-            tuple(sorted(self.queue_drop_counts.items())),
-            tuple(sorted(self.queue_depth_peaks.items())),
-        )
-        if any(overload):
-            return base + (overload,)
-        return base
 
     def fingerprint(self) -> str:
         """SHA-256 digest of :meth:`snapshot` for bit-identity checks."""

@@ -25,7 +25,7 @@ from repro.experiments.scenario import ScenarioConfig
 from repro.net.latency import ConstantLatency
 from repro.net.transport import Network
 from repro.obs import Telemetry
-from repro.params import PandasParams, RetryPolicy
+from repro.params import PandasParams
 from repro.sim.bus import EventBus
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsRecorder
@@ -52,7 +52,7 @@ def dense_config(seed=9, **overrides) -> ScenarioConfig:
 
 
 def pipeline_config(seed=3, **overrides) -> ScenarioConfig:
-    """40 nodes, three slots, retries, bounded pending records and inboxes."""
+    """40 nodes, three slots, bounded pending records, admission at 50/s."""
     defaults = dict(
         num_nodes=40,
         params=PandasParams(
@@ -61,7 +61,6 @@ def pipeline_config(seed=3, **overrides) -> ScenarioConfig:
             custody_rows=4,
             custody_cols=4,
             samples=10,
-            fetch_retry=RetryPolicy(),
             pending_request_limit=256,
             retrieval_admit_rate=50.0,
         ),
@@ -69,7 +68,6 @@ def pipeline_config(seed=3, **overrides) -> ScenarioConfig:
         seed=seed,
         slots=3,
         num_vertices=500,
-        max_inbox=4096,
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)

@@ -49,7 +49,7 @@ from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.faults.plan import CrashWindow, FaultPlan, PartitionWindow
 from repro.obs import JsonlSink, Telemetry, TraceRecorder
 from repro.obs.export import prometheus_text, write_series_jsonl
-from repro.params import PandasParams, RetryPolicy
+from repro.params import PandasParams
 from tests.helpers import FAULTS, dense_config, pipeline_config, synthetic_telemetry
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -98,8 +98,8 @@ def _pipeline_3(**observers: Any) -> PipelineScenario:
 
 
 def _dead(**observers: Any) -> Scenario:
-    """60 nodes, 40% of them dead: fetchers time out and recycle every round,
-    invariants on (I2 and I6 in the worst recycle regime)."""
+    """60 nodes, 40% of them dead: fetchers time out, recycle behind a backoff
+    and are abandoned at the deadline, invariants on (I2 and I6)."""
     return Scenario(
         ScenarioConfig(
             num_nodes=60,
@@ -116,18 +116,15 @@ def _dead(**observers: Any) -> Scenario:
 
 
 def _starved(**observers: Any) -> PipelineScenario:
-    """150 nodes, two slots with churn and retry waves on a 4x-reduced grid:
-    fetchers run out of peers and retry waves, and probes need recycling."""
+    """150 nodes, two slots with churn on a 4x-reduced grid: fetchers run out
+    of peers and retry waves, and probes need recycling."""
     config = ScenarioConfig(
         num_nodes=150,
-        params=replace(
-            PandasParams.reduced(4), fetch_retry=RetryPolicy(), pending_request_limit=256
-        ),
+        params=replace(PandasParams.reduced(4), pending_request_limit=256),
         policy=RedundantSeeding(8),
         seed=7,
         slots=2,
         num_vertices=600,
-        max_inbox=4096,
         check_invariants=True,
         **observers,
     )

@@ -92,6 +92,33 @@ def test_malformed_faults_spec_is_a_usage_error(command, spec, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--max-inbox", "--admit-rate"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_non_positive_pipeline_bound_is_a_usage_error(flag, value, capsys):
+    """The inbox and admission bounds have no unbounded setting: a
+    non-positive value is a usage error (exit 2, one diagnostic line)."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["pipeline", "--nodes", "20", "--reduced", "32", flag, value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"repro pipeline: error: argument {flag}: must be positive, got {value!r}"
+    )
+    assert "Traceback" not in err
+
+
+def test_pipeline_pending_limit_zero_is_unbounded(capsys):
+    """``--pending-limit`` stays optional: 0 still means no bound."""
+    import json
+
+    code = main([
+        "pipeline", "--nodes", "40", "--reduced", "32", "--slots", "1",
+        "--probes", "0", "--pending-limit", "0", "--check-invariants", "--json",
+    ])
+    assert code == 0
+    assert "pending_requests" in json.loads(capsys.readouterr().out)["queue_depth_peaks"]
+
+
 def test_unknown_figure_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["figure", "fig99"])

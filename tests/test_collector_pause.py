@@ -25,7 +25,7 @@ from repro.experiments.pipeline import PipelineScenario
 from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.faults.invariants import InvariantViolation
 from repro.faults.plan import FaultPlan
-from repro.params import PandasParams, RetryPolicy
+from repro.params import PandasParams
 from repro.sim.engine import collector_paused
 
 
@@ -64,12 +64,10 @@ def small_pipeline() -> PipelineScenario:
     config = small_config(
         params=replace(
             small_config().params,
-            fetch_retry=RetryPolicy(),
             pending_request_limit=256,
             retrieval_admit_rate=50.0,
         ),
         slots=3,
-        max_inbox=4096,
         check_invariants=True,
     )
     return PipelineScenario(

@@ -17,6 +17,7 @@ from repro.faults.invariants import InvariantViolation
 from repro.faults.plan import CrashWindow, FaultPlan, PartitionWindow
 from repro.net.transport import Datagram
 from repro.params import PandasParams
+from tests.helpers import dense_config
 
 
 def make_config(**overrides):
@@ -116,6 +117,35 @@ class TestViolationsCaught:
             emit("fetch_done", slot=0, node=3, success=False, reason="stopped")
         # a crash's stopped closed it: the restart may reopen the pair
         emit("fetch_start", slot=0, node=3, custody=True)
+
+    def test_query_at_or_after_the_deadline_raises(self):
+        """I6: a node's round that asks peers once its slot's deadline is
+        reached fails; a round asking nothing, or a retrieval client's,
+        does not."""
+        scenario = Scenario(make_config())
+        checker = scenario.invariants
+        deadline = scenario.params.deadline
+
+        def fetch_round(t, node=3, queries=2):
+            checker.emit(
+                "fetch_round", t=t, slot=0, node=node, round=9, targets=4,
+                queries=queries, cells=queries,
+            )
+
+        fetch_round(deadline - 0.01)
+        fetch_round(deadline + 0.5, queries=0)
+        fetch_round(deadline + 0.5, node=10_000_000)  # not a node: a client
+        with pytest.raises(InvariantViolation, match="past its deadline"):
+            fetch_round(deadline)
+
+    def test_inbox_bound_checked_on_a_plain_slot(self):
+        """I5 holds every run to the transport's inbox bound, not only
+        pipeline runs that set one."""
+        scenario = Scenario(dense_config(check_invariants=True))
+        network = scenario.network
+        network.endpoint(3).in_flight = network.max_inbox + 1
+        with pytest.raises(InvariantViolation, match="bounded inbox is 4096"):
+            scenario.invariants.check_final()
 
     def test_crash_restart_run_ends_every_fetch(self):
         plan = FaultPlan(crashes=(CrashWindow(crash_at=0.3, restart_at=0.8, count=3),))

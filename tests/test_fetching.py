@@ -639,12 +639,13 @@ class TestRoundMemo:
         monkeypatch.setattr(AdaptiveFetcher, "_recycle", counted_recycle)
         ROWS[name][0]().run()
         # the settle flip is crossed in every config; the faults run
-        # quarantines peers and the dead-peer run recycles every round
+        # quarantines peers, and the dead-peer run's fetchers recycle
+        # behind a backoff until the deadline abandons them
         assert seen["settled"] and seen["rounds"] > seen["settled"]
         if name == "faults":
             assert seen["quarantined"]
         if name == "dead":
-            assert seen["recycled"] > seen["rounds"] // 2
+            assert seen["recycled"] and seen["abandoned"]
         if name == "starved":
             assert seen["starved"] and seen["abandoned"]
 
@@ -764,15 +765,25 @@ class TestSettleRoundGate:
 
 
 class TestRetryBackoff:
-    """Deadline-aware retry waves with seeded exponential backoff."""
+    """The one retry rule: a fetch with a deadline backs its recycle
+    waves off by ``params.fetch_retry`` and stops at the deadline; one
+    without recycles on the round tick."""
+
+    @staticmethod
+    def fetcher(policy=None, schedule=None, **kwargs):
+        """A fetcher whose lone custodian (peer 1 of row 0) never answers."""
+        params = PandasParams(
+            base_rows=8, base_cols=8, custody_rows=1, custody_cols=1, samples=2,
+            fetch_retry=policy or RetryPolicy(),
+        )
+        schedule = schedule or FetchSchedule(timeouts=(0.1,), redundancy=(1,), max_rounds=50)
+        kwargs.setdefault("custodians", {0: [1]})
+        return make_fetcher(params=params, schedule=schedule, **kwargs)
 
     def test_backoff_waves_follow_policy_delays(self):
         policy = RetryPolicy(base=0.05, multiplier=2.0, max_backoff=0.8,
                              jitter=0.0, max_waves=3)
-        schedule = FetchSchedule(timeouts=(0.1,), redundancy=(1,), max_rounds=50)
-        fetcher, _state, sim, sent = make_fetcher(
-            custodians={0: [1]}, schedule=schedule, retry_policy=policy,
-        )
+        fetcher, _state, sim, sent = self.fetcher(policy, deadline_at=100.0)
         fetcher.start()
         sim.run(until=5.0)
         times = [t for t, _p, _c in sent]
@@ -788,10 +799,7 @@ class TestRetryBackoff:
         complete before ``deadline_at`` — not when max_waves runs out."""
         policy = RetryPolicy(base=0.05, multiplier=2.0, max_backoff=0.8,
                              jitter=0.0, max_waves=50)
-        schedule = FetchSchedule(timeouts=(0.1,), redundancy=(1,), max_rounds=50)
-        fetcher, _state, sim, sent = make_fetcher(
-            custodians={0: [1]}, schedule=schedule, retry_policy=policy, deadline_at=0.5,
-        )
+        fetcher, _state, sim, sent = self.fetcher(policy, deadline_at=0.5)
         fetcher.start()
         sim.run(until=5.0)
         # wave 0 (0.1+0.05+0.1 <= 0.5) and wave 1 (0.25+0.1+0.1 <= 0.5)
@@ -808,10 +816,7 @@ class TestRetryBackoff:
         wave consumes nothing from the seeded stream."""
         policy = RetryPolicy(base=10.0, multiplier=2.0, max_backoff=10.0,
                              jitter=0.5, max_waves=50)
-        schedule = FetchSchedule(timeouts=(0.1,), redundancy=(1,), max_rounds=50)
-        fetcher, _state, sim, sent = make_fetcher(
-            custodians={0: [1]}, schedule=schedule, retry_policy=policy, deadline_at=4.0,
-        )
+        fetcher, _state, sim, sent = self.fetcher(policy, deadline_at=4.0)
         fetcher.start()
         before = fetcher.rng.getstate()
         sim.run(until=5.0)
@@ -822,15 +827,16 @@ class TestRetryBackoff:
     def test_retry_against_fully_quarantined_peers(self):
         """A retry policy never resurrects quarantined peers: no
         queries, no waves, and the schedule still terminates."""
-        policy = RetryPolicy(jitter=0.0)
-        fetcher, _state, sim, sent = make_fetcher(
-            custodians={line: [1, 2, 3] for line in range(32)}, retry_policy=policy,
+        fetcher, _state, sim, sent = self.fetcher(
+            RetryPolicy(jitter=0.0), schedule=FetchSchedule(), deadline_at=4.0,
+            custodians={line: [1, 2, 3] for line in range(32)},
             reputation=ScriptedLedger(quarantined=lambda peer: True),
         )
         fetcher.start()
         sim.run(until=10.0)
         assert sent == []
         assert fetcher.retry_waves == 0
+        assert fetcher.reason == "starved"
         assert fetcher._timer is None
         assert sim.pending == 0
 
@@ -839,12 +845,9 @@ class TestRetryBackoff:
         deterministic replay."""
         policy = RetryPolicy(base=0.05, multiplier=2.0, max_backoff=0.8,
                              jitter=0.5, max_waves=4)
-        schedule = FetchSchedule(timeouts=(0.1,), redundancy=(1,), max_rounds=50)
 
         def run_once():
-            fetcher, _state, sim, sent = make_fetcher(
-                custodians={0: [1]}, schedule=schedule, retry_policy=policy,
-            )
+            fetcher, _state, sim, sent = self.fetcher(policy, deadline_at=100.0)
             fetcher.start()
             sim.run(until=5.0)
             return [(t, p) for t, p, _c in sent]
@@ -856,16 +859,35 @@ class TestRetryBackoff:
         assert first[1][0] != pytest.approx(0.15)
         assert 0.15 < first[1][0] <= 0.175 + 1e-9
 
-    def test_policy_none_keeps_legacy_recycle_timing(self):
-        """No policy: the recycle hatch re-queries on the round tick
-        with no backoff (the pre-policy behaviour, pinned)."""
+    def test_fetch_without_deadline_recycles_on_round_tick(self):
+        """No deadline (a retrieval probe): the recycle re-queries on the
+        round tick with no backoff, whatever the policy says."""
         schedule = FetchSchedule(timeouts=(0.1,), redundancy=(1,), max_rounds=6)
-        fetcher, _state, sim, sent = make_fetcher(custodians={0: [1]}, schedule=schedule)
+        fetcher, _state, sim, sent = self.fetcher(
+            RetryPolicy(base=10.0, max_waves=1), schedule=schedule
+        )
         fetcher.start()
         sim.run(until=5.0)
         times = [t for t, _p, _c in sent]
         assert times == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
         assert fetcher.retry_waves == 0 and fetcher.reason == "exhausted"
+
+    def test_no_round_starts_at_or_after_the_deadline(self):
+        """Custody and samples alike stop at the deadline: the round tick
+        that reaches it ends the fetch ``abandoned`` with nothing asked,
+        although untried custodians remain."""
+        fetcher, _state, sim, sent = self.fetcher(
+            schedule=FetchSchedule(), deadline_at=0.75,
+            custodians={0: list(range(1, 200)), 11: list(range(200, 400))},
+        )
+        fetcher.start()
+        sim.run(until=5.0)
+        rounds = [r.started_at for r in fetcher.rounds]
+        assert rounds == pytest.approx([0.0, 0.4, 0.6, 0.7])
+        assert max(t for t, _p, _c in sent) < 0.75
+        assert fetcher.retry_waves == 0
+        assert fetcher.reason == "abandoned"
+        assert sim.pending == 0
 
 
 @given(

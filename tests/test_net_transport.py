@@ -324,7 +324,7 @@ class TestBoundedInbox:
         assert net.datagrams_lost == 36
 
     def test_max_queue_depth_tracks_live_peak(self, sim):
-        net = _bounded_network(sim, max_inbox=None)
+        net = _bounded_network(sim, max_inbox=8)
         _register_sink(net, 1)
         _register_sink(net, 2)
         for i in range(5):

@@ -383,14 +383,15 @@ class TestOverloadAdmission:
             node._on_request(src, self._sampling({i + 1}))
         assert world.ctx.metrics.queue_depth_peaks["pending_requests"] == 3
 
-    def test_unconfigured_limit_keeps_legacy_metrics(self):
+    def test_unbounded_buffer_still_publishes_its_depth(self):
+        """Without a ``pending_request_limit`` nothing is shed, and the
+        buffer's depth gauge is published all the same."""
         world = make_world(num_nodes=1)
         node = world.nodes[0]
         for i, src in enumerate((8, 9, 10)):
             node._on_request(src, self._sampling({i + 1}))
         assert node.pending_depth() == 3
-        # no gauge, no sheds: the DENSE_PIN fingerprint must not move
-        assert not world.ctx.metrics.queue_depth_peaks
+        assert world.ctx.metrics.queue_depth_peaks == {"pending_requests": 3}
         assert not world.ctx.metrics.shed_counts
 
     def test_retrieval_admission_bucket_is_aggregate(self):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.das.security import false_positive_probability
-from repro.params import DEADLINE_SECONDS, FetchSchedule, PandasParams
+from repro.params import DEADLINE_SECONDS, FetchSchedule, PandasParams, RetryPolicy
 
 
 class TestFullParams:
@@ -84,6 +84,25 @@ class TestValidation:
             PandasParams(
                 base_rows=2, base_cols=2, custody_rows=1, custody_cols=1, samples=100
             ).validate()
+
+
+class TestRetryPolicy:
+    def test_defaults_construct(self):
+        assert PandasParams().fetch_retry == RetryPolicy()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"base": -0.1},
+            {"max_backoff": -1.0},
+            {"multiplier": 0.5},
+            {"jitter": -0.5},
+            {"max_waves": -1},
+        ],
+    )
+    def test_out_of_range_policy_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            RetryPolicy(**bad)
 
 
 class TestFetchSchedule:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -11,7 +10,7 @@ from repro.core.seeding import RedundantSeeding
 from repro.experiments.pipeline import PipelineScenario
 from repro.experiments.scenario import ScenarioConfig
 from repro.obs import TraceRecorder
-from repro.params import PandasParams, RetryPolicy
+from repro.params import PandasParams
 
 
 def overload_params(**overrides):
@@ -22,7 +21,6 @@ def overload_params(**overrides):
         custody_rows=4,
         custody_cols=4,
         samples=10,
-        fetch_retry=RetryPolicy(),
         pending_request_limit=256,
         retrieval_admit_rate=50.0,
     )
@@ -39,7 +37,6 @@ def make_config(params=None, **overrides):
         slots=3,
         num_vertices=500,
         check_invariants=True,
-        max_inbox=4096,
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)

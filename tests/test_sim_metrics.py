@@ -113,20 +113,18 @@ class TestOverloadCounters:
         metrics.observe_queue_depth("pending_requests", 2)
         assert metrics.queue_depth_peaks == {"pending_requests": 7}
 
-    def test_snapshot_shape_unchanged_without_overload_data(self):
-        """Legacy runs must keep their exact historical snapshot shape
-        (the DENSE_PIN fingerprint protection): the overload section is
-        appended only once an overload counter actually fires."""
-        legacy = MetricsRecorder()
-        legacy.record_send(0, "n", 100)
-        baseline = legacy.fingerprint()
-
+    def test_snapshot_always_carries_the_overload_section(self):
+        """The overload section is part of every snapshot, empty or
+        not: a shed changes its content, never the snapshot's shape."""
+        quiet = MetricsRecorder()
+        quiet.record_send(0, "n", 100)
         loaded = MetricsRecorder()
         loaded.record_send(0, "n", 100)
-        assert loaded.fingerprint() == baseline  # no overload data yet
         loaded.record_shed("retrieval_admission")
-        assert len(loaded.snapshot()) == len(legacy.snapshot()) + 1
-        assert loaded.fingerprint() != baseline
+        assert len(loaded.snapshot()) == len(quiet.snapshot())
+        assert quiet.snapshot()[-1] == ((), (), ())
+        assert loaded.snapshot()[-1] == ((("retrieval_admission", 1.0),), (), ())
+        assert loaded.fingerprint() != quiet.fingerprint()
 
     def test_overload_counters_change_fingerprint(self):
         first = MetricsRecorder()
