@@ -147,6 +147,9 @@ ROWS: dict[str, tuple[Callable[..., Any], bool]] = {
     "gossipsub": (lambda **kw: GossipDasScenario(dense_config(**kw)), True),
     "dht": (lambda **kw: DhtDasScenario(dense_config(**kw)), True),
     "peerdas": (lambda **kw: PeerDasScenario(dense_config(**kw)), True),
+    # two slots: the baselines' slot retirement between slots
+    "gossipsub-2": (lambda **kw: GossipDasScenario(dense_config(slots=2, **kw)), True),
+    "peerdas-2": (lambda **kw: PeerDasScenario(dense_config(slots=2, **kw)), True),
     "pipeline": (
         lambda **kw: PipelineScenario(
             pipeline_config(check_invariants=True, **kw), churn_fraction=0.1
