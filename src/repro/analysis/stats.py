@@ -114,11 +114,16 @@ def summarize(dist: Distribution, deadline: float | None = None) -> str:
     """One-line human summary used by the bench harness output."""
     if dist.count == 0:
         return "no samples"
+
+    def ms(label: str, value: float) -> str:
+        # an infinite quantile, or no max at all, falls among the misses
+        return f"{label}={value * 1e3:.0f}ms" if math.isfinite(value) else f"{label}=miss"
+
     parts = [
         f"n={dist.count}",
-        f"median={dist.median * 1e3:.0f}ms",
-        f"p99={dist.p99 * 1e3:.0f}ms" if dist.p99 != math.inf else "p99=miss",
-        f"max={dist.max * 1e3:.0f}ms" if dist.values else "max=miss",
+        ms("median", dist.median),
+        ms("p99", dist.p99),
+        ms("max", dist.max),
     ]
     if deadline is not None:
         parts.append(f"within {deadline:.0f}s: {100 * dist.fraction_within(deadline):.1f}%")

@@ -90,5 +90,14 @@ def test_summarize_mentions_deadline():
     assert "median" in text
 
 
+def test_summarize_median_among_misses():
+    """More than half missed: the median is a miss, not ``infms``."""
+    dist = Distribution.from_optional([0.5, None, None])
+    text = summarize(dist)
+    assert "median=miss" in text
+    assert "inf" not in text
+    assert "max=500ms" in text
+
+
 def test_summarize_empty():
     assert summarize(Distribution.from_optional([])) == "no samples"
