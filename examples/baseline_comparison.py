@@ -32,7 +32,6 @@ def main() -> None:
         seed=4,
         slots=1,
         num_vertices=500,
-        slot_window=12.0,
     )
 
     systems = (

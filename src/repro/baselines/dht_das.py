@@ -116,7 +116,8 @@ class DhtDasScenario(BaseScenario):
     def _fetch_parcel(self, node_id: int, state: _SamplerState, parcel: int) -> None:
         if state.done or parcel in state.fetched_parcels:
             return
-        window_end = state.slot * self.params.slot_duration + self.config.slot_window
+        duration = self.params.slot_duration
+        window_end = state.slot * duration + duration
 
         def on_result(result: LookupResult) -> None:
             if state.done or parcel in state.fetched_parcels:

@@ -194,6 +194,8 @@ class GossipDasNode:
 class GossipDasScenario(BaseScenario):
     """Figures 12/14: DAS over per-unit GossipSub channels."""
 
+    overlay: GossipOverlay
+
     def _build_participants(self) -> None:
         epoch_seed = self.assignment.beacon.epoch_seed(0)
         self.unit_assignment = UnitAssignment(self.params, epoch_seed)
@@ -226,11 +228,13 @@ class GossipDasScenario(BaseScenario):
         return lambda dgram: self.nodes[node_id].on_datagram(dgram)
 
     def _begin_slot(self, slot: int) -> None:
-        """Builder publishes each unit's lines into its channel (fanout 8).
+        """Builder publishes each unit's lines into its channel (fanout
+        ``seeding_redundancy``, 8).
 
         Each cell is published through its *owning* line's unit (the
-        same parity rule as PANDAS seeding), so the total egress is 8x
-        the extended blob — the equal-budget comparison of Figure 12.
+        same parity rule as PANDAS seeding), so the total egress is
+        ``seeding_redundancy`` x the extended blob — the equal-budget
+        comparison of Figure 12.
         Every line still receives exactly half its cells, which the
         2D code reconstructs locally.
         """
@@ -249,10 +253,5 @@ class GossipDasScenario(BaseScenario):
                     payload=cells,
                     payload_size=payload_size,
                     slot=slot,
-                    fanout=8,
+                    fanout=params.seeding_redundancy,
                 )
-
-    def _end_slot(self, slot: int) -> None:
-        for node in self.nodes.values():
-            node.drop_slot(slot)
-        self.overlay.reset_seen()

@@ -364,6 +364,8 @@ class PeerDasScenario(BaseScenario):
     subnet sampling plus fallback is meant to ride out.
     """
 
+    overlay: GossipOverlay
+
     def _build_participants(self) -> None:
         epoch_seed = self.assignment.beacon.epoch_seed(0)
         self.subnets = SubnetAssignment(self.params, epoch_seed)
@@ -420,7 +422,7 @@ class PeerDasScenario(BaseScenario):
         """
         params = self.params
         start = slot * params.slot_duration
-        window_end = start + self.config.slot_window
+        window_end = start + params.slot_duration
         column_bytes = params.ext_rows * params.cell_bytes
         for col in range(params.ext_cols):
             subnet = self.subnets.subnet_of_column(col)
@@ -433,7 +435,7 @@ class PeerDasScenario(BaseScenario):
                 slot=slot,
                 fanout=params.seeding_redundancy,
             )
-        fallback_at = min(params.peerdas_fallback_after, self.config.slot_window)
+        fallback_at = min(params.peerdas_fallback_after, params.slot_duration)
         for node_id in self.node_ids:
             if node_id in self.dead_nodes or node_id in self.byzantine:
                 continue
@@ -442,8 +444,3 @@ class PeerDasScenario(BaseScenario):
                 fallback_at,
                 lambda node=node: node.check_fallback(slot, window_end),
             )
-
-    def _end_slot(self, slot: int) -> None:
-        for node in self.nodes.values():
-            node.drop_slot(slot)
-        self.overlay.reset_seen()

@@ -70,7 +70,7 @@ class PolicyPhases:
 def _phase_result(scenario: BaseScenario, policy_name: str) -> PolicyPhases:
     phases = scenario.phase_distributions()
     block = None
-    if isinstance(scenario, Scenario) and scenario.block_overlay is not None:
+    if isinstance(scenario, Scenario) and scenario.overlay is not None:
         block = scenario.block_distribution()
     return PolicyPhases(
         policy=policy_name,

@@ -1,17 +1,16 @@
 """Sustained multi-slot pipeline with overload control.
 
-Every other experiment driver runs slots one at a time and lets each
-drain completely before the next begins. The real protocol never gets
-that luxury: slot N+1's seeding starts while slot N's stragglers are
-still retrying, membership churns at epoch/slot boundaries, and layer-2
-clients keep asking for data whether or not the serving tier has
-capacity left. :class:`PipelineScenario` is that regime:
+Every scenario runs its slots through ``BaseScenario.run``: slot N+1
+begins one ``slot_duration`` after slot N, and slot N's state is
+released ``retention_slots`` slots later (1 by default: when slot N+1
+begins). The real protocol also churns its membership at slot
+boundaries, and layer-2 clients keep asking for data whether or not
+the serving tier has capacity left. :class:`PipelineScenario` is that
+regime:
 
-- **Overlapping phases**: slot N+1 begins exactly one
-  ``slot_duration`` after slot N, while slot N's fetchers (and its
-  probe retrievals) are still live. Per-slot state is only released
-  ``retention_slots`` slots later, so work in flight is never yanked
-  at an artificial barrier.
+- **Overlapping phases**: with ``retention_slots`` above 1, slot N's
+  fetchers (and its probe retrievals) stay live while slot N+1 runs,
+  so work in flight is never yanked at the slot boundary.
 - **Churn mid-stream**: at every slot boundary ``churn_fraction`` of
   the nodes depart (fail-silent) and as many join, so nodes disappear
   *while still owing responses* for earlier slots. Views are the
@@ -52,7 +51,6 @@ from repro.core.node import PandasNode
 from repro.core.retrieval import AggregateRetrievalLoad, RetrievalClient, RetrievalResult
 from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.net.topology import DEFAULT_NODE_PROFILE
-from repro.sim.engine import collector_paused
 
 __all__ = ["PROBE_BASE_ADDRESS", "PipelineReport", "PipelineScenario"]
 
@@ -157,7 +155,6 @@ class PipelineScenario(Scenario):
             )
         self.probe_results: list[RetrievalResult] = []
         self._slot_rows: list[dict[str, object]] = []
-        self._retired = 0
         super().__init__(config)
         self._next_address = self.builder_id + 1
         self._membership_history.append(set(self.node_ids))
@@ -192,6 +189,11 @@ class PipelineScenario(Scenario):
     def current_members(self) -> set[int]:
         return set(self.node_ids) - self.departed
 
+    def _members_at(self, slot: int) -> set[int]:
+        """The membership while ``slot`` ran."""
+        history = self._membership_history
+        return history[min(slot, len(history) - 1)]
+
     def _apply_churn(self, completed_slot: int) -> None:
         rng = self.rngs.stream("churn", completed_slot)
         members = sorted(self.current_members)
@@ -203,10 +205,10 @@ class PipelineScenario(Scenario):
         for leaver in leavers:
             self.departed.add(leaver)
             self.network.kill(leaver)
-            if self.block_overlay is not None:
+            if self.overlay is not None:
                 # a departed node's dedup ids and mesh edges would
                 # otherwise be retained for the whole sustained run
-                self.block_overlay.retire_member(leaver)
+                self.overlay.retire_member(leaver)
         for _ in range(leave_count):
             self._spawn_node()
         # crawls see the post-churn world from now on
@@ -251,69 +253,23 @@ class PipelineScenario(Scenario):
             node.view = None if fresh else (view | {node_id})
         self.builder.view = self.current_members
         super()._begin_slot(slot)
+        self._launch_probes(slot)
 
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    # churn, retirement and seeding between the sim.run() calls allocate
-    # as much as the slots themselves: the pause spans the whole method
-    @collector_paused()
-    def run(self, slots: int | None = None) -> PipelineScenario:
-        """Run the continuous pipeline: one slot begins every
-        ``slot_duration`` seconds regardless of what is still in
-        flight, then a final drain window lets the tail settle."""
-        total = slots if slots is not None else self.config.slots
-        duration = self.params.slot_duration
-        for slot in range(total):
-            start = slot * duration
-            if self.sim.now < start:
-                self.sim.run(until=start)
-            if slot > 0:
-                # boundary churn happens while the previous slots'
-                # fetchers and probes are still live — mid-stream
-                self._apply_churn(slot - 1)
-            self._retire_through(slot - self.retention_slots)
-            self.ctx.begin_slot(slot)
-            self._begin_slot(slot)
-            self._launch_probes(slot)
-            self.sim.run(until=start + duration)
-            self._step_aggregate(slot, duration)
-            self._record_slot(slot)
-        # drain: the last slots keep their state for the configured
-        # window so late retries/probes can still land
-        drain_until = max(
-            total * duration, (total - 1) * duration + self.config.slot_window
-        )
-        self.sim.run(until=drain_until)
-        self._retire_through(total - 1)
-        if self.invariants is not None:
-            self.invariants.check_final()
-        if self.telemetry is not None:
-            history = self._membership_history
-            expected = sum(
-                len(history[min(slot, len(history) - 1)])
-                for slot in self.ctx.slot_starts
-            )
-            self.telemetry.finalize(expected_samples=expected)
-        return self
+    def _after_slot(self, slot: int) -> None:
+        self._step_aggregate(slot, self.params.slot_duration)
+        self._record_slot(slot)
+        if slot + 1 < self.config.slots:
+            # boundary churn happens while the retained slots' fetchers
+            # and probes are still live — mid-stream
+            self._apply_churn(slot)
 
-    def _retire_through(self, slot: int) -> None:
-        """Release per-node and per-probe state for every slot up to ``slot``."""
-        advanced = False
-        while self._retired <= slot:
-            retiring = self._retired
-            self._retired += 1
-            advanced = True
-            for node in self.nodes.values():
-                node.drop_slot(retiring)
-            for probe in self.probes:
-                probe.drop_slot(retiring)
-        if advanced and self.block_overlay is not None:
-            # the single-slot paths call reset_seen() between slots; a
-            # sustained pipeline never ends a slot, so gossip dedup ids
-            # are expired with the same retention window instead of
-            # accumulating for the whole run
-            self.block_overlay.expire_seen(self._retired)
+    def _end_slot(self, slot: int) -> None:
+        super()._end_slot(slot)
+        for probe in self.probes:
+            probe.drop_slot(slot)
+
+    def _expected_samples(self) -> int:
+        return sum(len(self._members_at(slot)) for slot in self.ctx.slot_starts)
 
     # ------------------------------------------------------------------
     # measured retrieval probes
@@ -394,10 +350,9 @@ class PipelineScenario(Scenario):
         """Fraction of each slot's live nodes that sampled within the
         protocol deadline (``params.deadline``)."""
         deadline = self.params.deadline
-        history = self._membership_history
         outcome: dict[int, float] = {}
         for slot in self.ctx.slot_starts:
-            live = history[min(slot, len(history) - 1)]
+            live = self._members_at(slot)
             if not live:
                 continue
             within = 0

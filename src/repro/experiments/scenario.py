@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from collections.abc import Callable
+from typing import Any
 
 from repro.analysis.stats import Distribution
 from repro.core.assignment import AssignmentIndex, CellAssignment
@@ -53,7 +54,6 @@ class ScenarioConfig:
     seed: int = 0
     loss_rate: float = DEFAULT_LOSS_RATE
     slots: int = 1
-    slot_window: float = 12.0
     dead_fraction: float = 0.0
     out_of_view_fraction: float = 0.0
     latency: LatencyModel | None = None  # default: ClusteredWanModel
@@ -109,6 +109,13 @@ class BaseScenario:
     # the lowest address of the retrieval-client population; telemetry
     # classes traffic to and from it as the ``retrieval`` layer
     retrieval_floor: float = math.inf
+    # a slot's state is released this many slots after it began
+    retention_slots: int = 1
+    # the gossip overlay a scenario runs, if any; its dedup ids are
+    # expired with the slot that sent them
+    overlay: GossipOverlay | None = None
+    # node id -> node; a node releases a slot's state in drop_slot()
+    nodes: dict[int, Any]
 
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
@@ -171,7 +178,22 @@ class BaseScenario:
         raise NotImplementedError
 
     def _end_slot(self, slot: int) -> None:
-        """Release per-slot state."""
+        """Release per-slot state: every node's, and the overlay's dedup ids."""
+        for node in self.nodes.values():
+            node.drop_slot(slot)
+        if self.overlay is not None:
+            self.overlay.expire_seen(slot + 1)
+
+    def _after_slot(self, slot: int) -> None:
+        """Called once the slot's ``slot_duration`` has elapsed, before
+        the next slot begins or any slot is released."""
+
+    def _expected_samples(self) -> int:
+        """Node-slots the telemetry's deadline-hit counter counts.
+
+        Every live node, Byzantine ones included, in every slot run.
+        """
+        return len(self.ctx.slot_starts) * self.live_node_count
 
     # ------------------------------------------------------------------
     # shared construction
@@ -423,31 +445,35 @@ class BaseScenario:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def run_slot(self, slot: int) -> None:
-        """Run one full slot of the protocol."""
-        start = slot * self.params.slot_duration
-        if self.sim.now < start:
-            self.sim.run(until=start)
-        self.ctx.begin_slot(slot)
-        self._begin_slot(slot)
-        self.sim.run(until=start + self.config.slot_window)
-        self._end_slot(slot)
-
     # the pause spans slot set-up and retirement too: seed_slot and
     # drop_slot churn tens of thousands of containers between the
     # sim.run() calls, on the largest heap of the run
     @collector_paused()
-    def run(self, slots: int | None = None) -> BaseScenario:
-        for slot in range(slots if slots is not None else self.config.slots):
-            self.run_slot(slot)
+    def run(self) -> BaseScenario:
+        """Run ``config.slots`` slots, slot ``s`` beginning at
+        ``s * slot_duration`` whatever is still in flight.
+
+        A slot's state is released (:meth:`_end_slot`) when the slot
+        ``retention_slots`` later begins, and the slots still held are
+        released after the last one, so late replies keep landing in
+        state that is still there.
+        """
+        duration = self.params.slot_duration
+        retention = self.retention_slots
+        slots = self.config.slots
+        for slot in range(slots):
+            if slot >= retention:
+                self._end_slot(slot - retention)
+            self.ctx.begin_slot(slot)
+            self._begin_slot(slot)
+            self.sim.run(until=slot * duration + duration)
+            self._after_slot(slot)
+        for slot in range(max(0, slots - retention), slots):
+            self._end_slot(slot)
         if self.invariants is not None:
             self.invariants.check_final()
         if self.telemetry is not None:
-            # phase_deadline_hits_total counts every live node, Byzantine
-            # ones included, so the denominator must too
-            self.telemetry.finalize(
-                expected_samples=len(self.ctx.slot_starts) * self.live_node_count
-            )
+            self.telemetry.finalize(expected_samples=self._expected_samples())
         return self
 
     # ------------------------------------------------------------------
@@ -533,14 +559,9 @@ class Scenario(BaseScenario):
                     view=self._node_view(node_id),
                 )
         self.builder = Builder(self.ctx, self.builder_id, self.config.policy)
-        self.block_overlay: GossipOverlay | None = None
         if self.config.include_block_gossip:
-            self.block_overlay = GossipOverlay(
-                self.network, self.rngs.stream("block-mesh")
-            )
-            self.block_overlay.create_topic(
-                "blocks", self.node_ids, handler=self._on_block
-            )
+            self.overlay = GossipOverlay(self.network, self.rngs.stream("block-mesh"))
+            self.overlay.create_topic("blocks", self.node_ids, handler=self._on_block)
 
     def _on_block(self, member: int, message) -> None:
         self.ctx.emit(
@@ -551,20 +572,20 @@ class Scenario(BaseScenario):
     def _node_handler(self, node_id: int) -> Callable[[Datagram], None]:
         def handler(dgram: Datagram) -> None:
             if isinstance(dgram.payload, GossipMessage):
-                if self.block_overlay is not None:
-                    self.block_overlay.on_datagram(node_id, dgram)
+                if self.overlay is not None:
+                    self.overlay.on_datagram(node_id, dgram)
                 return
             self.nodes[node_id].on_datagram(dgram)
 
         return handler
 
     def _begin_slot(self, slot: int) -> None:
-        if self.block_overlay is not None:
+        if self.overlay is not None:
             # a randomly chosen node acts as the proposer and gossips
             # the block, concurrently with the builder's seeding
             proposer = self.rngs.stream("proposer").choice(self.node_ids)
             self.ctx.emit("phase", slot=slot, node=proposer, phase="block", at=0.0)
-            self.block_overlay.publish(
+            self.overlay.publish(
                 publisher=proposer,
                 topic="blocks",
                 msg_id=("block", slot),
@@ -577,12 +598,6 @@ class Scenario(BaseScenario):
             node = self.nodes[node_id]
             if hasattr(node, "on_slot_begin"):
                 node.on_slot_begin(slot)
-
-    def _end_slot(self, slot: int) -> None:
-        for node in self.nodes.values():
-            node.drop_slot(slot)
-        if self.block_overlay is not None:
-            self.block_overlay.reset_seen()
 
     def block_distribution(self) -> Distribution:
         return Distribution.from_optional(self._alive_phase("block"))

@@ -220,19 +220,15 @@ class GossipOverlay:
             if neighbor != dgram.src:
                 self._push(member, neighbor, message)
 
-    def reset_seen(self) -> None:
-        """Forget message ids (between slots, to bound memory)."""
-        self._seen.clear()
-
     def expire_seen(self, min_slot: int) -> None:
         """Drop dedup entries for messages from slots before ``min_slot``.
 
-        Sustained multi-slot runs call this at retirement time instead of
-        :meth:`reset_seen`, which would also forget the *current* slot's
-        ids and re-open the mesh to duplicate storms mid-dissemination.
-        Entries published without a slot tag (slot ``-1``) are treated as
-        slot-less housekeeping and also expire once any real slot is
-        retired.
+        Scenarios call this as they release a slot, to bound memory.
+        Forgetting every id instead would also forget the ids of slots
+        still running and re-open the mesh to duplicate storms
+        mid-dissemination. Entries published without a slot tag (slot
+        ``-1``) are treated as slot-less housekeeping and also expire
+        once any real slot is released.
         """
         emptied = []
         for member, seen in self._seen.items():

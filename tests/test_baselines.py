@@ -94,15 +94,14 @@ class TestDhtDas:
         assert parcel_key(0, 1) != parcel_key(1, 1)
 
     def test_sampling_completes_eventually(self):
-        scenario = DhtDasScenario(make_config(slot_window=12.0)).run()
+        scenario = DhtDasScenario(make_config()).run()
         dist = scenario.sampling_distribution()
         assert dist.fraction_within(12.0) > 0.85
 
     def test_dht_slower_than_pandas(self):
         """Figure 12's headline ordering at small scale."""
-        config = make_config(slot_window=12.0)
-        pandas_scenario = Scenario(config).run()
-        dht_scenario = DhtDasScenario(make_config(slot_window=12.0)).run()
+        pandas_scenario = Scenario(make_config()).run()
+        dht_scenario = DhtDasScenario(make_config()).run()
         assert (
             pandas_scenario.sampling_distribution().median
             < dht_scenario.sampling_distribution().median

@@ -45,8 +45,8 @@ def test_policy_change_keeps_network_randomness():
     b = Scenario(dense_config(policy=MinimalSeeding()))
     assert a.topology.node_vertices == b.topology.node_vertices
     # node 3's sample draw is policy-independent
-    a.run_slot(0)
-    b.run_slot(0)
+    a.run()
+    b.run()
     sample_a = a.rngs.stream("samples", 3, 1).sample(range(100), 5)
     sample_b = b.rngs.stream("samples", 3, 1).sample(range(100), 5)
     assert sample_a == sample_b

@@ -48,7 +48,7 @@ class TestDeadNodes:
         scenario = Scenario(make_config(dead_fraction=0.25))
         sent_to = set()
         scenario.network.on_send.append(lambda d: sent_to.add(d.dst))
-        scenario.run_slot(0)
+        scenario.run()
         assert scenario.dead_nodes & sent_to
 
     def test_correct_nodes_still_complete_with_some_dead(self):
@@ -87,7 +87,7 @@ class TestOutOfViewNodes:
                     violations.append(dgram)
 
         scenario.network.on_send.append(check)
-        scenario.run_slot(0)
+        scenario.run()
         assert violations == []
 
     def test_moderate_out_of_view_still_mostly_completes(self):

@@ -118,12 +118,13 @@ def test_message_size_includes_header():
     assert msg.size > 1000
 
 
-def test_reset_seen_allows_republication(sim):
+def test_expire_seen_allows_republication(sim):
     _net, overlay, delivered = make_overlay(sim, members=10)
     overlay.publish(0, "t", "m", None, 100, slot=0)
     sim.run(until=1.0)
     first = len(delivered["m"])
-    overlay.reset_seen()
+    overlay.expire_seen(1)
+    assert overlay.seen_entries() == 0
     overlay.publish(0, "t", "m", None, 100, slot=1)
     sim.run(until=2.0)
     assert len(delivered["m"]) == 2 * first

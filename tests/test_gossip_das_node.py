@@ -87,8 +87,7 @@ def test_reply_from_unqueried_peer_stores_nothing():
 
 
 def test_unit_members_answer_sampling_queries():
-    scenario = make_scenario()
-    scenario.run_slot(0)
+    scenario = make_scenario().run()
     sampling = scenario.sampling_distribution()
     assert sampling.fraction_within(12.0) > 0.9
 

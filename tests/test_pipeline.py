@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.seeding import RedundantSeeding
 from repro.experiments.pipeline import PipelineScenario
-from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.obs import TraceRecorder
 from repro.params import PandasParams
 
@@ -78,7 +78,10 @@ class TestSustainedPipeline:
     def test_all_slot_state_retired_after_drain(self, scenario):
         for node in scenario.nodes.values():
             assert node.pending_depth() == 0
-        assert scenario._retired == 3
+            assert not node._slots
+            assert {0, 1, 2} <= node._retired
+        for probe in scenario.probes:
+            assert not probe._active
 
     def test_i5_invariant_checked_throughout(self, scenario):
         assert scenario.invariants is not None
@@ -95,17 +98,17 @@ class TestSustainedPipeline:
 
 class TestGossipSeenBound:
     def test_seen_state_not_monotonic_across_pipeline_slots(self):
-        """The sustained pipeline never calls ``_end_slot``, so before
-        the retention wiring the block overlay's dedup sets grew for
-        the whole run and kept churned-out members forever. Pin the
-        fix: per-slot totals must shrink at least once (retirement at
-        the retention window), never exceed a small multiple of the
-        live population, and departed members must not be retained."""
+        """Before slot release expired the block overlay's dedup ids, a
+        sustained pipeline's dedup sets grew for the whole run and kept
+        churned-out members forever. Pin the fix: per-slot totals must
+        shrink at least once (retirement at the retention window), never
+        exceed a small multiple of the live population, and departed
+        members must not be retained."""
         config = make_config(
             include_block_gossip=True, slots=6, check_invariants=False
         )
         pipeline = make_pipeline(config)
-        overlay = pipeline.block_overlay
+        overlay = pipeline.overlay
         assert overlay is not None
         per_slot = []
         record = pipeline._record_slot
@@ -135,7 +138,7 @@ class TestGossipSeenBound:
         )
         pipeline = make_pipeline(config)
         pipeline.run()
-        overlay = pipeline.block_overlay
+        overlay = pipeline.overlay
         for member in pipeline.departed:
             assert member not in overlay.topic_members("blocks")
             assert not overlay.mesh_neighbors("blocks", member)
@@ -239,6 +242,37 @@ class TestPipelineStructure:
         joiner_max = max(scenario.node_ids)
         probe_min = min(c.client_id for c in scenario.probes)
         assert joiner_max < probe_min
+
+
+class TestReducesToBaseLoop:
+    """With churn, view lag, probes and extra retention off, a pipeline
+    runs exactly the slots ``Scenario`` runs: same fingerprint, same
+    event count."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"dead_fraction": 0.3}, {"include_block_gossip": True}],
+        ids=["plain", "dead", "block"],
+    )
+    def test_same_run_as_scenario(self, overrides):
+        config = ScenarioConfig(
+            num_nodes=60,
+            params=PandasParams.reduced(16),
+            seed=7,
+            slots=3,
+            num_vertices=600,
+            **overrides,
+        )
+        base = Scenario(config).run()
+        pipeline = PipelineScenario(
+            config,
+            churn_fraction=0.0,
+            view_lag_slots=0,
+            retention_slots=1,
+            probes_per_slot=0,
+        ).run()
+        assert pipeline.metrics.fingerprint() == base.metrics.fingerprint()
+        assert pipeline.sim.events_processed == base.sim.events_processed
 
 
 def churn_config(slots=3):

@@ -44,13 +44,6 @@ def test_builder_egress_excluded_from_node_traffic():
     assert scenario.metrics.builder_bytes_sent[0] == egress
 
 
-def test_short_slot_window_truncates_phases():
-    """A 0.5 s window cannot fit consolidation: misses are honest."""
-    scenario = Scenario(make_config(slot_window=0.5)).run()
-    dist = scenario.phase_distributions().sampling
-    assert dist.misses > 0
-
-
 def test_seeding_budget_scales_with_policy():
     light = Scenario(make_config(policy=SingleSeeding())).run()
     heavy = Scenario(make_config(policy=RedundantSeeding(8))).run()
