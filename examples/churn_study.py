@@ -30,7 +30,7 @@ def run(churn_fraction: float, view_lag_slots: int, slots: int = 4):
         slots=slots,
         num_vertices=500,
     )
-    # churn alone: no retrieval probes, no aggregate layer-2 load
+    # churn alone: no retrieval probes
     scenario = PipelineScenario(
         config,
         churn_fraction=churn_fraction,

@@ -10,24 +10,15 @@ behaviour as consolidation, without the client being a custodian of
 anything itself. Replies take the node's acceptance chain
 (``AdaptiveFetcher.on_reply``), without a reputation ledger.
 
-Two overload-control layers ride on top for the sustained pipeline:
-
-- ``RetrievalClient`` admission control (``max_concurrent`` /
-  ``defer_limit``): concurrent retrievals beyond the cap wait in a
-  bounded FIFO defer queue; past the bound they are shed immediately
-  (callback with ``shed=True``) instead of queueing forever.
-- :class:`AggregateRetrievalLoad`: a deterministic fluid-queue (rate
-  process) model of the *population* of layer-2 clients — millions of
-  requests per slot as arrival/service rates, never per-request
-  simulator events. The pipeline steps it once per slot phase, feeds
-  it the capacity left over by sampling traffic (sampling has
-  priority), and reads shed/backlog totals and M/M/1-style latency
-  estimates out of it.
+Admission control rides on top for the sustained pipeline
+(``max_concurrent`` / ``defer_limit``): concurrent retrievals beyond
+the cap wait in a bounded FIFO defer queue; past the bound they are
+shed immediately (``result.shed``, the callback fires at once) instead
+of queueing forever.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
 
@@ -38,11 +29,7 @@ from repro.core.fetching import AdaptiveFetcher
 from repro.core.messages import PRIORITY_RETRIEVAL, CellRequest, CellResponse
 from repro.net.transport import Datagram
 
-__all__ = [
-    "AggregateRetrievalLoad",
-    "RetrievalClient",
-    "RetrievalResult",
-]
+__all__ = ["RetrievalClient", "RetrievalResult"]
 
 
 @dataclass
@@ -229,106 +216,3 @@ class RetrievalClient:
         self.ctx.network.send(
             self.client_id, peer, request, request.wire_size(self.ctx.params)
         )
-
-
-class AggregateRetrievalLoad:
-    """Fluid-queue model of the aggregate layer-2 client population.
-
-    Millions of retrieval requests per slot cannot be simulated as
-    per-request events; they are modeled as deterministic *rate
-    processes* instead (pure arithmetic — no RNG, no simulator events,
-    so stepping the model is behavior-neutral for the packet-level
-    simulation running beside it).
-
-    Each :meth:`offer` call advances the model by one phase of
-    ``duration`` seconds during which clients generate ``rate``
-    requests/second against a serving tier that can absorb
-    ``capacity`` requests/second *after* sampling traffic took its
-    share (sampling has strict priority; the caller computes the
-    leftover capacity). Admission is capped at ``admit_rate`` and the
-    waiting pool is bounded by ``max_backlog`` — excess load is shed
-    and counted, never queued forever (the rate-process half of the
-    I5 invariant).
-
-    Latency estimates use the M/M/1 sojourn-time approximation on the
-    current backlog and service rate — honest about being a model, but
-    good enough to show the degradation curve under 2x overload.
-    """
-
-    def __init__(
-        self,
-        service_rate: float,
-        admit_rate: float | None = None,
-        max_backlog: float | None = None,
-    ) -> None:
-        if service_rate <= 0.0:
-            raise ValueError(f"service_rate must be positive, got {service_rate}")
-        if admit_rate is not None and admit_rate < 0.0:
-            raise ValueError(f"admit_rate must be non-negative, got {admit_rate}")
-        if max_backlog is not None and max_backlog < 0.0:
-            raise ValueError(f"max_backlog must be non-negative, got {max_backlog}")
-        self.service_rate = service_rate
-        self.admit_rate = admit_rate
-        self.max_backlog = max_backlog
-        self.backlog = 0.0
-        self.peak_backlog = 0.0
-        self.offered_total = 0.0
-        self.admitted_total = 0.0
-        self.served_total = 0.0
-        self.shed_admission = 0.0
-        self.shed_overflow = 0.0
-        self._last_capacity = service_rate
-
-    def offer(self, rate: float, duration: float, capacity: float | None = None) -> float:
-        """Advance one phase; returns requests served during it."""
-        if rate < 0.0 or duration < 0.0:
-            raise ValueError("rate and duration must be non-negative")
-        effective = self.service_rate if capacity is None else max(0.0, capacity)
-        self._last_capacity = effective
-        offered = rate * duration
-        self.offered_total += offered
-        admitted = offered
-        if self.admit_rate is not None:
-            admitted = min(offered, self.admit_rate * duration)
-            self.shed_admission += offered - admitted
-        self.admitted_total += admitted
-        served = min(self.backlog + admitted, effective * duration)
-        self.served_total += served
-        self.backlog += admitted - served
-        if self.max_backlog is not None and self.backlog > self.max_backlog:
-            self.shed_overflow += self.backlog - self.max_backlog
-            self.backlog = self.max_backlog
-        if self.backlog > self.peak_backlog:
-            self.peak_backlog = self.backlog
-        return served
-
-    @property
-    def shed_total(self) -> float:
-        return self.shed_admission + self.shed_overflow
-
-    def latency_quantile(self, q: float) -> float | None:
-        """M/M/1-style sojourn-time quantile at the current backlog.
-
-        Mean sojourn = (backlog + 1) / capacity (Little's law on the
-        waiting pool plus own service); quantile ``q`` of the matching
-        exponential is ``-ln(1 - q)`` means. ``None`` when the serving
-        tier has zero capacity left (every estimate would be infinite).
-        """
-        if not 0.0 <= q < 1.0:
-            raise ValueError(f"quantile must be in [0, 1), got {q}")
-        if self._last_capacity <= 0.0:
-            return None
-        mean = (self.backlog + 1.0) / self._last_capacity
-        return mean * -math.log(1.0 - q)
-
-    def snapshot(self) -> dict[str, float]:
-        """Flat totals for reports (stable key order for replays)."""
-        return {
-            "offered": self.offered_total,
-            "admitted": self.admitted_total,
-            "served": self.served_total,
-            "shed_admission": self.shed_admission,
-            "shed_overflow": self.shed_overflow,
-            "backlog": self.backlog,
-            "peak_backlog": self.peak_backlog,
-        }

@@ -181,8 +181,6 @@ def flat_name(name: str, label: str | None, value: str | None) -> str:
 # None). This table is the only declaration; export and the sampler
 # walk it in name order.
 FAMILIES: dict[str, tuple[str, str, str | None]] = {
-    "aggregate_backlog": ("gauge", "Aggregate retrieval fluid-model backlog (requests)", None),
-    "aggregate_shed": ("gauge", "Aggregate retrieval requests shed so far", None),
     "bytes_sent_total": ("counter", "link bytes by traffic layer", "layer"),
     "datagrams_delivered": ("gauge", "transport datagrams delivered", None),
     "datagrams_lost": ("gauge", "transport datagrams lost", None),

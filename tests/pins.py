@@ -156,16 +156,6 @@ ROWS: dict[str, tuple[Callable[..., Any], bool]] = {
         ),
         False,
     ),
-    "pipeline-aggregate": (
-        lambda **kw: PipelineScenario(
-            pipeline_config(check_invariants=True, **kw),
-            churn_fraction=0.1,
-            service_rate=400.0,
-            client_rate=(100.0, 800.0),
-            max_backlog=1000.0,
-        ),
-        False,
-    ),
     "pandas-100": (_pandas_100, False),
     "pipeline-3": (_pipeline_3, False),
     "dead": (_dead, False),

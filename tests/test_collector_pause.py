@@ -75,9 +75,6 @@ def small_pipeline() -> PipelineScenario:
         churn_fraction=0.1,
         retention_slots=2,
         probes_per_slot=4,
-        client_rate=1_000_000.0,
-        service_rate=500_000.0,
-        max_backlog=2_000_000.0,
     )
 
 

@@ -148,13 +148,11 @@ def test_families_declare_each_exported_series():
         assert FAMILIES[name][0] == "counter"
         assert FAMILIES[name][2] is not None
     tel = Telemetry()
-    PipelineScenario(
-        pipeline_config(telemetry=tel), churn_fraction=0.1, service_rate=400.0
-    ).run()
+    PipelineScenario(pipeline_config(telemetry=tel), churn_fraction=0.1).run()
     records = series_records(tel)[1:]
     exported = {r["name"]: r["type"] for r in records if r["type"] != "sample"}
     assert exported == {name: FAMILIES[name][0] for name in exported}
-    assert {"aggregate_backlog", "aggregate_shed", "queue_depth"} <= set(exported)
+    assert "queue_depth" in exported
     # counters only grow from one sample row to the next
     rows = [r["values"] for r in records if r["type"] == "sample"]
     for before, after in zip(rows, rows[1:]):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.assignment import cells_of_line
 from repro.core.messages import CellResponse
-from repro.core.retrieval import AggregateRetrievalLoad, RetrievalClient
+from repro.core.retrieval import RetrievalClient
 from repro.net.transport import Datagram
 from repro.params import MAX_CELLS_PER_QUERY, PandasParams
 from tests.helpers import make_world
@@ -209,83 +209,3 @@ class TestClientAdmission:
             RetrievalClient(world.ctx, 1000, max_concurrent=0)
         with pytest.raises(ValueError):
             RetrievalClient(world.ctx, 1000, defer_limit=-1)
-
-
-# ----------------------------------------------------------------------
-# aggregate fluid-queue model (pure arithmetic, no simulator)
-# ----------------------------------------------------------------------
-
-class TestAggregateRetrievalLoad:
-    def test_underload_serves_everything(self):
-        load = AggregateRetrievalLoad(service_rate=100.0)
-        served = load.offer(50.0, 2.0)
-        assert served == 100.0
-        assert load.backlog == 0.0
-        assert load.shed_total == 0.0
-
-    def test_overload_builds_backlog(self):
-        load = AggregateRetrievalLoad(service_rate=100.0)
-        load.offer(200.0, 1.0)
-        assert load.backlog == 100.0
-        assert load.peak_backlog == 100.0
-        # the backlog drains when load drops below capacity
-        load.offer(0.0, 1.0)
-        assert load.backlog == 0.0
-        assert load.served_total == 200.0
-        assert load.peak_backlog == 100.0  # high-water mark sticks
-
-    def test_admit_rate_caps_intake(self):
-        load = AggregateRetrievalLoad(service_rate=100.0, admit_rate=50.0)
-        load.offer(100.0, 1.0)
-        assert load.admitted_total == 50.0
-        assert load.shed_admission == 50.0
-
-    def test_max_backlog_sheds_overflow(self):
-        load = AggregateRetrievalLoad(service_rate=10.0, max_backlog=20.0)
-        load.offer(100.0, 1.0)  # admits 100, serves 10, 90 would queue
-        assert load.backlog == 20.0
-        assert load.shed_overflow == 70.0
-
-    def test_capacity_override_models_sampling_priority(self):
-        load = AggregateRetrievalLoad(service_rate=100.0)
-        served = load.offer(50.0, 1.0, capacity=0.0)
-        assert served == 0.0
-        assert load.backlog == 50.0
-        assert load.latency_quantile(0.5) is None  # no capacity left
-
-    def test_latency_quantiles_follow_mm1_sojourn(self):
-        load = AggregateRetrievalLoad(service_rate=10.0)
-        load.offer(20.0, 1.0)  # backlog 10
-        mean = (10.0 + 1.0) / 10.0
-        assert load.latency_quantile(0.5) == pytest.approx(mean * 0.6931471805599453)
-        assert load.latency_quantile(0.5) < load.latency_quantile(0.99)
-        with pytest.raises(ValueError):
-            load.latency_quantile(1.0)
-
-    def test_snapshot_totals(self):
-        load = AggregateRetrievalLoad(
-            service_rate=10.0, admit_rate=50.0, max_backlog=20.0
-        )
-        load.offer(100.0, 1.0)
-        snap = load.snapshot()
-        assert snap == {
-            "offered": 100.0,
-            "admitted": 50.0,
-            "served": 10.0,
-            "shed_admission": 50.0,
-            "shed_overflow": 20.0,
-            "backlog": 20.0,
-            "peak_backlog": 20.0,
-        }
-        assert load.shed_total == 70.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AggregateRetrievalLoad(service_rate=0.0)
-        with pytest.raises(ValueError):
-            AggregateRetrievalLoad(service_rate=1.0, admit_rate=-1.0)
-        with pytest.raises(ValueError):
-            AggregateRetrievalLoad(service_rate=1.0, max_backlog=-1.0)
-        load = AggregateRetrievalLoad(service_rate=1.0)
-        with pytest.raises(ValueError):
-            load.offer(-1.0, 1.0)
