@@ -188,12 +188,21 @@ class BaseScenario:
         """Called once the slot's ``slot_duration`` has elapsed, before
         the next slot begins or any slot is released."""
 
+    def _members(self, slot: int) -> set[int]:
+        """The nodes that ran ``slot``, statically dead ones left out.
+
+        Every population count reads this one rule: the distributions
+        (less the Byzantine members), the telemetry's expected samples
+        and the pipeline's per-slot hit rates and rows.
+        """
+        return set(self.node_ids) - self.dead_nodes
+
     def _expected_samples(self) -> int:
         """Node-slots the telemetry's deadline-hit counter counts.
 
-        Every live node, Byzantine ones included, in every slot run.
+        Every member, Byzantine ones included, of every slot run.
         """
-        return len(self.ctx.slot_starts) * self.live_node_count
+        return sum(len(self._members(slot)) for slot in self.ctx.slot_starts)
 
     # ------------------------------------------------------------------
     # shared construction
@@ -489,7 +498,8 @@ class BaseScenario:
         return len(self.node_ids) - len(self.dead_nodes | set(self.byzantine))
 
     def _alive_phase(self, phase: str) -> list[float | None]:
-        """Phase times over live *honest* nodes; absent entries are misses.
+        """Phase times over each slot's *honest* members; a member with
+        no time for the phase is a miss.
 
         Byzantine nodes are excluded: they run the protocol too (which
         is what makes them hard to spot), but the paper's question —
@@ -497,14 +507,11 @@ class BaseScenario:
         in time, not whether the attackers do.
         """
         values: list[float | None] = []
-        byzantine = self.byzantine
-        for (slot, node), times in self.metrics.phase_times.items():
-            if node in self.dead_nodes or node in byzantine:
-                continue
-            values.append(getattr(times, phase))
-        slots_run = len(self.ctx.slot_starts)
-        expected = slots_run * self.honest_live_count
-        values.extend([None] * max(0, expected - len(values)))
+        phase_times = self.metrics.phase_times
+        for slot in self.ctx.slot_starts:
+            for node in self._members(slot) - self.byzantine.keys():
+                times = phase_times.get((slot, node))
+                values.append(None if times is None else getattr(times, phase))
         return values
 
     def phase_distributions(self) -> PhaseDistributions:
