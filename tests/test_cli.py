@@ -107,6 +107,32 @@ def test_non_positive_pipeline_bound_is_a_usage_error(flag, value, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    ("command", "flag", "value", "expected"),
+    [
+        ("pipeline", "--churn", "1.5", "in [0, 1)"),
+        ("pipeline", "--churn", "-0.1", "in [0, 1)"),
+        ("pipeline", "--probes", "-1", "non-negative"),
+        ("pipeline", "--retention", "0", "positive"),
+        ("pipeline", "--view-lag", "-1", "non-negative"),
+        ("slot", "--dead", "1.5", "in [0, 1]"),
+        ("slot", "--dead", "-0.2", "in [0, 1]"),
+        ("slot", "--out-of-view", "1.5", "in [0, 1]"),
+    ],
+)
+def test_out_of_range_value_is_a_usage_error(command, flag, value, expected, capsys):
+    """A value the scenario would reject (or silently ignore) is a usage
+    error at parse time: exit 2 and one diagnostic line, no traceback."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--nodes", "20", "--reduced", "32", flag, value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"repro {command}: error: argument {flag}: must be {expected}, got {value!r}"
+    )
+    assert "Traceback" not in err
+
+
 def test_pipeline_pending_limit_zero_is_unbounded(capsys):
     """``--pending-limit`` stays optional: 0 still means no bound."""
     import json
