@@ -21,6 +21,7 @@ from repro.dht.enr import EnrDirectory
 from repro.dht.kademlia import KademliaNode, LookupResult
 from repro.experiments.scenario import BaseScenario
 from repro.net.transport import Datagram
+from repro.params import SLOT_SECONDS
 from repro.sim.rng import derive_seed
 
 __all__ = ["DhtDasScenario", "PARCEL_CELLS", "parcel_of_cell", "parcel_key"]
@@ -116,8 +117,7 @@ class DhtDasScenario(BaseScenario):
     def _fetch_parcel(self, node_id: int, state: _SamplerState, parcel: int) -> None:
         if state.done or parcel in state.fetched_parcels:
             return
-        duration = self.params.slot_duration
-        window_end = state.slot * duration + duration
+        window_end = state.slot * SLOT_SECONDS + SLOT_SECONDS
 
         def on_result(result: LookupResult) -> None:
             if state.done or parcel in state.fetched_parcels:

@@ -26,6 +26,7 @@ from repro.core.messages import CellRequest, CellResponse
 from repro.experiments.scenario import BaseScenario
 from repro.gossip.pubsub import GossipMessage, GossipOverlay
 from repro.net.transport import Datagram
+from repro.params import SEEDING_REDUNDANCY
 from repro.sim.rng import derive_seed
 
 __all__ = ["UnitAssignment", "GossipDasNode", "GossipDasScenario"]
@@ -229,11 +230,11 @@ class GossipDasScenario(BaseScenario):
 
     def _begin_slot(self, slot: int) -> None:
         """Builder publishes each unit's lines into its channel (fanout
-        ``seeding_redundancy``, 8).
+        ``SEEDING_REDUNDANCY``, 8).
 
         Each cell is published through its *owning* line's unit (the
         same parity rule as PANDAS seeding), so the total egress is
-        ``seeding_redundancy`` x the extended blob — the equal-budget
+        ``SEEDING_REDUNDANCY`` x the extended blob — the equal-budget
         comparison of Figure 12.
         Every line still receives exactly half its cells, which the
         2D code reconstructs locally.
@@ -253,5 +254,5 @@ class GossipDasScenario(BaseScenario):
                     payload=cells,
                     payload_size=payload_size,
                     slot=slot,
-                    fanout=params.seeding_redundancy,
+                    fanout=SEEDING_REDUNDANCY,
                 )

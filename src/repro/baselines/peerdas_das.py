@@ -11,8 +11,8 @@ four-way matrix under one bandwidth budget.
 
 What the model includes, mapped to the spec:
 
-- ``DATA_COLUMN_SIDECAR_SUBNET_COUNT`` subnets (default 32; reduced
-  grids with fewer extended columns use one subnet per column), with
+- ``DATA_COLUMN_SIDECAR_SUBNET_COUNT`` (32) subnets (reduced grids
+  with fewer extended columns use one subnet per column), with
   ``column -> subnet`` by modulo, one GossipSub topic per subnet built
   on :class:`repro.gossip.pubsub.GossipOverlay` with the D_hi-style
   ``degree_cap`` bound;
@@ -23,13 +23,14 @@ What the model includes, mapped to the spec:
   slot a node must observe its custody subnets plus extra per-epoch
   sampled subnets, and subscribes to all of them;
 - a ``DataColumnSidecarByRoot``-style req/resp fallback: a node whose
-  sampled subnets are still incomplete ``peerdas_fallback_after``
-  seconds into the slot pulls missing columns directly from custodians
-  of those subnets, retrying in waves until the slot window closes.
+  sampled subnets are still incomplete ``FALLBACK_AFTER`` seconds into
+  the slot pulls missing columns directly from custodians of those
+  subnets, retrying every ``FALLBACK_INTERVAL`` until the slot window
+  closes.
   Req/resp runs over the reliable transport path (libp2p streams, not
   gossip datagrams);
 - the builder publishes every column sidecar into its subnet with
-  fanout ``seeding_redundancy`` (8), i.e. exactly the 8x extended-blob
+  fanout ``SEEDING_REDUNDANCY`` (8), i.e. exactly the 8x extended-blob
   egress budget the other baselines get.
 
 Deliberately out of scope (documented for the figure captions): KZG
@@ -50,7 +51,7 @@ from repro.core.custody import SlotCellState
 from repro.experiments.scenario import BaseScenario
 from repro.gossip.pubsub import DEFAULT_DEGREE_CAP, GossipMessage, GossipOverlay
 from repro.net.transport import Datagram
-from repro.params import PandasParams
+from repro.params import MESSAGE_OVERHEAD_BYTES, SEEDING_REDUNDANCY, SLOT_SECONDS, PandasParams
 from repro.sim.rng import derive_seed
 
 __all__ = [
@@ -61,6 +62,20 @@ __all__ = [
     "PeerDasScenario",
 ]
 
+# The spec's values, under its names. Extended columns are spread over
+# DATA_COLUMN_SIDECAR_SUBNET_COUNT gossip subnets (column -> subnet by
+# modulo); every node custodies CUSTODY_REQUIREMENT subnets, derived
+# from its node id alone (custody-group style; epoch-independent), and
+# must observe SAMPLES_PER_SLOT subnets per slot, counted in subnets
+# here: its custody subnets plus extra sampled ones.
+DATA_COLUMN_SIDECAR_SUBNET_COUNT = 32
+CUSTODY_REQUIREMENT = 4
+SAMPLES_PER_SLOT = 8
+# the ByRoot fallback starts this long into the slot and repeats at
+# this interval until the slot window closes (the model's values, not
+# the spec's)
+FALLBACK_AFTER = 2.0
+FALLBACK_INTERVAL = 0.4
 # ByRoot request framing: the beacon block root anchoring the request
 # plus one subnet-column index per requested column.
 BLOCK_ROOT_BYTES = 32
@@ -80,11 +95,11 @@ class SubnetAssignment:
     def __init__(self, params: PandasParams, epoch_seed: int) -> None:
         self.params = params
         self.epoch_seed = epoch_seed
-        self.num_subnets = min(params.peerdas_subnet_count, params.ext_cols)
+        self.num_subnets = min(DATA_COLUMN_SIDECAR_SUBNET_COUNT, params.ext_cols)
         if self.num_subnets < 1:
             raise ValueError("need at least one column subnet")
-        self.custody_count = min(params.peerdas_custody_subnets, self.num_subnets)
-        self.sample_count = min(params.peerdas_sample_subnets, self.num_subnets)
+        self.custody_count = min(CUSTODY_REQUIREMENT, self.num_subnets)
+        self.sample_count = min(SAMPLES_PER_SLOT, self.num_subnets)
         if self.sample_count < self.custody_count:
             raise ValueError("sampled subnets must cover custody subnets")
 
@@ -135,7 +150,7 @@ class DataColumnsByRootRequest:
 
     def wire_size(self, params: PandasParams) -> int:
         return (
-            params.message_overhead_bytes
+            MESSAGE_OVERHEAD_BYTES
             + BLOCK_ROOT_BYTES
             + len(self.columns) * COLUMN_ID_BYTES
         )
@@ -150,7 +165,7 @@ class DataColumnsByRootResponse:
     columns: tuple[int, ...]
 
     def wire_size(self, params: PandasParams) -> int:
-        return params.message_overhead_bytes + (
+        return MESSAGE_OVERHEAD_BYTES + (
             len(self.columns) * params.ext_rows * params.cell_bytes
         )
 
@@ -287,10 +302,9 @@ class PeerDasNode:
         if not state.cells.complete:
             self._request_missing(slot, state)
         scenario = self.scenario
-        interval = scenario.ctx.params.peerdas_fallback_interval
-        if scenario.sim.now + interval < window_end:
+        if scenario.sim.now + FALLBACK_INTERVAL < window_end:
             scenario.sim.call_after(
-                interval, lambda: self.check_fallback(slot, window_end)
+                FALLBACK_INTERVAL, lambda: self.check_fallback(slot, window_end)
             )
 
     def _column_complete(self, state: _PeerDasSlotState, col: int) -> bool:
@@ -416,13 +430,12 @@ class PeerDasScenario(BaseScenario):
     def _begin_slot(self, slot: int) -> None:
         """Builder publishes every column sidecar into its subnet.
 
-        Columns partition the grid, so fanout ``seeding_redundancy``
-        makes the total egress ``seeding_redundancy`` x the extended
+        Columns partition the grid, so fanout ``SEEDING_REDUNDANCY``
+        makes the total egress ``SEEDING_REDUNDANCY`` x the extended
         blob — the same budget the PANDAS/GossipSub/DHT baselines get.
         """
         params = self.params
-        start = slot * params.slot_duration
-        window_end = start + params.slot_duration
+        window_end = slot * SLOT_SECONDS + SLOT_SECONDS
         column_bytes = params.ext_rows * params.cell_bytes
         for col in range(params.ext_cols):
             subnet = self.subnets.subnet_of_column(col)
@@ -433,14 +446,13 @@ class PeerDasScenario(BaseScenario):
                 payload=col,
                 payload_size=column_bytes,
                 slot=slot,
-                fanout=params.seeding_redundancy,
+                fanout=SEEDING_REDUNDANCY,
             )
-        fallback_at = min(params.peerdas_fallback_after, params.slot_duration)
         for node_id in self.node_ids:
             if node_id in self.dead_nodes or node_id in self.byzantine:
                 continue
             node = self.nodes[node_id]
             self.sim.call_after(
-                fallback_at,
+                FALLBACK_AFTER,
                 lambda node=node: node.check_fallback(slot, window_end),
             )

@@ -49,7 +49,9 @@ from repro.analysis.plotting import ascii_cdf
 from repro.analysis.stats import summarize
 from repro.core.seeding import policy_by_name
 from repro.experiments.scenario import Scenario, ScenarioConfig
-from repro.params import PandasParams
+from repro.obs.events import KINDS
+from repro.obs.telemetry import DEFAULT_CADENCE
+from repro.params import SEEDING_REDUNDANCY, PandasParams
 
 __all__ = ["COMMANDS", "Command", "main", "build_parser"]
 
@@ -85,8 +87,8 @@ def command(name: str, help: str, *args: Arg):
 def _checked(
     convert: Callable[[str], Any], valid: Callable[[Any], bool], expected: str
 ) -> Callable[[str], Any]:
-    """Type of a number with a valid range: the number, or a usage error
-    saying what was ``expected``."""
+    """Type of a number with a valid range (or a name from a catalog):
+    the value, or a usage error saying what was ``expected``."""
 
     def parse(text: str) -> Any:
         try:
@@ -107,6 +109,16 @@ def _positive(convert: Callable[[str], Any]) -> Callable[[str], Any]:
 
 _COUNT = _checked(int, lambda value: value >= 0, "non-negative")
 _FRACTION = _checked(float, lambda value: 0.0 <= value <= 1.0, "in [0, 1]")
+_KIND = _checked(str, lambda value: value in KINDS, "an event kind of repro.obs.events")
+
+
+def _list_of(item: Callable[[str], Any]) -> Callable[[str], tuple[Any, ...]]:
+    """Type of a comma-separated list: every entry parsed by ``item``."""
+
+    def parse(text: str) -> tuple[Any, ...]:
+        return tuple(item(part.strip()) for part in text.split(","))
+
+    return parse
 
 
 def _fault_plan(spec: str):
@@ -123,7 +135,7 @@ def _fault_plan(spec: str):
 # argument specs shared by several commands
 # ----------------------------------------------------------------------
 SCALE = (
-    arg("--nodes", type=int, default=350),
+    arg("--nodes", type=_positive(int), default=350),
     arg("--seed", type=int, default=7),
     arg(
         "--reduced", type=int, default=0,
@@ -132,7 +144,10 @@ SCALE = (
 )
 POLICY = (
     arg("--policy", default="redundant", help="minimal|single|redundant"),
-    arg("--redundancy", type=int, default=8, help="r for the redundant policy"),
+    arg(
+        "--redundancy", type=_positive(int), default=SEEDING_REDUNDANCY,
+        help="r for the redundant policy",
+    ),
 )
 FAULTS = arg(
     "--faults",
@@ -162,8 +177,8 @@ TELEMETRY = (
         help="sample run-health telemetry and write the JSONL series here",
     ),
     arg(
-        "--telemetry-cadence", type=float, default=0.25, metavar="SECONDS",
-        help="sim-time sampling cadence for --telemetry (default 0.25)",
+        "--telemetry-cadence", type=float, default=DEFAULT_CADENCE, metavar="SECONDS",
+        help=f"sim-time sampling cadence for --telemetry (default {DEFAULT_CADENCE})",
     ),
     arg(
         "--prometheus", default=None, metavar="FILE",
@@ -236,7 +251,7 @@ def _finish_telemetry(telemetry, args) -> dict | None:
     "slot", "run PANDAS slots and print phase stats",
     *SCALE,
     *POLICY,
-    arg("--slots", type=int, default=1),
+    arg("--slots", type=_positive(int), default=1),
     arg("--dead", type=_FRACTION, default=0.0, help="fraction of dead nodes"),
     arg("--out-of-view", type=_FRACTION, default=0.0, help="fraction out of view"),
     arg("--block-gossip", action="store_true", help="also gossip the block"),
@@ -346,7 +361,10 @@ def _cmd_slot(args) -> int:
         choices=["fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "table1"],
     ),
     *SCALE,
-    arg("--scales", default="250,350,500", help="node counts for fig13/14"),
+    arg(
+        "--scales", type=_list_of(_positive(int)), default="250,350,500",
+        help="node counts for fig13/14",
+    ),
 )
 def _cmd_figure(args) -> int:
     # benchmark modules contain the printing logic; reuse the figure
@@ -379,7 +397,6 @@ def _cmd_figure(args) -> int:
             print(f"{name:<10} {summarize(result.sampling, 4.0)}")
         print(ascii_cdf({n: r.sampling for n, r in results.items()}, deadline=4.0))
     elif args.which in ("fig13", "fig14"):
-        scales = [int(s) for s in args.scales.split(",")]
         systems = (
             ["pandas"]
             if args.which == "fig13"
@@ -387,7 +404,7 @@ def _cmd_figure(args) -> int:
         )
         for system in systems:
             results = figures.run_scaling(
-                node_counts=scales, seed=args.seed, system=system, params=params
+                node_counts=args.scales, seed=args.seed, system=system, params=params
             )
             for count, result in results.items():
                 print(f"{system:<10} {count:>6} nodes  {summarize(result.sampling, 4.0)}")
@@ -405,16 +422,15 @@ def _cmd_figure(args) -> int:
     "faults", "fault sweeps (Figure 15)",
     *SCALE,
     arg("--fault", choices=["dead", "out_of_view"], default="dead"),
-    arg("--fractions", default="0,0.2,0.4,0.6,0.8"),
+    arg("--fractions", type=_list_of(_FRACTION), default="0,0.2,0.4,0.6,0.8"),
     TRACE,
 )
 def _cmd_faults(args) -> int:
     from repro.experiments import figures
 
-    fractions = tuple(float(f) for f in args.fractions.split(","))
     tracer = _make_tracer(args)
     results = figures.run_fault_sweep(
-        fractions=fractions,
+        fractions=args.fractions,
         fault=args.fault,
         num_nodes=args.nodes,
         seed=args.seed,
@@ -436,8 +452,8 @@ def _cmd_faults(args) -> int:
         choices=["mix", "corrupt", "flood", "withhold", "equivocate", "stall"],
         help="one behavior, or 'mix' to split the fraction across all five",
     ),
-    arg("--fractions", default="0,0.05,0.1,0.2,0.3"),
-    arg("--slots", type=int, default=1),
+    arg("--fractions", type=_list_of(_FRACTION), default="0,0.05,0.1,0.2,0.3"),
+    arg("--slots", type=_positive(int), default=1),
     arg(
         "--details", action="store_true",
         help="also print realized adversary and defense counters",
@@ -447,10 +463,9 @@ def _cmd_faults(args) -> int:
 def _cmd_adversary(args) -> int:
     from repro.experiments import figures
 
-    fractions = tuple(float(f) for f in args.fractions.split(","))
     tracer = _make_tracer(args)
     results = figures.run_adversarial_sweep(
-        fractions=fractions,
+        fractions=args.fractions,
         behavior=args.behavior,
         num_nodes=args.nodes,
         slots=args.slots,
@@ -483,9 +498,17 @@ def _cmd_adversary(args) -> int:
 
 @command(
     "security", "Section 3 sampling math",
-    arg("--grid", type=int, default=512, help="extended grid dimension"),
-    arg("--samples", type=int, default=None),
-    arg("--target", type=float, default=1e-9),
+    arg(
+        "--grid",
+        type=_checked(int, lambda value: value >= 2 and value % 2 == 0, "even and at least 2"),
+        default=512,
+        help="extended grid dimension",
+    ),
+    arg("--samples", type=_COUNT, default=None),
+    arg(
+        "--target", type=_checked(float, lambda value: 0.0 < value < 1.0, "in (0, 1)"),
+        default=1e-9,
+    ),
 )
 def _cmd_security(args) -> int:
     from repro.das.security import false_positive_probability, required_samples
@@ -503,14 +526,17 @@ def _cmd_security(args) -> int:
     "trace", "run slots with structured tracing; write and analyze the trace",
     *SCALE,
     *POLICY,
-    arg("--slots", type=int, default=1),
+    arg("--slots", type=_positive(int), default=1),
     FAULTS,
     arg("--out", default=None, metavar="FILE", help="write JSONL trace here"),
     arg(
         "--chrome", default=None, metavar="FILE",
         help="write a Chrome trace_event JSON (load in about://tracing / Perfetto)",
     ),
-    arg("--kinds", default=None, help="comma-separated event kinds to record (default: all)"),
+    arg(
+        "--kinds", type=_list_of(_KIND), default=None,
+        help="comma-separated event kinds to record (default: all)",
+    ),
     arg(
         "--ring", type=int, default=1 << 20,
         help="in-memory ring buffer capacity (events); sinks see everything",
@@ -529,9 +555,7 @@ def _cmd_trace(args) -> int:
         sinks.append(JsonlSink(args.out))
     if args.chrome:
         sinks.append(ChromeTraceSink(args.chrome))
-    kinds = None
-    if args.kinds:
-        kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
+    kinds = args.kinds
     tracer = TraceRecorder(capacity=args.ring, kinds=kinds, sinks=sinks)
     config = ScenarioConfig(
         num_nodes=args.nodes,
@@ -575,7 +599,7 @@ def _cmd_trace(args) -> int:
     "pipeline", "sustained multi-slot pipeline: churn, bounded queues, load shedding",
     *SCALE,
     *POLICY,
-    arg("--slots", type=int, default=4),
+    arg("--slots", type=_positive(int), default=4),
     arg(
         "--churn", type=_checked(float, lambda value: 0.0 <= value < 1.0, "in [0, 1)"),
         default=0.05, help="membership turnover per slot",

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.seeding import LineBoost
-from repro.params import PandasParams
+from repro.params import MESSAGE_OVERHEAD_BYTES, PandasParams
 
 __all__ = [
     "SeedMessage",
@@ -60,7 +60,7 @@ class SeedMessage:
         # Boost entries are (peer, contiguous-parcel range): 16 B each.
         entries = sum(len(line_boost.seeded) for line_boost in self.boost)
         return (
-            params.message_overhead_bytes
+            MESSAGE_OVERHEAD_BYTES
             + len(self.cells) * params.cell_bytes
             + entries * BOOST_ENTRY_BYTES
         )
@@ -90,7 +90,7 @@ class CellRequest:
     priority: int = PRIORITY_SAMPLING
 
     def wire_size(self, params: PandasParams) -> int:
-        return params.message_overhead_bytes + len(self.cells) * CELL_ID_BYTES
+        return MESSAGE_OVERHEAD_BYTES + len(self.cells) * CELL_ID_BYTES
 
 
 @dataclass(frozen=True)
@@ -110,4 +110,4 @@ class CellResponse:
     invalid: frozenset[int] = frozenset()
 
     def wire_size(self, params: PandasParams) -> int:
-        return params.message_overhead_bytes + len(self.cells) * params.cell_bytes
+        return MESSAGE_OVERHEAD_BYTES + len(self.cells) * params.cell_bytes

@@ -54,6 +54,7 @@ from repro.core.messages import (
 )
 from repro.core.reputation import ReputationLedger, TokenBucket
 from repro.net.transport import Datagram
+from repro.params import CONSOLIDATION_TIMER
 from repro.sim.engine import Event
 
 __all__ = ["PandasNode"]
@@ -133,10 +134,7 @@ class PandasNode:
         # inbound rate limiting, and slots already retired by drop_slot
         # (late replies for those are stale, not hostile).
         params = ctx.params
-        self.reputation = ReputationLedger(
-            decay=params.reputation_decay,
-            quarantine_threshold=params.quarantine_threshold,
-        )
+        self.reputation = ReputationLedger()
         self._buckets: dict[int, TokenBucket] = {}
         # aggregate admission bucket over *all* inbound retrieval-class
         # requests (the load-shedding priority lane: sampling traffic
@@ -308,7 +306,7 @@ class PandasNode:
             if state.fallback_timer is not None:
                 state.fallback_timer.cancel()
             state.fallback_timer = ctx.sim.call_after(
-                ctx.params.consolidation_timer,
+                CONSOLIDATION_TIMER,
                 lambda: self._fallback_start(slot),
             )
         self._after_cells_changed(slot, state)
@@ -323,7 +321,7 @@ class PandasNode:
             # a request for a slot we have no seed for: arm the 400 ms
             # fallback, then consolidate/sample without seed data
             state.fallback_timer = self.ctx.sim.call_after(
-                self.ctx.params.consolidation_timer,
+                CONSOLIDATION_TIMER,
                 lambda: self._fallback_start(slot),
             )
         has_cell = state.cells.has_cell
@@ -522,10 +520,7 @@ class PandasNode:
         # volatile defense state is lost with the process: reputation
         # and rate-limit memory start fresh
         params = self.ctx.params
-        self.reputation = ReputationLedger(
-            decay=params.reputation_decay,
-            quarantine_threshold=params.quarantine_threshold,
-        )
+        self.reputation = ReputationLedger()
         self._buckets.clear()
         self._retrieval_bucket = TokenBucket(
             params.retrieval_admit_rate, params.retrieval_admit_burst

@@ -75,9 +75,12 @@ class PeerStats:
 class ReputationLedger:
     """One node's memory of how its peers behaved.
 
-    ``prior`` is the pseudo-count of good evidence every peer starts
-    with: an unknown peer weighs 1.0, and a single timeout barely
-    moves it, while a burst of invalid cells collapses it quickly.
+    Counters decay by ``decay`` at every epoch rollover; a peer whose
+    score falls below ``quarantine_threshold`` is quarantined (excluded
+    from query plans) for the rest of the epoch. ``prior`` is the
+    pseudo-count of good evidence every peer starts with: an unknown
+    peer weighs 1.0, and a single timeout barely moves it, while a
+    burst of invalid cells collapses it quickly.
     """
 
     def __init__(

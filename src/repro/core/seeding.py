@@ -37,7 +37,7 @@ from collections.abc import Mapping, Sequence
 from itertools import chain
 from types import MappingProxyType
 
-from repro.params import PandasParams
+from repro.params import SEEDING_REDUNDANCY, PandasParams
 
 __all__ = [
     "LineBoost",
@@ -171,7 +171,7 @@ class SingleSeeding(SeedingPolicy):
 class RedundantSeeding(SeedingPolicy):
     """Every parcel sent to ``r`` custodians in total (1,120 MB at r=8)."""
 
-    def __init__(self, r: int = 8) -> None:
+    def __init__(self, r: int = SEEDING_REDUNDANCY) -> None:
         if r < 1:
             raise ValueError("redundancy must be at least 1")
         self.r = r
@@ -202,7 +202,7 @@ class WithholdingSeeding(SeedingPolicy):
         return cells[: int(len(cells) * self.release)]
 
 
-def policy_by_name(name: str, r: int = 8) -> SeedingPolicy:
+def policy_by_name(name: str, r: int = SEEDING_REDUNDANCY) -> SeedingPolicy:
     """Factory used by experiment configs and CLI examples."""
     if name == "minimal":
         return MinimalSeeding()

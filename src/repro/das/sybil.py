@@ -17,6 +17,8 @@ sampling in the tests.
 
 from __future__ import annotations
 
+from repro.params import SLOT_SECONDS
+
 __all__ = [
     "line_assignment_probability",
     "line_without_honest_custodian_probability",
@@ -111,7 +113,7 @@ def sampling_success_probability(
 def rotation_safety_factor(
     crawl_seconds: float = 60.0,
     slots_per_epoch: int = 32,
-    slot_seconds: float = 12.0,
+    slot_seconds: float = SLOT_SECONDS,
 ) -> float:
     """How many full ENR crawls fit in one assignment epoch.
 

@@ -49,7 +49,7 @@ def SEEDING_POLICIES() -> dict[str, SeedingPolicy]:
     return {
         "minimal": MinimalSeeding(),
         "single": SingleSeeding(),
-        "redundant": RedundantSeeding(8),
+        "redundant": RedundantSeeding(),
     }
 
 
@@ -147,7 +147,7 @@ def run_table1(
         num_nodes=num_nodes,
         slots=slots,
         seed=seed,
-        policy=RedundantSeeding(8),
+        policy=RedundantSeeding(),
         params=params if params is not None else PandasParams.full(),
     )
     scenario = Scenario(config).run()
@@ -171,7 +171,7 @@ def run_adaptive_vs_constant(
             num_nodes=num_nodes,
             slots=slots,
             seed=seed,
-            policy=RedundantSeeding(8),
+            policy=RedundantSeeding(),
             params=base_params.with_schedule(schedule),
         )
         scenario = Scenario(config).run()
@@ -202,7 +202,7 @@ def run_baseline_comparison(
         num_nodes=num_nodes,
         slots=slots,
         seed=seed,
-        policy=RedundantSeeding(8),
+        policy=RedundantSeeding(),
         params=params if params is not None else PandasParams.full(),
         faults=faults,
     )
@@ -245,7 +245,7 @@ def run_scaling(
             num_nodes=count,
             slots=slots,
             seed=seed,
-            policy=RedundantSeeding(8),
+            policy=RedundantSeeding(),
             params=params if params is not None else PandasParams.full(),
         )
         scenario = makers[system](config).run()
@@ -281,7 +281,7 @@ def run_fault_sweep(
             num_nodes=num_nodes,
             slots=slots,
             seed=seed,
-            policy=RedundantSeeding(8),
+            policy=RedundantSeeding(),
             params=params if params is not None else PandasParams.full(),
             dead_fraction=fraction if fault == "dead" else 0.0,
             out_of_view_fraction=fraction if fault == "out_of_view" else 0.0,
@@ -363,7 +363,7 @@ def run_adversarial_sweep(
             num_nodes=num_nodes,
             slots=slots,
             seed=seed,
-            policy=RedundantSeeding(8),
+            policy=RedundantSeeding(),
             params=base,
             faults=plan,
             tracer=tracer,

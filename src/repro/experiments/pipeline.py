@@ -1,7 +1,7 @@
 """Sustained multi-slot pipeline with overload control.
 
 Every scenario runs its slots through ``BaseScenario.run``: slot N+1
-begins one ``slot_duration`` after slot N, and slot N's state is
+begins ``SLOT_SECONDS`` after slot N, and slot N's state is
 released ``retention_slots`` slots later (1 by default: when slot N+1
 begins). The real protocol also churns its membership at slot
 boundaries, and layer-2 clients keep asking for data whether or not
@@ -275,11 +275,11 @@ class PipelineScenario(Scenario):
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
-    def deadline_hit_by_slot(self) -> dict[int, float]:
-        """Fraction of each slot's members that sampled within the
-        protocol deadline (``params.deadline``)."""
+    def _deadline_hits(self) -> dict[int, tuple[int, int]]:
+        """Per slot: (members that sampled within the protocol deadline
+        ``params.deadline``, members)."""
         deadline = self.params.deadline
-        outcome: dict[int, float] = {}
+        counts: dict[int, tuple[int, int]] = {}
         for slot in self.ctx.slot_starts:
             live = self._members(slot)
             if not live:
@@ -289,8 +289,13 @@ class PipelineScenario(Scenario):
                 times = self.metrics.phase_times.get((slot, node))
                 if times and times.sampling is not None and times.sampling <= deadline:
                     within += 1
-            outcome[slot] = within / len(live)
-        return outcome
+            counts[slot] = (within, len(live))
+        return counts
+
+    def deadline_hit_by_slot(self) -> dict[int, float]:
+        """Fraction of each slot's members that sampled within the
+        protocol deadline (``params.deadline``)."""
+        return {slot: within / live for slot, (within, live) in self._deadline_hits().items()}
 
     def _probe_summary(self) -> dict[str, Any]:
         completed = sorted(r.elapsed for r in self.probe_results if r.complete)
@@ -309,8 +314,12 @@ class PipelineScenario(Scenario):
         return summary
 
     def report(self) -> PipelineReport:
-        hits = self.deadline_hit_by_slot()
-        overall = sum(hits.values()) / len(hits) if hits else 0.0
+        counts = self._deadline_hits()
+        hits = {slot: within / live for slot, (within, live) in counts.items()}
+        # pooled over node-slots, as the telemetry and `repro health` count
+        member_slots = sum(live for _, live in counts.values())
+        within_total = sum(within for within, _ in counts.values())
+        overall = within_total / member_slots if member_slots else 0.0
         rows: list[dict[str, object]] = []
         for row in self._slot_rows:
             slot = row["slot"]

@@ -33,7 +33,7 @@ from repro.net.topology import DEFAULT_BUILDER_PROFILE, DEFAULT_NODE_PROFILE, To
 from repro.net.transport import DEFAULT_LOSS_RATE, Datagram, Network
 from repro.obs.events import TraceRecorder
 from repro.obs.telemetry import Telemetry
-from repro.params import PandasParams
+from repro.params import SLOT_SECONDS, PandasParams
 from repro.sim.engine import SimProfiler, Simulator, collector_paused
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.rng import RngRegistry
@@ -185,7 +185,7 @@ class BaseScenario:
             self.overlay.expire_seen(slot + 1)
 
     def _after_slot(self, slot: int) -> None:
-        """Called once the slot's ``slot_duration`` has elapsed, before
+        """Called once the slot's ``SLOT_SECONDS`` have elapsed, before
         the next slot begins or any slot is released."""
 
     def _members(self, slot: int) -> set[int]:
@@ -298,7 +298,6 @@ class BaseScenario:
             emit=self.ctx.emit,
             candidates=candidates,
             node_lookup=lambda nid: getattr(self, "nodes", {}).get(nid),
-            slot_duration=self.params.slot_duration,
         )
         return injector.install()
 
@@ -373,11 +372,11 @@ class BaseScenario:
         tel.set_run_info(
             nodes=config.num_nodes,
             slots=config.slots,
-            slot_duration=self.params.slot_duration,
+            slot_duration=SLOT_SECONDS,
             deadline=self.params.deadline,
             seed=config.seed,
         )
-        tel.expected_end = config.slots * self.params.slot_duration
+        tel.expected_end = config.slots * SLOT_SECONDS
         tel.install(
             self.sim, self.metrics, self.gauges, self.builder_id, self.retrieval_floor
         )
@@ -460,14 +459,13 @@ class BaseScenario:
     @collector_paused()
     def run(self) -> BaseScenario:
         """Run ``config.slots`` slots, slot ``s`` beginning at
-        ``s * slot_duration`` whatever is still in flight.
+        ``s * SLOT_SECONDS`` whatever is still in flight.
 
         A slot's state is released (:meth:`_end_slot`) when the slot
         ``retention_slots`` later begins, and the slots still held are
         released after the last one, so late replies keep landing in
         state that is still there.
         """
-        duration = self.params.slot_duration
         retention = self.retention_slots
         slots = self.config.slots
         for slot in range(slots):
@@ -475,7 +473,7 @@ class BaseScenario:
                 self._end_slot(slot - retention)
             self.ctx.begin_slot(slot)
             self._begin_slot(slot)
-            self.sim.run(until=slot * duration + duration)
+            self.sim.run(until=slot * SLOT_SECONDS + SLOT_SECONDS)
             self._after_slot(slot)
         for slot in range(max(0, slots - retention), slots):
             self._end_slot(slot)

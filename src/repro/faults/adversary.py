@@ -39,6 +39,7 @@ from repro.core.context import ProtocolContext
 from repro.core.messages import CellRequest, CellResponse
 from repro.core.node import PandasNode
 from repro.faults.plan import AdversarySpec, FaultPlan
+from repro.params import SLOT_SECONDS
 from repro.sim.engine import Event
 from repro.sim.rng import RngRegistry
 
@@ -121,7 +122,7 @@ class ByzantineNode(PandasNode):
     def on_slot_begin(self, slot: int) -> None:
         """Called by the scenario right after seeding starts."""
         if self.spec.behavior == "flood" and self.victims:
-            end = self.ctx.slot_start(slot) + self.ctx.params.slot_duration
+            end = self.ctx.slot_start(slot) + SLOT_SECONDS
             self._flood_tick(slot, end)
 
     def _flood_tick(self, slot: int, end: float) -> None:

@@ -29,6 +29,7 @@ from typing import Any
 
 from repro.faults.plan import FaultPlan
 from repro.net.transport import Datagram, Network
+from repro.params import SLOT_SECONDS
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -58,7 +59,6 @@ class FaultInjector:
         emit: Callable[..., None],
         candidates: Sequence[int],
         node_lookup: Callable[[int], Any] | None = None,
-        slot_duration: float = 12.0,
     ) -> None:
         self.plan = plan
         self.sim = sim
@@ -67,7 +67,6 @@ class FaultInjector:
         self.emit = emit
         self.candidates = list(candidates)
         self.node_lookup = node_lookup
-        self.slot_duration = slot_duration
 
         self.crash_targets: set[int] = set()
         self.slow_nodes: dict[int, float] = {}
@@ -160,7 +159,7 @@ class FaultInjector:
         self.network.revive(node_id)
         node = self.node_lookup(node_id) if self.node_lookup is not None else None
         if node is not None and hasattr(node, "restart"):
-            node.restart(int(self.sim.now // self.slot_duration))
+            node.restart(int(self.sim.now // SLOT_SECONDS))
         self._record("restart", node=node_id)
 
     def _open_partition(self, group: set[int]) -> None:

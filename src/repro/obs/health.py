@@ -28,6 +28,7 @@ from typing import Any
 
 from repro.obs.sinks import read_jsonl
 from repro.obs.telemetry import Histogram
+from repro.params import SLOT_SECONDS
 
 __all__ = [
     "HealthReport",
@@ -174,7 +175,7 @@ def analyze(
         label = dict(key).get("reason", "?")
         report.queue_drops[label] = value
     report.shed_total = sum(report.sheds.values())
-    slot_duration = float(meta.get("slot_duration", 12.0) or 12.0)
+    slot_duration = float(meta.get("slot_duration") or SLOT_SECONDS)
     for row in sample_rows:
         values = row.get("values", {})
         overload = sum(

@@ -34,11 +34,28 @@ __all__ = [
     "RetryPolicy",
     "SLOT_SECONDS",
     "DEADLINE_SECONDS",
+    "CELL_DATA_BYTES",
+    "PROOF_BYTES",
+    "MESSAGE_OVERHEAD_BYTES",
+    "SEEDING_REDUNDANCY",
+    "CONSOLIDATION_TIMER",
     "MAX_CELLS_PER_QUERY",
 ]
 
+# Section 3: the 12 s slot and its 4 s sampling deadline; 512 B cells,
+# each with a 48 B KZG proof
 SLOT_SECONDS = 12.0
 DEADLINE_SECONDS = 4.0
+CELL_DATA_BYTES = 512
+PROOF_BYTES = 48
+# every UDP datagram: headers plus the proposer signature binding the
+# builder identity (Section 6.1)
+MESSAGE_OVERHEAD_BYTES = 120
+# Section 8.1: the builder sends every parcel to r = 8 custodians
+SEEDING_REDUNDANCY = 8
+# Section 7: consolidation starts 400 ms after the last seed datagram
+# (or after a query for a slot the node has no seed for)
+CONSOLIDATION_TIMER = 0.4
 # cells per fetch query, about one seeding parcel (Table 1's ~12 cells
 # per round-1 message); ``plan_queries`` explains the cap
 MAX_CELLS_PER_QUERY = 16
@@ -138,29 +155,23 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class PandasParams:
-    """All protocol constants in one immutable bundle.
+    """The protocol values a run may vary, in one immutable bundle.
 
-    The extended grid is ``(2 * base_rows) x (2 * base_cols)``; cell
+    Values the paper or the PeerDAS spec fixes are module constants
+    (above, and in ``repro.baselines.peerdas_das``), not fields. The
+    extended grid is ``(2 * base_rows) x (2 * base_cols)``; cell
     indices are ``row * ext_cols + col``.
     """
 
     base_rows: int = 256
     base_cols: int = 256
-    cell_data_bytes: int = 512
-    proof_bytes: int = 48
     custody_rows: int = 8
     custody_cols: int = 8
     samples: int = 73
-    seeding_redundancy: int = 8
     cb_boost: float = 10_000.0
-    consolidation_timer: float = 0.4
     deadline: float = DEADLINE_SECONDS
-    slot_duration: float = SLOT_SECONDS
     slots_per_epoch: int = 32
     fetch_schedule: FetchSchedule = field(default_factory=FetchSchedule)
-    # Overhead per UDP message: headers + proposer signature binding the
-    # builder identity (Section 6.1).
-    message_overhead_bytes: int = 120
     # --- node-side defenses (Section 9 threat model) ---------------------
     # CPU time to verify one cell's KZG proof on ingest; every peer- or
     # builder-supplied cell is checked before storage and the cost is
@@ -174,11 +185,6 @@ class PandasParams:
     # ever bite flooders.
     inbound_msg_rate: float = 50.0
     inbound_msg_burst: float = 100.0
-    # Reputation: counters decay by this factor at every epoch
-    # rollover; a peer whose score falls below the threshold is
-    # quarantined (excluded from query plans) for the rest of the epoch.
-    reputation_decay: float = 0.5
-    quarantine_threshold: float = 0.25
     # --- overload control ------------------------------------------------
     # Deadline-aware retry with seeded exponential backoff + jitter:
     # every fetch with a deadline (a node's, for its slot) backs its
@@ -198,24 +204,6 @@ class PandasParams:
     # it is the load-shedding priority lane.
     retrieval_admit_rate: float = 200.0
     retrieval_admit_burst: float = 20.0
-    # --- PeerDAS baseline (consensus-specs column-subnet gossip) ---------
-    # DATA_COLUMN_SIDECAR_SUBNET_COUNT: extended columns are spread over
-    # this many gossip subnets (column -> subnet by modulo). Reduced test
-    # grids with fewer extended columns than subnets simply use one
-    # subnet per column.
-    peerdas_subnet_count: int = 32
-    # CUSTODY_REQUIREMENT: subnets every node custodies, derived from the
-    # node id alone (custody-group style; epoch-independent).
-    peerdas_custody_subnets: int = 4
-    # SAMPLES_PER_SLOT, expressed in subnets: custody subnets plus extra
-    # per-slot subnets the node must observe to accept the block.
-    peerdas_sample_subnets: int = 8
-    # DataColumnSidecarByRoot req/resp fallback: nodes whose sampled
-    # subnets are still incomplete this long into the slot start pulling
-    # the missing columns directly from custodians, retrying every
-    # ``peerdas_fallback_interval`` until the slot window closes.
-    peerdas_fallback_after: float = 2.0
-    peerdas_fallback_interval: float = 0.4
 
     # ------------------------------------------------------------------
     # derived geometry
@@ -235,12 +223,12 @@ class PandasParams:
     @property
     def cell_bytes(self) -> int:
         """Wire size of one cell: data plus its KZG proof (512+48 B)."""
-        return self.cell_data_bytes + self.proof_bytes
+        return CELL_DATA_BYTES + PROOF_BYTES
 
     @property
     def blob_bytes(self) -> int:
         """Size of the original (unextended) blob payload."""
-        return self.base_rows * self.base_cols * self.cell_data_bytes
+        return self.base_rows * self.base_cols * CELL_DATA_BYTES
 
     @property
     def extended_blob_bytes(self) -> int:
@@ -289,9 +277,9 @@ class PandasParams:
         """
         schedule = self.fetch_schedule
         max_k = max(schedule.redundancy)
-        query_bytes = self.message_overhead_bytes + MAX_CELLS_PER_QUERY * 8
+        query_bytes = MESSAGE_OVERHEAD_BYTES + MAX_CELLS_PER_QUERY * 8
         response_bytes = (
-            self.message_overhead_bytes + MAX_CELLS_PER_QUERY * self.cell_bytes
+            MESSAGE_OVERHEAD_BYTES + MAX_CELLS_PER_QUERY * self.cell_bytes
         )
         requesting = (
             max_k * (self.custody_cells + self.samples) * self.cell_bytes
@@ -344,5 +332,5 @@ class PandasParams:
             raise ValueError("custody exceeds grid dimensions")
         if self.samples > self.total_cells:
             raise ValueError("cannot sample more cells than exist")
-        if not 0 < self.deadline <= self.slot_duration:
+        if not 0 < self.deadline <= SLOT_SECONDS:
             raise ValueError("deadline must lie within the slot")

@@ -25,7 +25,7 @@ from repro.experiments.scenario import ScenarioConfig
 from repro.net.latency import ConstantLatency
 from repro.net.transport import Network
 from repro.obs import Telemetry
-from repro.params import PandasParams
+from repro.params import SLOT_SECONDS, PandasParams
 from repro.sim.bus import EventBus
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsRecorder
@@ -118,7 +118,7 @@ class MiniWorld:
     params: PandasParams
 
     def run_slot(self, slot: int = 0, window: float = 8.0) -> None:
-        start = slot * self.params.slot_duration
+        start = slot * SLOT_SECONDS
         if self.sim.now < start:
             self.sim.run(until=start)
         self.ctx.begin_slot(slot)

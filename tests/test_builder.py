@@ -6,6 +6,7 @@ from __future__ import annotations
 from repro.core.assignment import lines_of_cell
 from repro.core.messages import SeedMessage
 from repro.core.seeding import MinimalSeeding, RedundantSeeding, SingleSeeding
+from repro.params import SLOT_SECONDS
 from tests.helpers import make_world
 
 
@@ -17,7 +18,7 @@ def collect_seeds(world, slot=0):
     )
     world.ctx.begin_slot(slot)
     world.builder.seed_slot(slot)
-    world.sim.run(until=slot * world.params.slot_duration + 2.0)
+    world.sim.run(until=slot * SLOT_SECONDS + 2.0)
     return seeds
 
 

@@ -118,13 +118,28 @@ def test_non_positive_pipeline_bound_is_a_usage_error(flag, value, capsys):
         ("slot", "--dead", "1.5", "in [0, 1]"),
         ("slot", "--dead", "-0.2", "in [0, 1]"),
         ("slot", "--out-of-view", "1.5", "in [0, 1]"),
+        ("slot", "--redundancy", "0", "positive"),
+        ("slot", "--nodes", "0", "positive"),
+        ("slot", "--slots", "0", "positive"),
+        ("pipeline", "--slots", "0", "positive"),
+        ("faults", "--fractions", "1.5", "in [0, 1]"),
+        ("adversary", "--fractions", "1.5", "in [0, 1]"),
+        ("adversary", "--fractions", "-0.1", "in [0, 1]"),
+        ("figure", "--scales", "0", "positive"),
+        ("security", "--grid", "3", "even and at least 2"),
+        ("security", "--grid", "0", "even and at least 2"),
+        ("security", "--target", "2", "in (0, 1)"),
+        ("security", "--target", "0", "in (0, 1)"),
+        ("security", "--samples", "-1", "non-negative"),
+        ("trace", "--kinds", "nosuchkind", "an event kind of repro.obs.events"),
     ],
 )
 def test_out_of_range_value_is_a_usage_error(command, flag, value, expected, capsys):
     """A value the scenario would reject (or silently ignore) is a usage
     error at parse time: exit 2 and one diagnostic line, no traceback."""
+    scale = [] if command == "security" else ["--nodes", "20", "--reduced", "32"]
     with pytest.raises(SystemExit) as exit_info:
-        main([command, "--nodes", "20", "--reduced", "32", flag, value])
+        main([command, *scale, flag, value])
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == (

@@ -10,7 +10,7 @@ from repro.core.messages import (
     SeedMessage,
 )
 from repro.core.seeding import SeedParcel, boost_map_for_line
-from repro.params import PandasParams
+from repro.params import MESSAGE_OVERHEAD_BYTES, PandasParams
 
 
 def test_seed_message_size():
@@ -26,7 +26,7 @@ def test_seed_message_size():
             boost_map_for_line([SeedParcel(7, 9, (20,))]),
         ),
     )
-    expected = params.message_overhead_bytes + 3 * params.cell_bytes + 3 * BOOST_ENTRY_BYTES
+    expected = MESSAGE_OVERHEAD_BYTES + 3 * params.cell_bytes + 3 * BOOST_ENTRY_BYTES
     assert msg.wire_size(params) == expected
 
 
@@ -34,26 +34,26 @@ def test_seed_message_empty_parcel_costs_overhead_and_boost():
     params = PandasParams.full()
     boost = (boost_map_for_line([SeedParcel(7, 1, (1,))]),)
     msg = SeedMessage(slot=0, epoch=0, line=1, cells=(), boost=boost)
-    assert msg.wire_size(params) == params.message_overhead_bytes + BOOST_ENTRY_BYTES
+    assert msg.wire_size(params) == MESSAGE_OVERHEAD_BYTES + BOOST_ENTRY_BYTES
 
 
 def test_request_size_scales_with_cell_ids():
     params = PandasParams.full()
     msg = CellRequest(slot=0, epoch=0, cells=frozenset(range(10)))
-    assert msg.wire_size(params) == params.message_overhead_bytes + 10 * CELL_ID_BYTES
+    assert msg.wire_size(params) == MESSAGE_OVERHEAD_BYTES + 10 * CELL_ID_BYTES
 
 
 def test_response_size_carries_full_cells():
     params = PandasParams.full()
     msg = CellResponse(slot=0, epoch=0, cells=tuple(range(5)))
-    assert msg.wire_size(params) == params.message_overhead_bytes + 5 * 560
+    assert msg.wire_size(params) == MESSAGE_OVERHEAD_BYTES + 5 * 560
 
 
 def test_sample_response_is_about_40kb_for_73_cells():
     """The per-node sampling volume of Section 3 (73 x 560 B)."""
     params = PandasParams.full()
     msg = CellResponse(slot=0, epoch=0, cells=tuple(range(73)))
-    payload = msg.wire_size(params) - params.message_overhead_bytes
+    payload = msg.wire_size(params) - MESSAGE_OVERHEAD_BYTES
     assert payload == 73 * 560  # ~40 KB
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 from repro.core.assignment import cells_of_line
 from repro.core.messages import CellRequest, CellResponse, SeedMessage
 from repro.core.seeding import SeedParcel, boost_map_for_line
+from repro.params import CONSOLIDATION_TIMER
 from tests.helpers import make_world
 
 
@@ -73,9 +74,9 @@ def test_duplicated_seed_datagram_is_not_counted_as_a_second_parcel():
                 21, SeedMessage(slot=0, epoch=0, line=1, cells=(2,), total_messages=2)
             )
         else:
-            world.sim.run(until=world.params.consolidation_timer - 0.01)
+            world.sim.run(until=CONSOLIDATION_TIMER - 0.01)
             assert not node.slot_fetcher(0).started
-            world.sim.run(until=world.params.consolidation_timer + 0.01)
+            world.sim.run(until=CONSOLIDATION_TIMER + 0.01)
         assert node.slot_fetcher(0).started
 
 
@@ -136,7 +137,7 @@ def test_request_for_unseeded_slot_arms_timer():
     request = CellRequest(slot=0, epoch=0, cells=frozenset({5}))
     node._on_request(3, request)
     assert not node.slot_fetcher(0).started
-    world.sim.run(until=world.params.consolidation_timer + 0.01)
+    world.sim.run(until=CONSOLIDATION_TIMER + 0.01)
     assert node.slot_fetcher(0).started
 
 

@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.das.security import false_positive_probability
-from repro.params import DEADLINE_SECONDS, FetchSchedule, PandasParams, RetryPolicy
+from repro.params import (
+    DEADLINE_SECONDS,
+    SLOT_SECONDS,
+    FetchSchedule,
+    PandasParams,
+    RetryPolicy,
+)
 
 
 class TestFullParams:
@@ -40,7 +46,7 @@ class TestFullParams:
 
     def test_deadline_is_a_third_of_slot(self):
         p = PandasParams.full()
-        assert p.deadline == pytest.approx(p.slot_duration / 3)
+        assert p.deadline == pytest.approx(SLOT_SECONDS / 3)
         assert p.deadline == DEADLINE_SECONDS
 
     def test_validate_passes(self):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.peerdas_das import (
+    CUSTODY_REQUIREMENT,
+    SAMPLES_PER_SLOT,
     DataColumnsByRootRequest,
     DataColumnsByRootResponse,
     PeerDasScenario,
@@ -13,7 +15,7 @@ from repro.baselines.peerdas_das import (
 from repro.core.seeding import RedundantSeeding
 from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.faults.plan import AdversarySpec, FaultPlan
-from repro.params import PandasParams
+from repro.params import MESSAGE_OVERHEAD_BYTES, PandasParams
 
 
 def dense_params():
@@ -69,9 +71,7 @@ class TestSubnetAssignment:
         b = SubnetAssignment(params, epoch_seed=99)
         for node in range(30):
             assert a.custody_subnets(node) == b.custody_subnets(node)
-            assert len(a.custody_subnets(node)) == min(
-                params.peerdas_custody_subnets, a.num_subnets
-            )
+            assert len(a.custody_subnets(node)) == min(CUSTODY_REQUIREMENT, a.num_subnets)
 
     def test_sampled_subnets_cover_custody_and_rotate(self):
         params = dense_params()
@@ -81,7 +81,7 @@ class TestSubnetAssignment:
         for node in range(30):
             sampled = a.sampled_subnets(node)
             assert set(a.custody_subnets(node)) <= set(sampled)
-            assert len(sampled) == min(params.peerdas_sample_subnets, a.num_subnets)
+            assert len(sampled) == min(SAMPLES_PER_SLOT, a.num_subnets)
             if a.sampled_subnets(node) != b.sampled_subnets(node):
                 rotated = True
         assert rotated, "extra sampled subnets must rotate with the epoch seed"
@@ -104,7 +104,7 @@ class TestByRootMessages:
         small = DataColumnsByRootRequest(slot=0, epoch=0, columns=frozenset({1}))
         large = DataColumnsByRootRequest(slot=0, epoch=0, columns=frozenset(range(8)))
         assert small.wire_size(params) < large.wire_size(params)
-        assert small.wire_size(params) > params.message_overhead_bytes
+        assert small.wire_size(params) > MESSAGE_OVERHEAD_BYTES
 
     def test_response_carries_full_columns(self):
         params = dense_params()

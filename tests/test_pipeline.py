@@ -10,7 +10,10 @@ from repro.core.seeding import RedundantSeeding
 from repro.experiments.pipeline import PipelineScenario
 from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.obs import Telemetry, TraceRecorder
+from repro.obs.export import series_records
+from repro.obs.health import analyze
 from repro.params import PandasParams
+from tests.helpers import pipeline_config
 
 
 def overload_params(**overrides):
@@ -351,6 +354,23 @@ class TestChurn:
         # been querying ghosts for two slots
         assert stale_hits[2] <= fresh_hits[2] + 0.05
         assert stale_hits[2] > 0.5
+
+    def test_report_pools_node_slots_as_health_does(self):
+        """Dead nodes and churn give slots of 28, 30 and 31 members. The
+        report's hit rate pools their node-slots, as the telemetry and
+        ``repro health`` do, instead of averaging the per-slot rates
+        (which would read 0.96738)."""
+        telemetry = Telemetry()
+        scenario = PipelineScenario(
+            pipeline_config(dead_fraction=0.3, slots=3, telemetry=telemetry),
+            churn_fraction=0.2,
+            view_lag_slots=1,
+        ).run()
+        report = scenario.report()
+        assert [row["live_nodes"] for row in report.rows] == [28, 30, 31]
+        health = analyze(series_records(telemetry))
+        assert health.deadline_hits == 86
+        assert report.deadline_hit_rate == health.deadline_hit_rate == 86 / 89
 
 
 def test_cli_pipeline_json(capsys):

@@ -36,7 +36,7 @@ from repro.core.seeding import (
     boost_map_for_line,
     owned_cells_of_line,
 )
-from repro.params import FetchSchedule, PandasParams
+from repro.params import MESSAGE_OVERHEAD_BYTES, FetchSchedule, PandasParams
 from repro.sim.engine import Simulator
 from tests.helpers import held_cells, make_world
 
@@ -464,7 +464,7 @@ def test_wire_sizes_are_the_parents():
         # one 16-byte entry per (line, custodian), as before
         entries = sum(len(line_boost.seeded) for line_boost in msg.boost)
         assert dgram.size == msg.wire_size(params) == (
-            params.message_overhead_bytes
+            MESSAGE_OVERHEAD_BYTES
             + len(msg.cells) * params.cell_bytes
             + entries * BOOST_ENTRY_BYTES
         )
