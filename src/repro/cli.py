@@ -9,7 +9,8 @@ original system's reproducibility material drives its simulator:
 - ``faults``     dead-node / out-of-view sweeps;
 - ``adversary``  Byzantine-fraction degradation sweeps;
 - ``security``   the Section 3 sampling math for a given grid;
-- ``trace``      run with structured tracing and write/analyze a trace;
+- ``trace``      summarize a trace written by ``--trace`` (and convert it
+                 to Chrome ``trace_event`` JSON);
 - ``pipeline``   sustained multi-slot pipeline with churn and overload control;
 - ``health``     analyze a telemetry series against run-health SLOs.
 
@@ -28,8 +29,9 @@ Examples::
     python -m repro faults --fault dead --nodes 300
     python -m repro adversary --behavior corrupt --fractions 0,0.1,0.2
     python -m repro security --grid 512 --target 1e-9
-    python -m repro trace --nodes 200 --slots 1 --out trace.jsonl
-    python -m repro trace --nodes 100 --chrome trace.json --report
+    python -m repro slot --nodes 200 --trace trace.jsonl
+    python -m repro slot --nodes 200 --trace q.jsonl --trace-kinds query_issue,query_timeout
+    python -m repro trace trace.jsonl --chrome trace.json
     python -m repro pipeline --nodes 60 --reduced 32 --slots 4 --churn 0.1
     python -m repro pipeline --nodes 60 --reduced 32 --check-invariants --json
     python -m repro pipeline --nodes 60 --reduced 32 --telemetry series.jsonl
@@ -138,7 +140,12 @@ SCALE = (
     arg("--nodes", type=_positive(int), default=350),
     arg("--seed", type=int, default=7),
     arg(
-        "--reduced", type=int, default=0,
+        "--reduced",
+        type=_checked(
+            int, lambda value: value == 0 or value > 0 and 256 % value == 0,
+            "0 or a divisor of 256",
+        ),
+        default=0,
         help="grid reduction factor (0 = full Danksharding parameters)",
     ),
 )
@@ -167,9 +174,15 @@ JSON = arg(
     "--json", action="store_true",
     help="machine-readable output: one JSON object instead of text",
 )
-TRACE = arg(
-    "--trace", default=None, metavar="FILE",
-    help="also write a JSONL structured trace of the run(s)",
+TRACE = (
+    arg(
+        "--trace", default=None, metavar="FILE",
+        help="also write a JSONL structured trace of the run(s), for 'repro trace FILE'",
+    ),
+    arg(
+        "--trace-kinds", type=_list_of(_KIND), default=None, metavar="KINDS",
+        help="comma-separated event kinds --trace records (default: all)",
+    ),
 )
 TELEMETRY = (
     arg(
@@ -177,7 +190,8 @@ TELEMETRY = (
         help="sample run-health telemetry and write the JSONL series here",
     ),
     arg(
-        "--telemetry-cadence", type=float, default=DEFAULT_CADENCE, metavar="SECONDS",
+        "--telemetry-cadence", type=_positive(float), default=DEFAULT_CADENCE,
+        metavar="SECONDS",
         help=f"sim-time sampling cadence for --telemetry (default {DEFAULT_CADENCE})",
     ),
     arg(
@@ -185,7 +199,8 @@ TELEMETRY = (
         help="also write the final telemetry state as Prometheus text",
     ),
     arg(
-        "--heartbeat", type=float, default=0.0, metavar="SECONDS",
+        "--heartbeat", type=_checked(float, lambda value: value >= 0.0, "non-negative"),
+        default=0.0, metavar="SECONDS",
         help="print a wall-clock progress line every N seconds (0 = off; "
         "requires --telemetry)",
     ),
@@ -201,10 +216,12 @@ def _params(args) -> PandasParams:
 def _make_tracer(args):
     """A JSONL-backed TraceRecorder from the --trace rider, or None."""
     if not args.trace:
+        if args.trace_kinds is not None:
+            args.usage_error("argument --trace-kinds: requires --trace")
         return None
     from repro.obs import JsonlSink, TraceRecorder
 
-    return TraceRecorder(sinks=[JsonlSink(args.trace)])
+    return TraceRecorder(kinds=args.trace_kinds, sink=JsonlSink(args.trace))
 
 
 def _finish_trace(tracer, args) -> None:
@@ -262,7 +279,7 @@ def _finish_telemetry(telemetry, args) -> dict | None:
         help="enforce protocol invariants online; violations abort the run",
     ),
     JSON,
-    TRACE,
+    *TRACE,
     *TELEMETRY,
 )
 def _cmd_slot(args) -> int:
@@ -423,7 +440,7 @@ def _cmd_figure(args) -> int:
     *SCALE,
     arg("--fault", choices=["dead", "out_of_view"], default="dead"),
     arg("--fractions", type=_list_of(_FRACTION), default="0,0.2,0.4,0.6,0.8"),
-    TRACE,
+    *TRACE,
 )
 def _cmd_faults(args) -> int:
     from repro.experiments import figures
@@ -458,7 +475,7 @@ def _cmd_faults(args) -> int:
         "--details", action="store_true",
         help="also print realized adversary and defense counters",
     ),
-    TRACE,
+    *TRACE,
 )
 def _cmd_adversary(args) -> int:
     from repro.experiments import figures
@@ -514,6 +531,10 @@ def _cmd_security(args) -> int:
     from repro.das.security import false_positive_probability, required_samples
 
     grid = args.grid
+    if args.samples is not None and args.samples > grid * grid:
+        args.usage_error(
+            f"argument --samples: must be at most {grid * grid}, got {str(args.samples)!r}"
+        )
     needed = required_samples(grid, grid, args.target)
     print(f"grid {grid}x{grid}: {needed} samples reach FP < {args.target:g}")
     samples = args.samples if args.samples is not None else needed
@@ -523,75 +544,35 @@ def _cmd_security(args) -> int:
 
 
 @command(
-    "trace", "run slots with structured tracing; write and analyze the trace",
-    *SCALE,
-    *POLICY,
-    arg("--slots", type=_positive(int), default=1),
-    FAULTS,
-    arg("--out", default=None, metavar="FILE", help="write JSONL trace here"),
+    "trace", "summarize a JSONL trace written by --trace",
+    arg("file", help="trace written by --trace"),
     arg(
-        "--chrome", default=None, metavar="FILE",
-        help="write a Chrome trace_event JSON (load in about://tracing / Perfetto)",
-    ),
-    arg(
-        "--kinds", type=_list_of(_KIND), default=None,
-        help="comma-separated event kinds to record (default: all)",
-    ),
-    arg(
-        "--ring", type=int, default=1 << 20,
-        help="in-memory ring buffer capacity (events); sinks see everything",
-    ),
-    arg(
-        "--report", action="store_true",
-        help="print the slowest-node causal report from the trace",
+        "--chrome", default=None, metavar="OUT",
+        help="also write it as Chrome trace_event JSON (load in about://tracing / Perfetto)",
     ),
 )
 def _cmd_trace(args) -> int:
-    from repro.obs import ChromeTraceSink, JsonlSink, TraceRecorder
-    from repro.obs.timeline import lifecycle_problems, trace_report
+    from collections import Counter
 
-    sinks = []
-    if args.out:
-        sinks.append(JsonlSink(args.out))
-    if args.chrome:
-        sinks.append(ChromeTraceSink(args.chrome))
-    kinds = args.kinds
-    tracer = TraceRecorder(capacity=args.ring, kinds=kinds, sinks=sinks)
-    config = ScenarioConfig(
-        num_nodes=args.nodes,
-        params=_params(args),
-        policy=policy_by_name(args.policy, args.redundancy),
-        seed=args.seed,
-        slots=args.slots,
-        faults=args.faults,
-        tracer=tracer,
-    )
-    print(
-        f"tracing {args.slots} slot(s) over {args.nodes} nodes "
-        f"({config.policy.name}, kinds={'all' if kinds is None else ','.join(kinds)})"
-    )
-    scenario = Scenario(config).run()
-    tracer.close()
-    phases = scenario.phase_distributions()
-    print(f"  sampling       {summarize(phases.sampling, 4.0)}")
-    print(f"  events         {tracer.accepted} accepted, {tracer.filtered} filtered, "
-          f"{tracer.evicted} evicted from ring")
-    top = tracer.kind_table()[:6]
+    from repro.obs.sinks import chrome_trace
+    from repro.obs.timeline import read_trace, trace_report
+
+    try:
+        records = read_trace(args.file)
+        if args.chrome:
+            with open(args.chrome, "w", encoding="utf-8") as fh:
+                json.dump(chrome_trace(records), fh, separators=(",", ":"))
+    except (OSError, ValueError) as exc:
+        print(f"cannot read {args.file}: {exc}", file=sys.stderr)
+        return 2
+    counts = Counter(record["kind"] for record in records)
+    top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:6]
+    print(f"trace: {len(records)} events in {args.file}")
     print("  top kinds      " + ", ".join(f"{k}={n}" for k, n in top))
-    events = [e.to_dict() for e in tracer.events]
-    if tracer.evicted == 0:
-        problems = lifecycle_problems(events)
-        status = "OK" if not problems else f"{len(problems)} problem(s)"
-        print(f"  lifecycle      {status}")
-        for problem in problems[:5]:
-            print(f"    !! {problem}")
-    if args.out:
-        print(f"  jsonl          {args.out}")
     if args.chrome:
         print(f"  chrome         {args.chrome} (open in about://tracing or Perfetto)")
-    if args.report:
-        for line in trace_report(events, slot=0):
-            print(line)
+    for line in trace_report(records, slot=0):
+        print(line)
     return 0
 
 
@@ -614,7 +595,7 @@ def _cmd_trace(args) -> int:
         help="bounded transport inbox (datagrams)",
     ),
     arg(
-        "--pending-limit", type=int, default=256,
+        "--pending-limit", type=_COUNT, default=256,
         help="bounded per-node request buffer (0 = unbounded)",
     ),
     arg(
@@ -631,7 +612,7 @@ def _cmd_trace(args) -> int:
         help="enforce protocol invariants online (I5: no unbounded backlog)",
     ),
     JSON,
-    TRACE,
+    *TRACE,
     *TELEMETRY,
 )
 def _cmd_pipeline(args) -> int:
@@ -767,7 +748,8 @@ def build_parser() -> argparse.ArgumentParser:
         command_parser = sub.add_parser(cmd.name, help=cmd.help)
         for flags, spec in cmd.args:
             command_parser.add_argument(*flags, **spec)
-        command_parser.set_defaults(run=cmd.run)
+        # usage_error: for checks that span two flags, made after parsing
+        command_parser.set_defaults(run=cmd.run, usage_error=command_parser.error)
     return parser
 
 

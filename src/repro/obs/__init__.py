@@ -7,14 +7,16 @@ queries went out in which Algorithm-1 round, which timed out, which
 peer was quarantined, which cell arrived via reconstruction. This
 package provides that layer:
 
-- :mod:`repro.obs.events` — ``TraceRecorder``, a ring-buffered,
-  zero-RNG structured event log, and ``KINDS``, the catalog of every
-  event the run's bus (:mod:`repro.sim.bus`) carries;
-- :mod:`repro.obs.sinks` — pluggable sinks (in-memory, JSONL files,
-  Chrome ``trace_event`` JSON for about://tracing timelines) and
-  ``read_jsonl``, the one reader for traces and telemetry series;
-- :mod:`repro.obs.timeline` — per-node slot timelines and the
-  slowest-node "why did sampling take X ms" causal report;
+- :mod:`repro.obs.events` — ``TraceRecorder``, a zero-RNG structured
+  event log kept in memory or streamed to a file, and ``KINDS``, the
+  catalog of every event the run's bus (:mod:`repro.sim.bus`) carries;
+- :mod:`repro.obs.sinks` — ``JsonlSink``, the trace file writer;
+  ``read_jsonl``, the one reader for traces and telemetry series; and
+  ``chrome_trace``, the converter to Chrome ``trace_event`` JSON for
+  about://tracing timelines;
+- :mod:`repro.obs.timeline` — the query lifecycle check and the
+  slowest-node "why did sampling take X ms" causal report behind
+  ``repro trace``;
 - :mod:`repro.obs.profiler` — ``callback_site``, the ``module:qualname``
   name of a simulator callback, for profilers attached with
   ``Simulator.set_profiler``;
@@ -40,7 +42,7 @@ tests/test_obs_telemetry.py).
 from repro.obs.events import KINDS, QUERY_TERMINAL_KINDS, TraceEvent, TraceRecorder
 from repro.obs.health import HealthReport, SloThresholds
 from repro.obs.progress import Heartbeat
-from repro.obs.sinks import ChromeTraceSink, JsonlSink, MemorySink
+from repro.obs.sinks import JsonlSink
 from repro.obs.telemetry import Histogram, Telemetry
 
 __all__ = [
@@ -48,9 +50,7 @@ __all__ = [
     "QUERY_TERMINAL_KINDS",
     "TraceEvent",
     "TraceRecorder",
-    "ChromeTraceSink",
     "JsonlSink",
-    "MemorySink",
     "Telemetry",
     "Histogram",
     "Heartbeat",

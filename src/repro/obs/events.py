@@ -1,4 +1,4 @@
-"""Structured trace events and the ring-buffered recorder.
+"""Structured trace events and the recorder.
 
 A trace is an append-only sequence of :class:`TraceEvent` records —
 ``(t, slot, node, kind, data)``. The recorder is the last subscriber of
@@ -10,20 +10,15 @@ an RNG stream, never schedules a simulator event and never mutates
 protocol state, which is what makes tracing behavior-neutral (the
 fingerprint-equality guarantee).
 
-Volume control is two-layered so tracing a 1,000-node run stays
-bounded:
-
-- **per-kind filtering**, fixed at construction: the bus routes only
-  the ``kinds`` the recorder accepts, and hot call sites ask the bus
-  first, so disabled kinds cost no argument marshalling;
-- a **ring buffer** (``capacity`` events) for the in-memory tail;
-  streaming sinks (JSONL, Chrome) still see every accepted event, so a
-  file trace is complete even when the ring has evicted the start.
+Volume is controlled by a per-kind filter fixed at construction: the
+bus routes only the ``kinds`` the recorder accepts, and hot call sites
+ask the bus first, so disabled kinds cost no argument marshalling. A
+recorder either keeps its events in memory or streams them to a sink,
+never both, so a file trace costs no memory beyond the open file.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
 from typing import Any
@@ -124,73 +119,39 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Ring-buffered, zero-RNG structured event log.
+    """Zero-RNG structured event log.
 
-    ``capacity`` bounds the in-memory tail (``None`` = unbounded);
     ``kinds`` restricts recording to the given kind names (``None`` =
-    everything); ``sinks`` receive every accepted event in emission
-    order, before any eviction.
+    everything). Without a ``sink`` the accepted events are kept in
+    :attr:`events`; with one (a :class:`~repro.obs.sinks.JsonlSink`)
+    each is handed to it in emission order and none is kept.
     """
 
-    def __init__(
-        self,
-        capacity: int | None = 1 << 20,
-        kinds: Iterable[str] | None = None,
-        sinks: Iterable[Any] = (),
-    ) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError(f"capacity must be positive or None, got {capacity}")
-        self.capacity = capacity
+    def __init__(self, kinds: Iterable[str] | None = None, sink: Any = None) -> None:
         # the bus routes only these kinds here (None: every kind)
         self.kinds: frozenset[str] | None = frozenset(kinds) if kinds is not None else None
-        self._buffer: deque[TraceEvent] = deque(maxlen=capacity)
-        self._sinks: list[Any] = list(sinks)
+        self.events: list[TraceEvent] = []
+        self._sink = sink
         self.accepted = 0
-        self.filtered = 0
-        self.counts: Counter = Counter()
 
-    # ------------------------------------------------------------------
-    # emission
-    # ------------------------------------------------------------------
     def enabled(self, kind: str) -> bool:
         """True when events of ``kind`` would be recorded."""
         return self.kinds is None or kind in self.kinds
 
-    def emit(
-        self, kind: str, *, t: float, slot: int = -1, node: int = -1, **data: Any
-    ) -> TraceEvent | None:
-        """Record one event; returns it, or None when filtered out."""
+    def emit(self, kind: str, *, t: float, slot: int = -1, node: int = -1, **data: Any) -> None:
+        """Record one event, unless ``kind`` is filtered out."""
         if not self.enabled(kind):
-            self.filtered += 1
-            return None
+            return
         # payload keys cannot collide with RESERVED_FIELDS: those are
         # named parameters, so Python rejects duplicates at the call
         event = TraceEvent(t=t, slot=slot, node=node, kind=kind, data=data)
-        self._buffer.append(event)
         self.accepted += 1
-        self.counts[kind] += 1
-        for sink in self._sinks:
-            sink.handle(event)
-        return event
-
-    # ------------------------------------------------------------------
-    # access
-    # ------------------------------------------------------------------
-    @property
-    def events(self) -> list[TraceEvent]:
-        """The in-memory tail, oldest first."""
-        return list(self._buffer)
-
-    @property
-    def evicted(self) -> int:
-        """Accepted events no longer in the ring buffer."""
-        return self.accepted - len(self._buffer)
+        if self._sink is None:
+            self.events.append(event)
+        else:
+            self._sink.handle(event)
 
     def close(self) -> None:
-        """Flush and close every sink (idempotent per sink contract)."""
-        for sink in self._sinks:
-            sink.close()
-
-    def kind_table(self) -> list[tuple[str, int]]:
-        """(kind, count) rows, most frequent first, ties by name."""
-        return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        """Flush and close the sink, if any (idempotent)."""
+        if self._sink is not None:
+            self._sink.close()

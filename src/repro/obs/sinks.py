@@ -1,11 +1,9 @@
-"""Trace sinks: in-memory, JSONL files, Chrome ``trace_event`` JSON.
+"""The trace file: JSONL writing and reading, and the Chrome conversion.
 
-:func:`read_jsonl` reads back any JSONL file the repo writes: a trace
-from :class:`JsonlSink` or a telemetry series.
-
-Sinks receive every accepted event as it is emitted (streaming), so a
-file trace is complete even when the recorder's ring buffer has
-evicted the beginning of the run. All sinks are deterministic byte
+:class:`JsonlSink` is the recorder's one sink; :func:`read_jsonl` reads
+back any JSONL file the repo writes (a trace or a telemetry series),
+and :func:`chrome_trace` converts a trace's flat records to a Chrome
+``trace_event`` document. Both writers are deterministic byte
 producers: two behaviorally identical runs write identical files,
 which is what lets the test suite diff whole traces.
 """
@@ -13,25 +11,13 @@ which is what lets the test suite diff whole traces.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import IO, Any
 
-from repro.obs.events import QUERY_TERMINAL_KINDS, TraceEvent
+from repro.obs.events import QUERY_TERMINAL_KINDS, RESERVED_FIELDS, TraceEvent
 
-__all__ = ["MemorySink", "JsonlSink", "ChromeTraceSink", "read_jsonl"]
-
-
-class MemorySink:
-    """Keeps every accepted event (unbounded — for tests and reports)."""
-
-    def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
-
-    def handle(self, event: TraceEvent) -> None:
-        self.events.append(event)
-
-    def close(self) -> None:
-        """Nothing to release."""
+__all__ = ["JsonlSink", "chrome_trace", "read_jsonl"]
 
 
 class JsonlSink:
@@ -46,13 +32,11 @@ class JsonlSink:
         else:
             self._file = target
             self._owns = False
-        self.lines_written = 0
         self._closed = False
 
     def handle(self, event: TraceEvent) -> None:
         self._file.write(json.dumps(event.to_dict(), separators=(",", ":")))
         self._file.write("\n")
-        self.lines_written += 1
 
     def close(self) -> None:
         if self._closed:
@@ -64,13 +48,28 @@ class JsonlSink:
 
 
 def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    """Read a JSONL file back into one dict per non-blank line."""
+    """Read a JSONL file back into one dict per non-blank line.
+
+    A line that is not a JSON object raises ``ValueError`` naming its
+    line number.
+    """
+    records: list[dict[str, Any]] = []
     with open(str(path), encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {number}: {exc.msg}") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"line {number}: not a JSON object")
+            records.append(record)
+    return records
 
 
-class ChromeTraceSink:
-    """Chrome ``trace_event`` JSON for chrome://tracing / Perfetto.
+def chrome_trace(records: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
+    """Chrome ``trace_event`` document (chrome://tracing, Perfetto).
 
     Mapping: ``pid`` is the slot (&ge;0, else 0), ``tid`` the node, and
     ``ts`` the simulated time in microseconds. Query-lifecycle events
@@ -78,37 +77,23 @@ class ChromeTraceSink:
     outstanding query renders as a span on its node's track; everything
     else is an instant event (``"i"``, thread-scoped).
     """
-
-    def __init__(self, target: str | IO[str]) -> None:
-        self._target = target
-        self._events: list[dict[str, Any]] = []
-        self._closed = False
-
-    def handle(self, event: TraceEvent) -> None:
-        record: dict[str, Any] = {
-            "name": event.kind,
-            "ts": round(event.t * 1e6, 3),
-            "pid": event.slot if event.slot >= 0 else 0,
-            "tid": event.node if event.node >= 0 else 0,
-            "args": dict(event.data),
+    events: list[dict[str, Any]] = []
+    for record in records:
+        kind = record["kind"]
+        slot, node = record["slot"], record["node"]
+        event: dict[str, Any] = {
+            "name": kind,
+            "ts": round(record["t"] * 1e6, 3),
+            "pid": slot if slot >= 0 else 0,
+            "tid": node if node >= 0 else 0,
+            "args": {k: v for k, v in record.items() if k not in RESERVED_FIELDS},
         }
-        req: int | None = event.data.get("req")
-        if event.kind == "query_issue" and req is not None:
-            record.update(name="query", cat="query", ph="b", id=f"0x{req:x}")
-        elif event.kind in QUERY_TERMINAL_KINDS and req is not None:
-            record.update(name="query", cat="query", ph="e", id=f"0x{req:x}")
+        req: int | None = record.get("req")
+        if kind == "query_issue" and req is not None:
+            event.update(name="query", cat="query", ph="b", id=f"0x{req:x}")
+        elif kind in QUERY_TERMINAL_KINDS and req is not None:
+            event.update(name="query", cat="query", ph="e", id=f"0x{req:x}")
         else:
-            record.update(cat=event.kind.split("_", 1)[0], ph="i", s="t")
-        self._events.append(record)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        document = {"traceEvents": self._events, "displayTimeUnit": "ms"}
-        if isinstance(self._target, str):
-            with open(self._target, "w", encoding="utf-8") as fh:
-                json.dump(document, fh, separators=(",", ":"))
-        else:
-            json.dump(document, self._target, separators=(",", ":"))
-            self._target.flush()
+            event.update(cat=kind.split("_", 1)[0], ph="i", s="t")
+        events.append(event)
+    return {"traceEvents": events, "displayTimeUnit": "ms"}

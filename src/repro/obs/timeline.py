@@ -1,9 +1,8 @@
 """Timeline reconstruction: from a trace to "why was this node slow".
 
-Consumes either live :class:`~repro.obs.events.TraceEvent` objects or
-the flat dicts read back from a JSONL trace file — every helper
-normalizes through :func:`as_dict` so the CLI can analyze traces from
-disk exactly like in-memory ones.
+Every helper takes flat records (``t``/``slot``/``node``/``kind`` plus
+the payload): the dicts :func:`read_trace` reads back from a JSONL trace
+file, or ``TraceEvent.to_dict()`` of a recorder's in-memory events.
 
 The centerpiece is :func:`causal_report`: for one ``(slot, node)`` it
 replays the query lifecycle (rounds attempted, peers queried, timeouts,
@@ -15,51 +14,40 @@ X ms on this node*.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Any
 
-from repro.obs.events import QUERY_TERMINAL_KINDS, TraceEvent
+from repro.obs.events import QUERY_TERMINAL_KINDS, RESERVED_FIELDS
+from repro.obs.sinks import read_jsonl
 
 __all__ = [
-    "as_dict",
-    "build_timelines",
     "QueryLifecycle",
     "query_lifecycles",
     "lifecycle_problems",
     "phase_completions",
     "slowest_nodes",
     "causal_report",
+    "read_trace",
     "trace_report",
 ]
 
-EventLike = TraceEvent | Mapping[str, Any]
+Record = Mapping[str, Any]
 
 
-def as_dict(event: EventLike) -> Mapping[str, Any]:
-    """Normalize a TraceEvent or an already-flat mapping to a mapping."""
-    if isinstance(event, TraceEvent):
-        return event.to_dict()
-    return event
-
-
-def build_timelines(
-    events: Iterable[EventLike],
-) -> dict[tuple[int, int], list[Mapping[str, Any]]]:
-    """Group events into per-``(slot, node)`` timelines, time-ordered.
-
-    Events without slot/node context (``-1``) are grouped under their
-    ``-1`` key so global happenings (e.g. slot-less datagrams) stay
-    inspectable without polluting node timelines.
-    """
-    timelines: dict[tuple[int, int], list[Mapping[str, Any]]] = {}
-    for raw in events:
-        event = as_dict(raw)
-        key = (event.get("slot", -1), event.get("node", -1))
-        timelines.setdefault(key, []).append(event)
-    for timeline in timelines.values():
-        timeline.sort(key=lambda e: e["t"])
-    return timelines
+def read_trace(path: str | Path) -> list[dict[str, Any]]:
+    """A trace file's flat records, as :class:`~repro.obs.sinks.JsonlSink`
+    wrote them. ``ValueError`` if the file holds no record, a line is not
+    a JSON object, or a record lacks one of ``t``/``slot``/``node``/``kind``."""
+    records = read_jsonl(path)
+    if not records:
+        raise ValueError("no trace records")
+    for number, record in enumerate(records, start=1):
+        for name in RESERVED_FIELDS:
+            if name not in record:
+                raise ValueError(f"record {number}: no {name!r} field")
+    return records
 
 
 # ----------------------------------------------------------------------
@@ -87,11 +75,10 @@ class QueryLifecycle:
         return self.outcome is None
 
 
-def query_lifecycles(events: Iterable[EventLike]) -> dict[int, QueryLifecycle]:
+def query_lifecycles(events: Iterable[Record]) -> dict[int, QueryLifecycle]:
     """Reconstruct every query's lifecycle, keyed by request id."""
     lifecycles: dict[int, QueryLifecycle] = {}
-    for raw in events:
-        event = as_dict(raw)
+    for event in events:
         kind = event["kind"]
         req = event.get("req")
         if kind == "query_issue" and req is not None:
@@ -119,7 +106,7 @@ def query_lifecycles(events: Iterable[EventLike]) -> dict[int, QueryLifecycle]:
     return lifecycles
 
 
-def lifecycle_problems(events: Iterable[EventLike]) -> list[str]:
+def lifecycle_problems(events: Iterable[Record]) -> list[str]:
     """Violations of the one-terminal-per-request invariant.
 
     Every ``query_issue`` must be closed by exactly one of
@@ -128,10 +115,9 @@ def lifecycle_problems(events: Iterable[EventLike]) -> list[str]:
     human-readable problem strings (empty list = invariant holds).
     """
     problems: list[str] = []
-    open_reqs: dict[int, Mapping[str, Any]] = {}
+    open_reqs: dict[int, Record] = {}
     closed: dict[int, str] = {}
-    for raw in events:
-        event = as_dict(raw)
+    for event in events:
         kind = event["kind"]
         req = event.get("req")
         if kind == "query_issue":
@@ -160,12 +146,11 @@ def lifecycle_problems(events: Iterable[EventLike]) -> list[str]:
 # phase completion and ranking
 # ----------------------------------------------------------------------
 def phase_completions(
-    events: Iterable[EventLike],
+    events: Iterable[Record],
 ) -> dict[tuple[int, int], dict[str, float]]:
     """Per-``(slot, node)``: phase name -> completion time from slot start."""
     out: dict[tuple[int, int], dict[str, float]] = {}
-    for raw in events:
-        event = as_dict(raw)
+    for event in events:
         if event["kind"] != "phase":
             continue
         key = (event.get("slot", -1), event.get("node", -1))
@@ -174,7 +159,7 @@ def phase_completions(
 
 
 def slowest_nodes(
-    events: Iterable[EventLike],
+    events: Iterable[Record],
     slot: int = 0,
     phase: str = "sampling",
     count: int = 3,
@@ -189,7 +174,7 @@ def slowest_nodes(
     datagrams, does not. Builders — the ids that emitted ``seed_slot``
     — are excluded: they disseminate, they don't sample.
     """
-    materialized = [as_dict(e) for e in events]
+    materialized = list(events)
     completions = phase_completions(materialized)
     builders = {
         e.get("node", -1) for e in materialized if e["kind"] == "seed_slot"
@@ -215,7 +200,7 @@ def slowest_nodes(
 # the causal report
 # ----------------------------------------------------------------------
 def causal_report(
-    events: Iterable[EventLike], slot: int, node: int
+    events: Iterable[Record], slot: int, node: int
 ) -> list[str]:
     """Why did this node's slot take as long as it did — as text lines.
 
@@ -224,11 +209,7 @@ def causal_report(
     completions, ending with a one-line summary suitable for a
     "slowest node" report.
     """
-    mine = [
-        as_dict(e)
-        for e in events
-        if as_dict(e).get("slot", -1) == slot and as_dict(e).get("node", -1) == node
-    ]
+    mine = [e for e in events if e.get("slot", -1) == slot and e.get("node", -1) == node]
     mine.sort(key=lambda e: e["t"])
     lives = [life for life in query_lifecycles(mine).values() if life.req > 0]
 
@@ -363,14 +344,14 @@ def causal_report(
 
 
 def trace_report(
-    events: Iterable[EventLike],
+    events: Iterable[Record],
     slot: int = 0,
     phase: str = "sampling",
     count: int = 3,
 ) -> list[str]:
     """Slowest-node ranking plus a causal report for the very slowest,
-    as the text lines ``repro trace --report`` prints."""
-    materialized = [as_dict(e) for e in events]
+    as the text lines ``repro trace FILE`` ends with."""
+    materialized = list(events)
     problems = lifecycle_problems(materialized)
     lines = [
         f"trace report: slot {slot}, slowest by {phase}",

@@ -232,8 +232,7 @@ def observe(name: str) -> tuple[dict[str, Any], list[str]]:
     """Run ``name`` with tracer and telemetry: its row and its trace lines."""
     make, baseline = ROWS[name]
     buf = io.StringIO()
-    # capacity=1: the sink sees every event; the ring tail is unused
-    tracer = TraceRecorder(capacity=1, sinks=[JsonlSink(buf)])
+    tracer = TraceRecorder(sink=JsonlSink(buf))
     telemetry = Telemetry()
     scenario = make(tracer=tracer, telemetry=telemetry).run()
     tracer.close()

@@ -73,21 +73,22 @@ def test_slot_with_faults_end_to_end(capsys):
     assert code in (0, 1)
 
 
-@pytest.mark.parametrize("command", ["slot", "trace"])
+@pytest.mark.parametrize("rider", [(), ("--trace", "unwritten.jsonl")], ids=["slot", "trace"])
 @pytest.mark.parametrize(
     "spec", ["loss=abc", "bogus=1", "crash=2@x", "loss=1.5", "partition="]
 )
-def test_malformed_faults_spec_is_a_usage_error(command, spec, capsys):
+def test_malformed_faults_spec_is_a_usage_error(rider, spec, capsys):
     """A bad ``--faults`` spec is an argparse usage error (exit 2) with
-    one diagnostic line naming the offending entry, never a traceback."""
+    one diagnostic line naming the offending entry, never a traceback,
+    on a plain and on a traced ``slot`` run."""
     with pytest.raises(SystemExit) as exit_info:
-        main([command, "--nodes", "20", "--reduced", "32", "--faults", spec])
+        main(["slot", "--nodes", "20", "--reduced", "32", *rider, "--faults", spec])
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     naming = [line for line in err.splitlines() if repr(spec) in line]
     assert len(naming) == 1
     assert naming[0].startswith(
-        f"repro {command}: error: argument --faults: malformed fault entry {spec!r}: "
+        f"repro slot: error: argument --faults: malformed fault entry {spec!r}: "
     )
     assert "Traceback" not in err
 
@@ -131,13 +132,23 @@ def test_non_positive_pipeline_bound_is_a_usage_error(flag, value, capsys):
         ("security", "--target", "2", "in (0, 1)"),
         ("security", "--target", "0", "in (0, 1)"),
         ("security", "--samples", "-1", "non-negative"),
-        ("trace", "--kinds", "nosuchkind", "an event kind of repro.obs.events"),
+        ("security", "--samples", "10", "at most 4"),
+        ("slot", "--trace-kinds", "nosuchkind", "an event kind of repro.obs.events"),
+        ("slot", "--reduced", "3", "0 or a divisor of 256"),
+        ("slot", "--reduced", "-2", "0 or a divisor of 256"),
+        ("slot", "--telemetry-cadence", "0", "positive"),
+        ("pipeline", "--pending-limit", "-1", "non-negative"),
+        ("pipeline", "--heartbeat", "-1", "non-negative"),
     ],
 )
 def test_out_of_range_value_is_a_usage_error(command, flag, value, expected, capsys):
     """A value the scenario would reject (or silently ignore) is a usage
-    error at parse time: exit 2 and one diagnostic line, no traceback."""
-    scale = [] if command == "security" else ["--nodes", "20", "--reduced", "32"]
+    error at parse time: exit 2 and one diagnostic line, no traceback.
+    ``security`` runs on a 2x2 grid, so ``--samples`` above 4 is out of
+    range (a check across two flags, made after parsing)."""
+    scale = (
+        ["--grid", "2"] if command == "security" else ["--nodes", "20", "--reduced", "32"]
+    )
     with pytest.raises(SystemExit) as exit_info:
         main([command, *scale, flag, value])
     assert exit_info.value.code == 2
@@ -205,33 +216,27 @@ def test_slot_profile_is_a_usage_error(capsys):
 
 
 def test_trace_command_end_to_end(tmp_path, capsys):
+    """``slot --trace`` records; ``repro trace FILE`` reads the file,
+    checks the query lifecycle, explains the slowest node and converts
+    the records to Chrome trace_event JSON."""
     import json
 
-    from repro.obs.sinks import read_jsonl
-    from repro.obs.timeline import lifecycle_problems
+    from repro.obs.sinks import chrome_trace, read_jsonl
 
     jsonl = str(tmp_path / "trace.jsonl")
     chrome = str(tmp_path / "trace.json")
-    code = main(
-        [
-            "trace",
-            "--nodes", "40",
-            "--reduced", "16",
-            "--seed", "3",
-            "--out", jsonl,
-            "--chrome", chrome,
-            "--report",
-        ]
-    )
+    main(["slot", "--nodes", "40", "--reduced", "16", "--seed", "3", "--trace", jsonl])
+    capsys.readouterr()
+    assert main(["trace", jsonl, "--chrome", chrome]) == 0
     out = capsys.readouterr().out
-    assert code == 0
-    assert "lifecycle      OK" in out
+    events = read_jsonl(jsonl)
+    assert out.startswith(f"trace: {len(events)} events in {jsonl}\n")
+    assert "  query lifecycle: OK" in out
     assert "causal timeline" in out
     assert "why:" in out
-    events = read_jsonl(jsonl)
-    assert lifecycle_problems(events) == []
     with open(chrome) as fh:
         document = json.load(fh)
+    assert document == chrome_trace(events)
     assert document["traceEvents"]
 
 
@@ -241,19 +246,82 @@ def test_trace_command_kind_filter(tmp_path, capsys):
     path = str(tmp_path / "queries.jsonl")
     main(
         [
-            "trace",
+            "slot",
             "--nodes", "40",
             "--reduced", "16",
             "--seed", "3",
-            "--kinds", "query_issue,query_response,query_timeout,query_cancel",
-            "--out", path,
+            "--trace", path,
+            "--trace-kinds", "query_issue,query_response,query_timeout,query_cancel",
         ]
     )
-    out = capsys.readouterr().out
-    assert "filtered" in out
+    capsys.readouterr()
     kinds = {e["kind"] for e in read_jsonl(path)}
     assert "query_issue" in kinds
     assert "net_send" not in kinds
+    assert main(["trace", path]) == 0
+    assert "  query lifecycle: OK" in capsys.readouterr().out
+
+
+def test_trace_command_orders_top_kinds_by_frequency(tmp_path, capsys):
+    """The reader derives the kind counts from the file: most frequent
+    first, ties by name."""
+    path = tmp_path / "trace.jsonl"
+    kinds = ["seed_recv", "net_send", "net_send", "net_deliver", "net_send"]
+    path.write_text(
+        "".join(
+            f'{{"t":0.0,"slot":-1,"node":-1,"kind":"{kind}"}}\n' for kind in kinds
+        ),
+        encoding="utf-8",
+    )
+    assert main(["trace", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "  top kinds      net_send=3, net_deliver=1, seed_recv=1"
+
+
+@pytest.mark.parametrize(
+    ("content", "reason"),
+    [
+        (None, "No such file or directory"),
+        ("", "no trace records"),
+        ('{"t":0.0,"slot":0,"node":1,"kind":"phase"}\n{"t":0.5,"slot":0,"no', "line 2: "),
+        ('{"t":0.0,"slot":0,"kind":"phase"}\n', "record 1: no 'node' field"),
+    ],
+    ids=["missing", "empty", "truncated", "not-a-trace"],
+)
+def test_trace_command_malformed_file_is_a_diagnostic(content, reason, tmp_path, capsys):
+    """A trace ``repro trace`` cannot read exits 2 with one line on
+    stderr, as ``repro health`` does for a series."""
+    path = tmp_path / "trace.jsonl"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    assert main(["trace", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"cannot read {path}: ")
+    assert reason in line
+
+
+@pytest.mark.parametrize("command", ["slot", "faults", "adversary", "pipeline"])
+def test_trace_kinds_without_trace_is_a_usage_error(command, capsys):
+    """``--trace-kinds`` filters the ``--trace`` rider; alone it would
+    be silently ignored."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--nodes", "20", "--reduced", "32", "--trace-kinds", "phase"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"repro {command}: error: argument --trace-kinds: requires --trace"
+    )
+
+
+@pytest.mark.parametrize("flag", ["--nodes", "--out", "--ring", "--report", "--kinds"])
+def test_trace_command_builds_no_scenario(flag, capsys):
+    """``repro trace`` only reads a file: the old run flags are rejected."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["trace", "trace.jsonl", flag, "1"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_help_lists_the_command_table(capsys):

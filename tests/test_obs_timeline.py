@@ -6,11 +6,10 @@ import pytest
 
 from repro.experiments.scenario import Scenario
 from repro.obs import JsonlSink, TraceRecorder
-from repro.obs.sinks import read_jsonl
 from repro.obs.timeline import (
-    build_timelines,
     causal_report,
     phase_completions,
+    read_trace,
     slowest_nodes,
     trace_report,
 )
@@ -30,18 +29,6 @@ def dead_trace():
     rec = TraceRecorder()
     ROWS["dead"][0](tracer=rec).run()
     return [e.to_dict() for e in rec.events]
-
-
-def test_build_timelines_groups_and_orders():
-    events = [
-        {"t": 2.0, "slot": 0, "node": 1, "kind": "phase"},
-        {"t": 1.0, "slot": 0, "node": 1, "kind": "seed_recv"},
-        {"t": 0.5, "slot": 0, "node": 2, "kind": "seed_recv"},
-        {"t": 0.0, "slot": -1, "node": -1, "kind": "net_send"},
-    ]
-    timelines = build_timelines(events)
-    assert set(timelines) == {(0, 1), (0, 2), (-1, -1)}
-    assert [e["t"] for e in timelines[(0, 1)]] == [1.0, 2.0]
 
 
 def test_slowest_nodes_ranks_misses_first():
@@ -80,7 +67,7 @@ def test_causal_report_explains_a_node():
 
 
 def test_trace_report_returns_the_slowest_nodes_causal_lines():
-    """``repro trace --report`` prints these lines itself, so the report
+    """``repro trace FILE`` prints these lines itself, so the report
     no longer depends on the benchmark's report buffer or on running
     under pytest."""
     _scenario, events = traced_scenario()
@@ -116,13 +103,14 @@ def test_causal_report_elides_long_round_tails():
 
 
 def test_load_trace_round_trips_jsonl(tmp_path):
+    """A streamed trace reads back as the records an in-memory recorder
+    keeps for the same run."""
     path = str(tmp_path / "trace.jsonl")
-    rec = TraceRecorder(sinks=[JsonlSink(path)])
+    rec = TraceRecorder(sink=JsonlSink(path))
     Scenario(dense_config(tracer=rec)).run()
     rec.close()
-    loaded = read_jsonl(path)
-    live = [e.to_dict() for e in rec.events]
-    assert loaded == live
+    _scenario, live = traced_scenario()
+    assert read_trace(path) == live
 
 
 def test_causal_report_counts_peer_timeouts(dead_trace):

@@ -3,8 +3,8 @@
 The hard requirement (ISSUE: observability) is behavior-neutrality:
 a traced run must be bit-identical to an untraced one, pinned here by
 ``MetricsRecorder.fingerprint()`` equality. The rest of the file
-covers the recorder mechanics — ring eviction, kind filtering, sink
-streaming — and the serialized formats (JSONL, Chrome trace_event).
+covers the recorder mechanics — kind filtering, memory or sink, never
+both — and the serialized formats (JSONL, Chrome trace_event).
 """
 
 from __future__ import annotations
@@ -15,14 +15,8 @@ import json
 import pytest
 
 from repro.experiments.scenario import Scenario
-from repro.obs import (
-    KINDS,
-    QUERY_TERMINAL_KINDS,
-    ChromeTraceSink,
-    JsonlSink,
-    MemorySink,
-    TraceRecorder,
-)
+from repro.obs import KINDS, QUERY_TERMINAL_KINDS, JsonlSink, TraceRecorder
+from repro.obs.sinks import chrome_trace
 from repro.sim.bus import EventBus
 from repro.sim.engine import Simulator
 from tests.helpers import dense_config
@@ -31,26 +25,28 @@ from tests.helpers import dense_config
 # ----------------------------------------------------------------------
 # recorder mechanics
 # ----------------------------------------------------------------------
-def test_ring_buffer_evicts_oldest_but_sinks_see_everything():
-    sink = MemorySink()
-    rec = TraceRecorder(capacity=5, sinks=[sink])
-    for i in range(12):
-        rec.emit("phase", t=float(i), node=i)
-    assert rec.accepted == 12
-    assert rec.evicted == 7
-    assert [e.node for e in rec.events] == [7, 8, 9, 10, 11]
-    assert [e.node for e in sink.events] == list(range(12))
+def test_recorder_with_a_sink_keeps_no_events():
+    """A recorder keeps its events in memory or streams them, never both."""
+    buf = io.StringIO()
+    streamed = TraceRecorder(sink=JsonlSink(buf))
+    kept = TraceRecorder()
+    for rec in (streamed, kept):
+        for i in range(12):
+            rec.emit("phase", t=float(i), node=i)
+    assert streamed.accepted == kept.accepted == 12
+    assert streamed.events == []
+    assert [e.node for e in kept.events] == list(range(12))
+    assert [json.loads(line)["node"] for line in buf.getvalue().splitlines()] == list(range(12))
 
 
 def test_kind_filtering_rejects_before_recording():
     rec = TraceRecorder(kinds=["query_issue"])
     assert rec.enabled("query_issue")
     assert not rec.enabled("net_send")
-    assert rec.emit("net_send", t=0.0) is None
-    assert rec.emit("query_issue", t=0.0, req=1) is not None
-    assert rec.filtered == 1
+    rec.emit("net_send", t=0.0)
+    rec.emit("query_issue", t=0.0, req=1)
     assert rec.accepted == 1
-    assert rec.counts == {"query_issue": 1}
+    assert [e.kind for e in rec.events] == ["query_issue"]
 
 
 def test_reserved_payload_fields_rejected():
@@ -61,22 +57,9 @@ def test_reserved_payload_fields_rejected():
         rec.emit("phase", t=0.0, **{"kind": "sneaky"})
 
 
-def test_invalid_capacity_rejected():
-    with pytest.raises(ValueError):
-        TraceRecorder(capacity=0)
-
-
 def test_request_ids_are_monotonic():
     bus = EventBus(Simulator())
     assert [bus.next_request_id() for _ in range(3)] == [1, 2, 3]
-
-
-def test_kind_table_orders_by_frequency():
-    rec = TraceRecorder()
-    for _ in range(3):
-        rec.emit("net_send", t=0.0)
-    rec.emit("phase", t=0.0)
-    assert rec.kind_table() == [("net_send", 3), ("phase", 1)]
 
 
 # ----------------------------------------------------------------------
@@ -84,7 +67,7 @@ def test_kind_table_orders_by_frequency():
 # ----------------------------------------------------------------------
 def test_jsonl_sink_writes_flat_records():
     buf = io.StringIO()
-    rec = TraceRecorder(sinks=[JsonlSink(buf)])
+    rec = TraceRecorder(sink=JsonlSink(buf))
     rec.emit("query_issue", t=0.25, slot=0, node=3, req=1, peer=9, round=1, cells=4)
     rec.close()
     record = json.loads(buf.getvalue())
@@ -103,13 +86,10 @@ def test_jsonl_sink_writes_flat_records():
 def test_chrome_trace_schema_and_span_pairing():
     """Every record carries the trace_event required fields; query
     lifecycle events pair up as async begin/end spans per request id."""
-    buf = io.StringIO()
-    sink = ChromeTraceSink(buf)
-    rec = TraceRecorder(sinks=[sink])
+    rec = TraceRecorder()
     scenario = Scenario(dense_config(tracer=rec)).run()
-    rec.close()
     assert scenario.metrics.phase_times  # the run did something
-    document = json.loads(buf.getvalue())
+    document = chrome_trace(e.to_dict() for e in rec.events)
     assert set(document) == {"traceEvents", "displayTimeUnit"}
     begins, ends = {}, {}
     for record in document["traceEvents"]:
@@ -130,7 +110,7 @@ def test_traced_runs_are_byte_identical():
 
     def run() -> str:
         buf = io.StringIO()
-        rec = TraceRecorder(sinks=[JsonlSink(buf)])
+        rec = TraceRecorder(sink=JsonlSink(buf))
         Scenario(dense_config(tracer=rec)).run()
         rec.close()
         return buf.getvalue()
@@ -167,7 +147,7 @@ def test_tracing_neutral_under_faults():
         .metrics.fingerprint()
     )
     assert plain == traced
-    assert rec.counts["fault"] > 0  # the injector really was traced
+    assert any(e.kind == "fault" for e in rec.events)  # the injector really was traced
 
 
 class CallCounter:
@@ -196,5 +176,5 @@ def test_all_emitted_kinds_are_documented():
     """Whatever a full traced run emits must appear in the catalog."""
     rec = TraceRecorder()
     Scenario(dense_config(tracer=rec)).run()
-    assert set(rec.counts) <= set(KINDS)
+    assert {e.kind for e in rec.events} <= set(KINDS)
     assert QUERY_TERMINAL_KINDS <= set(KINDS)
