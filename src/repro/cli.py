@@ -41,7 +41,9 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -189,8 +191,9 @@ TELEMETRY = (
         "--telemetry", default=None, metavar="FILE",
         help="sample run-health telemetry and write the JSONL series here",
     ),
+    # the three below require --telemetry (None: not given)
     arg(
-        "--telemetry-cadence", type=_positive(float), default=DEFAULT_CADENCE,
+        "--telemetry-cadence", type=_positive(float), default=None,
         metavar="SECONDS",
         help=f"sim-time sampling cadence for --telemetry (default {DEFAULT_CADENCE})",
     ),
@@ -200,7 +203,7 @@ TELEMETRY = (
     ),
     arg(
         "--heartbeat", type=_checked(float, lambda value: value >= 0.0, "non-negative"),
-        default=0.0, metavar="SECONDS",
+        default=None, metavar="SECONDS",
         help="print a wall-clock progress line every N seconds (0 = off; "
         "requires --telemetry)",
     ),
@@ -234,12 +237,18 @@ def _finish_trace(tracer, args) -> None:
 def _make_telemetry(args):
     """A configured Telemetry from the --telemetry riders, or None."""
     if not args.telemetry:
+        for flag in ("telemetry_cadence", "prometheus", "heartbeat"):
+            if getattr(args, flag) is not None:
+                args.usage_error(
+                    f"argument --{flag.replace('_', '-')}: requires --telemetry"
+                )
         return None
     from repro.obs import Heartbeat
     from repro.obs.telemetry import Telemetry
 
-    heartbeat = Heartbeat(args.heartbeat) if args.heartbeat > 0 else None
-    return Telemetry(cadence=args.telemetry_cadence, heartbeat=heartbeat)
+    heartbeat = Heartbeat(args.heartbeat) if args.heartbeat else None
+    cadence = args.telemetry_cadence or DEFAULT_CADENCE
+    return Telemetry(cadence=cadence, heartbeat=heartbeat)
 
 
 def _finish_telemetry(telemetry, args) -> dict | None:
@@ -755,7 +764,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        status = args.run(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed the pipe early (`repro trace FILE | head`):
+        # exit with the SIGPIPE status, no traceback, and point stdout
+        # at /dev/null so the interpreter's last flush cannot raise again
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            stdout = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout)
+            os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -47,8 +47,12 @@ class Builder:
         index = ctx.index_for_epoch(epoch)
         rng = ctx.rngs.stream("seeding", self.builder_id, slot)
 
-        # per (node, line): merged cells; per line: boost map
-        merged: dict[tuple[int, int], set[int]] = {}
+        # per (node, line): the sorted cells its message carries, read
+        # off the line's boost map, which already merges each custodian's
+        # parcels (keys in first-parcel order); per line: boost map. No
+        # other per-(node, line) container is built: one kept until the
+        # last send fixed the heap's size for the whole run (DESIGN.md §4.1).
+        merged: dict[tuple[int, int], tuple[int, ...]] = {}
         boost_by_line: dict[int, LineBoost] = {}
         num_lines = params.ext_rows + params.ext_cols
         for line in range(num_lines):
@@ -58,9 +62,9 @@ class Builder:
             parcels = self.policy.line_parcels(line, params, custodians, rng)
             if not parcels:
                 continue
-            boost_by_line[line] = boost_map_for_line(parcels)
-            for parcel in parcels:
-                merged.setdefault((parcel.node_id, line), set()).update(parcel.cells)
+            boost = boost_by_line[line] = boost_map_for_line(parcels)
+            for node_id, cells in boost.seeded.items():
+                merged[node_id, line] = tuple(sorted(cells))
 
         # per-node datagram counts let receivers detect seed completion
         totals: dict[int, int] = {}
@@ -100,7 +104,7 @@ class Builder:
                 slot=slot,
                 epoch=epoch,
                 line=line,
-                cells=tuple(sorted(cells)),
+                cells=cells,
                 boost=boost,
                 builder_id=self.builder_id,
                 total_messages=totals[node_id],

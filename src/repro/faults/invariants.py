@@ -261,11 +261,13 @@ class InvariantChecker:
             raise InvariantViolation(
                 f"{unended.total()} fetch(es) never ended, e.g. node {node} for slot {slot}"
             )
-        for event in sim.iter_pending():
+        # timers and posted deliveries alike: a delivery left behind
+        # the clock is as much a lost event as a timer
+        for entry in sim.iter_pending():
             self.checks_run += 1
-            if event.active and event.time < sim.now - _TIME_EPS:
+            if entry.active and entry.time < sim.now - _TIME_EPS:
                 raise InvariantViolation(
-                    f"pending event scheduled at {event.time:.6f}, now {sim.now:.6f}"
+                    f"pending event scheduled at {entry.time:.6f}, now {sim.now:.6f}"
                 )
         bound = self.fetch_bytes_bound()
         byzantine = getattr(scenario, "byzantine_nodes", set())

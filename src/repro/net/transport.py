@@ -18,11 +18,14 @@ Every datagram copy that survives send-time resolution is one
 simulator event at its delivery instant (``Network._deliver``), so
 deliveries interleave with every other event by the engine's
 ``(time, seq)`` order and the transport keeps no reference to a
-datagram once it is delivered. Delivered means verified too: the
-``on_deliver`` observers (so ``net_deliver`` records), then the
-receiver's handler, run at that instant, ``verify_cost`` after the
-copy arrived. A copy whose receiver was down at any instant since it
-arrived is dropped ``dead_late`` at that instant instead.
+datagram once it is delivered. A delivery is posted without a handle
+(``Simulator.post_at``): nothing cancels one, so it costs a queue
+entry and its argument tuple, not an ``Event`` and a bound method.
+Delivered means verified too: the ``on_deliver`` observers (so
+``net_deliver`` records), then the receiver's handler, run at that
+instant, ``verify_cost`` after the copy arrived. A copy whose receiver
+was down at any instant since it arrived is dropped ``dead_late`` at
+that instant instead.
 """
 
 from __future__ import annotations
@@ -128,6 +131,8 @@ class Network:
         self.datagrams_lost = 0
         self.datagrams_duplicated = 0
         self.datagrams_overflowed = 0
+        # one bound method for every delivery this network posts
+        self._bound_deliver = self._deliver
 
     # ------------------------------------------------------------------
     # membership
@@ -254,7 +259,9 @@ class Network:
                 self.datagrams_duplicated += 1
             receiver.in_flight += 1
             arrived_at = receiver.link.reserve_downlink(arrival + extra, size)
-            self.sim.call_at(arrived_at + cost, self._deliver, receiver, dgram, arrived_at)
+            self.sim.post_at(
+                arrived_at + cost, self._bound_deliver, receiver, dgram, arrived_at
+            )
 
     def _drop(self, dgram: Datagram, reason: str) -> None:
         """Account one lost datagram and notify drop observers."""

@@ -39,7 +39,8 @@ Record = Mapping[str, Any]
 def read_trace(path: str | Path) -> list[dict[str, Any]]:
     """A trace file's flat records, as :class:`~repro.obs.sinks.JsonlSink`
     wrote them. ``ValueError`` if the file holds no record, a line is not
-    a JSON object, or a record lacks one of ``t``/``slot``/``node``/``kind``."""
+    a JSON object, or a record lacks one of ``t``/``slot``/``node``/``kind``
+    or a payload field its kind's readers need (``phase`` of a ``phase``)."""
     records = read_jsonl(path)
     if not records:
         raise ValueError("no trace records")
@@ -47,6 +48,9 @@ def read_trace(path: str | Path) -> list[dict[str, Any]]:
         for name in RESERVED_FIELDS:
             if name not in record:
                 raise ValueError(f"record {number}: no {name!r} field")
+        # the one payload field a helper below indexes without a default
+        if record["kind"] == "phase" and "phase" not in record:
+            raise ValueError(f"record {number}: 'phase' record without 'phase'")
     return records
 
 

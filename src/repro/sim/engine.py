@@ -7,10 +7,13 @@ callbacks, mirroring the one-way, connectionless (UDP) style of
 PANDAS: nothing blocks, everything is timer- or message-driven.
 
 Determinism: two runs with the same seeds execute events in the same
-order. Pending events live in one binary heap of ``(time, seq, event)``
-entries; ties on the timestamp are broken by a monotonically
-increasing sequence number assigned at scheduling time, so the pop
-order is the total order on ``(time, seq)``.
+order. Pending events live in one binary heap of
+``(time, seq, handle, callback, args)`` entries; ties on the timestamp
+are broken by a monotonically increasing sequence number assigned at
+scheduling time, so the pop order is the total order on
+``(time, seq)``. ``handle`` is the :class:`Event` a timer's caller may
+cancel, or ``None`` for a callback scheduled with :meth:`Simulator.post_at`,
+which nobody can cancel (the transport's deliveries).
 """
 
 from __future__ import annotations
@@ -20,19 +23,20 @@ import heapq
 import itertools
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 __all__ = [
     "collector_paused",
     "Event",
+    "Pending",
     "SimProfiler",
     "Simulator",
     "SimulationError",
 ]
 
-# A queue entry is (time, seq, event); comparisons never reach the
-# Event because seq is unique.
-_Entry = tuple[float, int, "Event"]
+# A queue entry is (time, seq, handle, callback, args); comparisons
+# never reach the handle because seq is unique.
+_Entry = tuple[float, int, "Event | None", Callable[..., object], tuple[object, ...]]
 
 
 @contextmanager
@@ -78,28 +82,19 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A scheduled callback.
+    """The handle of a scheduled timer.
 
     Events order by ``(time, seq)`` so the queue is deterministic.
     ``cancelled`` events stay queued but are skipped when popped (lazy
-    deletion), which keeps cancellation O(1). ``args`` are passed to
-    the callback when it fires — hot paths schedule bound methods with
-    arguments instead of allocating a fresh closure per event.
+    deletion), which keeps cancellation O(1). The callback and its
+    arguments live in the queue entry, not here.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+    __slots__ = ("time", "seq", "cancelled")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., object],
-        args: tuple[object, ...] = (),
-    ) -> None:
+    def __init__(self, time: float, seq: int) -> None:
         self.time = time
         self.seq = seq
-        self.callback = callback
-        self.args = args
         self.cancelled = False
 
     def cancel(self) -> None:
@@ -116,6 +111,17 @@ class Event:
     def __repr__(self) -> str:
         state = " cancelled" if self.cancelled else ""
         return f"Event(t={self.time:.6f}, seq={self.seq}{state})"
+
+
+class Pending(NamedTuple):
+    """One queued entry, as :meth:`Simulator.iter_pending` reports it."""
+
+    time: float
+    seq: int
+    callback: Callable[..., object]
+    args: tuple[object, ...]
+    # False once a timer is cancelled; a posted callback is always active
+    active: bool
 
 
 class Simulator:
@@ -160,13 +166,16 @@ class Simulator:
         """Number of events still queued (including cancelled)."""
         return len(self._queue)
 
-    def iter_pending(self) -> Iterator[Event]:
-        """Iterate over queued events (including cancelled ones).
+    def iter_pending(self) -> Iterator[Pending]:
+        """Iterate over queued entries, timers and posted callbacks alike
+        (cancelled timers included, as inactive).
 
         Order is unspecified — this is an inspection hook for
         invariant checkers, not an execution preview.
         """
-        return (entry[2] for entry in self._queue)
+        for when, seq, event, callback, args in self._queue:
+            active = event is None or not event.cancelled
+            yield Pending(when, seq, callback, args, active)
 
     # ------------------------------------------------------------------
     # profiling
@@ -190,14 +199,28 @@ class Simulator:
         Scheduling in the past raises ``SimulationError``: silent
         time-travel is a classic source of non-reproducible runs.
         """
+        self._refuse_past(when)
+        seq = next(self._seq)
+        event = Event(when, seq)
+        heapq.heappush(self._queue, (when, seq, event, callback, args))
+        return event
+
+    def post_at(self, when: float, callback: Callable[..., object], *args: object) -> None:
+        """Schedule ``callback(*args)`` at ``when`` with no handle.
+
+        Ordered with every other entry by ``(time, seq)``, exactly as
+        :meth:`call_at`, but it allocates no :class:`Event` and cannot
+        be cancelled: for the transport's datagram deliveries, the bulk
+        of the queue, which nothing ever cancels (DESIGN.md §4).
+        """
+        self._refuse_past(when)
+        heapq.heappush(self._queue, (when, next(self._seq), None, callback, args))
+
+    def _refuse_past(self, when: float) -> None:
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule event at {when:.6f}, now is {self._now:.6f}"
             )
-        seq = next(self._seq)
-        event = Event(when, seq, callback, args)
-        heapq.heappush(self._queue, (when, seq, event))
-        return event
 
     def call_after(
         self, delay: float, callback: Callable[..., object], *args: object
@@ -214,16 +237,15 @@ class Simulator:
         """Execute the next active event. Returns False when idle."""
         queue = self._queue
         while queue:
-            entry = heapq.heappop(queue)
-            event = entry[2]
-            if event.cancelled:
+            when, _seq, event, callback, args = heapq.heappop(queue)
+            if event is not None and event.cancelled:
                 continue
-            self._now = entry[0]
+            self._now = when
             self._events_processed += 1
             if self._profiler is None:
-                event.callback(*event.args)
+                callback(*args)
             else:
-                self._profiler.run(event.callback, *event.args)
+                self._profiler.run(callback, *args)
             return True
         return False
 
@@ -244,26 +266,26 @@ class Simulator:
         try:
             while queue:
                 entry = heappop(queue)
-                event = entry[2]
+                when, _seq, event, callback, args = entry
                 # Single cancelled-discard path: a popped cancelled
                 # event is dropped no matter where the run stops, so
                 # the until/max_events boundaries never resurrect it.
-                if event.cancelled:
+                if event is not None and event.cancelled:
                     continue
-                if (until is not None and entry[0] > until) or (
+                if (until is not None and when > until) or (
                     max_events is not None and executed >= max_events
                 ):
                     # Re-queue under the same (time, seq): order of the
                     # remaining events is untouched.
                     heapq.heappush(queue, entry)
                     break
-                self._now = entry[0]
+                self._now = when
                 self._events_processed += 1
                 executed += 1
                 if self._profiler is None:
-                    event.callback(*event.args)
+                    callback(*args)
                 else:
-                    self._profiler.run(event.callback, *event.args)
+                    self._profiler.run(callback, *args)
         finally:
             self._running = False
         if until is not None and self._now < until:

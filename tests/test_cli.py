@@ -285,8 +285,12 @@ def test_trace_command_orders_top_kinds_by_frequency(tmp_path, capsys):
         ("", "no trace records"),
         ('{"t":0.0,"slot":0,"node":1,"kind":"phase"}\n{"t":0.5,"slot":0,"no', "line 2: "),
         ('{"t":0.0,"slot":0,"kind":"phase"}\n', "record 1: no 'node' field"),
+        (
+            '{"t":0.0,"slot":0,"node":1,"kind":"phase","at":0.5}\n',
+            "record 1: 'phase' record without 'phase'",
+        ),
     ],
-    ids=["missing", "empty", "truncated", "not-a-trace"],
+    ids=["missing", "empty", "truncated", "not-a-trace", "no-payload"],
 )
 def test_trace_command_malformed_file_is_a_diagnostic(content, reason, tmp_path, capsys):
     """A trace ``repro trace`` cannot read exits 2 with one line on
@@ -313,6 +317,40 @@ def test_trace_kinds_without_trace_is_a_usage_error(command, capsys):
     assert err.splitlines()[-1] == (
         f"repro {command}: error: argument --trace-kinds: requires --trace"
     )
+
+
+@pytest.mark.parametrize("command", ["slot", "pipeline"])
+@pytest.mark.parametrize(
+    "rider",
+    [["--telemetry-cadence", "0.5"], ["--prometheus", "x.prom"], ["--heartbeat", "1"]],
+    ids=lambda rider: rider[0],
+)
+def test_telemetry_riders_without_telemetry_are_usage_errors(command, rider, capsys):
+    """The riders of ``--telemetry`` configure its series; alone they
+    would be silently ignored (and ``--prometheus`` would write nothing)."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--nodes", "20", "--reduced", "32", *rider])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"repro {command}: error: argument {rider[0]}: requires --telemetry"
+    )
+
+
+def test_closed_stdout_exits_quietly(tmp_path, monkeypatch):
+    """A reader that closes the pipe early (``repro trace FILE | head``)
+    ends the command with the SIGPIPE status, not a traceback."""
+    import io
+    import sys
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    path = tmp_path / "trace.jsonl"
+    path.write_text('{"t":0.0,"slot":0,"node":1,"kind":"seed_recv"}\n', encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["trace", str(path)]) == 141
 
 
 @pytest.mark.parametrize("flag", ["--nodes", "--out", "--ring", "--report", "--kinds"])

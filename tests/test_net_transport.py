@@ -31,6 +31,23 @@ def test_basic_delivery(sim, lossless_network):
     assert inbox[0].src == 2
 
 
+def test_deliveries_share_one_callback(sim, lossless_network):
+    """A datagram copy is one queue entry whose callback is the
+    network's one bound ``Network._deliver``, the site the benchmark
+    counts deliveries by; only its arguments are the copy's own."""
+    from repro.obs.profiler import callback_site
+
+    _register_sink(lossless_network, 1)
+    _register_sink(lossless_network, 2)
+    lossless_network.send(2, 1, "a", 100)
+    lossless_network.send(2, 1, "b", 100)
+    (first, second) = sorted(sim.iter_pending())
+    assert first.active and second.active
+    assert first.callback is second.callback
+    assert callback_site(first.callback) == "repro.net.transport:Network._deliver"
+    assert [entry.args[1].payload for entry in (first, second)] == ["a", "b"]
+
+
 def test_delivery_time_includes_latency(sim, lossless_network):
     times = []
     lossless_network.register(1, 1, lambda d: times.append(sim.now), None, None)

@@ -221,3 +221,104 @@ def test_cancelled_event_at_max_events_boundary(sim):
     assert sim.events_processed == 1
     sim.run()
     assert fired == ["a", "b"]
+
+
+# ----------------------------------------------------------------------
+# posted entries: callbacks scheduled without a handle (post_at)
+# ----------------------------------------------------------------------
+class TestPostedEntries:
+    """``post_at`` entries share the heap, the ``(time, seq)`` order and
+    every execution path with ``call_at`` timers; they carry no handle."""
+
+    def test_post_at_returns_no_handle(self, sim):
+        assert sim.post_at(1.0, lambda: None) is None
+
+    def test_same_instant_runs_in_scheduling_order(self, sim):
+        order = []
+        sim.post_at(1.0, order.append, "delivery-1")
+        sim.call_at(1.0, order.append, "timer")
+        sim.post_at(1.0, order.append, "delivery-2")
+        sim.call_at(0.5, order.append, "early-timer")
+        sim.run()
+        assert order == ["early-timer", "delivery-1", "timer", "delivery-2"]
+
+    def test_post_in_past_raises(self, sim):
+        sim.post_at(1.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.post_at(0.5, lambda: None)
+
+    def test_step_runs_both_kinds(self, sim):
+        order = []
+        sim.call_at(2.0, order.append, "timer")
+        sim.post_at(1.0, order.append, "delivery")
+        assert sim.step()
+        assert order == ["delivery"] and sim.now == 1.0
+        assert sim.step()
+        assert order == ["delivery", "timer"] and sim.now == 2.0
+        assert not sim.step()
+        assert sim.events_processed == 2
+
+    def test_step_skips_a_cancelled_timer_before_a_delivery(self, sim):
+        order = []
+        sim.call_at(1.0, order.append, "timer").cancel()
+        sim.post_at(1.0, order.append, "delivery")
+        assert sim.step()
+        assert order == ["delivery"]
+        assert not sim.step()
+
+    def test_run_boundaries_requeue_posted_entries(self, sim):
+        order = []
+        for when in (1.0, 2.0, 3.0):
+            sim.post_at(when, order.append, when)
+        sim.call_at(2.0, order.append, "timer")
+        sim.run(max_events=1)
+        assert order == [1.0]
+        assert sim.pending == 3
+        sim.run(until=2.5)
+        assert order == [1.0, 2.0, "timer"]
+        assert sim.now == 2.5 and sim.pending == 1
+        sim.run()
+        assert order == [1.0, 2.0, "timer", 3.0]
+        assert sim.events_processed == 4
+
+    def test_reset_drops_posted_entries_and_restarts_seq(self, sim):
+        fired = []
+        sim.post_at(1.0, fired.append, "stale")
+        sim.reset()
+        assert sim.pending == 0
+        sim.post_at(1.0, fired.append, "fresh")
+        assert sim.call_at(1.0, lambda: None).seq == 1
+        sim.run()
+        assert fired == ["fresh"]
+
+    def test_profiler_sees_both_kinds_with_their_args(self, sim):
+        seen = []
+
+        class Recorder:
+            def run(self, callback, *args):
+                seen.append(args)
+                callback(*args)
+
+        order = []
+        sim.set_profiler(Recorder())
+        sim.post_at(1.0, order.append, "delivery")
+        sim.call_at(1.0, order.append, "timer")
+        sim.step()
+        sim.run()
+        assert seen == [("delivery",), ("timer",)]
+        assert order == ["delivery", "timer"]
+        assert sim.events_processed == 2
+
+    def test_iter_pending_covers_both_kinds(self, sim):
+        """The invariant checker's final sweep reads ``time`` and
+        ``active`` of every queued entry, deliveries included."""
+        sim.post_at(2.0, print, "delivery")
+        timer = sim.call_at(1.0, print, "timer")
+        timer.cancel()
+        entries = sorted(sim.iter_pending())
+        assert [(e.time, e.seq, e.active) for e in entries] == [
+            (1.0, 1, False),
+            (2.0, 0, True),
+        ]
+        assert entries[1].callback is print and entries[1].args == ("delivery",)
