@@ -113,6 +113,7 @@ def _positive(convert: Callable[[str], Any]) -> Callable[[str], Any]:
 
 _COUNT = _checked(int, lambda value: value >= 0, "non-negative")
 _FRACTION = _checked(float, lambda value: 0.0 <= value <= 1.0, "in [0, 1]")
+_NON_NEGATIVE = _checked(float, lambda value: value >= 0.0, "non-negative")
 _KIND = _checked(str, lambda value: value in KINDS, "an event kind of repro.obs.events")
 
 
@@ -716,14 +717,17 @@ def _cmd_pipeline(args) -> int:
     "health", "analyze a telemetry JSONL series against run-health SLOs",
     arg("series", help="telemetry series written by --telemetry"),
     arg(
-        "--min-deadline-hit", type=float, default=0.9,
+        "--min-deadline-hit", type=_FRACTION, default=0.9,
         help="minimum sampling deadline-hit rate to pass (default 0.9)",
     ),
     arg(
-        "--max-queue-p99", type=float, default=None,
+        "--max-queue-p99", type=_NON_NEGATIVE, default=None,
         help="fail if the sampled queue-depth p99 exceeds this",
     ),
-    arg("--max-shed", type=float, default=None, help="fail if total shed work exceeds this"),
+    arg(
+        "--max-shed", type=_NON_NEGATIVE, default=None,
+        help="fail if total shed work exceeds this",
+    ),
     JSON,
 )
 def _cmd_health(args) -> int:

@@ -4,7 +4,7 @@ from repro.core.assignment import AssignmentIndex, CellAssignment, cells_of_line
 from repro.core.builder import Builder
 from repro.core.context import ProtocolContext
 from repro.core.custody import SlotCellState
-from repro.core.fetching import AdaptiveFetcher, FetchPlan, RoundStats, plan_queries, score_peers
+from repro.core.fetching import AdaptiveFetcher, RoundPlan, RoundStats, plan_queries, score_peers
 from repro.core.messages import CellRequest, CellResponse, SeedMessage
 from repro.core.node import PandasNode
 from repro.core.retrieval import RetrievalClient, RetrievalResult
@@ -28,7 +28,7 @@ __all__ = [
     "ProtocolContext",
     "SlotCellState",
     "AdaptiveFetcher",
-    "FetchPlan",
+    "RoundPlan",
     "RoundStats",
     "plan_queries",
     "score_peers",

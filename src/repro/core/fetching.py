@@ -28,6 +28,12 @@ It proceeds in rounds; round ``i`` has timeout ``t_i`` (400, 200, then
    ``t_i`` and starts the next round, or ends through ``_finish`` with
    one of ``repro.obs.events.FETCH_DONE_REASONS``.
 
+A round is planned, then applied: ``plan_round`` decides steps 1-3, the
+recycle passes and the backoff wave as one :class:`RoundPlan`, changing
+nothing but the per-line pick memo and the RNG; ``_run_round`` sweeps the
+expired queries (their evidence moves the weights the plan scores with),
+plans, and applies the plan as step 4.
+
 A fetch with a deadline (a node's slot start + ``params.deadline``)
 starts no round at or after it and backs its recycle waves off by
 ``params.fetch_retry``; one without (a retrieval probe) recycles on the
@@ -51,11 +57,11 @@ from typing import Any
 from repro.core.custody import SlotCellState
 from repro.core.reputation import ReputationLedger
 from repro.core.seeding import LineBoost
-from repro.params import MAX_CELLS_PER_QUERY, RetryPolicy
+from repro.params import MAX_CELLS_PER_QUERY
 from repro.sim.bus import EventBus
 from repro.sim.engine import Event, Simulator
 
-__all__ = ["AdaptiveFetcher", "RoundStats", "FetchPlan", "plan_queries", "score_peers"]
+__all__ = ["AdaptiveFetcher", "RoundPlan", "RoundStats", "plan_queries", "score_peers"]
 
 _NO_CELLS: frozenset[int] = frozenset()
 
@@ -97,10 +103,23 @@ class _Query:
 
 
 @dataclass(frozen=True, slots=True)
-class FetchPlan:
-    """The query plan of one round: (peer, cells) pairs."""
+class RoundPlan:
+    """One round of Algorithm 1, decided (``AdaptiveFetcher.plan_round``).
 
-    queries: tuple[tuple[int, frozenset[int]], ...]
+    ``queries``: the (peer, cells) pairs to send, in order; ``recycled``:
+    the recycle passes that re-opened an exhausted pool, each a pool name
+    (``query_recycle``'s) and its peers; ``wave``: the backoff delay when
+    the recycled peers wait for a retry wave instead of being asked now;
+    ``timeout``: t_i; ``targets``: |F|; ``end``: why the fetch ends with
+    this round (None: it goes on).
+    """
+
+    queries: tuple[tuple[int, frozenset[int]], ...] = ()
+    recycled: tuple[tuple[str, tuple[int, ...]], ...] = ()
+    wave: float | None = None
+    timeout: float = 0.0
+    targets: int = 0
+    end: str | None = None
 
     @property
     def cells_requested(self) -> int:
@@ -142,7 +161,7 @@ def plan_queries(
     candidate_cells: Mapping[int, Set[int]],
     redundancy: int,
     max_cells_per_query: int | None = None,
-) -> FetchPlan:
+) -> tuple[tuple[int, frozenset[int]], ...]:
     """Algorithm 1 lines 11-17: greedy plan until every cell has k queries.
 
     ``max_cells_per_query`` caps each query at roughly one seeding
@@ -168,7 +187,7 @@ def plan_queries(
             planned_count[cid] = count
             if count >= redundancy:
                 under.discard(cid)
-    return FetchPlan(tuple(queries))
+    return tuple(queries)
 
 
 class AdaptiveFetcher:
@@ -374,10 +393,7 @@ class AdaptiveFetcher:
             return
         self.started = True
         self._emit("fetch_start", custody=self.fetch_custody)
-        if self.complete:
-            self._finish("complete")
-        else:
-            self._run_round(1)
+        self._run_round(1)  # which finishes at once a fetch with nothing to do
 
     def stop(self) -> None:
         """End the fetch from outside (crash, slot retirement)."""
@@ -472,11 +488,12 @@ class AdaptiveFetcher:
         return found
 
     # ------------------------------------------------------------------
-    # rounds
+    # rounds: sweep, plan, apply
     # ------------------------------------------------------------------
     def _run_round(self, index: int) -> None:
-        """Run round ``index``; it ends by scheduling the next round or
-        through ``_finish``, never otherwise."""
+        """Run round ``index``: sweep the expired queries, plan, apply the
+        plan. It ends by scheduling the next round or through ``_finish``,
+        never otherwise."""
         self._timer = None
         # lifecycle bookkeeping first so queries that expired at this tick
         # close as timeouts even if the fetcher completes or gives up now
@@ -485,8 +502,7 @@ class AdaptiveFetcher:
             self._finish("complete" if self.complete else "exhausted")
             return
         now = self.sim.now
-        deadline_at = self.deadline_at
-        if deadline_at is not None and now >= deadline_at:
+        if self.deadline_at is not None and now >= self.deadline_at:
             # a reply to a round started now could not count: custody
             # and samples alike stop here
             self._finish("abandoned")
@@ -498,7 +514,8 @@ class AdaptiveFetcher:
         # (``_awaiting`` is in issue order, and a re-query is of a pooled,
         # so already swept, peer). Late (deferred) replies are legitimate
         # protocol behaviour, which is why timeout evidence carries the
-        # lowest reputation weight
+        # lowest reputation weight. The sweep precedes the plan: its
+        # evidence moves the weights the plan scores with
         awaiting = self._awaiting
         for peer in [peer for peer, query in awaiting.items() if self._expired(query, now)]:
             query = awaiting.pop(peer)
@@ -509,83 +526,108 @@ class AdaptiveFetcher:
                     self.reputation.record_timeout(peer)
                     self._emit("defense", defense="peer_timeout", amount=1.0)
 
-        stats = RoundStats(index=index, started_at=now)
-        delay = self.schedule.timeout(index)
-        stats.deadline = now + delay
-        self.rounds.append(stats)
+        plan = self.plan_round(index)
 
+        for pool, peers in plan.recycled:
+            for peer in peers:
+                self.queries[peer].pooled = True
+            self._emit("query_recycle", pool=pool, count=len(peers))
+            self._silent.clear()  # spent: a late-answered query waits in the ledger
+        if plan.wave is not None:
+            self.retry_waves += 1
+            self._emit("retry_backoff", round=index, wave=self.retry_waves, delay=plan.wave)
+        sent, cells = len(plan.queries), plan.cells_requested
+        self.rounds.append(RoundStats(
+            index=index, started_at=now, deadline=now + plan.timeout,
+            messages_sent=sent, cells_requested=cells, targets=plan.targets,
+        ))
+        for peer, asked in plan.queries:
+            self._issue_query(peer, asked, index)
+        self._emit("fetch_round", round=index, targets=plan.targets, queries=sent, cells=cells)
+        if plan.end is not None:
+            self._finish(plan.end)
+        else:  # the next round, or a wave's backed-off round
+            delay = plan.timeout if plan.wave is None else plan.wave
+            self._timer = self.sim.call_after(delay, self._run_round, index + 1)
+
+    def plan_round(self, index: int) -> RoundPlan:
+        """Decide round ``index`` from what the fetcher holds now.
+
+        Changes nothing but the per-line pick memo and the RNG: the backoff
+        jitter when a wave is planned, else the tie-break shuffle when
+        anyone is asked.
+
+        An empty pool before the settle round may only mean lost inbound
+        cells are still trusted: keep ticking. From it on, every custodian
+        of the targets was asked and every query expired (a round starts
+        at the previous deadline): expired peers return to the pool, silent
+        ones first, then those that answered without these cells. A pool
+        still empty cannot refill by waiting: the fetch ends ``starved``
+        (DESIGN.md 2.1). With a deadline, the recycled peers wait for a
+        wave after a jittered exponential backoff. A wave past the budget,
+        or one that, at worst-case jitter, leaves no room for its round
+        before the deadline, ends the fetch ``abandoned`` and draws nothing.
+        """
+        schedule = self.schedule
         targets = self.round_targets(index)
-        stats.targets = len(targets)
-        missing_by_line = self._missing_by_line(targets)
-        candidate_cells, boosted = self._candidate_cells(targets, missing_by_line)
-        reason: str | None = None
-        # An empty pool before the settle round may only mean lost inbound
-        # cells are still trusted: keep ticking. From it on, every
-        # custodian of the targets was asked and every query expired (a
-        # round starts at the previous deadline): expired peers return to
-        # the pool, silent ones first, then those that answered without
-        # these cells. A pool still empty cannot refill by waiting, so the
-        # fetch ends ``starved`` at once (DESIGN.md 2.1).
-        if not candidate_cells and index >= self.schedule.settle_round:
+        by_line = self._missing_by_line(targets)
+        candidates, boosted = self._candidate_cells(targets, by_line, frozenset())
+        recycled: list[tuple[str, tuple[int, ...]]] = []
+        wave: float | None = None
+        end: str | None = None
+        if not candidates and index >= schedule.settle_round:
+            now = self.sim.now
+            deadline_at = self.deadline_at
             policy = self.state.params.fetch_retry
-            if deadline_at is not None and not self._retry_wave_allowed(
-                policy, index, deadline_at
+            waves = self.retry_waves
+            if deadline_at is not None and (
+                waves >= policy.max_waves
+                or now + policy.backoff(waves) * (1.0 + policy.jitter)
+                + schedule.timeout(index + 1) > deadline_at
             ):
-                # a backed-off wave could no longer complete before the
-                # deadline, or the wave budget is spent
-                reason = "abandoned"
+                end = "abandoned"
             else:
-                for replied_too in (False, True):
-                    recycled = self._recycle(replied_too)
-                    if recycled:
-                        pool = "responded" if replied_too else "unresponsive"
-                        self._emit("query_recycle", pool=pool, count=recycled)
-                        candidate_cells, boosted = self._candidate_cells(
-                            targets, missing_by_line
-                        )
-                        if candidate_cells:
+                pooled: set[int] = set()
+                for pool, ledger, replied_too in (
+                    ("unresponsive", self._silent, False),
+                    ("responded", self.queries, True),
+                ):
+                    found = tuple(
+                        peer
+                        for peer, query in ledger.items()
+                        if not query.pooled
+                        and peer not in pooled
+                        and (replied_too or not query.replied)
+                        and self._expired(query, now)
+                    )
+                    if found:
+                        recycled.append((pool, found))
+                        pooled.update(found)
+                        candidates, boosted = self._candidate_cells(targets, by_line, pooled)
+                        if candidates:
                             break
-                if not candidate_cells:
-                    reason = "starved"
+                if not candidates:
+                    end = "starved"
                 elif deadline_at is not None:
-                    # the recycled peers wait in the pool; the wave is
-                    # planned after a jittered exponential delay, drawn
-                    # from the fetcher's seeded stream (part of the replay)
-                    delay = policy.backoff(self.retry_waves)
+                    wave = policy.backoff(waves)
                     if policy.jitter > 0.0:
-                        delay *= 1.0 + policy.jitter * self.rng.random()
-                    self.retry_waves += 1
-                    self._emit("retry_backoff", round=index, wave=self.retry_waves, delay=delay)
-                    candidate_cells = {}
+                        wave *= 1.0 + policy.jitter * self.rng.random()
+                    candidates = {}
 
-        if candidate_cells:
+        queries: tuple[tuple[int, frozenset[int]], ...] = ()
+        if candidates:
             weights = None
             if self.reputation is not None:
                 weight = self.reputation.weight
-                weights = {peer: weight(peer) for peer in candidate_cells}
-            scores = score_peers(
-                candidate_cells, boosted, self.state.params.cb_boost, weights
-            )
-            peers = list(candidate_cells)
+                weights = {peer: weight(peer) for peer in candidates}
+            scores = score_peers(candidates, boosted, self.state.params.cb_boost, weights)
+            peers = list(candidates)
             self.rng.shuffle(peers)  # unbiased tie-break among equal scores
             peers.sort(key=scores.__getitem__, reverse=True)
-            redundancy = self.schedule.redundancy_for(index)
-            plan = plan_queries(
-                targets, peers, candidate_cells, redundancy, MAX_CELLS_PER_QUERY
+            queries = plan_queries(
+                targets, peers, candidates, schedule.redundancy_for(index), MAX_CELLS_PER_QUERY
             )
-            for peer, cells in plan.queries:
-                self._issue_query(peer, cells, index)
-            stats.messages_sent = len(plan.queries)
-            stats.cells_requested = plan.cells_requested
-
-        self._emit(
-            "fetch_round", round=index, targets=stats.targets,
-            queries=stats.messages_sent, cells=stats.cells_requested,
-        )
-        if reason is None:
-            self._timer = self.sim.call_after(delay, self._run_round, index + 1)
-        else:
-            self._finish(reason)
+        return RoundPlan(queries, tuple(recycled), wave, schedule.timeout(index), len(targets), end)
 
     def _issue_query(self, peer: int, cells: frozenset[int], index: int) -> None:
         """Record one query in the ledger, then send it.
@@ -611,7 +653,7 @@ class AdaptiveFetcher:
         self.send_query(peer, cells)
 
     def _candidate_cells(
-        self, targets: set[int], missing_by_line: dict[int, set[int]] | None = None
+        self, targets: set[int], missing_by_line: dict[int, set[int]], pooled: Set[int]
     ) -> tuple[dict[int, Set[int]], dict[int, frozenset[int]]]:
         """Queryable peers mapped to the cells to ask them for.
 
@@ -623,12 +665,10 @@ class AdaptiveFetcher:
 
         Also returns those boosted peers' offers on their own (peer ->
         seeded cells among ``targets``): ``score_peers``' boost input.
-        ``missing_by_line`` is ``targets`` grouped by line, when the
-        caller has it already (a recycle re-scan reuses its round's).
+        ``missing_by_line`` is ``targets`` grouped by line; ``pooled``
+        (``_scan_candidates``) names the peers this round recycles.
         """
-        if missing_by_line is None:
-            missing_by_line = self._missing_by_line(targets)
-        candidates = self._scan_candidates(missing_by_line)
+        candidates = self._scan_candidates(missing_by_line, pooled)
         boosted: dict[int, frozenset[int]] = {}
         if not candidates:
             return candidates, boosted
@@ -669,11 +709,12 @@ class AdaptiveFetcher:
         return missing_by_line
 
     def _scan_candidates(
-        self, missing_by_line: dict[int, set[int]]
+        self, missing_by_line: dict[int, set[int]], pooled: Set[int]
     ) -> dict[int, Set[int]]:
         """Queryable custodians of the missing lines, with their cells.
 
-        Skips ourselves, peers asked and not recycled, and peers the
+        Skips ourselves, peers asked and neither recycled nor in ``pooled``
+        (this round's recycle passes), and peers the
         reputation ledger quarantines (each peer is tested once per scan,
         on first encounter, and an asked one never reaches the filter).
 
@@ -698,7 +739,7 @@ class AdaptiveFetcher:
                 lines = peer_lines.get(peer)
                 if lines is None:
                     query = queries.get(peer)
-                    if (query is not None and not query.pooled) or (
+                    if (query is not None and not query.pooled and peer not in pooled) or (
                         exclude is not None and exclude(peer)
                     ):
                         skip.add(peer)
@@ -719,47 +760,6 @@ class AdaptiveFetcher:
                 cells = union_cache[key] = set().union(*sets)
             candidates[peer] = cells
         return candidates
-
-    def _retry_wave_allowed(self, policy: RetryPolicy, index: int, deadline_at: float) -> bool:
-        """Can one more retry wave still pay off before ``deadline_at``?
-
-        Checked with the *worst-case* jittered delay so the RNG is only
-        drawn when a wave is actually scheduled: an abandoned retry
-        consumes no randomness and replays identically. The wave must
-        leave room for its own round timeout — a reply that cannot
-        arrive before the deadline is not worth asking for.
-        """
-        if self.retry_waves >= policy.max_waves:
-            return False
-        worst = policy.backoff(self.retry_waves) * (1.0 + policy.jitter)
-        return self.sim.now + worst + self.schedule.timeout(index + 1) <= deadline_at
-
-    def _recycle(self, replied_too: bool) -> int:
-        """Return expired peers to the candidate pool; returns how many.
-
-        Silent peers' query or reply was probably lost. ``replied_too``
-        also re-opens peers that answered but left targets unmet —
-        payloads that failed verification, or replies that did not cover
-        these cells; reputation weighting and quarantine (which
-        ``_candidate_cells`` still applies) steer the retry toward
-        whoever served honestly.
-        """
-        now = self.sim.now
-        # every silent query whose round expired was swept into ``_silent``
-        # at the top of this round or earlier; the last resort walks the
-        # whole ledger
-        pool = self.queries if replied_too else self._silent
-        recycled = 0
-        for query in pool.values():
-            if (
-                not query.pooled
-                and (replied_too or not query.replied)
-                and self._expired(query, now)
-            ):
-                query.pooled = True
-                recycled += 1
-        self._silent.clear()
-        return recycled
 
     # ------------------------------------------------------------------
     # receive path
@@ -783,7 +783,7 @@ class AdaptiveFetcher:
                 ledger.record_unsolicited(peer)
                 self._emit("defense", defense="resp_unsolicited", amount=1.0)
             return 0, 0, 0
-        self.note_reply(peer)
+        query.replied = True  # never also a timeout: corrupt is punished once
         asked = query.cells
         requested = [cid for cid in cells if cid in asked]
         good = tuple(cid for cid in requested if cid not in invalid)
@@ -804,11 +804,10 @@ class AdaptiveFetcher:
         return len(good), new, reconstructed
 
     def note_reply(self, peer: int) -> None:
-        """Mark ``peer`` as having answered (even with no usable cells).
+        """Mark ``peer`` as having answered, with no usable cells.
 
-        ``on_reply`` calls this before dropping invalid/unrequested cells
-        so a peer that *replied* is never also reported as timed out —
-        corrupt responders are punished once, as corrupt, not twice.
+        The flag ``on_reply`` and ``on_response`` set themselves, for a
+        caller that learns of a reply outside that chain.
         """
         query = self.queries.get(peer)
         if query is not None:

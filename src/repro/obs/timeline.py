@@ -36,11 +36,19 @@ __all__ = [
 Record = Mapping[str, Any]
 
 
+# the type the helpers below assume of a field (a JSON true/false is no
+# number here); ``req``, a payload field, is checked where present
+FIELD_TYPES: dict[str, tuple[type, ...]] = {
+    "t": (int, float), "slot": (int,), "node": (int,), "kind": (str,), "req": (int,),
+}
+
+
 def read_trace(path: str | Path) -> list[dict[str, Any]]:
     """A trace file's flat records, as :class:`~repro.obs.sinks.JsonlSink`
     wrote them. ``ValueError`` if the file holds no record, a line is not
-    a JSON object, or a record lacks one of ``t``/``slot``/``node``/``kind``
-    or a payload field its kind's readers need (``phase`` of a ``phase``)."""
+    a JSON object, a record lacks one of ``t``/``slot``/``node``/``kind``
+    or a payload field its kind's readers need (``phase`` of a ``phase``),
+    or a field has another type than ``FIELD_TYPES`` gives."""
     records = read_jsonl(path)
     if not records:
         raise ValueError("no trace records")
@@ -48,6 +56,11 @@ def read_trace(path: str | Path) -> list[dict[str, Any]]:
         for name in RESERVED_FIELDS:
             if name not in record:
                 raise ValueError(f"record {number}: no {name!r} field")
+        for name, types in FIELD_TYPES.items():
+            value = record.get(name, 0)  # an absent ``req`` passes
+            if isinstance(value, bool) or not isinstance(value, types):
+                expected = " or ".join(kind.__name__ for kind in types)
+                raise ValueError(f"record {number}: {name!r} is {value!r}, not {expected}")
         # the one payload field a helper below indexes without a default
         if record["kind"] == "phase" and "phase" not in record:
             raise ValueError(f"record {number}: 'phase' record without 'phase'")

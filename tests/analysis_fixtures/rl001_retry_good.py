@@ -1,6 +1,6 @@
 """RL001 negative fixture: retry-backoff jitter from a seeded stream.
 
-This mirrors the retry backoff of ``AdaptiveFetcher._run_round``: the
+This mirrors the retry backoff of ``AdaptiveFetcher.plan_round``: the
 jitter draw comes from the fetcher's own ``random.Random`` handed out
 by ``RngRegistry.stream(...)``, so a replay with the same seed
 produces the same wave times bit-for-bit.

@@ -41,8 +41,8 @@ class TestQueryCap:
             redundancy=1,
             max_cells_per_query=16,
         )
-        assert len(plan.queries) == 1
-        assert len(plan.queries[0][1]) == 16
+        assert len(plan) == 1
+        assert len(plan[0][1]) == 16
 
     def test_no_cap_takes_everything(self):
         plan = plan_queries(
@@ -52,12 +52,12 @@ class TestQueryCap:
             redundancy=1,
             max_cells_per_query=None,
         )
-        assert len(plan.queries[0][1]) == 40
+        assert len(plan[0][1]) == 40
 
     def test_cap_spreads_over_more_peers(self):
         candidates = {p: set(range(64)) for p in range(10)}
         plan = plan_queries(set(range(64)), list(range(10)), candidates, 1, 16)
-        assert len(plan.queries) == 4  # 64 cells / 16 per query
+        assert len(plan) == 4  # 64 cells / 16 per query
 
 
 class TestInboundHandling:

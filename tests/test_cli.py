@@ -139,15 +139,20 @@ def test_non_positive_pipeline_bound_is_a_usage_error(flag, value, capsys):
         ("slot", "--telemetry-cadence", "0", "positive"),
         ("pipeline", "--pending-limit", "-1", "non-negative"),
         ("pipeline", "--heartbeat", "-1", "non-negative"),
+        ("health", "--min-deadline-hit", "7", "in [0, 1]"),
+        ("health", "--min-deadline-hit", "-0.5", "in [0, 1]"),
+        ("health", "--max-queue-p99", "-1", "non-negative"),
+        ("health", "--max-shed", "-3", "non-negative"),
     ],
 )
 def test_out_of_range_value_is_a_usage_error(command, flag, value, expected, capsys):
     """A value the scenario would reject (or silently ignore) is a usage
     error at parse time: exit 2 and one diagnostic line, no traceback.
     ``security`` runs on a 2x2 grid, so ``--samples`` above 4 is out of
-    range (a check across two flags, made after parsing)."""
-    scale = (
-        ["--grid", "2"] if command == "security" else ["--nodes", "20", "--reduced", "32"]
+    range (a check across two flags, made after parsing); ``health``
+    fails before it opens its series."""
+    scale = {"security": ["--grid", "2"], "health": ["series.jsonl"]}.get(
+        command, ["--nodes", "20", "--reduced", "32"]
     )
     with pytest.raises(SystemExit) as exit_info:
         main([command, *scale, flag, value])
@@ -289,8 +294,20 @@ def test_trace_command_orders_top_kinds_by_frequency(tmp_path, capsys):
             '{"t":0.0,"slot":0,"node":1,"kind":"phase","at":0.5}\n',
             "record 1: 'phase' record without 'phase'",
         ),
+        (
+            '{"t":0.0,"slot":0,"node":1,"kind":"query_issue","req":[1],"peer":2,'
+            '"round":1,"cells":3}\n',
+            "record 1: 'req' is [1], not int",
+        ),
+        # three records of one node: unchecked, ``t`` reached causal_report's sort
+        (
+            '{"t":0.0,"slot":0,"node":1,"kind":"phase","phase":"sampling","at":0.5}\n'
+            '{"t":"x","slot":0,"node":1,"kind":"fetch_round","round":1}\n'
+            '{"t":0.2,"slot":0,"node":1,"kind":"fetch_start","custody":true}\n',
+            "record 2: 't' is 'x', not int or float",
+        ),
     ],
-    ids=["missing", "empty", "truncated", "not-a-trace", "no-payload"],
+    ids=["missing", "empty", "truncated", "not-a-trace", "no-payload", "req-list", "t-str"],
 )
 def test_trace_command_malformed_file_is_a_diagnostic(content, reason, tmp_path, capsys):
     """A trace ``repro trace`` cannot read exits 2 with one line on

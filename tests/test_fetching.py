@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import random
 from collections import Counter
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.assignment import Custody, cells_of_line
 from repro.core.custody import SlotCellState
-from repro.core.fetching import AdaptiveFetcher, plan_queries, score_peers
+from repro.core.fetching import AdaptiveFetcher, RoundPlan, RoundStats, plan_queries, score_peers
 from repro.core.reputation import ReputationLedger
 from repro.core.seeding import SeedParcel, boost_map_for_line
 from repro.obs import TraceRecorder
@@ -44,7 +45,10 @@ class TestScoring:
         fetcher, state, _sim, _sent = make_fetcher(custodians={0: [11]})
         fetcher.add_boost(boost_map_for_line([SeedParcel(11, 0, (1, 3))]))
         state.add_cells([1, 3])  # boost cells already held
-        candidates, boosted = fetcher._candidate_cells(fetcher.round_targets())
+        targets = fetcher.round_targets()
+        candidates, boosted = fetcher._candidate_cells(
+            targets, fetcher._missing_by_line(targets), frozenset()
+        )
         assert 11 not in boosted
         scores = score_peers(candidates, boosted, cb_boost=10_000)
         assert scores[11] == float(len(candidates[11]))
@@ -59,7 +63,7 @@ class TestPlanning:
             redundancy=1,
         )
         counts = {}
-        for _peer, cells in plan.queries:
+        for _peer, cells in plan:
             for cid in cells:
                 counts[cid] = counts.get(cid, 0) + 1
         assert counts == {1: 1, 2: 1, 3: 1}
@@ -68,8 +72,8 @@ class TestPlanning:
         candidates = {p: {1} for p in range(10)}
         plan1 = plan_queries({1}, list(range(10)), candidates, redundancy=1)
         plan3 = plan_queries({1}, list(range(10)), candidates, redundancy=3)
-        assert len(plan1.queries) == 1
-        assert len(plan3.queries) == 3
+        assert len(plan1) == 1
+        assert len(plan3) == 3
 
     def test_respects_peer_order(self):
         plan = plan_queries(
@@ -78,7 +82,7 @@ class TestPlanning:
             candidate_cells={99: {1}, 11: {1}},
             redundancy=1,
         )
-        assert plan.queries[0][0] == 99
+        assert plan[0][0] == 99
 
     def test_skips_peers_without_interesting_cells(self):
         plan = plan_queries(
@@ -87,17 +91,17 @@ class TestPlanning:
             candidate_cells={10: {5}, 11: {1}},
             redundancy=1,
         )
-        assert [peer for peer, _ in plan.queries] == [11]
+        assert [peer for peer, _ in plan] == [11]
 
     def test_stops_when_covered(self):
         candidates = {p: {1, 2} for p in range(50)}
         plan = plan_queries({1, 2}, list(range(50)), candidates, redundancy=2)
-        assert len(plan.queries) == 2
+        assert len(plan) == 2
 
     def test_cells_requested_counts_multiplicity(self):
         candidates = {p: {1} for p in range(3)}
         plan = plan_queries({1}, [0, 1, 2], candidates, redundancy=3)
-        assert plan.cells_requested == 3
+        assert RoundPlan(plan).cells_requested == 3
 
 
 class ScriptedLedger:
@@ -209,7 +213,7 @@ class TestScanCandidates:
     def test_peers_in_first_encounter_order(self):
         custodians = {5: [30, 10, 20], 7: [40, 10, 50]}
         fetcher, _state, _sim, _sent = make_fetcher(custodians=custodians)
-        candidates = fetcher._scan_candidates({5: {1, 2}, 7: {3}})
+        candidates = fetcher._scan_candidates({5: {1, 2}, 7: {3}}, frozenset())
         assert list(candidates) == [30, 10, 20, 40, 50]
 
     def test_self_queried_and_excluded_peers_skipped(self):
@@ -224,7 +228,7 @@ class TestScanCandidates:
             custodians=custodians, reputation=ScriptedLedger(quarantined=exclude)
         )
         fetcher._issue_query(10, frozenset({1}), 1)
-        candidates = fetcher._scan_candidates({5: {1}, 7: {2}})
+        candidates = fetcher._scan_candidates({5: {1}, 7: {2}}, frozenset())
         assert list(candidates) == [30, 40]
         # self (999) and queried (10) never reach the filter; the rest
         # are asked once each, however many lines they share with us
@@ -233,7 +237,7 @@ class TestScanCandidates:
     def test_single_line_peer_gets_the_line_set_itself(self):
         fetcher, _state, _sim, _sent = make_fetcher(custodians={5: [10], 7: [11]})
         missing_by_line = {5: {1, 2}, 7: {3}}
-        candidates = fetcher._scan_candidates(missing_by_line)
+        candidates = fetcher._scan_candidates(missing_by_line, frozenset())
         assert candidates[10] is missing_by_line[5]
         assert candidates[11] is missing_by_line[7]
 
@@ -241,10 +245,18 @@ class TestScanCandidates:
         custodians = {5: [10, 11, 12], 7: [10, 11]}
         fetcher, _state, _sim, _sent = make_fetcher(custodians=custodians)
         missing_by_line = {5: {1, 2}, 7: {3}}
-        candidates = fetcher._scan_candidates(missing_by_line)
+        candidates = fetcher._scan_candidates(missing_by_line, frozenset())
         assert candidates[10] == {1, 2, 3}
         assert candidates[10] is candidates[11]
         assert candidates[12] is missing_by_line[5]
+
+    def test_peers_the_plan_pools_are_offered_before_their_flag_is_set(self):
+        fetcher, _state, _sim, _sent = make_fetcher(custodians={5: [10, 11, 12]})
+        for peer in (10, 11):
+            fetcher._issue_query(peer, frozenset({1}), 1)
+        candidates = fetcher._scan_candidates({5: {1}}, {11})
+        assert list(candidates) == [11, 12]
+        assert not fetcher.queries[11].pooled
 
 
 class TestRounds:
@@ -585,58 +597,37 @@ def unmemoized(fetcher):
     return clone
 
 
-def listed(mapping):
-    """A candidate or boost map as (peer, cells in iteration order) pairs."""
-    return [(peer, list(cells)) for peer, cells in mapping.items()]
-
-
 class TestRoundMemo:
-    """A round recomputes only what changed, and answers exactly as a
-    recomputation from scratch: the same targets and the same candidate
-    and boost maps, iterated in the same order (the plan and the RNG
-    draws read them in that order). Every round ends with the next one
-    scheduled or the fetch finished."""
+    """A round recomputes only what changed, and plans exactly as a
+    recomputation from scratch: the same targets, iterated in the same
+    order, and the same plan from the same RNG state (the shuffle reads
+    the candidate map in its first-encounter order)."""
 
     @pytest.mark.parametrize("name", ["dead", "faults", "pipeline", "starved"])
     def test_every_round_matches_a_recomputation(self, name, monkeypatch):
-        run_round = AdaptiveFetcher._run_round
-        round_targets = AdaptiveFetcher.round_targets
-        candidate_cells = AdaptiveFetcher._candidate_cells
-        recycle = AdaptiveFetcher._recycle
+        plan_round = AdaptiveFetcher.plan_round
         seen = Counter()
 
-        def checked_round(self, index):
-            run_round(self, index)
-            assert self.finished or self._timer is not None
-            seen[self.reason] += 1
-
-        def checked_targets(self, round_index=1):
-            targets = round_targets(self, round_index)
-            assert list(targets) == list(round_targets(unmemoized(self), round_index))
+        def checked_plan(self, index):
+            draws = self.rng.getstate()
+            plan = plan_round(self, index)
+            clone = unmemoized(self)
+            clone.rng = random.Random()
+            clone.rng.setstate(draws)
+            assert plan_round(clone, index) == plan
+            assert clone.rng.getstate() == self.rng.getstate()
+            assert list(self.round_targets(index)) == list(clone.round_targets(index))
             seen["rounds"] += 1
-            seen["settled"] += round_index >= self.schedule.settle_round
-            return targets
-
-        def checked_candidates(self, targets, missing_by_line=None):
-            got = candidate_cells(self, targets, missing_by_line)
-            want = candidate_cells(unmemoized(self), targets)
-            assert listed(got[0]) == listed(want[0])
-            assert listed(got[1]) == listed(want[1])
+            seen["settled"] += index >= self.schedule.settle_round
+            seen["recycled"] += bool(plan.recycled)
+            seen[plan.end] += 1
             ledger = self.reputation
             seen["quarantined"] += ledger is not None and any(
                 map(ledger.quarantined, self.queries)
             )
-            return got
+            return plan
 
-        def counted_recycle(self, replied_too):
-            recycled = recycle(self, replied_too)
-            seen["recycled"] += recycled > 0
-            return recycled
-
-        monkeypatch.setattr(AdaptiveFetcher, "_run_round", checked_round)
-        monkeypatch.setattr(AdaptiveFetcher, "round_targets", checked_targets)
-        monkeypatch.setattr(AdaptiveFetcher, "_candidate_cells", checked_candidates)
-        monkeypatch.setattr(AdaptiveFetcher, "_recycle", counted_recycle)
+        monkeypatch.setattr(AdaptiveFetcher, "plan_round", checked_plan)
         ROWS[name][0]().run()
         # the settle flip is crossed in every config; the faults run
         # quarantines peers, and the dead-peer run's fetchers recycle
@@ -712,7 +703,7 @@ class TestRoundMemo:
             def send(peer, cells, sim=sim, fetcher=fetcher, sent=sent):
                 sent.append(peer)
                 if peer in answering:
-                    sim.call_after(0.01, fetcher.note_reply, peer)
+                    sim.call_after(0.01, fetcher.on_reply, peer, (), frozenset())
 
             fetcher.send_query = send
             for name in ("queries", "_awaiting", "_silent"):
@@ -724,6 +715,136 @@ class TestRoundMemo:
             # each query is visited once by the sweep that finds it
             # expired and at most once more by the recycle that pools it
             assert 0 < tally["visits"] <= 2 * len(sent)
+
+
+def swept_fetcher(asked, replied=(), corrupt=(), **kwargs):
+    """A hand-built fetcher whose round 1 asked ``asked`` (peer -> cells),
+    started and expired at t = 0, and was swept as the next round's tick
+    sweeps it: the state that round's plan reads, reached without running
+    the simulator. ``replied`` peers answered with nothing usable;
+    ``corrupt`` ones served invalid cells earlier and are quarantined.
+    Returns the fetcher, the send log and the bus recorder."""
+    sim = Simulator()
+    tracer = TraceRecorder()
+    ledger = ReputationLedger()
+    ledger.observe_epoch(0)
+    for peer in corrupt:
+        ledger.record_invalid(peer, 10)
+    fetcher, state, sim, sent = make_fetcher(
+        sim=sim, events=EventBus(sim, [tracer]), slot=0, reputation=ledger, **kwargs
+    )
+    fetcher.rounds.append(RoundStats(index=1))
+    for peer, cells in asked.items():
+        fetcher._issue_query(peer, frozenset(cells), 1)
+    for peer in replied:
+        fetcher.on_reply(peer, (), frozenset())
+    for peer in asked:  # expired: the silent ones wait for the recycle
+        query = fetcher._awaiting.pop(peer)
+        if not query.replied:
+            fetcher._silent[peer] = query
+    return fetcher, sent, tracer
+
+
+ROW_0 = cells_of_line(0, 16, 16)
+COL_3 = cells_of_line(16 + 3, 16, 16)
+# peer 1, the lone custodian of row 0, never answers; waves back off 50 ms
+# (jitter up to half that) after 100 ms rounds
+LONE = {"custodians": {0: [1]}, "asked": {1: ROW_0[:8]}}
+JITTERED = RetryPolicy(base=0.05, multiplier=2.0, max_backoff=0.8, jitter=0.5, max_waves=4)
+
+
+def backoff_fetcher(deadline_at):
+    params = PandasParams(
+        base_rows=8, base_cols=8, custody_rows=1, custody_cols=1, samples=2,
+        fetch_retry=JITTERED,
+    )
+    schedule = FetchSchedule(timeouts=(0.1,), redundancy=(1,), max_rounds=50)
+    return swept_fetcher(params=params, schedule=schedule, deadline_at=deadline_at, **LONE)
+
+
+def both_passes_fetcher():
+    """Peer 10 (row 0) answered unusably; silent peer 20 holds only column
+    3, which has since been completed."""
+    fetcher, sent, tracer = swept_fetcher(
+        custodians={0: [10], 19: [20]},
+        asked={10: ROW_0[:8], 20: COL_3[:8]},
+        replied=(10,),
+    )
+    fetcher.state.add_cells(COL_3)
+    return fetcher, sent, tracer
+
+
+# (fetcher, the round its plan is for), one per outcome of an exhausted pool
+OUTCOMES = {
+    "both passes": lambda: (both_passes_fetcher(), 3),
+    "wave": lambda: (backoff_fetcher(deadline_at=100.0), 2),
+    "refused wave": lambda: (backoff_fetcher(deadline_at=0.1), 2),
+    "starved": lambda: (swept_fetcher(corrupt=(1,), **LONE), 3),
+}
+
+
+class TestRoundPlan:
+    """``plan_round`` on hand-built fetchers, with no simulation run: one
+    per outcome of an exhausted pool, and none changes the fetcher."""
+
+    @staticmethod
+    def effects(fetcher, sent, tracer):
+        """Everything a plan must leave as it found it."""
+        ledger = fetcher.reputation
+        return (
+            [(peer, astuple(query)) for peer, query in fetcher.queries.items()],
+            list(fetcher._awaiting),
+            list(fetcher._silent),
+            [astuple(stats) for stats in fetcher.rounds],
+            (fetcher.retry_waves, fetcher._timer, fetcher.reason),
+            list(sent),
+            list(tracer.events),
+            {peer: astuple(stats) for peer, stats in ledger.stats.items()},
+            dict(ledger.quarantined_in),
+        )
+
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    def test_planning_twice_from_one_rng_state_changes_nothing(self, outcome):
+        (fetcher, sent, tracer), index = OUTCOMES[outcome]()
+        before = self.effects(fetcher, sent, tracer)
+        draws = fetcher.rng.getstate()
+        first = fetcher.plan_round(index)
+        fetcher.rng.setstate(draws)
+        assert fetcher.plan_round(index) == first
+        assert self.effects(fetcher, sent, tracer) == before
+
+    def test_unresponsive_pass_then_responded_pass(self):
+        (fetcher, _sent, _tracer), index = OUTCOMES["both passes"]()
+        targets = fetcher.round_targets(index)
+        plan = fetcher.plan_round(index)
+        # silent 20 holds nothing still missing, so the responded pass runs
+        assert plan.recycled == (("unresponsive", (20,)), ("responded", (10,)))
+        assert plan.queries == ((10, frozenset(targets)),)
+        assert (plan.wave, plan.end, plan.targets) == (None, None, len(targets))
+        assert plan.timeout == fetcher.schedule.timeout(index)
+
+    def test_backoff_wave_draws_its_jitter(self):
+        (fetcher, _sent, _tracer), index = OUTCOMES["wave"]()
+        draw = random.Random(1).random()  # the fetcher's first draw
+        plan = fetcher.plan_round(index)
+        assert plan.recycled == (("unresponsive", (1,)),)
+        assert plan.queries == ()  # the recycled peer waits for the wave
+        assert plan.wave == pytest.approx(0.05 * (1 + 0.5 * draw))
+        assert plan.end is None
+
+    def test_refused_wave_ends_abandoned_and_draws_nothing(self):
+        (fetcher, _sent, _tracer), index = OUTCOMES["refused wave"]()
+        draws = fetcher.rng.getstate()
+        plan = fetcher.plan_round(index)
+        # 0.05 * 1.5 of worst-case backoff plus a 0.1 s round overrun 0.1 s
+        assert plan == RoundPlan(timeout=0.1, targets=plan.targets, end="abandoned")
+        assert plan.targets and fetcher.rng.getstate() == draws
+
+    def test_starved_when_the_recycled_peer_is_quarantined(self):
+        (fetcher, _sent, _tracer), index = OUTCOMES["starved"]()
+        plan = fetcher.plan_round(index)
+        assert plan.recycled == (("unresponsive", (1,)),)
+        assert (plan.queries, plan.wave, plan.end) == ((), None, "starved")
 
 
 class TestSettleRoundGate:
@@ -905,7 +1026,7 @@ def test_plan_redundancy_invariant(redundancy, num_peers, num_cells):
     }
     plan = plan_queries(targets, list(candidates), candidates, redundancy)
     counts = {c: 0 for c in targets}
-    for _peer, cells in plan.queries:
+    for _peer, cells in plan:
         for cid in cells:
             counts[cid] += 1
     for cid in targets:

@@ -201,10 +201,11 @@ def test_boost_excludes_own_entries():
     assert fetcher.boost == {row: line_boost}
     assert fetcher.inbound == {row: {own}}
     assert fetcher.inbound[row] is line_boost.seeded[0]
-    candidates, boosted = fetcher._candidate_cells({own, theirs})
-    assert 0 not in candidates
-    assert boosted == {peer: {theirs}}
-    assert candidates[peer] == {theirs}
+    # the boosted peer out-scores every plain holder, and is asked for
+    # the seeded cell alone; we never ask ourselves
+    asked = dict(fetcher.plan_round(1).queries)
+    assert 0 not in asked
+    assert asked[peer] == {theirs}
 
 
 def test_requery_appends_to_the_ledger_record():

@@ -27,7 +27,7 @@ import pytest
 
 from repro.core.assignment import Custody, cells_of_line, lines_of_cell
 from repro.core.custody import SlotCellState
-from repro.core.fetching import AdaptiveFetcher, score_peers
+from repro.core.fetching import AdaptiveFetcher, plan_queries
 from repro.core.messages import BOOST_ENTRY_BYTES, SeedMessage
 from repro.core.seeding import (
     LineBoost,
@@ -36,7 +36,7 @@ from repro.core.seeding import (
     boost_map_for_line,
     owned_cells_of_line,
 )
-from repro.params import MESSAGE_OVERHEAD_BYTES, FetchSchedule, PandasParams
+from repro.params import MAX_CELLS_PER_QUERY, MESSAGE_OVERHEAD_BYTES, FetchSchedule, PandasParams
 from repro.sim.engine import Simulator
 from tests.helpers import held_cells, make_world
 
@@ -373,11 +373,13 @@ def check_boost_equivalence(case, round_index: int) -> None:
         if peer in expected and cells & targets
     }
     expected.update(expected_boosted)
-    candidates, boosted = fetcher._candidate_cells(targets)
-    assert candidates == expected
-    assert boosted == expected_boosted
-    assert SELF_ID not in candidates
-    # scores: the old formula, intersecting the peer's whole seeded set
+    assert SELF_ID not in expected
+    # the plan: scores by the old formula, intersecting the peer's whole
+    # seeded set, then the round's shuffle and sort over the peers in
+    # first-encounter order (the reference meets them in the scan's order:
+    # a line's custodians are all met at its first cell), from the same
+    # RNG state; with reputation weights and without
+    redundancy = fetcher.schedule.redundancy_for(round_index)
     for use_weights in (None, weights):
         expected_scores = {}
         for peer, cells in expected.items():
@@ -388,11 +390,28 @@ def check_boost_equivalence(case, round_index: int) -> None:
             if use_weights is not None:
                 score *= use_weights.get(peer, 1.0)
             expected_scores[peer] = score
-        assert score_peers(candidates, boosted, CB_BOOST, use_weights) == expected_scores
+        fetcher.reputation = None if use_weights is None else FixedWeights(use_weights)
+        draws = fetcher.rng.getstate()
+        plan = fetcher.plan_round(round_index)
+        fetcher.rng.setstate(draws)
+        peers = list(expected)
+        fetcher.rng.shuffle(peers)
+        peers.sort(key=expected_scores.__getitem__, reverse=True)
+        assert plan.queries == plan_queries(
+            targets, peers, expected, redundancy, MAX_CELLS_PER_QUERY
+        )
+        assert plan.targets == len(targets)
 
-    # the boost overlay replaces values only: peer order is the scan's
-    fetcher.boost = {}
-    assert list(fetcher._candidate_cells(targets)[0]) == list(candidates)
+
+class FixedWeights:
+    """A reputation ledger with fixed weights that quarantines no one."""
+
+    def __init__(self, weights: Mapping[int, float]) -> None:
+        self.weight = lambda peer: weights.get(peer, 1.0)
+
+    @staticmethod
+    def quarantined(peer: int) -> bool:
+        return False
 
 
 @pytest.mark.parametrize("case_seed", range(12))
@@ -432,11 +451,14 @@ def test_first_datagram_delivered_twice_changes_nothing():
     def snapshot():
         fetcher = node.slot_fetcher(0)
         targets = fetcher.round_targets()
+        draws = fetcher.rng.getstate()
+        plan = fetcher.plan_round(1)
+        fetcher.rng.setstate(draws)
         return (
             dict(fetcher.boost),
             dict(fetcher.inbound),
             targets,
-            fetcher._candidate_cells(targets),
+            plan,
             fetcher.started,
             held_cells(node.slot_cells(0)),
         )
