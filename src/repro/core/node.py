@@ -59,6 +59,9 @@ from repro.sim.engine import Event
 
 __all__ = ["PandasNode"]
 
+# the fewest buckets a node's table holds before _admit sweeps it
+_BUCKET_SWEEP_FLOOR = 16
+
 # the RoundStats fields published per round when a slot is retired
 _TABLE1_COLUMNS = (
     "messages_sent", "cells_requested", "replies_in_round", "replies_after_round",
@@ -136,6 +139,8 @@ class PandasNode:
         params = ctx.params
         self.reputation = ReputationLedger()
         self._buckets: dict[int, TokenBucket] = {}
+        # _admit sweeps the table before it grows past this size
+        self._bucket_sweep_at = _BUCKET_SWEEP_FLOOR
         # aggregate admission bucket over *all* inbound retrieval-class
         # requests (the load-shedding priority lane: sampling traffic
         # never passes through it)
@@ -245,13 +250,36 @@ class PandasNode:
             self._on_response(dgram.src, payload)
 
     def _admit(self, src: int) -> bool:
-        """Per-peer token bucket over inbound request/response traffic."""
+        """Per-peer token bucket over inbound request/response traffic.
+
+        A table that has reached its sweep mark is pruned before it
+        takes a new bucket, and the mark is then set to twice what
+        survived: like a dict's own growth rule, the sweeps cost
+        amortized O(1) per new bucket, and the table holds at most
+        twice the buckets that were drained at its last sweep.
+        """
         bucket = self._buckets.get(src)
         if bucket is None:
+            if len(self._buckets) >= self._bucket_sweep_at:
+                self._prune_buckets()
             params = self.ctx.params
             bucket = TokenBucket(params.inbound_msg_rate, params.inbound_msg_burst)
             self._buckets[src] = bucket
         return bucket.allow(self.ctx.sim.now)
+
+    def _prune_buckets(self) -> None:
+        """Drop every bucket that is full again, and reset the sweep mark.
+
+        A bucket full at ``now`` is indistinguishable from the fresh one
+        ``_admit`` would create: refill clamps both to ``burst`` and the
+        next ``allow`` stamps the same ``_last``. The drained ones go to
+        a new dict, since deleting entries would not shrink the old table.
+        """
+        now = self.ctx.sim.now
+        self._buckets = {
+            src: bucket for src, bucket in self._buckets.items() if not bucket.full_at(now)
+        }
+        self._bucket_sweep_at = max(2 * len(self._buckets), _BUCKET_SWEEP_FLOOR)
 
     def _verify_cost(self, payload: object) -> float:
         """Seconds of KZG verification before any of ``payload`` is acted on.
@@ -522,6 +550,7 @@ class PandasNode:
         params = self.ctx.params
         self.reputation = ReputationLedger()
         self._buckets.clear()
+        self._bucket_sweep_at = _BUCKET_SWEEP_FLOOR
         self._retrieval_bucket = TokenBucket(
             params.retrieval_admit_rate, params.retrieval_admit_burst
         )
@@ -569,13 +598,7 @@ class PandasNode:
         """
         state = self._slots.pop(slot, None)
         self._retired.add(slot)
-        # a bucket that is full again is indistinguishable from the fresh
-        # one _admit would create, so only the drained ones are kept (in
-        # a new dict: deleting entries would not shrink the old table)
-        now = self.ctx.sim.now
-        self._buckets = {
-            src: bucket for src, bucket in self._buckets.items() if not bucket.full_at(now)
-        }
+        self._prune_buckets()
         if state is not None:
             for stats in state.fetcher.rounds:
                 columns = {name: getattr(stats, name) for name in _TABLE1_COLUMNS}

@@ -20,7 +20,9 @@ a node therefore needs local, evidence-based defenses:
   peer. Honest peers send a handful of messages per slot (a node is
   queried at most once per slot, and answers with at most one
   immediate plus one deferred reply), so generous defaults never touch
-  honest traffic while flattening garbage flooders.
+  honest traffic while flattening garbage flooders. A bucket that has
+  refilled equals a fresh one, so a node keeps buckets only for the
+  peers it heard from recently, not for every peer it ever heard from.
 
 Everything here is deterministic and allocation-light: no randomness,
 no timers — decay is applied lazily at epoch observation.
@@ -193,8 +195,10 @@ class TokenBucket:
     message spends ``cost``. Refill happens lazily on :meth:`allow`, so
     the bucket needs no timers and is exactly reproducible.
 
-    Every node keeps one per peer that sent it a request or response,
-    so there are O(N^2) of them in a run; ``__slots__`` keeps each small.
+    A node keeps one per peer whose bucket is still drained, plus those
+    that refilled since its table was last swept; a sweep sets the next
+    one at twice what it kept (``PandasNode._admit``). ``__slots__``
+    keeps each small.
     """
 
     __slots__ = ("rate", "burst", "tokens", "_last")

@@ -36,10 +36,27 @@ __all__ = [
 Record = Mapping[str, Any]
 
 
+_NUMBER = (int, float)
+
 # the type the helpers below assume of a field (a JSON true/false is no
 # number here); ``req``, a payload field, is checked where present
 FIELD_TYPES: dict[str, tuple[type, ...]] = {
-    "t": (int, float), "slot": (int,), "node": (int,), "kind": (str,), "req": (int,),
+    "t": _NUMBER, "slot": (int,), "node": (int,), "kind": (str,), "req": (int,),
+}
+
+# by kind, the payload fields a helper below hashes, indexes or adds up,
+# and the type it assumes of each; checked where present
+PAYLOAD_TYPES: dict[str, dict[str, tuple[type, ...]]] = {
+    "query_issue": {"peer": (int,), "round": (int,)},
+    "query_response": {"new": _NUMBER},
+    "fetch_round": {"round": (int,)},
+    "phase": {"phase": (str,), "at": _NUMBER},
+    "seed_recv": {"at": _NUMBER},
+    "fetch_start": {"at": _NUMBER},
+    "cells_ingest": {"new": _NUMBER, "reconstructed": _NUMBER},
+    "query_recycle": {"pool": (str,), "count": _NUMBER},
+    "defense": {"defense": (str,), "amount": _NUMBER},
+    "load_shed": {"shed": (str,), "amount": _NUMBER},
 }
 
 
@@ -48,7 +65,8 @@ def read_trace(path: str | Path) -> list[dict[str, Any]]:
     wrote them. ``ValueError`` if the file holds no record, a line is not
     a JSON object, a record lacks one of ``t``/``slot``/``node``/``kind``
     or a payload field its kind's readers need (``phase`` of a ``phase``),
-    or a field has another type than ``FIELD_TYPES`` gives."""
+    or a field has another type than ``FIELD_TYPES`` or ``PAYLOAD_TYPES``
+    gives."""
     records = read_jsonl(path)
     if not records:
         raise ValueError("no trace records")
@@ -56,15 +74,22 @@ def read_trace(path: str | Path) -> list[dict[str, Any]]:
         for name in RESERVED_FIELDS:
             if name not in record:
                 raise ValueError(f"record {number}: no {name!r} field")
-        for name, types in FIELD_TYPES.items():
-            value = record.get(name, 0)  # an absent ``req`` passes
-            if isinstance(value, bool) or not isinstance(value, types):
-                expected = " or ".join(kind.__name__ for kind in types)
-                raise ValueError(f"record {number}: {name!r} is {value!r}, not {expected}")
+        _check_types(number, record, FIELD_TYPES)
+        _check_types(number, record, PAYLOAD_TYPES.get(record["kind"], {}))
         # the one payload field a helper below indexes without a default
         if record["kind"] == "phase" and "phase" not in record:
             raise ValueError(f"record {number}: 'phase' record without 'phase'")
     return records
+
+
+def _check_types(number: int, record: Record, fields: Mapping[str, tuple[type, ...]]) -> None:
+    for name, types in fields.items():
+        if name not in record:
+            continue
+        value = record[name]
+        if isinstance(value, bool) or not isinstance(value, types):
+            expected = " or ".join(kind.__name__ for kind in types)
+            raise ValueError(f"record {number}: {name!r} is {value!r}, not {expected}")
 
 
 # ----------------------------------------------------------------------

@@ -306,8 +306,24 @@ def test_trace_command_orders_top_kinds_by_frequency(tmp_path, capsys):
             '{"t":0.2,"slot":0,"node":1,"kind":"fetch_start","custody":true}\n',
             "record 2: 't' is 'x', not int or float",
         ),
+        # unchecked, a list ``peer`` reached causal_report's peer set
+        (
+            '{"t":0.0,"slot":0,"node":1,"kind":"query_issue","req":1,"peer":[2],'
+            '"round":1,"cells":3}\n'
+            '{"t":0.1,"slot":0,"node":1,"kind":"query_response","req":1,"peer":[2],'
+            '"new":3}\n',
+            "record 1: 'peer' is [2], not int",
+        ),
+        # and a list ``phase`` became a key of phase_completions' map
+        (
+            '{"t":0.0,"slot":0,"node":1,"kind":"phase","phase":["sampling"],"at":0.5}\n',
+            "record 1: 'phase' is ['sampling'], not str",
+        ),
     ],
-    ids=["missing", "empty", "truncated", "not-a-trace", "no-payload", "req-list", "t-str"],
+    ids=[
+        "missing", "empty", "truncated", "not-a-trace", "no-payload", "req-list", "t-str",
+        "peer-list", "phase-list",
+    ],
 )
 def test_trace_command_malformed_file_is_a_diagnostic(content, reason, tmp_path, capsys):
     """A trace ``repro trace`` cannot read exits 2 with one line on

@@ -20,6 +20,8 @@ from repro.core.messages import (
     CellResponse,
     SeedMessage,
 )
+from repro.core.node import _BUCKET_SWEEP_FLOOR
+from repro.core.reputation import TokenBucket
 from repro.core.retrieval import RetrievalClient
 from repro.params import PandasParams
 from tests.helpers import make_world
@@ -232,38 +234,93 @@ class TestRateLimiting:
         )
         node = world.nodes[0]
         req = CellRequest(slot=0, epoch=0, cells=frozenset({1}))
-        for _ in range(3):
-            world.network.send(1, 0, req, req.wire_size(world.params))
+        # 20 drained peers: the 17th bucket meets the floor's sweep,
+        # which keeps all 16 drained ones and doubles the mark
+        for src in range(1, 21):
+            for _ in range(3):
+                world.network.send(src, 0, req, req.wire_size(world.params))
         world.sim.run(until=0.1)
+        assert len(node._buckets) == 20
+        assert node._bucket_sweep_at == 2 * _BUCKET_SWEEP_FLOOR
         node.reputation.record_invalid(9, 5)
         node.crash()
         assert not node._buckets
+        assert node._bucket_sweep_at == _BUCKET_SWEEP_FLOOR
         assert node.reputation.weight(9) == 1.0
 
     def test_pruned_buckets_admit_exactly_as_never_pruned_ones(self):
-        """``drop_slot`` deletes the buckets that are full again; a pruned
-        node and a never-pruned one then agree on every verdict and every
-        token count, with refills landing exactly on ``burst`` as well."""
-        world = make_world(
-            params=small_params(inbound_msg_rate=4.0, inbound_msg_burst=3.0)
-        )
-        pruned, kept = world.nodes[0], world.nodes[1]
+        """``_admit`` sweeps the buckets that are full again whenever its
+        table reaches the sweep mark, and ``drop_slot`` sweeps at slot end.
+        A plain ``dict[int, TokenBucket]`` that is never pruned agrees with
+        the node on every verdict; where the node still holds a peer's
+        bucket the two hold the same tokens, and where it swept one the
+        oracle's is full again (refills landing exactly on ``burst``
+        included)."""
+        params = small_params(inbound_msg_rate=2.0, inbound_msg_burst=3.0)
+        world = make_world(params=params)
+        node = world.nodes[0]
+        oracle: dict[int, TokenBucket] = {}
         rng = random.Random(3)
-        pruned_total = survived_total = 0
-        for step in range(2_000):
+        verdicts = {True: 0, False: 0}
+        admit_sweeps = slot_sweeps = survived = 0
+        for step in range(3_000):
             # dyadic gaps hit the full-at-exactly-burst boundary; the
             # others exercise rounding
             gap = rng.choice((0.0, 0.0, 0.125, 0.25, 0.75, rng.random() / 3))
             world.sim.run(until=world.sim.now + gap)
-            if step % 25 == 24:
-                before = len(pruned._buckets)
-                pruned.drop_slot(step)
-                pruned_total += before - len(pruned._buckets)
-                survived_total += len(pruned._buckets)
-            src = rng.randrange(2, 8)
-            assert pruned._admit(src) == kept._admit(src)
-            assert pruned._buckets[src].tokens == kept._buckets[src].tokens
-        assert pruned_total > 0 and survived_total > 0
+            now = world.sim.now
+            if step % 100 == 99:
+                node.drop_slot(step)
+                slot_sweeps += 1
+                survived += len(node._buckets)
+            # a few hot peers drain their buckets; 60 others make the
+            # table reach its sweep mark
+            src = rng.randrange(1, 4) if rng.random() < 0.5 else rng.randrange(4, 65)
+            table = node._buckets
+            verdict = node._admit(src)
+            if node._buckets is not table:
+                admit_sweeps += 1
+                survived += len(node._buckets) - 1
+            bucket = oracle.setdefault(
+                src, TokenBucket(params.inbound_msg_rate, params.inbound_msg_burst)
+            )
+            assert verdict == bucket.allow(now)
+            verdicts[verdict] += 1
+            for peer, reference in oracle.items():
+                held = node._buckets.get(peer)
+                if held is None:
+                    assert reference.full_at(now)
+                else:
+                    assert (held.tokens, held._last) == (reference.tokens, reference._last)
+        assert admit_sweeps > 0 and slot_sweeps > 0 and survived > 0
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+    def test_bucket_table_stays_within_twice_the_drained_ones(self):
+        """Under an honest schedule (each peer sends at most ``burst``
+        messages at a time) the table never holds more than
+        max(2 × drained, floor) + 1 buckets, where drained is the most
+        buckets a never-pruned oracle has held drained at once so far;
+        the oracle meanwhile keeps every peer."""
+        params = small_params(inbound_msg_rate=4.0, inbound_msg_burst=3.0)
+        world = make_world(params=params)
+        node = world.nodes[0]
+        oracle: dict[int, TokenBucket] = {}
+        rng = random.Random(11)
+        peak_drained = largest = 0
+        for _ in range(2_000):
+            world.sim.run(until=world.sim.now + rng.random() / 50)
+            now = world.sim.now
+            src = rng.randrange(1, 1_001)
+            bucket = oracle.setdefault(
+                src, TokenBucket(params.inbound_msg_rate, params.inbound_msg_burst)
+            )
+            for _ in range(rng.randrange(1, 4)):
+                assert node._admit(src) == bucket.allow(now)
+            drained = sum(not b.full_at(now) for b in oracle.values())
+            peak_drained = max(peak_drained, drained)
+            largest = max(largest, len(node._buckets))
+            assert len(node._buckets) <= max(2 * peak_drained, _BUCKET_SWEEP_FLOOR) + 1
+        assert len(oracle) > 3 * largest
 
     def test_crash_resets_retrieval_admission_bucket(self):
         world = make_world(
